@@ -376,8 +376,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse a command line; graph files may come before or after options.
+
+    argparse fills a ``nargs="*"`` positional in the same run of
+    positionals as the one before it, so in ``verify chain --with-reg
+    FILE`` the inputs bind (empty) next to ``kind`` and FILE comes back
+    unparsed.  Such leftovers are the command's remaining inputs.
+    """
+    ap = build_parser()
+    args, extra = ap.parse_known_args(argv)
+    if hasattr(args, "inputs"):
+        args.inputs += [a for a in extra if a == "-" or not a.startswith("-")]
+        extra = [a for a in extra if a != "-" and a.startswith("-")]
+    if extra:
+        ap.error("unrecognized arguments: " + " ".join(extra))
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ValueError, OSError) as exc:

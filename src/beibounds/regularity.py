@@ -15,8 +15,13 @@ Regularity of the squarefree monomial ideal is then read off reduced
 simplicial homology of induced subcomplexes of its Stanley-Reisner
 complex: reg = max(t + 1) over vertex subsets W and degrees t with
 nonzero reduced homology of the restriction to W.  Homology is computed
-exactly over GF(2) and GF(3) via boundary-matrix ranks; the two fields
-must agree or an error is raised.
+exactly over GF(2) and GF(3) via boundary-matrix ranks on Python-int
+rows (bitmasks for GF(2), bit-sliced (pos, neg) pairs for GF(3); see
+``rank_modp``); the two fields must agree or an error is raised.  The
+scan computes only the ranks it needs: per field it walks the degrees
+of a subset from the top down, stops at the first nonzero one, and
+never goes below the field's best value so far, since lower degrees
+cannot raise it.  ``homology_dims`` still computes every degree.
 
 Disconnected graphs are handled component by component (the quotient is
 a tensor product over disjoint variable sets, so regularity adds and
@@ -32,25 +37,13 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
-import numpy as np
-
 from .errors import FieldDisagreementError, ResourceLimitError
 from .graphs import Graph, bits, popcount
-from .rank_modp import rank_gf2, rank_modp
+from .rank_modp import rank_gf2, rank_gf3, rank_modp
 
 DEFAULT_COMPONENT_CAP = 8
 DEFAULT_VAR_CAP = 16
 DEFAULT_FIELDS = (2, 3)
-
-_POP16 = None
-
-
-def _pop_table() -> np.ndarray:
-    global _POP16
-    if _POP16 is None:
-        bytes16 = np.arange(1 << 16, dtype=">u2").view(np.uint8).reshape(-1, 2)
-        _POP16 = np.unpackbits(bytes16, axis=1).sum(axis=1).astype(np.uint8)
-    return _POP16
 
 
 def _is_prime(p: int) -> bool:
@@ -150,62 +143,72 @@ def initial_ideal(g: Graph, max_vertices: int = DEFAULT_COMPONENT_CAP) -> Square
 # -- induced subcomplex homology -------------------------------------------
 
 
-def _faces_by_size(local_gens: list[int], k: int) -> list[np.ndarray]:
+def _faces_by_size(local_gens: list[int], k: int) -> list[list[int]]:
     """Faces of the complex on k vertices avoiding every generator.
 
-    Returns arrays of face bitmasks grouped by face size (index 0 holds
-    the empty face); each array ascends, so orderings are reproducible.
+    Returns lists of face bitmasks grouped by face size (index 0 holds
+    the empty face).  A face of size s + 1 extends a face of size s by a
+    vertex above its top vertex, so each face is built once, and only
+    the generators through that vertex can block it.
     """
-    idx = np.arange(1 << k, dtype=np.uint32)
-    nonface = np.zeros(1 << k, dtype=bool)
-    for cg in local_gens:
-        nonface |= (idx & cg) == cg
-    faces = idx[~nonface]
-    pops = _pop_table()[faces]
-    top = int(pops.max()) if faces.size else 0
-    return [faces[pops == s] for s in range(top + 1)]
+    through = [[g for g in local_gens if g >> v & 1] for v in range(k)]
+    by_size = [[0]]
+    while True:
+        grown = []
+        for f in by_size[-1]:
+            for v in range(f.bit_length(), k):
+                h = f | 1 << v
+                for g in through[v]:
+                    if g & h == g:
+                        break
+                else:
+                    grown.append(h)
+        if not grown:
+            return by_size
+        by_size.append(grown)
 
 
-def _chain_ranks(by_size: list[np.ndarray], fields: tuple[int, ...]) -> dict[int, list[int]]:
-    """Rank of each boundary map (size-s faces -> size-(s-1) faces) per field."""
-    ranks = {p: [0] * (len(by_size) + 1) for p in fields}
-    odd = [p for p in fields if p != 2]
-    for s in range(1, len(by_size)):
-        lower = {int(m): c for c, m in enumerate(by_size[s - 1])}
-        upper = by_size[s]
-        if upper.size == 0 or not lower:
-            continue
-        gf2_rows = [] if 2 in fields else None
-        signed = np.zeros((upper.size, len(lower)), dtype=np.int8) if odd else None
-        for r, fm in enumerate(upper):
-            fm = int(fm)
-            row = 0
-            for pos, b in enumerate(bits(fm)):
-                col = lower[fm ^ (1 << b)]
-                if signed is not None:
-                    signed[r, col] = 1 if pos % 2 == 0 else -1
-                row |= 1 << col
-            if gf2_rows is not None:
-                gf2_rows.append(row)
-        if gf2_rows is not None:
-            ranks[2][s] = rank_gf2(gf2_rows)
-        for p in odd:
-            ranks[p][s] = rank_modp(signed, p)
+def _boundary_ranks(by_size: list[list[int]], s: int, fields: tuple[int, ...]) -> dict[int, int]:
+    """Rank of the boundary map (size-s faces -> size-(s-1) faces) per field.
+
+    One pass over the face bits builds each row as a bit-sliced
+    ``(pos, neg)`` pair: dropping the i-th vertex of a face (ascending,
+    from 0) gives a column with sign (-1)^i.  The GF(2) row is
+    ``pos | neg``.
+    """
+    col = {m: c for c, m in enumerate(by_size[s - 1])}
+    pairs = []
+    for f in by_size[s]:
+        pos = neg = 0
+        plus = True
+        rest = f
+        while rest:
+            low = rest & -rest
+            if plus:
+                pos |= 1 << col[f ^ low]
+            else:
+                neg |= 1 << col[f ^ low]
+            plus = not plus
+            rest ^= low
+        pairs.append((pos, neg))
+    ranks = {}
+    for p in fields:
+        if p == 2:
+            ranks[p] = rank_gf2([pos | neg for pos, neg in pairs])
+        elif p == 3:
+            ranks[p] = rank_gf3(pairs)
+        else:
+            width = range(len(col))
+            ranks[p] = rank_modp(
+                [[(pos >> c & 1) - (neg >> c & 1) for c in width] for pos, neg in pairs], p
+            )
     return ranks
 
 
-def _reduced_homology(by_size: list[np.ndarray], fields: tuple[int, ...]) -> dict[int, dict[int, int]]:
-    """Reduced homology dimensions {field: {degree t: dim}}, t from -1."""
-    ranks = _chain_ranks(by_size, fields)
-    out: dict[int, dict[int, int]] = {}
-    for p in fields:
-        dims = {}
-        for s, faces in enumerate(by_size):
-            r_s = ranks[p][s]
-            r_next = ranks[p][s + 1] if s + 1 < len(ranks[p]) else 0
-            dims[s - 1] = int(faces.size) - r_s - r_next
-        out[p] = dims
-    return out
+def _reduced_homology(by_size: list[list[int]], p: int) -> dict[int, int]:
+    """Reduced homology dimensions {degree t: dim} over GF(p), t from -1."""
+    ranks = [0] + [_boundary_ranks(by_size, s, (p,))[p] for s in range(1, len(by_size))] + [0]
+    return {s - 1: len(faces) - ranks[s] - ranks[s + 1] for s, faces in enumerate(by_size)}
 
 
 def _compress(gens: Iterable[int], wmask: int) -> tuple[list[int], int]:
@@ -231,7 +234,7 @@ def homology_dims(ideal: SquarefreeIdeal, w: Iterable[int], p: int) -> dict[int,
         wmask |= 1 << v
     contained = [g for g in ideal.gens if g & ~wmask == 0]
     local, k = _compress(contained, wmask)
-    return _reduced_homology(_faces_by_size(local, k), (p,))[p]
+    return _reduced_homology(_faces_by_size(local, k), p)
 
 
 # -- regularity of squarefree ideals ---------------------------------------
@@ -270,16 +273,20 @@ def _scan_ideal(
                 continue  # cone vertex: acyclic
             local, k = _compress(contained, wmask)
             by_size = _faces_by_size(local, k)
-            top_value = len(by_size) - 1  # value <= max face size
-            todo = tuple(p for p in fields if top_value > best[p][0])
-            if not todo:
-                continue
-            dims = _reduced_homology(by_size, todo)
-            for p in todo:
-                for t in sorted(dims[p], reverse=True):
-                    if dims[p][t] > 0 and t + 1 > best[p][0]:
-                        best[p] = (t + 1, wmask, t)
-                        break
+            # H~_{s-1} = |F_s| - r_s - r_{s+1} can raise a field's value
+            # only for s above its best, so walk down from the top face
+            # size, one new rank per step, to the first nonzero degree.
+            live = fields
+            r_above = dict.fromkeys(fields, 0)
+            for s in range(len(by_size) - 1, 0, -1):
+                live = tuple(p for p in live if s > best[p][0])
+                if not live:
+                    break
+                r_here = _boundary_ranks(by_size, s, live)
+                for p in live:
+                    if len(by_size[s]) > r_here[p] + r_above[p]:
+                        best[p] = (s, wmask, s - 1)
+                r_above = r_here
     return best
 
 
@@ -351,6 +358,8 @@ def regularity_bei(
     degrees t = sum(t_i + 1) - 1) over every requested field.  The cap
     applies to each component's vertex count.
     """
+    if not fields:
+        raise ValueError("fields must name at least one prime")
     for p in fields:
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")

@@ -2,12 +2,38 @@
 
 Everything here recomputes invariants from first principles (subset and
 permutation enumeration over explicit edge sets), sharing no code with
-the solvers under test beyond the Graph container itself.
+the solvers under test beyond the Graph container itself.  The rank
+reference eliminates on numpy arrays, which the package does not use.
 """
 
 from itertools import combinations, permutations
 
+import numpy as np
+
 from beibounds.graphs import Graph
+
+
+def numpy_rank_modp(matrix, p: int) -> int:
+    """Rank over GF(p) by Gaussian elimination on an int64 numpy array."""
+    a = np.asarray(matrix, dtype=np.int64) % p
+    if a.size == 0:
+        return 0
+    m, n = a.shape
+    r = 0
+    for c in range(n):
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pivot = r + nz[0]
+        if pivot != r:
+            a[[r, pivot]] = a[[pivot, r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        below = np.nonzero(a[r + 1 :, c])[0] + r + 1
+        a[below] = (a[below] - np.outer(a[below, c], a[r])) % p
+        r += 1
+        if r == m:
+            break
+    return r
 
 
 def is_complete_subset(g: Graph, vs) -> bool:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from beibounds.cli import build_spec, main, parse_graph_text
 from beibounds.generators import net, path, sierpinski
 from beibounds.graphio import encode_graph6
@@ -76,6 +78,34 @@ def test_verify_chain_exhaustive_3_passes(capsys):
     report = json.loads(out)
     assert report["violations"] == []
     assert report["results"]["graphs_checked"] == 11
+
+
+def _chain_with_reg(capsys, tmp_path, *order):
+    f = tmp_path / "graphs.g6"
+    f.write_text(encode_graph6(net()) + "\n" + encode_graph6(path(4)) + "\n")
+    argv = [str(f) if a == "FILE" else a for a in order]
+    code, out, err = run(capsys, "verify", "chain", *argv, "--format", "json")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["results"]["graphs_checked"] == 2
+    assert report["violations"] == []
+
+
+def test_verify_chain_inputs_before_options(capsys, tmp_path):
+    _chain_with_reg(capsys, tmp_path, "FILE", "--with-reg")
+
+
+def test_verify_chain_inputs_after_options(capsys, tmp_path):
+    _chain_with_reg(capsys, tmp_path, "--with-reg", "FILE")
+
+
+def test_verify_unknown_option_still_exits_2(capsys, tmp_path):
+    f = tmp_path / "graphs.g6"
+    f.write_text(encode_graph6(net()) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "chain", "--with-reg", str(f), "--frobnicate"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
 
 
 def test_verify_compatible_exhaustive_4(capsys):

@@ -1,7 +1,20 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from beibounds.rank_modp import rank_gf2, rank_modp
+from beibounds.rank_modp import rank_gf2, rank_gf3, rank_modp
+from brute import numpy_rank_modp
+
+# det = 3: rank 2 over GF(3), full rank over every other prime
+TORSION3 = [[1, -1, 0], [0, 1, -1], [1, 1, 1]]
+
+
+def bit_sliced(m):
+    """(pos, neg) bitmask pairs of a matrix with entries in {-1, 0, 1}."""
+    return [
+        (sum(1 << c for c, x in enumerate(row) if x == 1),
+         sum(1 << c for c, x in enumerate(row) if x == -1))
+        for row in m
+    ]
 
 
 def test_identity_full_rank():
@@ -34,13 +47,46 @@ def test_rank_gf2_bitrows():
     assert rank_gf2([1]) == 1
 
 
+def test_three_torsion_only_in_characteristic_3():
+    assert rank_gf3(bit_sliced(TORSION3)) == 2
+    assert numpy_rank_modp(TORSION3, 3) == 2
+    assert rank_modp(TORSION3, 3) == 2
+    for p in (2, 5, 7):
+        assert rank_modp(TORSION3, p) == numpy_rank_modp(TORSION3, p) == 3
+
+
+def test_rank_modp_accepts_plain_rows():
+    assert rank_modp([], 5) == 0
+    assert rank_modp([[0, 0], [0, 0]], 7) == 0
+    assert rank_modp(((1, 2), (2, 4)), 5) == 1
+    assert rank_modp([(1, 2), (2, 4)], 3) == 1
+
+
 @given(st.integers(0, 2 ** 30 - 1), st.integers(1, 6), st.integers(1, 6))
 @settings(max_examples=200, deadline=None)
 def test_gf2_paths_agree(bits_seed, rows, cols):
     rng = np.random.default_rng(bits_seed)
     m = rng.integers(0, 2, size=(rows, cols))
     packed = [int("".join(map(str, r)), 2) for r in m]
-    assert rank_gf2(packed) == rank_modp(m, 2)
+    assert rank_gf2(packed) == numpy_rank_modp(m, 2) == rank_modp(m, 2)
+
+
+@given(st.integers(0, 2 ** 30 - 1), st.integers(1, 9), st.integers(1, 9))
+@settings(max_examples=300, deadline=None)
+def test_gf3_kernel_matches_numpy_reference(seed, rows, cols):
+    rng = np.random.default_rng(seed)
+    m = rng.integers(-1, 2, size=(rows, cols))
+    for a in (m, m.T):
+        assert rank_gf3(bit_sliced(a.tolist())) == numpy_rank_modp(a, 3) == rank_modp(a, 3)
+
+
+@given(st.integers(0, 2 ** 30 - 1), st.sampled_from([5, 7, 11]))
+@settings(max_examples=100, deadline=None)
+def test_odd_prime_elimination_matches_numpy_reference(seed, p):
+    rng = np.random.default_rng(seed)
+    m = rng.integers(-p, p + 1, size=(5, 6))
+    assert rank_modp(m, p) == numpy_rank_modp(m, p)
+    assert rank_modp(m.tolist(), p) == numpy_rank_modp(m, p)
 
 
 @given(st.integers(0, 2 ** 30 - 1))

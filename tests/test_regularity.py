@@ -111,6 +111,36 @@ def test_projective_plane_homology_depends_on_characteristic():
     assert gf3[1] == 0 and gf3[2] == 0
 
 
+def _moore3_triangles():
+    """Disk whose boundary 9-gon wraps three times around the triangle
+    0-1-2: boundary edge i meets ring vertex 3 + i, and the ring 3..11 is
+    coned to 12.  This is a mod-3 Moore space (H_1 = Z/3), so its homology
+    separates GF(3) from every other field, where RP^2 cannot tell GF(3)
+    from GF(5) or GF(7)."""
+    tris = []
+    for i in range(9):
+        a, b = i % 3, (i + 1) % 3
+        u, v = 3 + i, 3 + (i + 1) % 9
+        tris += [(a, b, u), (b, u, v), (u, v, 12)]
+    return tris
+
+
+def _nonfaces(num_vars, facets):
+    faces = {frozenset(s) for f in facets for r in range(len(f) + 1) for s in combinations(f, r)}
+    return [c for r in range(1, 5) for c in combinations(range(num_vars), r)
+            if frozenset(c) not in faces]
+
+
+_MOORE3_NONFACES = _nonfaces(13, _moore3_triangles())
+
+
+def test_mod3_moore_space_homology_only_in_characteristic_3():
+    ideal = SquarefreeIdeal.from_supports(13, _MOORE3_NONFACES)
+    assert homology_dims(ideal, range(13), 3) == {-1: 0, 0: 0, 1: 1, 2: 1}
+    for p in (2, 5, 7):
+        assert homology_dims(ideal, range(13), p) == {-1: 0, 0: 0, 1: 0, 2: 0}
+
+
 def test_homology_rejects_non_prime():
     ideal = SquarefreeIdeal.from_supports(4, [(0, 1)])
     with pytest.raises(ValueError):
@@ -143,6 +173,13 @@ def test_regularity_differs_across_fields_on_rp2():
     ideal = SquarefreeIdeal.from_supports(6, _RP2_NONFACES)
     assert regularity_squarefree(ideal, 2).value == 3
     assert regularity_squarefree(ideal, 3).value == 2
+
+
+def test_regularity_differs_between_gf3_and_gf5_on_mod3_moore_space():
+    ideal = SquarefreeIdeal.from_supports(13, _MOORE3_NONFACES)
+    res3 = regularity_squarefree(ideal, 3)
+    assert (res3.value, res3.witness_vars, res3.witness_degree) == (3, frozenset(range(13)), 2)
+    assert regularity_squarefree(ideal, 5).value == 2
 
 
 def test_require_field_agreement_raises_with_both_values():
@@ -224,6 +261,13 @@ def test_component_cap_allows_large_unions():
 def test_component_cap_enforced():
     with pytest.raises(ResourceLimitError):
         regularity_bei(path(9))
+
+
+def test_empty_fields_rejected_up_front():
+    with pytest.raises(ValueError, match="at least one prime"):
+        regularity_bei(path(3), fields=())
+    with pytest.raises(ValueError, match="at least one prime"):
+        regularity_bei(Graph(0, ()), fields=())
 
 
 def test_cap_override_warns_loudly():
