@@ -201,12 +201,17 @@ def invariant_record(g: Graph, with_reg: bool) -> dict:
     return rec
 
 
-def _verify_one(kind: str, g6: str, with_reg: bool, map_name: str = "eta") -> list[dict]:
-    """Violation records for one graph; run in worker processes."""
+def _verify_one(
+    kind: str, g6: str, with_reg: bool, map_name: str = "eta"
+) -> tuple[list[dict], bool]:
+    """Violation records for one graph, and whether a requested reg was
+    skipped by a resource cap; run in worker processes."""
     g = decode_graph6(g6)
     out = []
+    reg_skipped = False
     if kind == "chain":
         rep = bound_chain(g, with_reg=with_reg)
+        reg_skipped = with_reg and rep.reg is None
         for v in rep.violations:
             out.append({"graph6": g6, **v,
                         "values": {"L": rep.length_sum, "eta": rep.eta,
@@ -231,7 +236,7 @@ def _verify_one(kind: str, g6: str, with_reg: bool, map_name: str = "eta") -> li
                 out.append({"graph6": g6, "vertex": v})
     else:
         raise ValueError(f"unknown verify kind {kind!r}")
-    return out
+    return out, reg_skipped
 
 
 def _verify_star(task):
@@ -276,15 +281,22 @@ def cmd_verify(args) -> int:
     desc, graphs = corpus_from_args(args)
     tasks = [(args.kind, encode_graph6(g), args.with_reg, args.map) for g in graphs]
     violations: list[dict] = []
+    reg_skipped: list[str] = []
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             chunk = max(1, len(tasks) // (4 * args.jobs))
-            for batch in pool.map(_verify_star, tasks, chunksize=chunk):
-                violations.extend(batch)
+            outcomes = list(pool.map(_verify_star, tasks, chunksize=chunk))
     else:
-        for task in tasks:
-            violations.extend(_verify_star(task))
+        outcomes = map(_verify_star, tasks)
+    for task, (batch, skipped) in zip(tasks, outcomes):
+        violations.extend(batch)
+        if skipped:
+            reg_skipped.append(task[1])
     results = {"kind": args.kind, "graphs_checked": len(graphs), "map": args.map}
+    if args.kind == "chain":
+        # reg is dropped, not failed, when a resource cap stops it
+        results["reg_skipped"] = len(reg_skipped)
+        results["reg_skipped_graphs"] = reg_skipped
     report = make_report(["verify", args.kind], desc, results, violations, started)
     emit(report, args.format)
     return 1 if violations else 0

@@ -25,6 +25,16 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
+def minimalize(masks: Iterable[int]) -> tuple[int, ...]:
+    """Inclusion-minimal elements of a set of bitmasks, ascending."""
+    ordered = sorted(set(masks), key=lambda m: (popcount(m), m))
+    kept: list[int] = []
+    for m in ordered:
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    return tuple(sorted(kept))
+
+
 def edge(u: int, v: int) -> tuple[int, int]:
     """Normalize an unordered pair to (min, max)."""
     if u == v:

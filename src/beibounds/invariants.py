@@ -4,19 +4,25 @@ extension that grows a clique-disjoint set of the saturated graph G_v
 into a strictly larger one of G.
 
 Two edges "conflict" when their endpoint union induces a complete
-subgraph; a clique-disjoint edge set is an independent set of the
-conflict graph, so eta is computed by an exact branch-and-bound maximum
-independent set solver with degree-1 reductions and component splitting.
+subgraph, that is when some maximal clique holds both.  So eta is a
+maximum set packing of the edges' clique sets (the maximal cliques
+through each edge).  Swapping a packed edge for one whose clique set is
+a subset of its own keeps the packing clique-disjoint, so eta only looks
+at the inclusion-minimal clique sets, one edge for each.  An exact
+maximum independent set solver (memoized branching, degree <= 1
+reductions, component splitting) then runs on the sets that meet.  The
+edge-level conflict graph stays public as an independent reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import ResourceLimitError
-from .graphs import Graph, bits, edge, popcount
+from .graphs import Graph, bits, edge, minimalize, popcount
 
 DEFAULT_NODE_LIMIT = 5_000_000
 
@@ -224,13 +230,30 @@ def is_clique_disjoint(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
 
 @lru_cache(maxsize=None)
 def _eta_cached(g: Graph, node_limit: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    cg = conflict_graph(g)
-    size, mask = _MisSolver(cg.adj, node_limit).solve((1 << cg.n()) - 1)
-    return size, tuple(cg.edge_index[i] for i in bits(mask))
+    in_cliques = [0] * g.n  # bit i: maximal clique i holds the vertex
+    for i, clique in enumerate(maximal_cliques(g)):
+        for v in clique:
+            in_cliques[v] |= 1 << i
+    rep: dict[int, tuple[int, int]] = {}  # clique set -> least edge with it
+    for u, v in g.edges():
+        rep.setdefault(in_cliques[u] & in_cliques[v], (u, v))
+    sets = minimalize(rep)
+    adj = [0] * len(sets)
+    for i, j in combinations(range(len(sets)), 2):
+        if sets[i] & sets[j]:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    size, mask = _MisSolver(adj, node_limit).solve((1 << len(sets)) - 1)
+    return size, tuple(rep[sets[i]] for i in bits(mask))
 
 
 def eta(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> tuple[int, CliqueDisjointSet]:
-    """Maximum size of a clique-disjoint edge set, with one witness."""
+    """Maximum size of a clique-disjoint edge set, with one witness.
+
+    Solved on the inclusion-minimal edge clique sets, each standing for
+    the least edge that has it; raises ResourceLimitError once the
+    search visits more than ``node_limit`` nodes.
+    """
     size, witness = _eta_cached(g, node_limit)
     return size, CliqueDisjointSet(g, frozenset(witness))
 

@@ -38,7 +38,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import FieldDisagreementError, ResourceLimitError
-from .graphs import Graph, bits, popcount
+from .graphs import Graph, bits, minimalize
 from .rank_modp import rank_gf2, rank_gf3, rank_modp
 
 DEFAULT_COMPONENT_CAP = 8
@@ -58,16 +58,6 @@ def _is_prime(p: int) -> bool:
 
 
 # -- squarefree monomial ideals -------------------------------------------
-
-
-def minimalize(masks: Iterable[int]) -> tuple[int, ...]:
-    """Minimal elements of a set of support bitmasks under divisibility."""
-    ordered = sorted(set(masks), key=lambda m: (popcount(m), m))
-    kept: list[int] = []
-    for m in ordered:
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return tuple(sorted(kept))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import beibounds
 from beibounds.cli import build_spec, main, parse_graph_text
-from beibounds.generators import net, path, sierpinski
+from beibounds.generators import cycle, net, path, sierpinski
 from beibounds.graphio import encode_graph6
 
 
@@ -88,6 +92,7 @@ def _chain_with_reg(capsys, tmp_path, *order):
     assert code == 0, err
     report = json.loads(out)
     assert report["results"]["graphs_checked"] == 2
+    assert report["results"]["reg_skipped"] == 0
     assert report["violations"] == []
 
 
@@ -97,6 +102,33 @@ def test_verify_chain_inputs_before_options(capsys, tmp_path):
 
 def test_verify_chain_inputs_after_options(capsys, tmp_path):
     _chain_with_reg(capsys, tmp_path, "--with-reg", "FILE")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_chain_reports_reg_skipped_by_component_cap(capsys, tmp_path, jobs):
+    c9 = encode_graph6(cycle(9))
+    f = tmp_path / "graphs.g6"
+    f.write_text(encode_graph6(net()) + "\n" + c9 + "\n")
+    code, out, _ = run(capsys, "verify", "chain", str(f), "--with-reg",
+                       "--jobs", jobs, "--format", "json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["graphs_checked"] == 2
+    assert results["reg_skipped"] == 1
+    assert results["reg_skipped_graphs"] == [c9]
+
+    code, out, _ = run(capsys, "verify", "chain", str(f), "--with-reg", "--jobs", jobs)
+    assert code == 0
+    assert "'reg_skipped': 1" in out and c9 in out
+
+
+def test_verify_chain_without_reg_skips_nothing(capsys, tmp_path):
+    f = tmp_path / "c9.g6"
+    f.write_text(encode_graph6(cycle(9)) + "\n")
+    code, out, _ = run(capsys, "verify", "chain", str(f), "--format", "json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert (results["reg_skipped"], results["reg_skipped_graphs"]) == (0, [])
 
 
 def test_verify_unknown_option_still_exits_2(capsys, tmp_path):
@@ -175,3 +207,12 @@ def test_search_sierpinski_c_minus_eta(capsys):
     assert code == 0
     gaps = [r["gap"] for r in json.loads(out)["results"]]
     assert gaps == [6, 1]
+
+
+def test_python_m_beibounds_help():
+    src = os.path.dirname(os.path.dirname(beibounds.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-m", "beibounds", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: beibounds")

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beibounds.errors import ResourceLimitError
 from beibounds.graphs import Graph
@@ -109,6 +110,9 @@ def test_conflict_graph_of_net_matches_pairwise_checks():
         (union([complete(3), complete(2)]), 2),
         (union([complete(4), complete(2), complete(3)]), 3),
         (Graph.from_edge_list(3, []), 0),
+        (Graph.from_edge_list(0, []), 0),
+        (complete(2), 1),
+        (union([complete(1), path(3), complete(1), complete(3), complete(1)]), 3),
     ],
 )
 def test_eta_named_values(g, want):
@@ -121,6 +125,47 @@ def test_eta_named_values(g, want):
 def test_eta_matches_brute_force_exhaustive_n4():
     for g in all_labeled(4):
         assert eta(g)[0] == brute_eta(g)
+
+
+def test_eta_matches_brute_force_exhaustive_n5():
+    for g in all_labeled(5):
+        assert eta(g)[0] == brute_eta(g)
+
+
+@st.composite
+def graphs_up_to_10(draw):
+    n = draw(st.integers(0, 10))
+    pairs = list(combinations(range(n), 2))
+    mask = draw(st.integers(0, 2 ** len(pairs) - 1))
+    return Graph.from_edge_list(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+
+
+@given(graphs_up_to_10())
+@settings(max_examples=200, deadline=None)
+def test_eta_matches_mis_on_full_conflict_graph(g):
+    value, witness = eta(g)
+    assert value == max_independent_set(conflict_graph(g).adj)[0]
+    assert len(witness) == value
+    assert is_clique_disjoint(g, witness.edges)
+
+
+def test_eta_disjoint_cliques_take_one_edge_each():
+    parts = [complete(3), complete(4), complete(2), complete(5)]
+    g = union(parts)
+    value, witness = eta(g)
+    assert value == len(parts)
+    lo = 0
+    for part in parts:
+        hi = lo + part.n
+        assert sum(lo <= u < hi for u, _ in witness.edges) == 1
+        lo = hi
+
+
+def test_eta_search_stays_small():
+    """The search runs on inclusion-minimal edge clique sets; on the full
+    conflict graph these budgets are exhausted."""
+    assert eta(sierpinski(3), node_limit=1_000)[0] == 36
+    assert eta(gnp(18, 3, 4, 0), node_limit=2_000)[0] == 10
 
 
 def _triangle_free(g):
