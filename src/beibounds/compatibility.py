@@ -50,14 +50,18 @@ NAMED_MAPS: dict[str, InvariantMap] = {
 
 
 def memoized(phi: InvariantMap) -> InvariantMap:
-    """Cache phi by labeled adjacency; sweeps revisit derived graphs a lot."""
-    cache: dict[tuple[int, int], int] = {}
+    """Cache phi by labeled graph; sweeps revisit derived graphs a lot.
+
+    A ``Graph`` hashes and compares on ``(n, adj)``, which identifies a
+    labeled graph exactly, so it is the key itself.
+    """
+    cache: dict[Graph, int] = {}
 
     def wrapped(g: Graph) -> int:
-        k = g.key()
-        if k not in cache:
-            cache[k] = phi(g)
-        return cache[k]
+        value = cache.get(g)
+        if value is None:
+            value = cache[g] = phi(g)
+        return value
 
     return wrapped
 

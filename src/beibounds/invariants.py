@@ -12,6 +12,11 @@ at the inclusion-minimal clique sets, one edge for each.  An exact
 maximum independent set solver (memoized branching, degree <= 1
 reductions, component splitting) then runs on the sets that meet.  The
 edge-level conflict graph stays public as an independent reference.
+
+The longest induced path of each component comes from a depth-first
+search from every vertex.  Each search node computes its available set
+and its counting bound once for all its children, and settles the
+children that cannot grow (the leaves) without entering them.
 """
 
 from __future__ import annotations
@@ -278,25 +283,50 @@ def longest_induced_path(g: Graph) -> tuple[int, list[list[int]]]:
 
 
 def _component_lip(g: Graph, comp: int) -> tuple[int, list[int]]:
+    """Longest induced path of the component ``comp`` and one witness.
+
+    Depth-first search from every start vertex, candidates in ascending
+    order.  A node holds an induced path ending at ``last``, the set
+    ``avail`` of vertices off the path with no path neighbour but
+    ``last``, and its candidates ``cand = avail & adj[last]``.  Every
+    child gets the same available set ``rest = avail & ~adj[last]``, so
+    the node computes it once and stops expanding as soon as the path
+    length plus ``popcount(rest)`` cannot beat the best length so far.
+    The node records its longest extension itself (the path plus the
+    lowest candidate) when that beats the best, and recurses only into
+    candidates that still have a neighbour in ``rest``.  The witness is
+    the first longest path met in this order, so it is deterministic.
+    """
     adj = g.adj
     best_len = 0
-    best_path = [next(bits(comp))]
+    best_path = [(comp & -comp).bit_length() - 1]
+    path: list[int] = []
 
-    def extend(last: int, avail: int, path: list[int]) -> None:
+    def extend(last: int, avail: int, cand: int) -> None:
         nonlocal best_len, best_path
-        # every future vertex comes from avail, adding one edge each
-        if len(path) - 1 + popcount(avail) <= best_len:
-            return
-        for u in bits(avail & adj[last]):
-            path.append(u)
-            if len(path) - 1 > best_len:
-                best_len = len(path) - 1
-                best_path = list(path)
-            extend(u, avail & ~adj[last] & ~(1 << u), path)
-            path.pop()
+        k = len(path)  # edges in the path once a candidate is appended
+        if k > best_len:
+            best_len = k
+            best_path = path + [(cand & -cand).bit_length() - 1]
+        rest = avail & ~adj[last]
+        # every later vertex comes from rest, adding one edge each
+        bound = k + popcount(rest)
+        while cand and bound > best_len:
+            low = cand & -cand
+            cand ^= low
+            u = low.bit_length() - 1
+            grow = rest & adj[u]
+            if grow:
+                path.append(u)
+                extend(u, rest, grow)
+                path.pop()
 
     for start in bits(comp):
-        extend(start, comp & ~(1 << start), [start])
+        cand = comp & adj[start]
+        if cand:
+            path.append(start)
+            extend(start, comp & ~(1 << start), cand)
+            path.pop()
     return best_len, best_path
 
 

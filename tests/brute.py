@@ -89,6 +89,41 @@ def brute_longest_induced_path(g: Graph) -> int:
     return total
 
 
+def _brute_connected(g: Graph, vs) -> bool:
+    vs = set(vs)
+    seen = {min(vs)}
+    stack = [min(vs)]
+    while stack:
+        u = stack.pop()
+        for w in vs - seen:
+            if g.has_edge(u, w):
+                seen.add(w)
+                stack.append(w)
+    return seen == vs
+
+
+def brute_longest_induced_path_subsets(g: Graph) -> int:
+    """Sum over components of the max induced path length (edge count).
+
+    A vertex set induces a path exactly when its induced subgraph is
+    connected, has one edge fewer than vertices (a tree) and has maximum
+    degree at most 2.  Components come from relabeling across each edge.
+    """
+    label = list(range(g.n))
+    for u, w in combinations(range(g.n), 2):
+        if g.has_edge(u, w):
+            old = label[w]
+            label = [label[u] if x == old else x for x in label]
+    best = dict.fromkeys(label, 0)
+    for size in range(2, g.n + 1):
+        for vs in combinations(range(g.n), size):
+            edges = [(u, w) for u, w in combinations(vs, 2) if g.has_edge(u, w)]
+            degree_ok = all(sum(v in e for e in edges) <= 2 for v in vs)
+            if len(edges) == size - 1 and degree_ok and _brute_connected(g, vs):
+                best[label[vs[0]]] = max(best[label[vs[0]]], size - 1)
+    return sum(best.values())
+
+
 def brute_free_vertex(g: Graph, v: int) -> bool:
     nbrs = [u for u in range(g.n) if g.has_edge(u, v)]
     return is_complete_subset(g, nbrs)

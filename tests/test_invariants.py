@@ -18,7 +18,13 @@ from beibounds.invariants import (
     maximal_cliques,
 )
 
-from brute import brute_common_clique, brute_eta, brute_longest_induced_path, brute_maximal_cliques
+from brute import (
+    brute_common_clique,
+    brute_eta,
+    brute_longest_induced_path,
+    brute_longest_induced_path_subsets,
+    brute_maximal_cliques,
+)
 
 
 # -- maximal cliques ---------------------------------------------------------
@@ -206,6 +212,8 @@ def test_mis_resource_cap_raises():
         (net(), 3),
         (complete(6), 1),
         (Graph.from_edge_list(1, []), 0),
+        (sierpinski(2), 8),
+        (sierpinski(3), 24),
     ],
 )
 def test_longest_induced_path_values(g, want):
@@ -225,6 +233,25 @@ def test_longest_induced_path_sums_over_components():
 def test_longest_induced_path_matches_brute_force_exhaustive_n4():
     for g in all_labeled(4):
         assert longest_induced_path(g)[0] == brute_longest_induced_path(g)
+
+
+def test_longest_induced_path_matches_brute_force_exhaustive_n5():
+    for g in all_labeled(5):
+        assert longest_induced_path(g)[0] == brute_longest_induced_path(g)
+
+
+@given(graphs_up_to_10())
+@settings(max_examples=200, deadline=None)
+def test_longest_induced_path_matches_subset_brute_force(g):
+    total, witnesses = longest_induced_path(g)
+    assert total == brute_longest_induced_path_subsets(g)
+    comps = g.component_masks()
+    assert len(witnesses) == len(comps)
+    for w, comp in zip(witnesses, comps):
+        assert len(set(w)) == len(w) and all(comp >> v & 1 for v in w)
+        for i, j in combinations(range(len(w)), 2):
+            assert g.has_edge(w[i], w[j]) == (j == i + 1)
+    assert sum(len(w) - 1 for w in witnesses) == total
 
 
 # -- constructive extension ----------------------------------------------------
