@@ -279,7 +279,8 @@ def cmd_reg(args) -> int:
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     desc, graphs = corpus_from_args(args)
-    tasks = [(args.kind, encode_graph6(g), args.with_reg, args.map) for g in graphs]
+    with_reg = args.with_reg or args.require_reg
+    tasks = [(args.kind, encode_graph6(g), with_reg, args.map) for g in graphs]
     violations: list[dict] = []
     reg_skipped: list[str] = []
     if args.jobs > 1:
@@ -299,7 +300,15 @@ def cmd_verify(args) -> int:
         results["reg_skipped_graphs"] = reg_skipped
     report = make_report(["verify", args.kind], desc, results, violations, started)
     emit(report, args.format)
-    return 1 if violations else 0
+    if violations:
+        return 1
+    if args.require_reg and reg_skipped:
+        print(f"error: a resource cap skipped reg on {len(reg_skipped)} graph(s):",
+              file=sys.stderr)
+        for g6 in reg_skipped:
+            print(g6, file=sys.stderr)
+        return 2
+    return 0
 
 
 def cmd_gen(args) -> int:
@@ -370,6 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p)
     p.add_argument("--map", default="eta", choices=sorted(NAMED_MAPS))
     p.add_argument("--with-reg", action="store_true")
+    p.add_argument("--require-reg", action="store_true",
+                   help="implies --with-reg; exit 2 (after the report) if a resource "
+                        "cap skipped reg on any graph, listing them on stderr")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_verify)

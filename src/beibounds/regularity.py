@@ -14,14 +14,22 @@ stress-tests it against independently known values.
 Regularity of the squarefree monomial ideal is then read off reduced
 simplicial homology of induced subcomplexes of its Stanley-Reisner
 complex: reg = max(t + 1) over vertex subsets W and degrees t with
-nonzero reduced homology of the restriction to W.  Homology is computed
-exactly over GF(2) and GF(3) via boundary-matrix ranks on Python-int
-rows (bitmasks for GF(2), bit-sliced (pos, neg) pairs for GF(3); see
-``rank_modp``); the two fields must agree or an error is raised.  The
-scan computes only the ranks it needs: per field it walks the degrees
-of a subset from the top down, stops at the first nonzero one, and
-never goes below the field's best value so far, since lower degrees
-cannot raise it.  ``homology_dims`` still computes every degree.
+nonzero reduced homology of the restriction to W.  A subset is ranked
+only if it passes two tests.  It is an element of the LCM lattice (a
+union of generators, Gasharov-Peeva-Welker), since any other subset has
+a cone vertex.  And its complex has no dominated vertex, since deleting
+one is a strong collapse (Barmak-Minian) that keeps the homology in
+every field and leads to a smaller subset the scan reaches anyway.  The
+witness is therefore the first domination-free lattice element, by
+descending size and then ascending variable tuple, that attains the
+value.  Homology is computed exactly over GF(2) and GF(3) via
+boundary-matrix ranks on Python-int rows (bitmasks for GF(2),
+bit-sliced (pos, neg) pairs for GF(3); see ``rank_modp``); the two
+fields must agree or an error is raised.  The scan computes only the
+ranks it needs: per field it walks the degrees of a subset from the top
+down, stops at the first nonzero one, and never goes below the field's
+best value so far, since lower degrees cannot raise it.
+``homology_dims`` still computes every degree of any subset.
 
 Disconnected graphs are handled component by component (the quotient is
 a tensor product over disjoint variable sets, so regularity adds and
@@ -34,7 +42,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable
 
 from .errors import FieldDisagreementError, ResourceLimitError
@@ -230,53 +237,113 @@ def homology_dims(ideal: SquarefreeIdeal, w: Iterable[int], p: int) -> dict[int,
 # -- regularity of squarefree ideals ---------------------------------------
 
 
+def _lcm_lattice(gens: tuple[int, ...], nv: int) -> list[int]:
+    """Nonempty unions of generators, by descending size, then ascending
+    variable tuple.
+
+    Among subsets of one size, the ascending-tuple order is the
+    descending order of the bit-reversed masks, so one integer key
+    sorts both ways at once.
+    """
+    lattice = {0}
+    for g in gens:
+        lattice |= {x | g for x in lattice}
+    lattice.discard(0)
+    width = f"0{nv}b"
+    return sorted(
+        lattice,
+        key=lambda m: m.bit_count() << nv | int(format(m, width)[::-1], 2),
+        reverse=True,
+    )
+
+
+def _domination_table(gens: tuple[int, ...], nv: int) -> list[list[tuple[int, int]]]:
+    """Per variable u, a pair (g, d) for each generator g holding u.
+
+    ``d`` holds the variables v outside g for which some generator h
+    holds v with h - v inside g - u.  Such an h lies in every subset
+    that holds g and v, so ``d`` does not depend on the subset.
+    """
+    table: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
+    for g in gens:
+        for u in bits(g):
+            face = g ^ 1 << u
+            d = 0
+            for h in gens:
+                extra = h & ~face
+                if extra & (extra - 1) == 0:  # h - face is one variable
+                    d |= extra
+            table[u].append((g, d & ~g))
+    return table
+
+
+def _has_dominated_vertex(wmask: int, table: list[list[tuple[int, int]]]) -> bool:
+    """Whether some v in the lattice element W is dominated by some u.
+
+    v is dominated by u when no generator inside W holds both, and for
+    every generator g inside W that holds u, some generator h holds v
+    with h - v inside g - u: then every face through v stays a face when
+    u is added.  Per u, the candidates v start as W and are cut down by
+    the ``d`` of each contained g through u, which also drops u itself.
+    """
+    rest = wmask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        cand = wmask
+        for g, d in table[low.bit_length() - 1]:
+            if g & ~wmask == 0:
+                cand &= d
+                if not cand:
+                    break
+        else:
+            return True
+    return False
+
+
 def _scan_ideal(
     ideal: SquarefreeIdeal, fields: tuple[int, ...]
 ) -> dict[int, tuple[int, int, int]]:
     """Max (t+1) over induced subcomplexes, per field.
 
-    Returns {field: (value, witness_mask, witness_degree)}.  Subsets are
-    scanned by descending size, ascending variable tuple; only subsets
-    equal to the union of their contained generators can carry homology
-    (anything else has a cone vertex), and a subset of size s cannot
-    beat a value of s - 1, which bounds the scan.
+    Returns {field: (value, witness_mask, witness_degree)}.  Only the
+    LCM-lattice elements W (unions of generators) are scanned: any other
+    subset has a vertex in no contained generator, a cone apex, so its
+    complex is acyclic.  An element whose complex has a dominated vertex
+    v is skipped too: deleting v is a strong collapse onto the complex
+    of W - v (Barmak-Minian), which has the same homology in every
+    field, and W - v (or the smaller element it reduces to) comes later
+    in the scan with the same value.  Elements go by descending size,
+    then ascending variable tuple, and an element of size s cannot beat
+    a value of s - 1, which bounds the scan.  The witness is the first
+    domination-free element that attains the value.
     """
     best = {p: (0, 0, -1) for p in fields}
     gens = ideal.gens
-    if not gens:
-        return best
-    nv = ideal.num_vars
-    for size in range(nv, 0, -1):
-        if size - 1 <= min(b[0] for b in best.values()):
+    table = _domination_table(gens, ideal.num_vars)
+    floor = 0  # the least value over the fields
+    for wmask in _lcm_lattice(gens, ideal.num_vars):
+        if wmask.bit_count() - 1 <= floor:
             break
-        for combo in combinations(range(nv), size):
-            wmask = 0
-            for v in combo:
-                wmask |= 1 << v
-            contained = [g for g in gens if g & ~wmask == 0]
-            if not contained:
-                continue
-            support = 0
-            for g in contained:
-                support |= g
-            if support != wmask:
-                continue  # cone vertex: acyclic
-            local, k = _compress(contained, wmask)
-            by_size = _faces_by_size(local, k)
-            # H~_{s-1} = |F_s| - r_s - r_{s+1} can raise a field's value
-            # only for s above its best, so walk down from the top face
-            # size, one new rank per step, to the first nonzero degree.
-            live = fields
-            r_above = dict.fromkeys(fields, 0)
-            for s in range(len(by_size) - 1, 0, -1):
-                live = tuple(p for p in live if s > best[p][0])
-                if not live:
-                    break
-                r_here = _boundary_ranks(by_size, s, live)
-                for p in live:
-                    if len(by_size[s]) > r_here[p] + r_above[p]:
-                        best[p] = (s, wmask, s - 1)
-                r_above = r_here
+        if _has_dominated_vertex(wmask, table):
+            continue
+        local, k = _compress([g for g in gens if g & ~wmask == 0], wmask)
+        by_size = _faces_by_size(local, k)
+        # H~_{s-1} = |F_s| - r_s - r_{s+1} can raise a field's value
+        # only for s above its best, so walk down from the top face
+        # size, one new rank per step, to the first nonzero degree.
+        live = fields
+        r_above = dict.fromkeys(fields, 0)
+        for s in range(len(by_size) - 1, 0, -1):
+            live = tuple(p for p in live if s > best[p][0])
+            if not live:
+                break
+            r_here = _boundary_ranks(by_size, s, live)
+            for p in live:
+                if len(by_size[s]) > r_here[p] + r_above[p]:
+                    best[p] = (s, wmask, s - 1)
+            r_above = r_here
+        floor = min(b[0] for b in best.values())
     return best
 
 
@@ -292,7 +359,7 @@ def regularity_squarefree(
         )
     if max_vars > DEFAULT_VAR_CAP:
         warnings.warn(
-            f"variable cap raised to {max_vars}; the subset scan is exponential",
+            f"variable cap raised to {max_vars}; the lattice scan is exponential",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -355,7 +422,8 @@ def regularity_bei(
             raise ValueError(f"{p} is not prime")
     if component_cap > DEFAULT_COMPONENT_CAP:
         warnings.warn(
-            f"component cap raised to {component_cap}; scans grow as 4^n",
+            f"component cap raised to {component_cap}; the lattice scan still grows "
+            "exponentially with component size",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -4,6 +4,9 @@ Everything here recomputes invariants from first principles (subset and
 permutation enumeration over explicit edge sets), sharing no code with
 the solvers under test beyond the Graph container itself.  The rank
 reference eliminates on numpy arrays, which the package does not use.
+The regularity reference takes ``homology_dims`` of every variable
+subset, so it shares none of the scan's pruning (lattice, domination,
+size bound).
 """
 
 from itertools import combinations, permutations
@@ -11,6 +14,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from beibounds.graphs import Graph
+from beibounds.regularity import homology_dims
 
 
 def numpy_rank_modp(matrix, p: int) -> int:
@@ -34,6 +38,18 @@ def numpy_rank_modp(matrix, p: int) -> int:
         if r == m:
             break
     return r
+
+
+def brute_regularity_squarefree(ideal, p: int) -> int:
+    """max(t + 1) over every variable subset W and degree t with nonzero
+    reduced homology over GF(p) of the restriction to W."""
+    best = 0
+    for mask in range(1 << ideal.num_vars):
+        w = [v for v in range(ideal.num_vars) if mask >> v & 1]
+        for t, dim in homology_dims(ideal, w, p).items():
+            if dim:
+                best = max(best, t + 1)
+    return best
 
 
 def is_complete_subset(g: Graph, vs) -> bool:

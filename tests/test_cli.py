@@ -122,6 +122,34 @@ def test_verify_chain_reports_reg_skipped_by_component_cap(capsys, tmp_path, job
     assert "'reg_skipped': 1" in out and c9 in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_chain_require_reg_exits_2_on_a_skip(capsys, tmp_path, jobs, fmt):
+    c9 = encode_graph6(cycle(9))
+    f = tmp_path / "graphs.g6"
+    f.write_text(encode_graph6(net()) + "\n" + c9 + "\n")
+    code, out, err = run(capsys, "verify", "chain", str(f), "--require-reg",
+                         "--jobs", jobs, "--format", fmt)
+    assert code == 2
+    assert err.splitlines()[1:] == [c9]
+    if fmt == "json":
+        results = json.loads(out)["results"]
+        assert (results["reg_skipped"], results["reg_skipped_graphs"]) == (1, [c9])
+    else:
+        assert "'reg_skipped': 1" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_chain_require_reg_passes_a_clean_corpus(capsys, jobs, fmt):
+    code, out, err = run(capsys, "verify", "chain", "--exhaustive", "3", "--require-reg",
+                         "--jobs", jobs, "--format", fmt)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        results = json.loads(out)["results"]
+        assert (results["graphs_checked"], results["reg_skipped"]) == (11, 0)
+
+
 def test_verify_chain_without_reg_skips_nothing(capsys, tmp_path):
     f = tmp_path / "c9.g6"
     f.write_text(encode_graph6(cycle(9)) + "\n")

@@ -1,10 +1,14 @@
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beibounds.errors import FieldDisagreementError, ResourceLimitError
-from beibounds.generators import all_labeled, complete, cycle, fig2_closed, net, path, sierpinski, union, with_injected_isolates
+from beibounds.generators import all_labeled, complete, cycle, fig2_closed, gnp, net, path, sierpinski, union, with_injected_isolates
 from beibounds.graphs import Graph
+from beibounds.invariants import longest_induced_path
+from beibounds import regularity
 from beibounds.regularity import (
     SquarefreeIdeal,
     homology_dims,
@@ -15,6 +19,8 @@ from beibounds.regularity import (
     regularity_squarefree,
     require_field_agreement,
 )
+
+from brute import brute_regularity_squarefree
 
 
 def supports(ideal):
@@ -216,7 +222,7 @@ def test_regularity_named_values(g, want):
     assert res.fields_used == (2, 3) and res.agreement
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_path_regularity_is_n_minus_one(n):
     # forced by the sandwich L(P_n) = eta(P_n) = n-1
     assert regularity_bei(path(n)).value == n - 1
@@ -273,3 +279,80 @@ def test_empty_fields_rejected_up_front():
 def test_cap_override_warns_loudly():
     with pytest.warns(RuntimeWarning):
         assert regularity_bei(path(9), component_cap=9).value == 8
+
+
+# -- the scan against an unpruned reference -----------------------------------
+
+@st.composite
+def squarefree_ideals(draw):
+    nv = draw(st.integers(1, 8))
+    variable = st.integers(0, nv - 1)
+    supports = draw(st.lists(st.sets(variable, min_size=1, max_size=4), max_size=12))
+    return SquarefreeIdeal.from_supports(nv, supports)
+
+
+def _assert_matches_brute(ideal, p):
+    res = regularity_squarefree(ideal, p)
+    assert res.value == brute_regularity_squarefree(ideal, p)
+    assert homology_dims(ideal, res.witness_vars, p)[res.witness_degree] > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(squarefree_ideals(), st.sampled_from((2, 3, 5)))
+def test_scan_matches_every_subset_reference(ideal, p):
+    _assert_matches_brute(ideal, p)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("name", ("rp2", "moore3"))
+def test_scan_matches_every_subset_reference_on_torsion(name, p):
+    # the field changes the value on both, so a prune that lost torsion shows
+    num_vars, nonfaces = {"rp2": (6, _RP2_NONFACES), "moore3": (13, _MOORE3_NONFACES)}[name]
+    _assert_matches_brute(SquarefreeIdeal.from_supports(num_vars, nonfaces), p)
+
+
+# -- closed forms at the component cap ------------------------------------------
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_cycle_regularity_is_n_minus_two(n):
+    # Zafar-Zahid 2013
+    assert regularity_bei(cycle(n)).value == n - 2
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_complete_graph_regularity_is_one(n):
+    assert regularity_bei(complete(n)).value == 1
+
+
+def test_random_connected_graphs_sit_between_L_and_n_minus_one():
+    # Matsuda-Murai 2013: L(G) <= reg <= n - 1
+    rng = random.Random(8)
+    checked = 0
+    while checked < 30:
+        g = gnp(rng.choice((7, 8)), 1, 2, rng.randrange(2**31))
+        if not g.is_connected():
+            continue
+        res = regularity_bei(g)
+        assert longest_induced_path(g)[0] <= res.value <= g.n - 1
+        ideal = initial_ideal(g)
+        for p in res.fields_used:
+            assert homology_dims(ideal, res.witness_vars, p)[res.witness_degree] > 0
+        checked += 1
+
+
+def test_scan_ranks_only_domination_free_lattice_elements(monkeypatch):
+    """The scan over every subset made 4,889 rank calls on C8 and 26,899
+    on gnp(8, 1/2, 3); the pruned lattice scan makes 1 and 35."""
+    calls = 0
+    real = regularity._boundary_ranks
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(regularity, "_boundary_ranks", counted)
+    for g in (cycle(8), gnp(8, 1, 2, 3)):
+        calls = 0
+        regularity._scan_ideal(initial_ideal(g), (2, 3))
+        assert calls <= 100
