@@ -24,13 +24,19 @@ from .compatibility import (
     check_iv_lemma,
     check_regularity_recursion,
     memoized,
-    nonfree_vertex_failures,
+    nonfree_vertex_failures,  # noqa: F401  (perfbench/tracer.py wraps it here)
     regularity_value,
 )
-from .errors import FieldDisagreementError, ParseError, ResourceLimitError
+from .errors import FieldDisagreementError, ParseError, ResourceLimitError, WitnessError
 from .graphio import decode_graph6, encode_graph6, format_edge_list, parse_edge_list
 from .graphs import Graph
-from .invariants import eta, longest_induced_path, maximal_cliques
+from .invariants import (
+    eta,
+    is_clique_disjoint,
+    is_induced_path,
+    longest_induced_path,
+    maximal_cliques,
+)
 from .regularity import regularity_bei, variable_name
 
 SCHEMA = "beibounds/report-v1"
@@ -175,10 +181,34 @@ def emit(report: dict, fmt: str) -> None:
 # -- per-graph records -------------------------------------------------------
 
 
+def _check_witnesses(g: Graph, eta_val: int, edges, length: int, paths) -> None:
+    """Re-check the eta and L witnesses with code the solvers do not use.
+
+    The eta witness must be a clique-disjoint edge set of size eta; the
+    L witness must hold one induced path inside each component, in
+    component order, with lengths summing to L.
+    """
+    if len(edges) != eta_val or not is_clique_disjoint(g, edges):
+        raise WitnessError(
+            f"eta witness {edges} is not a clique-disjoint edge set of size {eta_val}"
+        )
+    comps = g.component_masks()
+    if not (
+        len(paths) == len(comps)
+        and sum(len(p) - 1 for p in paths) == length
+        and all(path and is_induced_path(g, path) and all(comp >> v & 1 for v in path)
+                for path, comp in zip(paths, comps))
+    ):
+        raise WitnessError(
+            f"L witness {paths} is not one induced path per component with lengths summing to {length}"
+        )
+
+
 def invariant_record(g: Graph, with_reg: bool) -> dict:
     eta_val, witness = eta(g)
     length, paths = longest_induced_path(g)
     cliques = maximal_cliques(g)
+    _check_witnesses(g, eta_val, witness.sorted_edges(), length, paths)
     rec = {
         "graph6": encode_graph6(g),
         "n": g.n,
@@ -223,7 +253,7 @@ def _verify_one(
             out.append({"graph6": g6, "counterexample": rep.counterexample})
         if map_name == "eta":
             # the per-vertex strong form holds for eta at every non-free vertex
-            for bad in nonfree_vertex_failures(phi, g):
+            for bad in rep.strong_failures:
                 out.append({"graph6": g6, "strong_form": bad})
     elif kind == "iv-lemma":
         for v in range(g.n):
@@ -425,7 +455,7 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ResourceLimitError, FieldDisagreementError) as exc:
+    except (ResourceLimitError, FieldDisagreementError, WitnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

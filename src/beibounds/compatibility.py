@@ -11,6 +11,13 @@ A map phi: graphs -> non-negative integers is compatible when
 Any compatible map bounds the regularity of the binomial edge ideal
 from above, so these checks plus the regularity oracle machine-verify
 the chain on whole corpora.
+
+Condition (c) and its strong per-vertex form both read one table per
+graph: (v, phi(G - v), phi(G_v)) over the non-free vertices v, each
+derived graph built once.  Free vertices are left out because neither
+check can use them: for a free v the neighbourhood is already a
+clique, so G_v = G and phi(G_v) < phi(G) fails for every map, and the
+strong form asks only about non-free vertices.
 """
 
 from __future__ import annotations
@@ -75,22 +82,44 @@ class CompatibilityReport:
     witness_vertex: Optional[int] = None
     counterexample: Optional[dict] = None
     values: dict = field(default_factory=dict)
+    strong_failures: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return self.pass_a and self.pass_b and self.pass_c
 
 
+def nonfree_vertex_values(phi: InvariantMap, g: Graph) -> list[tuple[int, int, int]]:
+    """(v, phi(G - v), phi(G_v)) for every non-free v, ascending."""
+    return [
+        (v, phi(g.minus_vertex(v)), phi(g.saturate(v)))
+        for v in range(g.n)
+        if not g.is_free_vertex(v)
+    ]
+
+
+def _strong_failures(phi_g: int, table: list[tuple[int, int, int]]) -> list[dict]:
+    return [
+        {"v": v, "phi": phi_g, "phi_minus": minus, "phi_saturated": sat}
+        for v, minus, sat in table
+        if minus > phi_g or sat >= phi_g
+    ]
+
+
 def check_compatibility(phi: InvariantMap, g: Graph, name: str = "phi") -> CompatibilityReport:
     """Evaluate conditions (a), (b), (c) for one map on one graph.
 
-    Condition (c) searches vertices in ascending order and records the
-    first witness; a failing condition attaches a structured
-    counterexample with the offending values.
+    Condition (c) searches the non-free vertices in ascending order and
+    records the first witness; a failing condition attaches a structured
+    counterexample with the offending values.  ``strong_failures`` holds
+    the strong per-vertex form's violations (see
+    :func:`nonfree_vertex_failures`) whatever the conditions give.
     """
     report = CompatibilityReport(name, True, True, True)
     phi_g = phi(g)
     report.values["phi"] = phi_g
+    table = nonfree_vertex_values(phi, g)
+    report.strong_failures = _strong_failures(phi_g, table)
 
     hat = g.strip_isolated()
     phi_hat = phi(hat)
@@ -113,12 +142,10 @@ def check_compatibility(phi: InvariantMap, g: Graph, name: str = "phi") -> Compa
             report.counterexample = {"condition": "b", "phi": phi_g, "components": t}
             return report
 
-    if g.internal_vertex_count() > 0:
-        witness = None
-        for v in range(g.n):
-            if phi(g.minus_vertex(v)) <= phi_g and phi(g.saturate(v)) < phi_g:
-                witness = v
-                break
+    if table:
+        witness = next(
+            (row for row in table if row[1] <= phi_g and row[2] < phi_g), None
+        )
         if witness is None:
             report.pass_c = False
             report.counterexample = {
@@ -130,9 +157,10 @@ def check_compatibility(phi: InvariantMap, g: Graph, name: str = "phi") -> Compa
                 ],
             }
         else:
-            report.witness_vertex = witness
-            report.values["phi_minus_witness"] = phi(g.minus_vertex(witness))
-            report.values["phi_saturated_witness"] = phi(g.saturate(witness))
+            v, minus, sat = witness
+            report.witness_vertex = v
+            report.values["phi_minus_witness"] = minus
+            report.values["phi_saturated_witness"] = sat
     return report
 
 
@@ -142,16 +170,7 @@ def nonfree_vertex_failures(phi: InvariantMap, g: Graph) -> list[dict]:
     For every non-free v the inequalities phi(G-v) <= phi(G) and
     phi(G_v) < phi(G) must hold; returns one record per violation.
     """
-    phi_g = phi(g)
-    bad = []
-    for v in range(g.n):
-        if g.is_free_vertex(v):
-            continue
-        minus = phi(g.minus_vertex(v))
-        sat = phi(g.saturate(v))
-        if minus > phi_g or sat >= phi_g:
-            bad.append({"v": v, "phi": phi_g, "phi_minus": minus, "phi_saturated": sat})
-    return bad
+    return _strong_failures(phi(g), nonfree_vertex_values(phi, g))
 
 
 def check_iv_lemma(g: Graph, v: int) -> bool:

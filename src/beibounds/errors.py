@@ -30,3 +30,7 @@ class FieldDisagreementError(RuntimeError):
         self.values_by_prime = dict(values_by_prime)
         pretty = ", ".join(f"GF({p}): {v}" for p, v in sorted(self.values_by_prime.items()))
         super().__init__(f"characteristic-sensitive instance: {pretty}")
+
+
+class WitnessError(RuntimeError):
+    """A solver's witness failed an independent re-check."""

@@ -42,7 +42,10 @@ def encode_graph6(g: Graph) -> str:
 
 
 def decode_graph6(text: str) -> Graph:
-    data = text.strip().encode("ascii")
+    try:
+        data = text.strip().encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise ParseError("non-ASCII character in graph6 string", offset=exc.start) from None
     if not data:
         raise ParseError("empty graph6 string", offset=0)
     pos = 0
@@ -100,6 +103,9 @@ def parse_edge_list(text: str) -> Graph:
                 raise ParseError(f"bad vertex count {fields[0]!r}", line=lineno) from None
             if n < 0:
                 raise ParseError("vertex count must be non-negative", line=lineno)
+            if n > _LONG_MAX:
+                # no report could name the graph: graph6 stops there
+                raise ParseError(f"vertex count above {_LONG_MAX}", line=lineno)
             continue
         if len(fields) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", line=lineno)

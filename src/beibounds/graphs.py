@@ -124,15 +124,15 @@ class Graph:
         smallest surviving old label (see :meth:`deletion_map`).
         """
         drop_mask = self._vertex_mask(drop)
-        keep = [v for v in range(self.n) if not (drop_mask >> v & 1)]
-        pos = {old: new for new, old in enumerate(keep)}
-        adj = []
-        for old in keep:
-            row = 0
-            for u in bits(self.adj[old] & ~drop_mask):
-                row |= 1 << pos[u]
-            adj.append(row)
-        return Graph(len(keep), tuple(adj))
+        rows = [row for v, row in enumerate(self.adj) if not drop_mask >> v & 1]
+        # shift out one label per pass, highest first, so the labels
+        # still to drop have not moved yet
+        high = drop_mask
+        while high:
+            low = (1 << high.bit_length() - 1) - 1
+            high &= low
+            rows = [row & low | row >> 1 & ~low for row in rows]
+        return Graph(len(rows), tuple(rows))
 
     def deletion_map(self, drop: Iterable[int]) -> list[int]:
         """new label -> old label map used by :meth:`induced_delete`."""
@@ -147,13 +147,14 @@ class Graph:
         """Complete the neighborhood of v into a clique; keep all edges."""
         self._check_vertex(v)
         nbr = self.adj[v]
-        adj = list(self.adj)
-        for u in bits(nbr):
-            adj[u] |= nbr & ~(1 << u)
-        return Graph(self.n, tuple(adj))
+        return Graph(self.n, tuple([
+            row | nbr & ~(1 << u) if nbr >> u & 1 else row
+            for u, row in enumerate(self.adj)
+        ]))
 
     def strip_isolated(self) -> "Graph":
-        return self.induced_delete(self.isolated_vertices())
+        isolated = self.isolated_vertices()
+        return self.induced_delete(isolated) if isolated else self
 
     # -- vertex predicates and counts ----------------------------------
 

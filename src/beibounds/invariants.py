@@ -282,6 +282,19 @@ def longest_induced_path(g: Graph) -> tuple[int, list[list[int]]]:
     return total, witnesses
 
 
+def is_induced_path(g: Graph, path: Sequence[int]) -> bool:
+    """True iff ``path`` lists distinct vertices and consecutive ones are
+    its only adjacent pairs."""
+    mask = g._vertex_mask(path)
+    if popcount(mask) != len(path):
+        return False
+    for k, v in enumerate(path):
+        want = (1 << path[k - 1] if k else 0) | (1 << path[k + 1] if k + 1 < len(path) else 0)
+        if g.adj[v] & mask != want:
+            return False
+    return True
+
+
 def _component_lip(g: Graph, comp: int) -> tuple[int, list[int]]:
     """Longest induced path of the component ``comp`` and one witness.
 

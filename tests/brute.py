@@ -6,7 +6,9 @@ the solvers under test beyond the Graph container itself.  The rank
 reference eliminates on numpy arrays, which the package does not use.
 The regularity reference takes ``homology_dims`` of every variable
 subset, so it shares none of the scan's pruning (lattice, domination,
-size bound).
+size bound).  The graph transform references relabel through a dict and
+test vertex pairs one at a time, so they share none of the bit shifting
+in ``Graph``; the compatibility reference scans every vertex for (c).
 """
 
 from itertools import combinations, permutations
@@ -118,6 +120,16 @@ def _brute_connected(g: Graph, vs) -> bool:
     return seen == vs
 
 
+def _brute_component_labels(g: Graph) -> list[int]:
+    """One label per vertex, equal exactly within a component."""
+    label = list(range(g.n))
+    for u, w in combinations(range(g.n), 2):
+        if g.has_edge(u, w):
+            old = label[w]
+            label = [label[u] if x == old else x for x in label]
+    return label
+
+
 def brute_longest_induced_path_subsets(g: Graph) -> int:
     """Sum over components of the max induced path length (edge count).
 
@@ -125,11 +137,7 @@ def brute_longest_induced_path_subsets(g: Graph) -> int:
     connected, has one edge fewer than vertices (a tree) and has maximum
     degree at most 2.  Components come from relabeling across each edge.
     """
-    label = list(range(g.n))
-    for u, w in combinations(range(g.n), 2):
-        if g.has_edge(u, w):
-            old = label[w]
-            label = [label[u] if x == old else x for x in label]
+    label = _brute_component_labels(g)
     best = dict.fromkeys(label, 0)
     for size in range(2, g.n + 1):
         for vs in combinations(range(g.n), size):
@@ -147,3 +155,83 @@ def brute_free_vertex(g: Graph, v: int) -> bool:
 
 def brute_iv(g: Graph) -> int:
     return sum(1 for v in range(g.n) if not brute_free_vertex(g, v))
+
+
+# -- graph transforms and the compatibility conditions -----------------------
+
+
+def ref_induced_delete(g: Graph, drop) -> Graph:
+    """Induced subgraph on the complement of ``drop``; survivors are
+    relabeled in ascending order through an old -> new label dict."""
+    drop = set(drop)
+    keep = [v for v in range(g.n) if v not in drop]
+    pos = {old: new for new, old in enumerate(keep)}
+    adj = []
+    for old in keep:
+        row = 0
+        for u in keep:
+            if g.has_edge(old, u):
+                row |= 1 << pos[u]
+        adj.append(row)
+    return Graph(len(keep), tuple(adj))
+
+
+def ref_saturate(g: Graph, v: int) -> Graph:
+    """G_v: add every missing edge between two neighbours of v."""
+    nbrs = [u for u in range(g.n) if g.has_edge(u, v)]
+    adj = list(g.adj)
+    for a, b in combinations(nbrs, 2):
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return Graph(g.n, tuple(adj))
+
+
+def brute_compatibility(phi, g: Graph) -> dict:
+    """Conditions (a), (b), (c) and the strong per-vertex form of (c),
+    with (c) searched over every vertex, free ones included.
+
+    Returns the fields ``check_compatibility`` reports (``passed``,
+    ``witness_vertex``, ``values``, ``counterexample``) and ``strong``,
+    the strong-form violations.
+    """
+    phi_g = phi(g)
+    values = {"phi": phi_g}
+    out = {"passed": True, "witness_vertex": None, "values": values,
+           "counterexample": None, "strong": []}
+    for v in range(g.n):
+        if brute_free_vertex(g, v):
+            continue
+        minus, sat = phi(ref_induced_delete(g, [v])), phi(ref_saturate(g, v))
+        if minus > phi_g or sat >= phi_g:
+            out["strong"].append({"v": v, "phi": phi_g, "phi_minus": minus, "phi_saturated": sat})
+
+    isolated = [v for v in range(g.n) if not any(g.has_edge(v, u) for u in range(g.n) if u != v)]
+    values["phi_hat"] = phi_hat = phi(ref_induced_delete(g, isolated))
+    if phi_hat > phi_g:
+        out["passed"] = False
+        out["counterexample"] = {"condition": "a", "phi": phi_g, "phi_without_isolated": phi_hat}
+        return out
+
+    label = _brute_component_labels(g)
+    comps = [[v for v in range(g.n) if label[v] == c] for c in sorted(set(label))]
+    if comps and all(len(c) >= 2 and is_complete_subset(g, c) for c in comps):
+        values["union_components"] = t = len(comps)
+        if phi_g < t:
+            out["passed"] = False
+            out["counterexample"] = {"condition": "b", "phi": phi_g, "components": t}
+            return out
+
+    if brute_iv(g) > 0:
+        per_vertex = []
+        for v in range(g.n):
+            minus, sat = phi(ref_induced_delete(g, [v])), phi(ref_saturate(g, v))
+            if minus <= phi_g and sat < phi_g:
+                out["witness_vertex"] = v
+                values["phi_minus_witness"] = minus
+                values["phi_saturated_witness"] = sat
+                break
+            per_vertex.append({"v": v, "phi_minus": minus, "phi_saturated": sat})
+        else:
+            out["passed"] = False
+            out["counterexample"] = {"condition": "c", "phi": phi_g, "per_vertex": per_vertex}
+    return out

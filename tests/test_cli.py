@@ -66,6 +66,38 @@ def test_invariants_reads_edge_list_stdin(capsys, monkeypatch):
     assert rec["n"] == 3 and rec["eta"] == 2
 
 
+def _invariants_of_net(capsys, tmp_path):
+    f = tmp_path / "net.g6"
+    f.write_text(encode_graph6(net()) + "\n")
+    return run(capsys, "invariants", str(f), "--format", "json")
+
+
+def test_invariants_rechecks_eta_witness(capsys, tmp_path, monkeypatch):
+    import beibounds.cli as cli
+    from beibounds.invariants import CliqueDisjointSet
+    # (0, 1) and (1, 2) lie in the triangle 0-1-2 of the net
+    fake = lambda g: (2, CliqueDisjointSet(g, frozenset({(0, 1), (1, 2)})))
+    monkeypatch.setattr(cli, "eta", fake)
+    code, out, err = _invariants_of_net(capsys, tmp_path)
+    assert code == 2 and out == ""
+    assert "eta witness [(0, 1), (1, 2)] is not a clique-disjoint edge set of size 2" in err
+
+
+@pytest.mark.parametrize("paths, length", [
+    ([[3, 0, 1, 4]], 2),          # lengths sum to 3, not 2
+    ([[3, 0, 1, 2]], 3),          # 0-1-2 is a triangle: not induced
+    ([[3, 0], [1, 4]], 2),        # two paths in one component
+    ([[3, 0, 3]], 2),             # a repeated vertex
+    ([[3, 4]], 1),                # 3 and 4 are not adjacent
+])
+def test_invariants_rechecks_L_witness(capsys, tmp_path, monkeypatch, paths, length):
+    import beibounds.cli as cli
+    monkeypatch.setattr(cli, "longest_induced_path", lambda g: (length, paths))
+    code, out, err = _invariants_of_net(capsys, tmp_path)
+    assert code == 2 and out == ""
+    assert "L witness" in err
+
+
 def test_reg_subcommand(capsys, tmp_path):
     f = tmp_path / "g.g6"
     f.write_text(encode_graph6(sierpinski(1)) + "\n")
@@ -205,6 +237,36 @@ def test_verify_reports_violation_with_exit_1(capsys, monkeypatch):
                        "--format", "json")
     assert code == 1
     assert json.loads(out)["violations"]
+
+
+def test_verify_compatible_violation_records_in_order(capsys, monkeypatch):
+    import beibounds.cli as cli
+    monkeypatch.setitem(cli.NAMED_MAPS, "eta", lambda g: 0)
+    code, out, _ = run(capsys, "verify", "compatible", "--exhaustive", "3",
+                       "--format", "json")
+    assert code == 1
+    zeros = [{"v": v, "phi_minus": 0, "phi_saturated": 0} for v in range(3)]
+    expected = [{"graph6": "A_", "counterexample": {"condition": "b", "phi": 0, "components": 1}}]
+    # each labeled P3: the condition-(c) counterexample over every vertex,
+    # then the strong form at its middle (only non-free) vertex
+    for g6, middle in [("Bo", 0), ("Bg", 1), ("BW", 2)]:
+        expected.append({"graph6": g6, "counterexample": {"condition": "c", "phi": 0,
+                                                          "per_vertex": zeros}})
+        expected.append({"graph6": g6, "strong_form": {"v": middle, "phi": 0, "phi_minus": 0,
+                                                       "phi_saturated": 0}})
+    expected.append({"graph6": "Bw", "counterexample": {"condition": "b", "phi": 0, "components": 1}})
+    assert json.loads(out)["violations"] == expected
+
+
+def test_verify_compatible_jobs_parallel_matches_serial(capsys):
+    argv = ["verify", "compatible", "--map", "induced-path", "--exhaustive", "5",
+            "--format", "json"]
+    code1, out1, _ = run(capsys, *argv, "--jobs", "1")
+    code2, out2, _ = run(capsys, *argv, "--jobs", "2")
+    assert code1 == code2 == 1
+    r1, r2 = json.loads(out1), json.loads(out2)
+    assert r1["violations"] and r1["violations"] == r2["violations"]
+    assert r1["results"] == r2["results"]
 
 
 def test_bad_input_exits_2(capsys, tmp_path):

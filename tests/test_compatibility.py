@@ -5,7 +5,9 @@ from beibounds.compatibility import (
     check_compatibility,
     check_iv_lemma,
     check_regularity_recursion,
+    clique_count_value,
     eta_value,
+    induced_path_value,
     is_path_graph,
     memoized,
     nonfree_vertex_failures,
@@ -13,6 +15,8 @@ from beibounds.compatibility import (
 )
 from beibounds.errors import ResourceLimitError
 from beibounds.generators import all_labeled, complete, cycle, fig2_closed, net, path, sierpinski, union
+
+from brute import brute_compatibility
 
 
 def test_eta_is_compatible_on_c4():
@@ -132,6 +136,33 @@ def test_compatibility_exhaustive_n4_for_eta():
     for g in all_labeled(4):
         assert check_compatibility(phi, g, "eta").passed
         assert nonfree_vertex_failures(phi, g) == []
+
+
+def _edge_count_mod_3(g):
+    return g.edge_count() % 3
+
+
+@pytest.mark.parametrize(
+    "phi, compatible",
+    [(eta_value, True), (clique_count_value, True), (induced_path_value, False),
+     (_edge_count_mod_3, False)],
+    ids=["eta", "clique-count", "induced-path", "edges-mod-3"],
+)
+def test_compatibility_matches_every_vertex_reference_n5(phi, compatible):
+    phi = memoized(phi)
+    passed = set()
+    for n in range(6):
+        for g in all_labeled(n):
+            rep = check_compatibility(phi, g)
+            ref = brute_compatibility(phi, g)
+            got = (rep.passed, rep.witness_vertex, rep.values, rep.counterexample,
+                   rep.strong_failures)
+            want = (ref["passed"], ref["witness_vertex"], ref["values"],
+                    ref["counterexample"], ref["strong"])
+            assert got == want, g
+            assert nonfree_vertex_failures(phi, g) == ref["strong"], g
+            passed.add(rep.passed)
+    assert passed == ({True} if compatible else {True, False})
 
 
 def test_chain_exhaustive_n4_with_reg():

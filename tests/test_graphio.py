@@ -3,10 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from beibounds.errors import ParseError
 from beibounds.generators import all_labeled, complete, gnp, net, path
+from beibounds.cli import parse_graph_text
 from beibounds.graphio import decode_graph6, encode_graph6, format_edge_list, parse_edge_list
 from beibounds.graphs import Graph
-
-nx = pytest.importorskip("networkx")
 
 
 def test_k2_encodes_to_known_string():
@@ -34,7 +33,7 @@ def test_long_form_round_trip():
     assert decode_graph6(s) == g
 
 
-@given(st.integers(1, 40), st.integers(0, 2 ** 40 - 1))
+@given(st.integers(1, 70), st.integers(0, 2 ** 40 - 1))
 @settings(max_examples=150, deadline=None)
 def test_round_trip_random_graphs(n, seed):
     g = gnp(n, 1, 2, seed)
@@ -42,6 +41,7 @@ def test_round_trip_random_graphs(n, seed):
 
 
 def _nx_graph6(g):
+    nx = pytest.importorskip("networkx")
     G = nx.Graph()
     G.add_nodes_from(range(g.n))
     G.add_edges_from(g.edges())
@@ -62,6 +62,43 @@ def test_decode_rejects_bad_byte():
     with pytest.raises(ParseError) as err:
         decode_graph6("B" + chr(30))
     assert err.value.offset is not None
+
+
+def test_decode_rejects_non_ascii_with_offset():
+    with pytest.raises(ParseError) as err:
+        decode_graph6("é")
+    assert err.value.offset == 0
+    with pytest.raises(ParseError) as err:
+        decode_graph6("B_\u2603")
+    assert err.value.offset == 2
+
+
+def test_parse_edge_list_rejects_counts_graph6_cannot_hold():
+    with pytest.raises(ParseError) as err:
+        parse_edge_list("# too big\n258048\n0 1\n")
+    assert err.value.line == 2
+    assert parse_edge_list("258047\n").n == 258047
+
+
+# small vertex counts only: a valid count line allocates that many rows
+_EDGE_TEXT = st.lists(
+    st.one_of(
+        st.integers(-3, 12).map(str),
+        st.tuples(st.integers(-2, 14), st.integers(-2, 14)).map(lambda p: f"{p[0]} {p[1]}"),
+        st.text(alphabet="0123456789 #-x\t", max_size=8),
+    ),
+    max_size=8,
+).map("\n".join)
+
+
+@given(st.one_of(st.text(max_size=40), _EDGE_TEXT))
+@settings(max_examples=400, deadline=None)
+def test_any_text_parses_or_raises_parse_error(text):
+    for parse in (decode_graph6, parse_edge_list, parse_graph_text):
+        try:
+            parse(text)
+        except ParseError:
+            pass
 
 
 def test_parse_edge_list_p3():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from beibounds.graphs import Graph, bits, edge
 from beibounds.generators import all_labeled, complete, gnp, net, path, union
 
-from brute import brute_iv
+from brute import brute_iv, ref_induced_delete, ref_saturate
 
 
 def test_from_edge_list_path():
@@ -139,6 +139,28 @@ def test_saturate_idempotent_and_contains_g(g):
 @settings(max_examples=200, deadline=None)
 def test_strip_isolated_leaves_none(g):
     assert g.strip_isolated().isolated_vertices() == []
+
+
+@given(
+    st.integers(0, 14).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, 2 ** (n * (n - 1) // 2) - 1), st.integers(0, 2 ** n - 1)
+    ))
+)
+@settings(max_examples=300, deadline=None)
+def test_transforms_match_dict_relabelling_reference(args):
+    n, edge_mask, drop_mask = args
+    g = _mask_graph(n, edge_mask)
+    drop = list(bits(drop_mask))
+    assert g.induced_delete(drop) == ref_induced_delete(g, drop)
+    for v in range(n):
+        assert g.minus_vertex(v) == ref_induced_delete(g, [v])
+        assert g.saturate(v) == ref_saturate(g, v)
+    # the same graph with the drop set cut off, so strip_isolated has work
+    h = Graph(n, tuple(0 if drop_mask >> v & 1 else row & ~drop_mask
+                       for v, row in enumerate(g.adj)))
+    for graph in (g, h):
+        isolated = [v for v in range(n) if not graph.adj[v]]
+        assert graph.strip_isolated() == ref_induced_delete(graph, isolated)
 
 
 @given(small_graphs())
