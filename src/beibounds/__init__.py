@@ -2,7 +2,7 @@
 regularity oracle, and corpus-scale verification of the bound chain
 L <= reg <= eta <= c."""
 
-from .errors import FieldDisagreementError, ParseError, ResourceLimitError, WitnessError
+from .errors import FieldDisagreementError, ParseError, ResourceLimitError
 from .graphs import Graph, edge
 from .graphio import decode_graph6, encode_graph6, format_edge_list, parse_edge_list
 from .invariants import (
@@ -13,7 +13,6 @@ from .invariants import (
     extend_clique_disjoint,
     in_common_clique,
     is_clique_disjoint,
-    is_induced_path,
     longest_induced_path,
     maximal_cliques,
     max_independent_set,
@@ -51,7 +50,6 @@ __all__ = [
     "RegularityResult",
     "ResourceLimitError",
     "SquarefreeIdeal",
-    "WitnessError",
     "bound_chain",
     "check_compatibility",
     "check_iv_lemma",
@@ -69,7 +67,6 @@ __all__ = [
     "in_common_clique",
     "initial_ideal",
     "is_clique_disjoint",
-    "is_induced_path",
     "longest_induced_path",
     "max_independent_set",
     "maximal_cliques",

@@ -248,11 +248,12 @@ def _verify_one(
                                    "c": rep.clique_count, "reg": rep.reg}})
     elif kind == "compatible":
         phi = memoized(NAMED_MAPS[map_name])
-        rep = check_compatibility(phi, g, name=map_name)
+        # the per-vertex strong form holds for eta at every non-free vertex
+        strong = map_name == "eta"
+        rep = check_compatibility(phi, g, name=map_name, strong=strong)
         if not rep.passed:
             out.append({"graph6": g6, "counterexample": rep.counterexample})
-        if map_name == "eta":
-            # the per-vertex strong form holds for eta at every non-free vertex
+        if strong:
             for bad in rep.strong_failures:
                 out.append({"graph6": g6, "strong_form": bad})
     elif kind == "iv-lemma":

@@ -14,16 +14,18 @@ the chain on whole corpora.
 
 Condition (c) and its strong per-vertex form both read one table per
 graph: (v, phi(G - v), phi(G_v)) over the non-free vertices v, each
-derived graph built once.  Free vertices are left out because neither
-check can use them: for a free v the neighbourhood is already a
-clique, so G_v = G and phi(G_v) < phi(G) fails for every map, and the
-strong form asks only about non-free vertices.
+derived graph built once.  Condition (c) alone reads the rows up to its
+first witness; the strong form, asked for with the eta map, reads them
+all, and one pass then serves both.  Free vertices are left out
+because neither check can use them: for a free v the neighbourhood is
+already a clique, so G_v = G and phi(G_v) < phi(G) fails for every map,
+and the strong form asks only about non-free vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ResourceLimitError
 from .graphs import Graph
@@ -82,23 +84,22 @@ class CompatibilityReport:
     witness_vertex: Optional[int] = None
     counterexample: Optional[dict] = None
     values: dict = field(default_factory=dict)
-    strong_failures: list = field(default_factory=list)
+    strong_failures: Optional[list] = None
 
     @property
     def passed(self) -> bool:
         return self.pass_a and self.pass_b and self.pass_c
 
 
-def nonfree_vertex_values(phi: InvariantMap, g: Graph) -> list[tuple[int, int, int]]:
-    """(v, phi(G - v), phi(G_v)) for every non-free v, ascending."""
-    return [
-        (v, phi(g.minus_vertex(v)), phi(g.saturate(v)))
-        for v in range(g.n)
-        if not g.is_free_vertex(v)
-    ]
+def nonfree_vertex_values(phi: InvariantMap, g: Graph) -> Iterator[tuple[int, int, int]]:
+    """(v, phi(G - v), phi(G_v)) for every non-free v, ascending, built
+    as consumed."""
+    for v in range(g.n):
+        if not g.is_free_vertex(v):
+            yield v, phi(g.minus_vertex(v)), phi(g.saturate(v))
 
 
-def _strong_failures(phi_g: int, table: list[tuple[int, int, int]]) -> list[dict]:
+def _strong_failures(phi_g: int, table: Iterable[tuple[int, int, int]]) -> list[dict]:
     return [
         {"v": v, "phi": phi_g, "phi_minus": minus, "phi_saturated": sat}
         for v, minus, sat in table
@@ -106,20 +107,26 @@ def _strong_failures(phi_g: int, table: list[tuple[int, int, int]]) -> list[dict
     ]
 
 
-def check_compatibility(phi: InvariantMap, g: Graph, name: str = "phi") -> CompatibilityReport:
+def check_compatibility(
+    phi: InvariantMap, g: Graph, name: str = "phi", strong: bool = False
+) -> CompatibilityReport:
     """Evaluate conditions (a), (b), (c) for one map on one graph.
 
     Condition (c) searches the non-free vertices in ascending order and
     records the first witness; a failing condition attaches a structured
-    counterexample with the offending values.  ``strong_failures`` holds
-    the strong per-vertex form's violations (see
-    :func:`nonfree_vertex_failures`) whatever the conditions give.
+    counterexample with the offending values.  The scan stops at the
+    witness unless ``strong`` is set: then the whole table is built up
+    front and ``strong_failures`` holds the strong per-vertex form's
+    violations (see :func:`nonfree_vertex_failures`) whatever the
+    conditions give; otherwise it stays None.
     """
     report = CompatibilityReport(name, True, True, True)
     phi_g = phi(g)
     report.values["phi"] = phi_g
-    table = nonfree_vertex_values(phi, g)
-    report.strong_failures = _strong_failures(phi_g, table)
+    table: Iterable[tuple[int, int, int]] = nonfree_vertex_values(phi, g)
+    if strong:
+        table = list(table)
+        report.strong_failures = _strong_failures(phi_g, table)
 
     hat = g.strip_isolated()
     phi_hat = phi(hat)
@@ -142,25 +149,23 @@ def check_compatibility(phi: InvariantMap, g: Graph, name: str = "phi") -> Compa
             report.counterexample = {"condition": "b", "phi": phi_g, "components": t}
             return report
 
-    if table:
-        witness = next(
-            (row for row in table if row[1] <= phi_g and row[2] < phi_g), None
-        )
-        if witness is None:
-            report.pass_c = False
-            report.counterexample = {
-                "condition": "c",
-                "phi": phi_g,
-                "per_vertex": [
-                    {"v": v, "phi_minus": phi(g.minus_vertex(v)), "phi_saturated": phi(g.saturate(v))}
-                    for v in range(g.n)
-                ],
-            }
-        else:
-            v, minus, sat = witness
+    seen: dict[int, tuple[int, int]] = {}
+    for v, minus, sat in table:
+        if minus <= phi_g and sat < phi_g:
             report.witness_vertex = v
             report.values["phi_minus_witness"] = minus
             report.values["phi_saturated_witness"] = sat
+            return report
+        seen[v] = minus, sat
+    if seen:
+        # every non-free row was read and none witnesses; a free v has
+        # G_v = G, so only phi(G - v) is new
+        report.pass_c = False
+        per_vertex = []
+        for v in range(g.n):
+            minus, sat = seen[v] if v in seen else (phi(g.minus_vertex(v)), phi_g)
+            per_vertex.append({"v": v, "phi_minus": minus, "phi_saturated": sat})
+        report.counterexample = {"condition": "c", "phi": phi_g, "per_vertex": per_vertex}
     return report
 
 

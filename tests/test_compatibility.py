@@ -153,13 +153,14 @@ def test_compatibility_matches_every_vertex_reference_n5(phi, compatible):
     passed = set()
     for n in range(6):
         for g in all_labeled(n):
-            rep = check_compatibility(phi, g)
             ref = brute_compatibility(phi, g)
-            got = (rep.passed, rep.witness_vertex, rep.values, rep.counterexample,
-                   rep.strong_failures)
             want = (ref["passed"], ref["witness_vertex"], ref["values"],
-                    ref["counterexample"], ref["strong"])
-            assert got == want, g
+                    ref["counterexample"])
+            for strong, want_strong in [(False, None), (True, ref["strong"])]:
+                rep = check_compatibility(phi, g, strong=strong)
+                got = (rep.passed, rep.witness_vertex, rep.values, rep.counterexample)
+                assert got == want, (g, strong)
+                assert rep.strong_failures == want_strong, (g, strong)
             assert nonfree_vertex_failures(phi, g) == ref["strong"], g
             passed.add(rep.passed)
     assert passed == ({True} if compatible else {True, False})

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -161,6 +163,16 @@ def test_transforms_match_dict_relabelling_reference(args):
     for graph in (g, h):
         isolated = [v for v in range(n) if not graph.adj[v]]
         assert graph.strip_isolated() == ref_induced_delete(graph, isolated)
+
+
+def test_induced_delete_matches_reference_on_many_word_rows():
+    # 130 labels span three machine words; up to 129 drops take eight
+    # compress passes
+    n = 130
+    g = _mask_graph(n, random.Random(5).getrandbits(n * (n - 1) // 2))
+    for drop in (range(0, n, 2), range(1, n, 3), range(40, 100), range(1, n),
+                 [0, 63, 64, 65, 127, 129]):
+        assert g.induced_delete(drop) == ref_induced_delete(g, drop)
 
 
 @given(small_graphs())
