@@ -16,7 +16,13 @@ edge-level conflict graph stays public as an independent reference.
 The longest induced path of each component comes from a depth-first
 search from every vertex.  Each search node computes its available set
 and its counting bound once for all its children, and settles the
-children that cannot grow (the leaves) without entering them.
+children that cannot grow without entering them.  Two admissible
+bounds, a few big-int operations per node, tighten the count: an
+induced path holds at most two vertices of each triangle of a greedy
+packing (kept in bit planes, built once a search outgrows its cost)
+and at most one degree-1 vertex.  They never prune the first longest
+path, so the witnesses are the count bound's.  The search has a node
+budget, as eta's has.
 """
 
 from __future__ import annotations
@@ -30,6 +36,10 @@ from .errors import ResourceLimitError
 from .graphs import Graph, bits, edge, minimalize, popcount
 
 DEFAULT_NODE_LIMIT = 5_000_000
+# Expanded search nodes after which a component builds its triangle
+# packing.  The packing costs up to about 150 nodes' worth of time and
+# saves little on random graphs, so building it sooner slows them.
+_PACK_AFTER = 3000
 
 
 # -- maximal cliques ----------------------------------------------------
@@ -266,17 +276,23 @@ def eta(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> tuple[int, CliqueDisj
 # -- longest induced paths -------------------------------------------------
 
 
-def longest_induced_path(g: Graph) -> tuple[int, list[list[int]]]:
+def longest_induced_path(
+    g: Graph, node_limit: int = DEFAULT_NODE_LIMIT
+) -> tuple[int, list[list[int]]]:
     """Sum over components of the longest induced path length.
 
     Length is the edge count; a single-vertex component contributes 0.
     Returns the sum and one witness path per component (ordered by the
-    component's smallest vertex).
+    component's smallest vertex).  Raises ResourceLimitError once the
+    searches of all components together expand more than ``node_limit``
+    nodes (see :func:`_component_lip`).
     """
     total = 0
     witnesses = []
+    nodes = 0
+    adjp = [0] * g.n  # triangle-plane rows, filled per component on demand
     for comp in g.component_masks():
-        length, path = _component_lip(g, comp)
+        length, path, nodes = _component_lip(g, comp, adjp, nodes, node_limit)
         total += length
         witnesses.append(path)
     return total, witnesses
@@ -295,52 +311,119 @@ def is_induced_path(g: Graph, path: Sequence[int]) -> bool:
     return True
 
 
-def _component_lip(g: Graph, comp: int) -> tuple[int, list[int]]:
-    """Longest induced path of the component ``comp`` and one witness.
+def _component_lip(
+    g: Graph, comp: int, adjp: list[int], nodes: int, node_limit: int
+) -> tuple[int, list[int], int]:
+    """Longest induced path of the component ``comp``, one witness, and
+    the running count ``nodes`` of expanded search nodes (at most
+    ``node_limit``, else ResourceLimitError).
 
     Depth-first search from every start vertex, candidates in ascending
-    order.  A node holds an induced path ending at ``last``, the set
-    ``avail`` of vertices off the path with no path neighbour but
-    ``last``, and its candidates ``cand = avail & adj[last]``.  Every
-    child gets the same available set ``rest = avail & ~adj[last]``, so
-    the node computes it once and stops expanding as soon as the path
-    length plus ``popcount(rest)`` cannot beat the best length so far.
-    The node records its longest extension itself (the path plus the
-    lowest candidate) when that beats the best, and recurses only into
-    candidates that still have a neighbour in ``rest``.  The witness is
-    the first longest path met in this order, so it is deterministic.
+    order.  A node holds an induced path ``path[:k]`` ending at
+    ``last``, the set ``avail`` of vertices off the path with no path
+    neighbour but ``last``, and its candidates ``cand = avail &
+    adj[last]``.  Every later vertex comes from ``rest = avail &
+    ~adj[last]``, so the node bounds the length it can reach by ``k +
+    popcount(rest)``.  If that does not prune, the node is expanded, and
+    where the bound is within ``most`` of the best length two
+    corrections tighten it: each packed triangle wholly in ``rest``
+    takes one off (an induced path holds two of its vertices at most),
+    and all but one of the degree-1 ``leaves`` in ``rest`` come off
+    (only the path's end can be one).  The node records its longest
+    extension (the path plus the lowest candidate) when that beats the
+    best, and recurses only into candidates with a neighbour in ``rest``.
+
+    Member j of packed triangle i is bit ``i + j*t`` of ``availp``,
+    which mirrors ``avail`` on the members, and ``adjp[v]`` is the plane
+    image of ``adj[v]``, so ``restp & restp >> t & restp >> 2t`` marks
+    the triangles wholly in ``rest``.  (A start vertex keeps its own
+    bit, but its triangle's other members are its neighbours.)  The
+    packing is built at the first start vertex after the search has
+    expanded ``_PACK_AFTER`` nodes; until then ``t``, ``leaves``,
+    ``most``, ``availp`` and the component's ``adjp`` rows are 0.  Every
+    bound is admissible, so it never prunes the first longest path in
+    the search order: the witness is the one the count bound alone
+    finds, whenever the packing was built.
     """
     adj = g.adj
     best_len = 0
     best_path = [(comp & -comp).bit_length() - 1]
-    path: list[int] = []
+    path = [0] * comp.bit_count()
+    t = t2 = leaves = fullp = most = 0
+    packed = False
 
-    def extend(last: int, avail: int, cand: int) -> None:
-        nonlocal best_len, best_path
-        k = len(path)  # edges in the path once a candidate is appended
+    def extend(last: int, avail: int, availp: int, cand: int, k: int) -> None:
+        nonlocal best_len, best_path, nodes
         if k > best_len:
             best_len = k
-            best_path = path + [(cand & -cand).bit_length() - 1]
+            best_path = path[:k] + [(cand & -cand).bit_length() - 1]
         rest = avail & ~adj[last]
-        # every later vertex comes from rest, adding one edge each
-        bound = k + popcount(rest)
+        bound = k + rest.bit_count()
+        if bound <= best_len:
+            return
+        nodes += 1
+        if nodes > node_limit:
+            raise ResourceLimitError(f"induced-path search exceeded {node_limit} nodes")
+        restp = availp & ~adjp[last] if availp else 0
+        if bound - best_len <= most:
+            bound -= (restp & restp >> t & restp >> t2).bit_count()
+            ends = (rest & leaves).bit_count()
+            if ends > 1:
+                bound -= ends - 1
         while cand and bound > best_len:
             low = cand & -cand
             cand ^= low
             u = low.bit_length() - 1
             grow = rest & adj[u]
             if grow:
-                path.append(u)
-                extend(u, rest, grow)
-                path.pop()
+                path[k] = u
+                extend(u, rest, restp, grow, k + 1)
 
+    first = nodes
     for start in bits(comp):
+        if not packed and nodes - first >= _PACK_AFTER:
+            packed = True
+            t, leaves = _triangle_planes(adj, comp, adjp)
+            t2 = 2 * t
+            fullp = (1 << 3 * t) - 1
+            most = t + max(leaves.bit_count() - 1, 0)
         cand = comp & adj[start]
         if cand:
-            path.append(start)
-            extend(start, comp & ~(1 << start), cand)
-            path.pop()
-    return best_len, best_path
+            path[0] = start
+            extend(start, comp & ~(1 << start), fullp, cand, 1)
+    return best_len, best_path, nodes
+
+
+def _triangle_planes(adj: Sequence[int], comp: int, adjp: list[int]) -> tuple[int, int]:
+    """Pack disjoint triangles of the component greedily, lowest vertex
+    first, and write into ``adjp`` each vertex's neighbourhood row in
+    the planes (member j of triangle i is bit ``i + j*t``).
+
+    Returns the triangle count t and the mask of degree-1 vertices.
+    """
+    triangles = []
+    free = comp
+    for a in bits(comp):
+        if not free >> a & 1:
+            continue
+        for b in bits(adj[a] & free):
+            common = adj[a] & adj[b] & free
+            if common:
+                c = (common & -common).bit_length() - 1
+                triangles.append((a, b, c))
+                free &= ~(1 << a | 1 << b | 1 << c)
+                break
+    t = len(triangles)
+    for i, tri in enumerate(triangles):
+        for j, u in enumerate(tri):
+            bit = 1 << (i + j * t)
+            for v in bits(adj[u]):
+                adjp[v] |= bit
+    leaves = 0
+    for v in bits(comp):
+        if not adj[v] & adj[v] - 1:
+            leaves |= 1 << v
+    return t, leaves
 
 
 # -- constructive extension (saturated graph -> original graph) -----------

@@ -6,7 +6,10 @@ the solvers under test beyond the Graph container itself.  The rank
 reference eliminates on numpy arrays, which the package does not use.
 The regularity reference takes ``homology_dims`` of every variable
 subset, so it shares none of the scan's pruning (lattice, domination,
-size bound).  The graph transform references relabel through a dict and
+size bound).  The induced-path references are permutation and subset
+enumeration, plus ``ref_longest_induced_path``: the depth-first search
+with the count bound alone, whose witnesses the bounded search must
+reproduce exactly.  The graph transform references relabel through a dict and
 test vertex pairs one at a time, so they share none of the bit shifting
 in ``Graph``; the compatibility reference scans every vertex for (c).
 """
@@ -15,7 +18,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from beibounds.graphs import Graph
+from beibounds.graphs import Graph, bits, popcount
 from beibounds.regularity import homology_dims
 
 
@@ -105,6 +108,54 @@ def brute_longest_induced_path(g: Graph) -> int:
                     best = max(best, size - 1)
         total += best
     return total
+
+
+def ref_longest_induced_path(g: Graph) -> tuple[int, list[list[int]]]:
+    """Longest induced path with one witness per component, from a
+    depth-first search from every vertex bounded only by the count of
+    available vertices; the first longest path in the search order is
+    the witness."""
+    total = 0
+    witnesses = []
+    for comp in g.component_masks():
+        length, path = _ref_component_lip(g, comp)
+        total += length
+        witnesses.append(path)
+    return total, witnesses
+
+
+def _ref_component_lip(g: Graph, comp: int) -> tuple[int, list[int]]:
+    adj = g.adj
+    best_len = 0
+    best_path = [(comp & -comp).bit_length() - 1]
+    path: list[int] = []
+
+    def extend(last: int, avail: int, cand: int) -> None:
+        nonlocal best_len, best_path
+        k = len(path)  # edges in the path once a candidate is appended
+        if k > best_len:
+            best_len = k
+            best_path = path + [(cand & -cand).bit_length() - 1]
+        rest = avail & ~adj[last]
+        # every later vertex comes from rest, adding one edge each
+        bound = k + popcount(rest)
+        while cand and bound > best_len:
+            low = cand & -cand
+            cand ^= low
+            u = low.bit_length() - 1
+            grow = rest & adj[u]
+            if grow:
+                path.append(u)
+                extend(u, rest, grow)
+                path.pop()
+
+    for start in bits(comp):
+        cand = comp & adj[start]
+        if cand:
+            path.append(start)
+            extend(start, comp & ~(1 << start), cand)
+            path.pop()
+    return best_len, best_path
 
 
 def _brute_connected(g: Graph, vs) -> bool:

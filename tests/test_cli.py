@@ -191,6 +191,22 @@ def test_verify_chain_without_reg_skips_nothing(capsys, tmp_path):
     assert (results["reg_skipped"], results["reg_skipped_graphs"]) == (0, [])
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariants", "GRAPH"],
+    ["search", "--gap", "eta-L", "--sierpinski", "3"],
+    ["verify", "chain", "--sierpinski", "3"],
+])
+def test_L_node_budget_exits_2(capsys, monkeypatch, tmp_path, argv):
+    """L of sierpinski(3) expands about 388k search nodes; with a budget
+    of 1,000 every command that computes L stops with exit 2."""
+    from beibounds import invariants
+    monkeypatch.setattr(invariants.longest_induced_path, "__defaults__", (1_000,))
+    f = tmp_path / "s3.g6"
+    f.write_text(encode_graph6(sierpinski(3)) + "\n")
+    code, _, err = run(capsys, *[str(f) if a == "GRAPH" else a for a in argv])
+    assert code == 2 and "induced-path search exceeded 1000 nodes" in err
+
+
 def test_verify_unknown_option_still_exits_2(capsys, tmp_path):
     f = tmp_path / "graphs.g6"
     f.write_text(encode_graph6(net()) + "\n")

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from beibounds import invariants
 from beibounds.errors import ResourceLimitError
 from beibounds.graphs import Graph
 from beibounds.generators import all_labeled, complete, cycle, fig2_closed, gnp, net, path, sierpinski, union
@@ -24,6 +25,7 @@ from brute import (
     brute_longest_induced_path,
     brute_longest_induced_path_subsets,
     brute_maximal_cliques,
+    ref_longest_induced_path,
 )
 
 
@@ -252,6 +254,59 @@ def test_longest_induced_path_matches_subset_brute_force(g):
         for i, j in combinations(range(len(w)), 2):
             assert g.has_edge(w[i], w[j]) == (j == i + 1)
     assert sum(len(w) - 1 for w in witnesses) == total
+
+
+def test_longest_induced_path_node_budget():
+    assert longest_induced_path(sierpinski(3), node_limit=600_000)[0] == 24
+    with pytest.raises(ResourceLimitError):
+        longest_induced_path(sierpinski(3), node_limit=1_000)
+
+
+def test_longest_induced_path_budget_spans_components():
+    """sierpinski(2) expands 196 search nodes; two copies share one budget."""
+    assert longest_induced_path(sierpinski(2), node_limit=300)[0] == 8
+    with pytest.raises(ResourceLimitError):
+        longest_induced_path(union([sierpinski(2), sierpinski(2)]), node_limit=300)
+
+
+@st.composite
+def triangle_pendant_graphs(draw):
+    """Up to 20 vertices: a sparse core, extra triangles on it, and
+    pendant vertices hung on core vertices."""
+    core = draw(st.integers(1, 14))
+    vertex = st.integers(0, core - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * core))
+    for a, b, c in draw(st.lists(st.tuples(vertex, vertex, vertex), max_size=core)):
+        edges += [(a, b), (b, c), (a, c)]
+    hosts = draw(st.lists(vertex, max_size=20 - core))
+    edges += [(h, core + i) for i, h in enumerate(hosts)]
+    return Graph.from_edge_list(core + len(hosts), [(u, v) for u, v in edges if u != v])
+
+
+@given(triangle_pendant_graphs())
+@settings(max_examples=200, deadline=None)
+def test_longest_induced_path_bounds_keep_witnesses(g):
+    """With the triangle packing built before the first start vertex,
+    value and witnesses equal the count-bound-only search."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariants, "_PACK_AFTER", 0)
+        assert longest_induced_path(g) == ref_longest_induced_path(g)
+
+
+def test_longest_induced_path_bounds_keep_witnesses_exhaustive_n6(monkeypatch):
+    """Small graphs make the count bound tight, where an inadmissible
+    correction shows."""
+    monkeypatch.setattr(invariants, "_PACK_AFTER", 0)
+    for n in range(1, 7):
+        for g in all_labeled(n):
+            assert longest_induced_path(g) == ref_longest_induced_path(g)
+
+
+@pytest.mark.parametrize(
+    "g", [sierpinski(1), sierpinski(2), sierpinski(3)] + [gnp(40, 1, 10, s) for s in range(3)]
+)
+def test_longest_induced_path_witnesses_match_reference(g):
+    assert longest_induced_path(g) == ref_longest_induced_path(g)
 
 
 # -- constructive extension ----------------------------------------------------

@@ -319,6 +319,73 @@ def test_cycle_regularity_is_n_minus_two(n):
     assert regularity_bei(cycle(n)).value == n - 2
 
 
+def _relabel(g, perm):
+    return Graph.from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_component_subgraphs_are_induced_delete_graphs():
+    """The component split hands the per-component cache the graphs
+    induced_delete builds, so the cache keys do not depend on the split."""
+    g = _relabel(union([net(), cycle(4), complete(1), path(3), complete(3)]),
+                 random.Random(4).sample(range(17), 17))
+    regularity._component_regularity.cache_clear()
+    regularity_bei(g)
+    for comp in g.component_masks():
+        outside = [v for v in range(g.n) if not comp >> v & 1]
+        hits = regularity._component_regularity.cache_info().hits
+        regularity._component_regularity(
+            g.induced_delete(outside), regularity.DEFAULT_FIELDS, regularity.DEFAULT_COMPONENT_CAP
+        )
+        assert regularity._component_regularity.cache_info().hits == hits + 1
+
+
+def test_many_small_components():
+    """Cutting each component out of the whole graph cost O(n) per
+    component: 2,500 disjoint K2 took about 30 s."""
+    k = 500
+    g = union([complete(2)] * k)
+    res = regularity_bei(g)
+    assert (res.value, res.witness_degree) == (k, k - 1)
+    # each K2's share of the witness is {x_0, y_1} in its own labels,
+    # whose complex (two points) has reduced H_0
+    ideal = initial_ideal(complete(2))
+    local = {}
+    for v in res.witness_vars:
+        label = v % g.n
+        local.setdefault(label // 2, []).append(label % 2 + (2 if v >= g.n else 0))
+    assert len(local) == k and sum(map(len, local.values())) == len(res.witness_vars)
+    for w in local.values():
+        for p in res.fields_used:
+            assert homology_dims(ideal, w, p)[0] > 0
+
+
+def _closed_graphs(n):
+    """Connected closed graphs on n vertices in a closed labeling: edges
+    {i, j} for i < j <= r[i], with r nondecreasing and r[i] > i."""
+    def reaches(i, lo):
+        if i == n - 1:
+            yield []
+            return
+        for ri in range(max(lo, i + 1), n):
+            for tail in reaches(i + 1, ri):
+                yield [ri] + tail
+
+    for r in reaches(0, 1):
+        yield Graph.from_edge_list(n, [(i, j) for i in range(n - 1) for j in range(i + 1, r[i] + 1)])
+
+
+def test_closed_graphs_regularity_equals_L():
+    """Ene-Zarojanu 2015: reg = L for closed graphs.  Checked on every
+    connected closed graph with 2 <= n <= 7, each under a seeded random
+    relabeling, so the oracle never sees the closed labeling."""
+    rng = random.Random(2015)
+    graphs = [g for n in range(2, 8) for g in _closed_graphs(n)]
+    assert len(graphs) == 196
+    for g in graphs:
+        h = _relabel(g, rng.sample(range(g.n), g.n))
+        assert regularity_bei(h).value == longest_induced_path(h)[0]
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_complete_graph_regularity_is_one(n):
     assert regularity_bei(complete(n)).value == 1
