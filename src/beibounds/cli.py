@@ -247,7 +247,7 @@ def _verify_one(
                         "values": {"L": rep.length_sum, "eta": rep.eta,
                                    "c": rep.clique_count, "reg": rep.reg}})
     elif kind == "compatible":
-        phi = memoized(NAMED_MAPS[map_name])
+        phi = NAMED_MAPS[map_name]
         # the per-vertex strong form holds for eta at every non-free vertex
         strong = map_name == "eta"
         rep = check_compatibility(phi, g, name=map_name, strong=strong)

@@ -25,18 +25,29 @@ and the strong form asks only about non-free vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ResourceLimitError
 from .graphs import Graph
-from .invariants import eta, longest_induced_path, maximal_cliques
+from .invariants import (
+    DEFAULT_NODE_LIMIT,
+    _eta_cached,
+    eta,
+    longest_induced_path,
+    maximal_cliques,
+)
 from .regularity import regularity_bei
 
 InvariantMap = Callable[[Graph], int]
 
+# Entries of each map cache made by :func:`memoized`.
+_MAP_CACHE_SIZE = 1 << 16
+
 
 def eta_value(g: Graph) -> int:
-    return eta(g)[0]
+    """eta's size, read from its one cache (see :func:`invariants.eta`)."""
+    return _eta_cached(g, DEFAULT_NODE_LIMIT)[0]
 
 
 def clique_count_value(g: Graph) -> int:
@@ -51,28 +62,23 @@ def regularity_value(g: Graph) -> int:
     return regularity_bei(g).value
 
 
-NAMED_MAPS: dict[str, InvariantMap] = {
-    "eta": eta_value,
-    "clique-count": clique_count_value,
-    "induced-path": induced_path_value,
-}
-
-
 def memoized(phi: InvariantMap) -> InvariantMap:
-    """Cache phi by labeled graph; sweeps revisit derived graphs a lot.
+    """Cache phi by labeled graph in a bounded LRU cache; sweeps revisit
+    derived graphs a lot.
 
     A ``Graph`` hashes and compares on ``(n, adj)``, which identifies a
-    labeled graph exactly, so it is the key itself.
+    labeled graph exactly, so it is the key itself.  Each call makes a
+    new cache.  ``eta_value`` needs none: it reads eta's own cache.
     """
-    cache: dict[Graph, int] = {}
+    return lru_cache(maxsize=_MAP_CACHE_SIZE)(phi)
 
-    def wrapped(g: Graph) -> int:
-        value = cache.get(g)
-        if value is None:
-            value = cache[g] = phi(g)
-        return value
 
-    return wrapped
+# One process-wide cache per map: eta's lives in ``invariants``.
+NAMED_MAPS: dict[str, InvariantMap] = {
+    "eta": eta_value,
+    "clique-count": memoized(clique_count_value),
+    "induced-path": memoized(induced_path_value),
+}
 
 
 @dataclass

@@ -77,13 +77,19 @@ def decode_graph6(text: str) -> Graph:
             raise ParseError("invalid graph6 body byte", offset=pos + i)
         bitstream = bitstream << 6 | val
     bitstream >>= 6 * nbytes - nbits  # drop padding
-    edges = []
+    # column v holds the bits of the pairs (0, v) .. (v-1, v), the first
+    # one highest
+    adj = [0] * n
     for v in range(1, n):
-        for u in range(v):
-            nbits -= 1
-            if bitstream >> nbits & 1:
-                edges.append((u, v))
-    return Graph.from_edge_list(n, edges)
+        nbits -= v
+        col = bitstream >> nbits & (1 << v) - 1
+        while col:
+            low = col & -col
+            col ^= low
+            u = v - low.bit_length()
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return Graph(n, tuple(adj))
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -27,7 +27,7 @@ def popcount(mask: int) -> int:
 
 def minimalize(masks: Iterable[int]) -> tuple[int, ...]:
     """Inclusion-minimal elements of a set of bitmasks, ascending."""
-    ordered = sorted(set(masks), key=lambda m: (popcount(m), m))
+    ordered = sorted(set(masks), key=lambda m: (m.bit_count(), m))
     kept: list[int] = []
     for m in ordered:
         if not any(k & m == k for k in kept):
@@ -110,8 +110,12 @@ class Graph:
 
     def is_clique(self, mask: int) -> bool:
         """True iff the vertices of ``mask`` are pairwise adjacent."""
-        for v in bits(mask):
-            if mask & ~(self.adj[v] | 1 << v):
+        adj = self.adj
+        left = mask
+        while left:
+            low = left & -left
+            left ^= low
+            if mask & ~(adj[low.bit_length() - 1] | low):
                 return False
         return True
 
@@ -155,8 +159,14 @@ class Graph:
         return [v for v in range(self.n) if not (drop_mask >> v & 1)]
 
     def minus_vertex(self, v: int) -> "Graph":
+        """``induced_delete((v,))``: every row drops bit v and shifts the
+        bits above it down by one."""
         self._check_vertex(v)
-        return self.induced_delete((v,))
+        low = (1 << v) - 1
+        high = ~low
+        return Graph(self.n - 1, tuple([
+            row & low | row >> 1 & high for row in self.adj[:v] + self.adj[v + 1:]
+        ]))
 
     def saturate(self, v: int) -> "Graph":
         """Complete the neighborhood of v into a clique; keep all edges."""
@@ -188,6 +198,7 @@ class Graph:
 
     def component_masks(self) -> list[int]:
         """Connected components as bitmasks, ordered by smallest vertex."""
+        adj = self.adj
         seen = 0
         comps = []
         for v in range(self.n):
@@ -197,8 +208,10 @@ class Graph:
             frontier = 1 << v
             while frontier:
                 grown = comp
-                for u in bits(frontier):
-                    grown |= self.adj[u]
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    grown |= adj[low.bit_length() - 1]
                 frontier = grown & ~comp
                 comp = grown
             comps.append(comp)

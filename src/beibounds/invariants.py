@@ -40,6 +40,9 @@ DEFAULT_NODE_LIMIT = 5_000_000
 # packing.  The packing costs up to about 150 nodes' worth of time and
 # saves little on random graphs, so building it sooner slows them.
 _PACK_AFTER = 3000
+# Entries of the eta cache: every labeled graph with n <= 6 fits, so a
+# sweep of them computes each eta once, and longer sweeps stay bounded.
+_ETA_CACHE_SIZE = 1 << 16
 
 
 # -- maximal cliques ----------------------------------------------------
@@ -60,14 +63,22 @@ def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
             return
         pivot = -1
         best = -1
-        for u in bits(p | x):
-            score = popcount(adj[u] & p)
+        left = p | x
+        while left:
+            low = left & -left
+            left ^= low
+            u = low.bit_length() - 1
+            score = (adj[u] & p).bit_count()
             if score > best:
                 best, pivot = score, u
-        for v in bits(p & ~adj[pivot]):
-            expand(r | 1 << v, p & adj[v], x & adj[v])
-            p &= ~(1 << v)
-            x |= 1 << v
+        left = p & ~adj[pivot]
+        while left:
+            low = left & -left
+            left ^= low
+            nbr = adj[low.bit_length() - 1]
+            expand(r | low, p & nbr, x & nbr)
+            p &= ~low
+            x |= low
 
     if g.n:
         expand(0, g.full_mask(), 0)
@@ -157,14 +168,17 @@ class _MisSolver:
         changed = True
         while changed:
             changed = False
-            for v in bits(m):
-                if not (m >> v & 1):
+            left = m
+            while left:
+                low = left & -left
+                left ^= low
+                if not m & low:
                     continue
-                nb = adj[v] & m
-                if popcount(nb) <= 1:
+                nb = adj[low.bit_length() - 1] & m
+                if nb.bit_count() <= 1:
                     taken_size += 1
-                    taken_mask |= 1 << v
-                    m &= ~(nb | 1 << v)
+                    taken_mask |= low
+                    m &= ~(nb | low)
                     changed = True
         if m:
             comps = self._components(m)
@@ -174,7 +188,16 @@ class _MisSolver:
                     taken_size += s
                     taken_mask |= w
             else:
-                v = max(bits(m), key=lambda u: (popcount(adj[u] & m), -u))
+                # the max-degree vertex, the smallest on ties
+                v = best = -1
+                left = m
+                while left:
+                    low = left & -left
+                    left ^= low
+                    u = low.bit_length() - 1
+                    degree = (adj[u] & m).bit_count()
+                    if degree > best:
+                        best, v = degree, u
                 s_in, w_in = self.solve(m & ~(adj[v] | 1 << v))
                 s_out, w_out = self.solve(m & ~(1 << v))
                 if s_in + 1 >= s_out:
@@ -187,6 +210,7 @@ class _MisSolver:
         return taken_size, taken_mask
 
     def _components(self, mask: int) -> list[int]:
+        adj = self.adj
         comps = []
         left = mask
         while left:
@@ -195,8 +219,10 @@ class _MisSolver:
             frontier = comp
             while frontier:
                 grown = comp
-                for u in bits(frontier):
-                    grown |= self.adj[u] & mask
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    grown |= adj[low.bit_length() - 1] & mask
                 frontier = grown & ~comp
                 comp = grown
             comps.append(comp)
@@ -243,15 +269,21 @@ def is_clique_disjoint(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ETA_CACHE_SIZE)
 def _eta_cached(g: Graph, node_limit: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The one cache of eta values and witnesses, keyed by labeled graph."""
     in_cliques = [0] * g.n  # bit i: maximal clique i holds the vertex
     for i, clique in enumerate(maximal_cliques(g)):
         for v in clique:
             in_cliques[v] |= 1 << i
     rep: dict[int, tuple[int, int]] = {}  # clique set -> least edge with it
-    for u, v in g.edges():
-        rep.setdefault(in_cliques[u] & in_cliques[v], (u, v))
+    for u, row in enumerate(g.adj):
+        above = row >> u + 1 << u + 1
+        while above:
+            low = above & -above
+            above ^= low
+            v = low.bit_length() - 1
+            rep.setdefault(in_cliques[u] & in_cliques[v], (u, v))
     sets = minimalize(rep)
     adj = [0] * len(sets)
     for i, j in combinations(range(len(sets)), 2):

@@ -51,6 +51,9 @@ from .rank_modp import rank_gf2, rank_gf3, rank_modp
 DEFAULT_COMPONENT_CAP = 8
 DEFAULT_VAR_CAP = 16
 DEFAULT_FIELDS = (2, 3)
+# Entries of the per-component cache: a bound, so that long sweeps run
+# in bounded memory.
+_COMPONENT_CACHE_SIZE = 1 << 16
 
 
 def _is_prime(p: int) -> bool:
@@ -392,7 +395,7 @@ def require_field_agreement(values_by_prime: dict[int, int]) -> None:
         raise FieldDisagreementError(values_by_prime)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_COMPONENT_CACHE_SIZE)
 def _component_regularity(
     g: Graph, fields: tuple[int, ...], cap: int
 ) -> tuple[int, int, int]:

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import beibounds
-from beibounds.cli import build_spec, main, parse_graph_text
+from beibounds import invariants
+from beibounds.cli import build_spec, main, parse_args, parse_graph_text
 from beibounds.generators import cycle, net, path, sierpinski
 from beibounds.graphio import encode_graph6
 
@@ -223,6 +227,16 @@ def test_verify_compatible_exhaustive_4(capsys):
     assert json.loads(out)["violations"] == []
 
 
+def test_verify_compatible_computes_each_eta_once(capsys):
+    invariants._eta_cached.cache_clear()
+    code, _, _ = run(capsys, "verify", "compatible", "--exhaustive", "5",
+                     "--format", "json")
+    assert code == 0
+    # the 1,099 labeled graphs on 1..5 vertices and the 0-vertex graph:
+    # every derived graph G - v or G_v is a hit on the one eta cache
+    assert invariants._eta_cached.cache_info().misses == 1100
+
+
 def test_verify_iv_lemma_random_corpus(capsys):
     code, out, _ = run(capsys, "verify", "iv-lemma", "--random", "30", "--max-n", "7",
                        "--seed", "5", "--format", "json")
@@ -322,3 +336,33 @@ def test_python_m_beibounds_help():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: beibounds")
+
+
+_CLI_TOKENS = [
+    "invariants", "reg", "verify", "gen", "search", "chain", "compatible",
+    "iv-lemma", "recursion", "-", "--exhaustive", "--random", "--gnp",
+    "--seed", "--max-n", "--sierpinski", "--map", "eta", "clique-count",
+    "--with-reg", "--require-reg", "--jobs", "--format", "json", "text",
+    "graph6", "edges", "--gap", "--top", "-h", "--help", "--version", "--",
+    "0", "-1", "7", "1/2", "x", "path", "5", "--frob", "--ex", "--s",
+]
+
+
+@given(st.lists(st.one_of(st.sampled_from(_CLI_TOKENS), st.text(max_size=6)),
+                max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_parse_args_returns_a_namespace_or_exits_2(tokens):
+    # parse only: main could start --jobs N workers or a long sweep
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parse_args(tokens)
+    except SystemExit as exc:
+        if exc.code == 0:  # --help or --version, printed on stdout
+            assert out.getvalue().startswith("usage:") or \
+                out.getvalue().strip() == beibounds.__version__
+        else:
+            assert exc.code == 2
+            assert "error:" in err.getvalue()
+    else:
+        assert callable(args.func)

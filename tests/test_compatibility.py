@@ -1,6 +1,8 @@
 import pytest
 
+from beibounds import invariants, regularity
 from beibounds.compatibility import (
+    NAMED_MAPS,
     bound_chain,
     check_compatibility,
     check_iv_lemma,
@@ -170,3 +172,12 @@ def test_chain_exhaustive_n4_with_reg():
     for g in all_labeled(4):
         rep = bound_chain(g, with_reg=True)
         assert rep.passed, (g, rep.violations)
+
+
+def test_invariant_caches_are_bounded():
+    # --exhaustive 7 reaches about 2M labeled graphs; 1 << 16 entries
+    # still hold every labeled graph with n <= 6
+    for cached in (invariants._eta_cached, regularity._component_regularity,
+                   NAMED_MAPS["clique-count"], NAMED_MAPS["induced-path"]):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 1 << 16

@@ -175,6 +175,14 @@ def test_induced_delete_matches_reference_on_many_word_rows():
         assert g.induced_delete(drop) == ref_induced_delete(g, drop)
 
 
+def test_minus_vertex_matches_reference_on_many_word_rows():
+    # the one-shift deletion carries bits across the word boundaries
+    n = 131
+    g = _mask_graph(n, random.Random(6).getrandbits(n * (n - 1) // 2))
+    for v in (0, 1, 62, 63, 64, 65, 100, 127, 128, 129, 130):
+        assert g.minus_vertex(v) == ref_induced_delete(g, [v])
+
+
 @given(small_graphs())
 @settings(max_examples=200, deadline=None)
 def test_completes_decomposition_iff_iv_zero(g):

@@ -50,9 +50,10 @@ def test_isolated_vertex_is_a_clique():
     assert (2,) in maximal_cliques(g)
 
 
-def test_cliques_match_brute_force_exhaustive_n4():
-    for g in all_labeled(4):
-        assert maximal_cliques(g) == brute_maximal_cliques(g)
+def test_cliques_match_brute_force_exhaustive_n4_n5():
+    for n in (4, 5):
+        for g in all_labeled(n):
+            assert maximal_cliques(g) == brute_maximal_cliques(g)
 
 
 # -- conflict relation -------------------------------------------------------
