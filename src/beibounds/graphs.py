@@ -42,12 +42,13 @@ def edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """A simple undirected graph on vertices 0..n-1.
 
     Instances are immutable and hashable; every transformation returns a
-    new graph.  ``adj[v]`` is the neighborhood of v as a bitmask.
+    new graph.  ``adj[v]`` is the neighborhood of v as a bitmask.  No
+    per-instance dict: graphs are the keys of the invariant caches.
     """
 
     n: int
