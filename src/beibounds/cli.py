@@ -37,7 +37,14 @@ from .invariants import (
     longest_induced_path,
     maximal_cliques,
 )
-from .regularity import regularity_bei, variable_name
+from .regularity import (
+    RegularityResult,
+    component_subgraphs,
+    homology_dims,
+    initial_ideal,
+    regularity_bei,
+    variable_name,
+)
 
 SCHEMA = "beibounds/report-v1"
 
@@ -204,6 +211,37 @@ def _check_witnesses(g: Graph, eta_val: int, edges, length: int, paths) -> None:
         )
 
 
+def _check_reg_witness(g: Graph, reg: RegularityResult) -> None:
+    """Re-check the reg witness with ``homology_dims``, which computes
+    every degree and shares none of the scan's pruning.
+
+    The witness splits into one share of variables per component, and
+    reg adds over components.  So in every field used, each share must
+    have nonzero reduced homology in the component's own initial ideal,
+    and its top such degree t_i must give sum(t_i + 1) = reg; that is,
+    t_i = reg_i - 1.  Each component is checked on its own, so many
+    small components stay cheap.
+    """
+    bad = reg.witness_degree != reg.value - 1
+    totals = dict.fromkeys(reg.fields_used, 0)
+    for sub, back in component_subgraphs(g):
+        share = [i for i, v in enumerate(back) if v in reg.witness_vars]
+        share += [sub.n + i for i, v in enumerate(back) if g.n + v in reg.witness_vars]
+        ideal = initial_ideal(sub, sub.n)
+        for p in totals:
+            dims = homology_dims(ideal, share, p)
+            top = max((t for t, dim in dims.items() if dim), default=None)
+            if top is None:
+                bad = True
+            else:
+                totals[p] += top + 1
+    if bad or any(total != reg.value for total in totals.values()):
+        names = sorted(variable_name(v, g.n) for v in reg.witness_vars)
+        raise WitnessError(
+            f"reg witness {names} in degree {reg.witness_degree} does not certify reg = {reg.value}"
+        )
+
+
 def invariant_record(g: Graph, with_reg: bool) -> dict:
     eta_val, witness = eta(g)
     length, paths = longest_induced_path(g)
@@ -222,6 +260,7 @@ def invariant_record(g: Graph, with_reg: bool) -> dict:
     }
     if with_reg:
         reg = regularity_bei(g)
+        _check_reg_witness(g, reg)
         rec["reg"] = reg.value
         rec["reg_witness"] = {
             "vars": sorted(variable_name(v, g.n) for v in reg.witness_vars),
@@ -233,15 +272,16 @@ def invariant_record(g: Graph, with_reg: bool) -> dict:
 
 def _verify_one(
     kind: str, g6: str, with_reg: bool, map_name: str = "eta"
-) -> tuple[list[dict], bool]:
-    """Violation records for one graph, and whether a requested reg was
-    skipped by a resource cap; run in worker processes."""
+) -> tuple[list[dict], dict[str, str]]:
+    """Violation records for one graph, and the chain values that a
+    resource cap skipped, each with its message; run in worker
+    processes."""
     g = decode_graph6(g6)
     out = []
-    reg_skipped = False
+    skipped: dict[str, str] = {}
     if kind == "chain":
         rep = bound_chain(g, with_reg=with_reg)
-        reg_skipped = with_reg and rep.reg is None
+        skipped = rep.skipped
         for v in rep.violations:
             out.append({"graph6": g6, **v,
                         "values": {"L": rep.length_sum, "eta": rep.eta,
@@ -267,7 +307,7 @@ def _verify_one(
                 out.append({"graph6": g6, "vertex": v})
     else:
         raise ValueError(f"unknown verify kind {kind!r}")
-    return out, reg_skipped
+    return out, skipped
 
 
 def _verify_star(task):
@@ -294,6 +334,7 @@ def cmd_reg(args) -> int:
     results = []
     for g in graphs:
         reg = regularity_bei(g)
+        _check_reg_witness(g, reg)
         results.append({
             "graph6": encode_graph6(g),
             "reg": reg.value,
@@ -313,31 +354,41 @@ def cmd_verify(args) -> int:
     with_reg = args.with_reg or args.require_reg
     tasks = [(args.kind, encode_graph6(g), with_reg, args.map) for g in graphs]
     violations: list[dict] = []
-    reg_skipped: list[str] = []
+    # chain value -> (graph6, message) per graph a resource cap skipped it on
+    skipped: dict[str, list[tuple[str, str]]] = {"L": [], "eta": [], "reg": []}
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             chunk = max(1, len(tasks) // (4 * args.jobs))
             outcomes = list(pool.map(_verify_star, tasks, chunksize=chunk))
     else:
         outcomes = map(_verify_star, tasks)
-    for task, (batch, skipped) in zip(tasks, outcomes):
+    for task, (batch, skips) in zip(tasks, outcomes):
         violations.extend(batch)
-        if skipped:
-            reg_skipped.append(task[1])
+        for name, message in skips.items():
+            skipped[name].append((task[1], message))
     results = {"kind": args.kind, "graphs_checked": len(graphs), "map": args.map}
     if args.kind == "chain":
-        # reg is dropped, not failed, when a resource cap stops it
-        results["reg_skipped"] = len(reg_skipped)
-        results["reg_skipped_graphs"] = reg_skipped
+        # a value is dropped, not failed, when a resource cap stops it
+        for name, graphs_skipped in skipped.items():
+            results[f"{name}_skipped"] = len(graphs_skipped)
+            results[f"{name}_skipped_graphs"] = [g6 for g6, _ in graphs_skipped]
     report = make_report(["verify", args.kind], desc, results, violations, started)
     emit(report, args.format)
+    for name in ("L", "eta"):
+        if skipped[name]:
+            print(f"error: a resource cap skipped {name} on {len(skipped[name])} graph(s):",
+                  file=sys.stderr)
+            for g6, message in skipped[name]:
+                print(f"{g6}: {message}", file=sys.stderr)
+    reg_required = args.require_reg and skipped["reg"]
+    if reg_required:
+        print(f"error: a resource cap skipped reg on {len(skipped['reg'])} graph(s):",
+              file=sys.stderr)
+        for g6, _ in skipped["reg"]:
+            print(g6, file=sys.stderr)
     if violations:
         return 1
-    if args.require_reg and reg_skipped:
-        print(f"error: a resource cap skipped reg on {len(reg_skipped)} graph(s):",
-              file=sys.stderr)
-        for g6 in reg_skipped:
-            print(g6, file=sys.stderr)
+    if skipped["L"] or skipped["eta"] or reg_required:
         return 2
     return 0
 

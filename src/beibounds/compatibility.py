@@ -216,13 +216,18 @@ def is_path_graph(g: Graph) -> bool:
 
 @dataclass
 class BoundChainReport:
+    """Values of the chain, None where a resource cap stopped one (its
+    message is in ``skipped``, keyed "L", "eta" or "reg") or where reg
+    was not asked for."""
+
     n: int
-    length_sum: int
-    eta: int
+    length_sum: Optional[int]
+    eta: Optional[int]
     clique_count: int
     reg: Optional[int] = None
     flags: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
+    skipped: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -232,37 +237,39 @@ class BoundChainReport:
 def bound_chain(
     g: Graph, with_reg: bool = True, reg_fn: InvariantMap = regularity_value
 ) -> BoundChainReport:
-    """Exact values of L, eta, c (and reg when within reach) plus every
-    inequality of the chain; resource errors degrade to a reg-less
-    report rather than failing the run."""
-    length_sum = longest_induced_path(g)[0]
-    eta_g = eta(g)[0]
+    """Exact values of L, eta, c (and reg when asked for) plus every
+    inequality of the chain between the values computed.  A value whose
+    search or scan hits a resource cap is skipped, with the checks and
+    flags that need it, rather than failing the run."""
+    skipped: dict[str, str] = {}
+    try:
+        length_sum: Optional[int] = longest_induced_path(g)[0]
+    except ResourceLimitError as exc:
+        length_sum, skipped["L"] = None, str(exc)
+    try:
+        eta_g: Optional[int] = eta(g)[0]
+    except ResourceLimitError as exc:
+        eta_g, skipped["eta"] = None, str(exc)
     c_g = len(maximal_cliques(g))
     reg: Optional[int] = None
     if with_reg:
         try:
             reg = reg_fn(g)
-        except ResourceLimitError:
-            reg = None
-    report = BoundChainReport(g.n, length_sum, eta_g, c_g, reg)
-
-    def check(name: str, lhs: int, rhs: int) -> None:
-        if lhs > rhs:
-            report.violations.append({"inequality": name, "lhs": lhs, "rhs": rhs})
-
-    check("L<=eta", length_sum, eta_g)
-    check("eta<=c", eta_g, c_g)
-    report.flags = {
-        "L=eta": length_sum == eta_g,
-        "L=c": length_sum == c_g,
-        "eta=c": eta_g == c_g,
-    }
+        except ResourceLimitError as exc:
+            skipped["reg"] = str(exc)
+    # (name, lhs, rhs): lhs <= rhs must hold, and lhs = rhs is a flag
+    checks = [("L<=eta", length_sum, eta_g), ("eta<=c", eta_g, c_g)]
+    flags = [("L=eta", length_sum, eta_g), ("L=c", length_sum, c_g), ("eta=c", eta_g, c_g)]
     if reg is not None:
-        check("L<=reg", length_sum, reg)
-        check("reg<=eta", reg, eta_g)
-        check("reg<=n-1", reg, g.n - 1 if g.n else 0)
+        checks += [("L<=reg", length_sum, reg), ("reg<=eta", reg, eta_g),
+                   ("reg<=n-1", reg, g.n - 1 if g.n else 0)]
         if g.n and g.is_connected() and not is_path_graph(g):
-            check("reg<=n-2", reg, g.n - 2)
-        report.flags["reg=eta"] = reg == eta_g
-        report.flags["reg=L"] = reg == length_sum
-    return report
+            checks.append(("reg<=n-2", reg, g.n - 2))
+        flags += [("reg=eta", reg, eta_g), ("reg=L", reg, length_sum)]
+    return BoundChainReport(
+        g.n, length_sum, eta_g, c_g, reg,
+        flags={name: a == b for name, a, b in flags if a is not None and b is not None},
+        violations=[{"inequality": name, "lhs": a, "rhs": b}
+                    for name, a, b in checks if a is not None and b is not None and a > b],
+        skipped=skipped,
+    )

@@ -10,8 +10,14 @@ through each edge).  Swapping a packed edge for one whose clique set is
 a subset of its own keeps the packing clique-disjoint, so eta only looks
 at the inclusion-minimal clique sets, one edge for each.  An exact
 maximum independent set solver (memoized branching, degree <= 1
-reductions, component splitting) then runs on the sets that meet.  The
-edge-level conflict graph stays public as an independent reference.
+reductions, component splitting) then runs on the sets that meet.  Each
+call takes a threshold ``need`` and is exact only when the optimum
+reaches it; below that it may stop at an upper bound, the size of a
+greedy clique cover.  The include branch runs first and sets the
+exclude branch's threshold just above its own result, so the bound
+prunes without changing any choice, and the witnesses are those of the
+unbounded search.  The edge-level conflict graph stays public as an
+independent reference.
 
 The longest induced path of each component comes from a depth-first
 search from every vertex.  Each search node computes its available set
@@ -144,6 +150,18 @@ class _MisSolver:
     they are committed greedily.  Components are solved independently.
     Branching picks the max-degree vertex (smallest index on ties), the
     include branch winning ties, so witnesses are deterministic.
+
+    ``solve(mask, need)`` is exact whenever the optimum on ``mask``
+    reaches ``need``; otherwise it may return an upper bound below
+    ``need`` and no witness (None).  A greedy clique cover bounds the
+    optimum from above, since an independent set holds at most one
+    vertex of each clique.  The include branch runs with ``need - 1``
+    and the exclude branch with ``max(need, s_in + 2)``: exclude must
+    beat include strictly to be chosen, so every exact result makes the
+    choice the unbounded search makes, and the witnesses are its.  Each
+    component gets the need left over after the other components'
+    bounds.  Exact results are memoized by mask, and so are the bounds
+    of failed calls.  A call with ``need <= 0`` computes no bound.
     """
 
     def __init__(self, adj: Sequence[int], node_limit: int):
@@ -151,11 +169,15 @@ class _MisSolver:
         self.node_limit = node_limit
         self.nodes = 0
         self.memo: dict[int, tuple[int, int]] = {}
+        self.failed: dict[int, int] = {}  # mask -> an upper bound below a past need
 
-    def solve(self, mask: int) -> tuple[int, int]:
+    def solve(self, mask: int, need: int) -> tuple[int, int | None]:
         cached = self.memo.get(mask)
         if cached is not None:
             return cached
+        known = self.failed.get(mask)
+        if known is not None and known < need:
+            return known, None
         self.nodes += 1
         if self.nodes > self.node_limit:
             raise ResourceLimitError(
@@ -181,12 +203,24 @@ class _MisSolver:
                     m &= ~(nb | low)
                     changed = True
         if m:
+            need -= taken_size  # what m itself must reach
             comps = self._components(m)
+            covers = [0] * len(comps)
+            if need > 0:
+                covers = [self._clique_cover(comp) for comp in comps]
+                if sum(covers) < need:
+                    return self._fail(mask, taken_size + sum(covers))
             if len(comps) > 1:
-                for comp in comps:
-                    s, w = self.solve(comp)
-                    taken_size += s
+                # the bound of m, each cover replaced by the exact value
+                # once its component is solved
+                bound = sum(covers)
+                for comp, cover in zip(comps, covers):
+                    s, w = self.solve(comp, need - bound + cover)
+                    bound += s - cover
+                    if bound < need:
+                        return self._fail(mask, taken_size + bound)
                     taken_mask |= w
+                taken_size += bound
             else:
                 # the max-degree vertex, the smallest on ties
                 v = best = -1
@@ -198,16 +232,24 @@ class _MisSolver:
                     degree = (adj[u] & m).bit_count()
                     if degree > best:
                         best, v = degree, u
-                s_in, w_in = self.solve(m & ~(adj[v] | 1 << v))
-                s_out, w_out = self.solve(m & ~(1 << v))
-                if s_in + 1 >= s_out:
+                s_in, w_in = self.solve(m & ~(adj[v] | 1 << v), need - 1)
+                s_out, w_out = self.solve(m & ~(1 << v), max(need, s_in + 2))
+                # a memoized result is exact whatever the need, so
+                # compare values; the exclude set must win strictly
+                if w_out is not None and s_out > s_in + 1:
+                    taken_size += s_out
+                    taken_mask |= w_out
+                elif w_in is not None and (w_out is not None or s_in + 2 >= need):
                     taken_size += s_in + 1
                     taken_mask |= w_in | 1 << v
                 else:
-                    taken_size += s_out
-                    taken_mask |= w_out
+                    return self._fail(mask, taken_size + max(s_in + 1, s_out))
         self.memo[mask] = (taken_size, taken_mask)
         return taken_size, taken_mask
+
+    def _fail(self, mask: int, bound: int) -> tuple[int, None]:
+        self.failed[mask] = bound
+        return bound, None
 
     def _components(self, mask: int) -> list[int]:
         adj = self.adj
@@ -229,17 +271,36 @@ class _MisSolver:
             left &= ~comp
         return comps
 
+    def _clique_cover(self, mask: int) -> int:
+        """The number of cliques in a greedy cover of ``mask``: each
+        clique starts at the lowest uncovered vertex and grows by the
+        lowest vertex adjacent to all its members."""
+        adj = self.adj
+        count = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            cand = adj[low.bit_length() - 1] & mask
+            while cand:
+                low = cand & -cand
+                mask ^= low
+                cand &= adj[low.bit_length() - 1]
+            count += 1
+        return count
+
 
 def max_independent_set(
     adj: Sequence[int], node_limit: int = DEFAULT_NODE_LIMIT
 ) -> tuple[int, int]:
     """Exact maximum independent set of a bitset-adjacency graph.
 
-    Returns (size, member bitmask).  Raises ResourceLimitError past the
+    Returns (size, member bitmask).  Branch and bound: a greedy clique
+    cover bounds each subproblem against the size it must reach to
+    matter (see ``_MisSolver``).  Raises ResourceLimitError past the
     node budget; never returns an approximate answer.
     """
     solver = _MisSolver(adj, node_limit)
-    return solver.solve((1 << len(adj)) - 1)
+    return solver.solve((1 << len(adj)) - 1, 0)
 
 
 # -- eta ------------------------------------------------------------------
@@ -290,7 +351,7 @@ def _eta_cached(g: Graph, node_limit: int) -> tuple[int, tuple[tuple[int, int], 
         if sets[i] & sets[j]:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    size, mask = _MisSolver(adj, node_limit).solve((1 << len(sets)) - 1)
+    size, mask = _MisSolver(adj, node_limit).solve((1 << len(sets)) - 1, 0)
     return size, tuple(rep[sets[i]] for i in bits(mask))
 
 

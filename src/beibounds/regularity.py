@@ -42,7 +42,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import FieldDisagreementError, ResourceLimitError
 from .graphs import Graph, bits, minimalize
@@ -395,6 +395,22 @@ def require_field_agreement(values_by_prime: dict[int, int]) -> None:
         raise FieldDisagreementError(values_by_prime)
 
 
+def component_subgraphs(g: Graph) -> list[tuple[Graph, Sequence[int]]]:
+    """Each connected component of g as its own induced subgraph (labels
+    ascending, as in ``induced_delete``) with the map back to g's
+    labels, at a cost linear in the component's size."""
+    comps = g.component_masks()
+    if len(comps) == 1:
+        return [(g, range(g.n))]
+    out = []
+    for comp in comps:
+        back = list(bits(comp))
+        new = {v: i for i, v in enumerate(back)}
+        rows = tuple(sum(1 << new[u] for u in bits(g.adj[v])) for v in back)
+        out.append((Graph(len(back), rows), back))
+    return out
+
+
 @lru_cache(maxsize=_COMPONENT_CACHE_SIZE)
 def _component_regularity(
     g: Graph, fields: tuple[int, ...], cap: int
@@ -432,23 +448,11 @@ def regularity_bei(
         )
     total = 0
     witness: set[int] = set()
-    comps = g.component_masks()
-    for comp_mask in comps:
-        size = comp_mask.bit_count()
-        if size > component_cap:
+    for sub, back in component_subgraphs(g):
+        if sub.n > component_cap:
             raise ResourceLimitError(
-                f"component with {size} vertices exceeds cap {component_cap}"
+                f"component with {sub.n} vertices exceeds cap {component_cap}"
             )
-        # the component's own induced subgraph, labels ascending as in
-        # induced_delete, at a cost linear in its size
-        if len(comps) == 1:
-            sub, back = g, range(g.n)
-        else:
-            back = list(bits(comp_mask))
-            new = {v: i for i, v in enumerate(back)}
-            sub = Graph(size, tuple(
-                sum(1 << new[u] for u in bits(g.adj[v])) for v in back
-            ))
         value, wmask, _t = _component_regularity(sub, tuple(fields), component_cap)
         total += value
         for v in bits(wmask):

@@ -12,13 +12,19 @@ with the count bound alone, whose witnesses the bounded search must
 reproduce exactly.  The graph transform references relabel through a dict and
 test vertex pairs one at a time, so they share none of the bit shifting
 in ``Graph``; the compatibility reference scans every vertex for (c).
+``RefMisSolver`` is the memoized MIS search with no bound, whose values
+and witnesses the bounded search must reproduce exactly; ``ref_eta``
+runs it on eta's clique sets.
 """
 
 from itertools import combinations, permutations
+from typing import Sequence
 
 import numpy as np
 
+from beibounds.errors import ResourceLimitError
 from beibounds.graphs import Graph, bits, popcount
+from beibounds.invariants import maximal_cliques
 from beibounds.regularity import homology_dims
 
 
@@ -286,3 +292,122 @@ def brute_compatibility(phi, g: Graph) -> dict:
             out["passed"] = False
             out["counterexample"] = {"condition": "c", "phi": phi_g, "per_vertex": per_vertex}
     return out
+
+
+# -- eta: the MIS search without a bound ---------------------------------------
+
+
+class RefMisSolver:
+    """Exact MIS by branch and bound with memoization.
+
+    Reductions: vertices of degree <= 1 always join some optimum, so
+    they are committed greedily.  Components are solved independently.
+    Branching picks the max-degree vertex (smallest index on ties), the
+    include branch winning ties, so witnesses are deterministic.
+    """
+
+    def __init__(self, adj: Sequence[int], node_limit: int):
+        self.adj = adj
+        self.node_limit = node_limit
+        self.nodes = 0
+        self.memo: dict[int, tuple[int, int]] = {}
+
+    def solve(self, mask: int) -> tuple[int, int]:
+        cached = self.memo.get(mask)
+        if cached is not None:
+            return cached
+        self.nodes += 1
+        if self.nodes > self.node_limit:
+            raise ResourceLimitError(
+                f"independent-set search exceeded {self.node_limit} nodes"
+            )
+        adj = self.adj
+        taken_size = 0
+        taken_mask = 0
+        m = mask
+        changed = True
+        while changed:
+            changed = False
+            left = m
+            while left:
+                low = left & -left
+                left ^= low
+                if not m & low:
+                    continue
+                nb = adj[low.bit_length() - 1] & m
+                if nb.bit_count() <= 1:
+                    taken_size += 1
+                    taken_mask |= low
+                    m &= ~(nb | low)
+                    changed = True
+        if m:
+            comps = self._components(m)
+            if len(comps) > 1:
+                for comp in comps:
+                    s, w = self.solve(comp)
+                    taken_size += s
+                    taken_mask |= w
+            else:
+                # the max-degree vertex, the smallest on ties
+                v = best = -1
+                left = m
+                while left:
+                    low = left & -left
+                    left ^= low
+                    u = low.bit_length() - 1
+                    degree = (adj[u] & m).bit_count()
+                    if degree > best:
+                        best, v = degree, u
+                s_in, w_in = self.solve(m & ~(adj[v] | 1 << v))
+                s_out, w_out = self.solve(m & ~(1 << v))
+                if s_in + 1 >= s_out:
+                    taken_size += s_in + 1
+                    taken_mask |= w_in | 1 << v
+                else:
+                    taken_size += s_out
+                    taken_mask |= w_out
+        self.memo[mask] = (taken_size, taken_mask)
+        return taken_size, taken_mask
+
+    def _components(self, mask: int) -> list[int]:
+        adj = self.adj
+        comps = []
+        left = mask
+        while left:
+            v = (left & -left).bit_length() - 1
+            comp = 1 << v
+            frontier = comp
+            while frontier:
+                grown = comp
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    grown |= adj[low.bit_length() - 1] & mask
+                frontier = grown & ~comp
+                comp = grown
+            comps.append(comp)
+            left &= ~comp
+        return comps
+
+
+def ref_max_independent_set(adj) -> tuple[int, int]:
+    """(size, member mask) from the unbounded memoized search."""
+    return RefMisSolver(adj, 10**9).solve((1 << len(adj)) - 1)
+
+
+def ref_eta(g: Graph) -> tuple[int, frozenset]:
+    """eta and its witness: the inclusion-minimal edge clique sets, each
+    standing for its least edge, packed by the unbounded search.  The
+    maximal cliques come from the library (``brute_maximal_cliques``
+    checks them separately)."""
+    in_cliques = [0] * g.n
+    for i, clique in enumerate(maximal_cliques(g)):
+        for v in clique:
+            in_cliques[v] |= 1 << i
+    rep = {}
+    for u, v in g.edges():
+        rep.setdefault(in_cliques[u] & in_cliques[v], (u, v))
+    sets = sorted(m for m in rep if not any(k != m and k & m == k for k in rep))
+    adj = [sum(1 << j for j, b in enumerate(sets) if j != i and a & b) for i, a in enumerate(sets)]
+    size, mask = ref_max_independent_set(adj)
+    return size, frozenset(rep[sets[i]] for i in range(len(sets)) if mask >> i & 1)

@@ -5,13 +5,16 @@ import os
 import subprocess
 import sys
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import beibounds
 from beibounds import invariants
 from beibounds.cli import build_spec, main, parse_args, parse_graph_text
-from beibounds.generators import cycle, net, path, sierpinski
+from beibounds.errors import ResourceLimitError
+from beibounds.generators import cycle, net, path, sierpinski, union
 from beibounds.graphio import encode_graph6
 
 
@@ -100,6 +103,38 @@ def test_invariants_rechecks_L_witness(capsys, tmp_path, monkeypatch, paths, len
     code, out, err = _invariants_of_net(capsys, tmp_path)
     assert code == 2 and out == ""
     assert "L witness" in err
+
+
+def _corrupt_reg(result, how):
+    if how == "drop a variable":
+        return replace(result, witness_vars=result.witness_vars - {min(result.witness_vars)})
+    if how == "value too high":
+        return replace(result, value=result.value + 1, witness_degree=result.witness_degree + 1)
+    return replace(result, witness_degree=result.witness_degree - 1)
+
+
+@pytest.mark.parametrize("how", ["drop a variable", "value too high", "wrong degree"])
+@pytest.mark.parametrize("argv", [["reg"], ["invariants", "--with-reg"]])
+def test_reg_witness_is_rechecked(capsys, tmp_path, monkeypatch, argv, how):
+    """Each component's share of the witness must carry its part of reg
+    in homology_dims, in every field used."""
+    import beibounds.cli as cli
+    real = cli.regularity_bei
+    monkeypatch.setattr(cli, "regularity_bei", lambda g: _corrupt_reg(real(g), how))
+    f = tmp_path / "g.g6"
+    f.write_text(encode_graph6(union([net(), path(2), cycle(4)])) + "\n")
+    code, out, err = run(capsys, *argv, str(f), "--format", "json")
+    assert code == 2 and out == ""
+    assert "reg witness" in err and "does not certify" in err
+
+
+def test_reg_witness_recheck_is_per_component():
+    """The witness is checked one component at a time, so 2,500
+    disjoint K2 stay fast (graph6 input of that size is slow to parse,
+    so the check is called directly)."""
+    from beibounds.cli import _check_reg_witness
+    g = union([path(2)] * 2500)
+    _check_reg_witness(g, beibounds.regularity_bei(g))
 
 
 def test_reg_subcommand(capsys, tmp_path):
@@ -209,6 +244,44 @@ def test_L_node_budget_exits_2(capsys, monkeypatch, tmp_path, argv):
     f.write_text(encode_graph6(sierpinski(3)) + "\n")
     code, _, err = run(capsys, *[str(f) if a == "GRAPH" else a for a in argv])
     assert code == 2 and "induced-path search exceeded 1000 nodes" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("name, target, other", [
+    ("L", "longest_induced_path", "eta"),
+    ("eta", "eta", "L"),
+])
+def test_verify_chain_keeps_results_past_a_search_budget(
+    capsys, monkeypatch, tmp_path, jobs, name, target, other
+):
+    """A search that hits its budget on one graph skips that value there
+    and the checks that need it; every other result stays in the report,
+    and the command exits 2 after it.  (Workers fork, so they see the
+    patched search.)"""
+    import beibounds.compatibility as compat
+    real = getattr(compat, target)
+
+    def capped(g):
+        if g == net():
+            raise ResourceLimitError("search exceeded 7 nodes")
+        return real(g)
+
+    monkeypatch.setattr(compat, target, capped)
+    net6 = encode_graph6(net())
+    f = tmp_path / "graphs.g6"
+    f.write_text("\n".join(encode_graph6(g) for g in (path(4), net(), cycle(5))) + "\n")
+    code, out, err = run(capsys, "verify", "chain", str(f), "--with-reg",
+                         "--jobs", jobs, "--format", "json")
+    assert code == 2
+    report = json.loads(out)
+    results = report["results"]
+    assert results["graphs_checked"] == 3 and report["violations"] == []
+    assert (results[f"{name}_skipped"], results[f"{name}_skipped_graphs"]) == (1, [net6])
+    assert results[f"{other}_skipped"] == results["reg_skipped"] == 0
+    assert err.splitlines() == [
+        f"error: a resource cap skipped {name} on 1 graph(s):",
+        f"{net6}: search exceeded 7 nodes",
+    ]
 
 
 def test_verify_unknown_option_still_exits_2(capsys, tmp_path):

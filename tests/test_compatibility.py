@@ -127,6 +127,26 @@ def test_bound_chain_degrades_without_oracle():
     assert "reg=eta" not in rep.flags
 
 
+@pytest.mark.parametrize("name, target", [("L", "longest_induced_path"), ("eta", "eta")])
+def test_bound_chain_skips_a_value_past_its_budget(monkeypatch, name, target):
+    """A search that hits its budget leaves its value None, with the
+    message, and drops every check and flag that needs it; the others
+    stay.  A violation on the remaining values is still reported."""
+    def capped(g, node_limit=None):
+        raise ResourceLimitError("synthetic budget")
+
+    import beibounds.compatibility as compat
+    monkeypatch.setattr(compat, target, capped)
+    rep = bound_chain(net(), with_reg=True, reg_fn=lambda g: 5)
+    assert rep.skipped == {name: "synthetic budget"}
+    assert (rep.length_sum, rep.eta) == ((None, 4) if name == "L" else (3, None))
+    assert (rep.clique_count, rep.reg) == (4, 5)
+    assert all(name not in flag.split("=") for flag in rep.flags)
+    assert [v["inequality"] for v in rep.violations] == (
+        ["reg<=eta", "reg<=n-2"] if name == "L" else ["reg<=n-2"]
+    )
+
+
 def test_bound_chain_flags_violations():
     rep = bound_chain(path(4), with_reg=True, reg_fn=lambda g: 99)
     assert not rep.passed

@@ -20,12 +20,15 @@ from beibounds.invariants import (
 )
 
 from brute import (
+    RefMisSolver,
     brute_common_clique,
     brute_eta,
     brute_longest_induced_path,
     brute_longest_induced_path_subsets,
     brute_maximal_cliques,
+    ref_eta,
     ref_longest_induced_path,
+    ref_max_independent_set,
 )
 
 
@@ -196,6 +199,80 @@ def test_triangle_free_eta_and_clique_count():
         assert len(maximal_cliques(g)) == g.edge_count() + len(g.isolated_vertices())
         checked += 1
     assert checked >= 5
+
+
+@st.composite
+def bitset_graphs(draw):
+    """Up to 24 vertices at any density: an edge is kept when its draw
+    falls below the graph's own threshold."""
+    n = draw(st.integers(0, 24))
+    density = draw(st.integers(0, 16))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    adj = [0] * n
+    for u, v in combinations(range(n), 2):
+        if rng.randrange(16) < density:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
+@given(bitset_graphs())
+@settings(max_examples=300, deadline=None)
+def test_mis_matches_unbounded_reference(adj):
+    """The bound prunes, but every exact result makes the unbounded
+    search's choice, so size and members are the same."""
+    assert max_independent_set(adj) == ref_max_independent_set(adj)
+
+
+@given(bitset_graphs(), st.integers(0, 25))
+@settings(max_examples=300, deadline=None)
+def test_mis_threshold_contract(adj, need):
+    """solve(mask, need) is exact when the optimum reaches need, else an
+    upper bound below need with no witness; every memoized result is
+    exact and every recorded bound is an upper bound, whatever need
+    was asked."""
+    n = len(adj)
+    solver = invariants._MisSolver(adj, 10**9)
+    size, members = solver.solve((1 << n) - 1, need)
+    ref = RefMisSolver(adj, 10**9)
+    best = ref.solve((1 << n) - 1)
+    if (size, members) != best:
+        assert members is None and best[0] <= size < need
+    for mask, result in solver.memo.items():
+        assert result == ref.solve(mask)
+    for mask, bound in solver.failed.items():
+        assert ref.solve(mask)[0] <= bound
+
+
+def test_eta_matches_unbounded_reference_exhaustive_n5():
+    for n in range(1, 6):
+        for g in all_labeled(n):
+            value, witness = eta(g)
+            assert (value, witness.edges) == ref_eta(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [sierpinski(k) for k in (1, 2, 3)]
+    + [gnp(n, 3, 4, 0) for n in (18, 19, 20)]
+    + [gnp(40, 1, 10, s) for s in range(3)],
+)
+def test_eta_matches_unbounded_reference_on_panel(g):
+    value, witness = eta(g)
+    assert (value, witness.edges) == ref_eta(g)
+
+
+@pytest.mark.parametrize("n, budget", [(18, 350), (19, 700), (20, 400)])
+def test_eta_dense_panel_node_counts(n, budget):
+    """The unbounded search visits 1,291, 6,614 and 1,948 MIS nodes on
+    these graphs; the clique-cover bound 263, 589 and 314."""
+    assert eta(gnp(n, 3, 4, 0), node_limit=budget)[0] == {18: 10, 19: 10, 20: 13}[n]
+
+
+def test_eta_mid_density_within_budget():
+    """The unbounded search needs 496,454 nodes here; the clique-cover
+    bound about 10k."""
+    assert eta(gnp(40, 1, 3, 1), node_limit=50_000)[0] == 75
 
 
 def test_mis_resource_cap_raises():
