@@ -1,7 +1,7 @@
 """How the regularity oracle works, end to end, on small graphs.
 
-Three stages: (1) the squarefree initial ideal, generated by one
-monomial per label-valid path; (2) reduced homology of induced
+Three stages: (1) the squarefree initial ideal, whose minimal generators
+are one monomial per admissible path (label-valid and chordless); (2) reduced homology of induced
 subcomplexes of its Stanley-Reisner complex over GF(2) and GF(3);
 (3) regularity as the maximum t+1 over subsets W with nonzero reduced
 homology in degree t, with the witness (W, t) printed and re-checked.

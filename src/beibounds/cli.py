@@ -504,10 +504,8 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ResourceLimitError, FieldDisagreementError, WitnessError) as exc:
+    except (ParseError, ValueError, OSError, ResourceLimitError, FieldDisagreementError,
+            WitnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

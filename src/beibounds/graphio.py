@@ -70,23 +70,26 @@ def decode_graph6(text: str) -> Graph:
         raise ParseError(
             f"graph6 body has {len(data) - pos} bytes, expected {nbytes}", offset=pos
         )
-    bitstream = 0
+    # stream bit b is the pair (u, v) with b = v(v-1)/2 + u: column v
+    # holds bits start .. start + v - 1.  Each byte gives its six bits
+    # highest first, so one pass over the bytes meets the columns in order.
+    adj = [0] * n
+    v = 1
+    start = 0
     for i, byte in enumerate(data[pos:]):
         val = byte - 63
         if not 0 <= val < 64:
             raise ParseError("invalid graph6 body byte", offset=pos + i)
-        bitstream = bitstream << 6 | val
-    bitstream >>= 6 * nbytes - nbits  # drop padding
-    # column v holds the bits of the pairs (0, v) .. (v-1, v), the first
-    # one highest
-    adj = [0] * n
-    for v in range(1, n):
-        nbits -= v
-        col = bitstream >> nbits & (1 << v) - 1
-        while col:
-            low = col & -col
-            col ^= low
-            u = v - low.bit_length()
+        while val:
+            top = val.bit_length() - 1
+            val ^= 1 << top
+            b = 6 * i + 5 - top
+            if b >= nbits:
+                break  # padding
+            while b >= start + v:
+                start += v
+                v += 1
+            u = b - start
             adj[u] |= 1 << v
             adj[v] |= 1 << u
     return Graph(n, tuple(adj))

@@ -21,10 +21,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def minimalize(masks: Iterable[int]) -> tuple[int, ...]:
     """Inclusion-minimal elements of a set of bitmasks, ascending."""
     ordered = sorted(set(masks), key=lambda m: (m.bit_count(), m))
@@ -89,7 +85,7 @@ class Graph:
         return self.adj[v]
 
     def degree(self, v: int) -> int:
-        return popcount(self.neighbors(v))
+        return self.neighbors(v).bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
@@ -100,7 +96,7 @@ class Graph:
         return out
 
     def edge_count(self) -> int:
-        return sum(popcount(a) for a in self.adj) // 2
+        return sum(a.bit_count() for a in self.adj) // 2
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -239,7 +235,7 @@ class Graph:
         for mask in self.component_masks():
             if not self.is_clique(mask):
                 return None
-            sizes.append(popcount(mask))
+            sizes.append(mask.bit_count())
         return sizes
 
     def _vertex_mask(self, vs: Iterable[int]) -> int:

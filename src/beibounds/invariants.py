@@ -39,7 +39,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import ResourceLimitError
-from .graphs import Graph, bits, edge, minimalize, popcount
+from .graphs import Graph, bits, edge, minimalize
 
 DEFAULT_NODE_LIMIT = 5_000_000
 # Expanded search nodes after which a component builds its triangle
@@ -89,10 +89,6 @@ def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     if g.n:
         expand(0, g.full_mask(), 0)
     return sorted(out)
-
-
-def clique_count(g: Graph) -> int:
-    return len(maximal_cliques(g))
 
 
 # -- edge conflict relation ---------------------------------------------
@@ -395,7 +391,7 @@ def is_induced_path(g: Graph, path: Sequence[int]) -> bool:
     """True iff ``path`` lists distinct vertices and consecutive ones are
     its only adjacent pairs."""
     mask = g._vertex_mask(path)
-    if popcount(mask) != len(path):
+    if mask.bit_count() != len(path):
         return False
     for k, v in enumerate(path):
         want = (1 << path[k - 1] if k else 0) | (1 << path[k + 1] if k + 1 < len(path) else 0)
@@ -417,7 +413,7 @@ def _component_lip(
     neighbour but ``last``, and its candidates ``cand = avail &
     adj[last]``.  Every later vertex comes from ``rest = avail &
     ~adj[last]``, so the node bounds the length it can reach by ``k +
-    popcount(rest)``.  If that does not prune, the node is expanded, and
+    rest.bit_count()``.  If that does not prune, the node is expanded, and
     where the bound is within ``most`` of the best length two
     corrections tighten it: each packed triangle wholly in ``rest``
     takes one off (an induced path holds two of its vertices at most),

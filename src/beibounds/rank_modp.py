@@ -5,8 +5,9 @@ GF(2) rows are bitmasks and reduce by XOR.  GF(3) rows are bit-sliced
 +1 (-1), so adding two rows is a few whole-row bit operations
 (Boothby-Bradshaw 2009) and negating a row swaps its halves.  Both
 kernels are the fast path of the regularity oracle at the few-hundred-
-column scale of induced-subcomplex boundary matrices.  Other primes go
-through plain Gaussian elimination on lists of Python ints.  No floating
+column scale of induced-subcomplex boundary matrices.  ``rank_modp`` is
+plain Gaussian elimination on lists of Python ints, one routine for
+every prime; the oracle calls it only for p >= 5.  No floating
 point and no fixed-width integers anywhere.
 """
 
@@ -56,13 +57,9 @@ def rank_modp(matrix: Iterable[Sequence[int]], p: int) -> int:
     """Rank over GF(p) of a matrix given as a sequence of integer rows.
 
     Any row type that iterates to integers works (lists, tuples, rows of
-    a 2-d array).  p = 2 and p = 3 go to the bit-row kernels above.
+    a 2-d array).
     """
     rows = [[int(x) % p for x in row] for row in matrix]
-    if p == 2:
-        return rank_gf2([_mask(row, 1) for row in rows])
-    if p == 3:
-        return rank_gf3([(_mask(row, 1), _mask(row, 2)) for row in rows])
     pivots: dict[int, list[int]] = {}  # leading column -> row with lead 1
     for row in rows:
         c = 0
@@ -78,12 +75,3 @@ def rank_modp(matrix: Iterable[Sequence[int]], p: int) -> int:
                 break
             row = [(y - x * z) % p for y, z in zip(row, piv)]
     return len(pivots)
-
-
-def _mask(row: list[int], value: int) -> int:
-    """Bitmask of the columns where ``row`` holds ``value``."""
-    out = 0
-    for c, x in enumerate(row):
-        if x == value:
-            out |= 1 << c
-    return out

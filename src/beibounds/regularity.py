@@ -3,9 +3,11 @@
 The quotient by the binomial edge ideal of a graph on n vertices lives
 in 2n variables x_0..x_{n-1}, y_0..y_{n-1} (variable index i is x_i,
 n+i is y_i).  Under the lexicographic order x_0 > ... > x_{n-1} > y_0 >
-... > y_{n-1} the initial ideal is squarefree and generated by one
-monomial per label-valid path: a simple path from i to j (i < j), each
-of whose interior vertices is either < i or > j, contributes
+... > y_{n-1} the initial ideal is squarefree, and its minimal
+generators are one monomial per admissible path (Herzog-Hibi-
+Hreinsdottir-Kahle-Rauh 2010, Thm 3.2).  An admissible path from i to
+j (i < j) is label-valid, each interior vertex being < i or > j, and
+has no chord.  It contributes
 x_i * y_j * prod(x_k for interior k > j) * prod(y_k for interior k < i).
 Regularity transfers across this squarefree degeneration; that single
 external fact is the oracle's one trust point, and the acceptance suite
@@ -49,7 +51,7 @@ from .graphs import Graph, bits, minimalize
 from .rank_modp import rank_gf2, rank_gf3, rank_modp
 
 DEFAULT_COMPONENT_CAP = 8
-DEFAULT_VAR_CAP = 16
+DEFAULT_VAR_CAP = 2 * DEFAULT_COMPONENT_CAP
 DEFAULT_FIELDS = (2, 3)
 # Entries of the per-component cache: a bound, so that long sweeps run
 # in bounded memory.
@@ -102,42 +104,37 @@ def variable_name(idx: int, n: int) -> str:
 # -- initial ideal of the binomial edge ideal ------------------------------
 
 
-def label_valid_path_monomials(g: Graph) -> set[int]:
-    """Monomial bitmasks of every label-valid simple path of g."""
-    n = g.n
-    out: set[int] = set()
-    for i in range(n):
-        low = (1 << i) - 1  # vertices < i
-        for j in range(i + 1, n):
-            high = g.full_mask() & ~((1 << (j + 1)) - 1)  # vertices > j
-            allowed = low | high
-
-            def walk(cur: int, visited: int, interior: int) -> None:
-                if g.adj[cur] >> j & 1:
-                    mono = 1 << i | 1 << (n + j)
-                    mono |= interior & high
-                    for k in bits(interior & low):
-                        mono |= 1 << (n + k)
-                    out.add(mono)
-                for nxt in bits(g.adj[cur] & allowed & ~visited):
-                    walk(nxt, visited | 1 << nxt, interior | 1 << nxt)
-
-            walk(i, 1 << i, 0)
-    return out
-
-
 def initial_ideal(g: Graph, max_vertices: int = DEFAULT_COMPONENT_CAP) -> SquarefreeIdeal:
     """Squarefree initial ideal of the binomial edge ideal of g.
 
-    Enumerates all label-valid simple paths and minimalizes; shortcut
-    monomials divide longer ones, so this equals the minimal generating
-    set without needing a path-minimality test.
+    Its minimal generators are the monomials of the admissible paths,
+    one per path (Herzog-Hibi-Hreinsdottir-Kahle-Rauh 2010, Thm 3.2):
+    the label-valid paths with no chord.  A depth-first walk from each
+    i toward each j > i steps only to a vertex that the label rule
+    allows, that is adjacent to the path's end and to none of its
+    earlier vertices (``blocked`` holds their closed neighbourhoods),
+    and stops at the first vertex adjacent to j, so it closes each
+    admissible path once.
     """
     if g.n > max_vertices:
         raise ResourceLimitError(
             f"initial ideal capped at {max_vertices} vertices (got {g.n})"
         )
-    return SquarefreeIdeal(2 * g.n, minimalize(label_valid_path_monomials(g)))
+    n, adj = g.n, g.adj
+    gens = []
+    for i in range(n):
+        low = (1 << i) - 1  # vertices < i
+        for j in range(i + 1, n):
+            high = g.full_mask() >> (j + 1) << (j + 1)  # vertices > j
+            stack = [(i, 0, 0)]  # (path end, blocked, interior)
+            while stack:
+                cur, blocked, interior = stack.pop()
+                if adj[cur] >> j & 1:
+                    gens.append(1 << i | 1 << (n + j) | interior & high | (interior & low) << n)
+                    continue
+                for nxt in bits(adj[cur] & (low | high) & ~blocked):
+                    stack.append((nxt, blocked | adj[cur] | 1 << cur, interior | 1 << nxt))
+    return SquarefreeIdeal(2 * n, tuple(sorted(gens)))
 
 
 # -- induced subcomplex homology -------------------------------------------
@@ -412,11 +409,10 @@ def component_subgraphs(g: Graph) -> list[tuple[Graph, Sequence[int]]]:
 
 
 @lru_cache(maxsize=_COMPONENT_CACHE_SIZE)
-def _component_regularity(
-    g: Graph, fields: tuple[int, ...], cap: int
-) -> tuple[int, int, int]:
-    """(value, witness_mask, witness_degree) for a connected graph."""
-    ideal = initial_ideal(g, max_vertices=cap)
+def _component_regularity(g: Graph, fields: tuple[int, ...]) -> tuple[int, int, int]:
+    """(value, witness_mask, witness_degree) for a connected graph whose
+    size ``regularity_bei`` has already checked against its cap."""
+    ideal = initial_ideal(g, g.n)
     best = _scan_ideal(ideal, fields)
     require_field_agreement({p: best[p][0] for p in fields})
     value, wmask, t = best[fields[0]]
@@ -453,7 +449,7 @@ def regularity_bei(
             raise ResourceLimitError(
                 f"component with {sub.n} vertices exceeds cap {component_cap}"
             )
-        value, wmask, _t = _component_regularity(sub, tuple(fields), component_cap)
+        value, wmask, _t = _component_regularity(sub, tuple(fields))
         total += value
         for v in bits(wmask):
             witness.add(back[v] if v < sub.n else g.n + back[v - sub.n])

@@ -6,7 +6,10 @@ the solvers under test beyond the Graph container itself.  The rank
 reference eliminates on numpy arrays, which the package does not use.
 The regularity reference takes ``homology_dims`` of every variable
 subset, so it shares none of the scan's pruning (lattice, domination,
-size bound).  The induced-path references are permutation and subset
+size bound).  The initial-ideal reference walks every label-valid
+simple path, chords and all, so it shares none of the admissible-path
+walk's pruning; minimalized, its monomials give the minimal
+generators.  The induced-path references are permutation and subset
 enumeration, plus ``ref_longest_induced_path``: the depth-first search
 with the count bound alone, whose witnesses the bounded search must
 reproduce exactly.  The graph transform references relabel through a dict and
@@ -23,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from beibounds.errors import ResourceLimitError
-from beibounds.graphs import Graph, bits, popcount
+from beibounds.graphs import Graph, bits
 from beibounds.invariants import maximal_cliques
 from beibounds.regularity import homology_dims
 
@@ -61,6 +64,32 @@ def brute_regularity_squarefree(ideal, p: int) -> int:
             if dim:
                 best = max(best, t + 1)
     return best
+
+
+def label_valid_path_monomials(g: Graph) -> set[int]:
+    """Monomial bitmasks of every label-valid simple path of g: from i to
+    j > i through interior vertices each < i or > j, the monomial
+    x_i * y_j * prod(x_k for interior k > j) * prod(y_k for interior k < i)."""
+    n = g.n
+    out: set[int] = set()
+    for i in range(n):
+        low = (1 << i) - 1  # vertices < i
+        for j in range(i + 1, n):
+            high = g.full_mask() & ~((1 << (j + 1)) - 1)  # vertices > j
+            allowed = low | high
+
+            def walk(cur: int, visited: int, interior: int) -> None:
+                if g.adj[cur] >> j & 1:
+                    mono = 1 << i | 1 << (n + j)
+                    mono |= interior & high
+                    for k in bits(interior & low):
+                        mono |= 1 << (n + k)
+                    out.add(mono)
+                for nxt in bits(g.adj[cur] & allowed & ~visited):
+                    walk(nxt, visited | 1 << nxt, interior | 1 << nxt)
+
+            walk(i, 1 << i, 0)
+    return out
 
 
 def is_complete_subset(g: Graph, vs) -> bool:
@@ -144,7 +173,7 @@ def _ref_component_lip(g: Graph, comp: int) -> tuple[int, list[int]]:
             best_path = path + [(cand & -cand).bit_length() - 1]
         rest = avail & ~adj[last]
         # every later vertex comes from rest, adding one edge each
-        bound = k + popcount(rest)
+        bound = k + rest.bit_count()
         while cand and bound > best_len:
             low = cand & -cand
             cand ^= low

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beibounds.errors import ParseError
-from beibounds.generators import all_labeled, complete, gnp, net, path
+from beibounds.generators import all_labeled, complete, gnp, net, path, union
 from beibounds.cli import parse_graph_text
 from beibounds.graphio import decode_graph6, encode_graph6, format_edge_list, parse_edge_list
 from beibounds.graphs import Graph
@@ -31,6 +31,13 @@ def test_long_form_round_trip():
     s = encode_graph6(g)
     assert s.startswith("~")
     assert decode_graph6(s) == g
+
+
+def test_many_component_round_trip():
+    """Decoding is linear in the body: 1,000 disjoint K2 make a body of
+    about 333,000 bytes."""
+    g = union([complete(2)] * 1000)
+    assert decode_graph6(encode_graph6(g)) == g
 
 
 @given(st.integers(1, 70), st.integers(0, 2 ** 40 - 1))

@@ -13,14 +13,13 @@ from beibounds.regularity import (
     SquarefreeIdeal,
     homology_dims,
     initial_ideal,
-    label_valid_path_monomials,
     minimalize,
     regularity_bei,
     regularity_squarefree,
     require_field_agreement,
 )
 
-from brute import brute_regularity_squarefree
+from brute import brute_regularity_squarefree, label_valid_path_monomials
 
 
 def supports(ideal):
@@ -59,6 +58,33 @@ def test_initial_ideal_c4_has_two_path_monomials():
 def test_initial_ideal_cap():
     with pytest.raises(ResourceLimitError):
         initial_ideal(path(9))
+
+
+# The walk keeps every monomial it emits, so equality with the
+# duplicate-free minimalized reference also rules out duplicates.
+
+def test_admissible_walk_matches_reference_on_every_small_labeled_graph():
+    for n in range(7):
+        for g in all_labeled(n):
+            assert initial_ideal(g).gens == minimalize(label_valid_path_monomials(g))
+
+
+@given(st.integers(7, 9), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_admissible_walk_matches_reference_on_random_graphs(n, p_num, seed):
+    g = gnp(n, p_num, 4, seed)
+    assert initial_ideal(g, n).gens == minimalize(label_valid_path_monomials(g))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_initial_ideal_closed_forms_above_the_cap(n):
+    # K_n: only the edges are admissible; P_n: only its n - 1 edges are
+    # label-valid; C_n: each pair i < j has exactly one admissible arc
+    gens = {(i, n + j) for i in range(n) for j in range(i + 1, n)}
+    assert supports(initial_ideal(complete(n), n)) == gens
+    assert len(initial_ideal(path(n), n).gens) == n - 1
+    if n >= 3:
+        assert len(initial_ideal(cycle(n), n).gens) == n * (n - 1) // 2
 
 
 def test_minimalize_is_an_antichain():
@@ -333,9 +359,7 @@ def test_component_subgraphs_are_induced_delete_graphs():
     for comp in g.component_masks():
         outside = [v for v in range(g.n) if not comp >> v & 1]
         hits = regularity._component_regularity.cache_info().hits
-        regularity._component_regularity(
-            g.induced_delete(outside), regularity.DEFAULT_FIELDS, regularity.DEFAULT_COMPONENT_CAP
-        )
+        regularity._component_regularity(g.induced_delete(outside), regularity.DEFAULT_FIELDS)
         assert regularity._component_regularity.cache_info().hits == hits + 1
 
 
