@@ -39,7 +39,6 @@ from .invariants import (
 )
 from .regularity import (
     RegularityResult,
-    component_subgraphs,
     homology_dims,
     initial_ideal,
     regularity_bei,
@@ -224,7 +223,7 @@ def _check_reg_witness(g: Graph, reg: RegularityResult) -> None:
     """
     bad = reg.witness_degree != reg.value - 1
     totals = dict.fromkeys(reg.fields_used, 0)
-    for sub, back in component_subgraphs(g):
+    for sub, back in g.component_subgraphs():
         share = [i for i, v in enumerate(back) if v in reg.witness_vars]
         share += [sub.n + i for i, v in enumerate(back) if g.n + v in reg.witness_vars]
         ideal = initial_ideal(sub, sub.n)
@@ -428,6 +427,16 @@ def cmd_search(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
+def _at_least(low: int):
+    """An argparse type for whole numbers no smaller than ``low``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return count
+
+
 def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("inputs", nargs="*", help="graph files ('-' for stdin)")
     p.add_argument("--exhaustive", type=int, metavar="N",
@@ -464,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--require-reg", action="store_true",
                    help="implies --with-reg; exit 2 (after the report) if a resource "
                         "cap skipped reg on any graph, listing them on stderr")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_verify)
 
@@ -476,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="rank corpus graphs by a bound gap")
     p.add_argument("--gap", required=True, choices=sorted(GAPS))
     _add_corpus_flags(p)
-    p.add_argument("--top", type=int, default=5)
+    p.add_argument("--top", type=_at_least(0), default=5)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_search)
     return ap

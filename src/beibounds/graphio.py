@@ -92,6 +92,11 @@ def decode_graph6(text: str) -> Graph:
             u = b - start
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+    # only the canonical string decodes, so a report names its input as given
+    if data[0] == 126 and n <= _SHORT_MAX:
+        raise ParseError(f"graph6 long-form header for n = {n} <= {_SHORT_MAX}", offset=0)
+    if data[-1] - 63 & (1 << 6 * nbytes - nbits) - 1:
+        raise ParseError("graph6 padding bits are not zero", offset=len(data) - 1)
     return Graph(n, tuple(adj))
 
 

@@ -10,7 +10,7 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -19,6 +19,32 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def components(adj: Sequence[int], mask: int) -> list[int]:
+    """Connected components of the subgraph induced on ``mask``, by smallest vertex."""
+    comps = []
+    left = mask
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            grown = comp
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grown |= adj[low.bit_length() - 1]
+            grown &= mask
+            frontier = grown & ~comp
+            comp = grown
+        comps.append(comp)
+        left &= ~comp
+    return comps
+
+
+def relabel(masks: Iterable[int], kept: int) -> list[int]:
+    """Each mask's bits inside ``kept``, the i-th lowest of ``kept`` moved to bit i."""
+    pos = {b: 1 << i for i, b in enumerate(bits(kept))}
+    return [sum([pos[b] for b in bits(m & kept)]) for m in masks]
 
 
 def minimalize(masks: Iterable[int]) -> tuple[int, ...]:
@@ -124,36 +150,15 @@ class Graph:
         Survivors keep their relative order: new label i is the i-th
         smallest surviving old label (see :meth:`deletion_map`).
         """
-        drop_mask = self._vertex_mask(drop)
-        keep = self.full_mask() & ~drop_mask
-        rows = [row & keep for v, row in enumerate(self.adj) if keep >> v & 1]
-        # Compress the kept bits of every row to the bottom in about
-        # log2 |drop| passes (Hacker's Delight, section 7-4): pass i moves
-        # a kept bit 2**i places down when bit i of the number of dropped
-        # labels below it is set.  ``below`` marks those dropped labels
-        # one place up, leaving out the ones above every kept label; its
-        # prefix parity picks the bits that move.
-        top = keep.bit_length()
-        below = (drop_mask & (1 << top) - 1) << 1
-        step = 1
-        while below:
-            parity = below
-            shift = 1
-            while shift < top:
-                parity ^= parity << shift
-                shift <<= 1
-            move = parity & keep
-            stay = keep & ~move
-            keep = stay | move >> step
-            below &= ~parity
-            rows = [row & stay | (row & move) >> step for row in rows]
-            step <<= 1
-        return Graph(len(rows), tuple(rows))
+        return self._restrict(self.full_mask() & ~self._vertex_mask(drop))
 
     def deletion_map(self, drop: Iterable[int]) -> list[int]:
-        """new label -> old label map used by :meth:`induced_delete`."""
-        drop_mask = self._vertex_mask(drop)
-        return [v for v in range(self.n) if not (drop_mask >> v & 1)]
+        """new label -> old label map of :meth:`induced_delete`."""
+        return list(bits(self.full_mask() & ~self._vertex_mask(drop)))
+
+    def _restrict(self, keep: int) -> "Graph":
+        adj = self.adj
+        return Graph(keep.bit_count(), tuple(relabel([adj[v] for v in bits(keep)], keep)))
 
     def minus_vertex(self, v: int) -> "Graph":
         """``induced_delete((v,))``: every row drops bit v and shifts the
@@ -195,25 +200,17 @@ class Graph:
 
     def component_masks(self) -> list[int]:
         """Connected components as bitmasks, ordered by smallest vertex."""
-        adj = self.adj
-        seen = 0
-        comps = []
-        for v in range(self.n):
-            if seen >> v & 1:
-                continue
-            comp = 1 << v
-            frontier = 1 << v
-            while frontier:
-                grown = comp
-                while frontier:
-                    low = frontier & -frontier
-                    frontier ^= low
-                    grown |= adj[low.bit_length() - 1]
-                frontier = grown & ~comp
-                comp = grown
-            comps.append(comp)
-            seen |= comp
-        return comps
+        return components(self.adj, self.full_mask())
+
+    def component_subgraphs(self) -> list[tuple["Graph", Sequence[int]]]:
+        """Each connected component as its own induced subgraph (labels
+        ascending, as in :meth:`induced_delete`) with the map back to
+        this graph's labels, at a cost linear in the component's size."""
+        comps = self.component_masks()
+        if len(comps) == 1:
+            # most graphs of a sweep; relabeling would double reg's split cost
+            return [(self, range(self.n))]
+        return [(self._restrict(comp), list(bits(comp))) for comp in comps]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.component_masks()) == 1
@@ -224,10 +221,8 @@ class Graph:
         Ordered by smallest contained vertex; the length is the component
         count of the cut.
         """
-        cut_mask = self._vertex_mask(cut)
-        remaining = self.induced_delete(bits(cut_mask))
-        back = self.deletion_map(bits(cut_mask))
-        return [tuple(back[u] for u in bits(m)) for m in remaining.component_masks()]
+        kept = self.full_mask() & ~self._vertex_mask(cut)
+        return [tuple(bits(m)) for m in components(self.adj, kept)]
 
     def completes_decomposition(self) -> list[int] | None:
         """Component sizes if every component is complete, else None."""

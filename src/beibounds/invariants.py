@@ -39,7 +39,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import ResourceLimitError
-from .graphs import Graph, bits, edge, minimalize
+from .graphs import Graph, bits, components, edge, minimalize
 
 DEFAULT_NODE_LIMIT = 5_000_000
 # Expanded search nodes after which a component builds its triangle
@@ -200,7 +200,7 @@ class _MisSolver:
                     changed = True
         if m:
             need -= taken_size  # what m itself must reach
-            comps = self._components(m)
+            comps = components(adj, m)
             covers = [0] * len(comps)
             if need > 0:
                 covers = [self._clique_cover(comp) for comp in comps]
@@ -246,26 +246,6 @@ class _MisSolver:
     def _fail(self, mask: int, bound: int) -> tuple[int, None]:
         self.failed[mask] = bound
         return bound, None
-
-    def _components(self, mask: int) -> list[int]:
-        adj = self.adj
-        comps = []
-        left = mask
-        while left:
-            v = (left & -left).bit_length() - 1
-            comp = 1 << v
-            frontier = comp
-            while frontier:
-                grown = comp
-                while frontier:
-                    low = frontier & -frontier
-                    frontier ^= low
-                    grown |= adj[low.bit_length() - 1] & mask
-                frontier = grown & ~comp
-                comp = grown
-            comps.append(comp)
-            left &= ~comp
-        return comps
 
     def _clique_cover(self, mask: int) -> int:
         """The number of cliques in a greedy cover of ``mask``: each

@@ -33,9 +33,9 @@ down, stops at the first nonzero one, and never goes below the field's
 best value so far, since lower degrees cannot raise it.
 ``homology_dims`` still computes every degree of any subset.
 
-Disconnected graphs are handled component by component (the quotient is
-a tensor product over disjoint variable sets, so regularity adds and
-witnesses join), which also keeps the per-scan variable count at
+Disconnected graphs are handled per ``Graph.component_subgraphs`` (the
+quotient is a tensor product over disjoint variable sets, so regularity
+adds and witnesses join), which keeps the per-scan variable count at
 2 * (component size).
 """
 
@@ -44,10 +44,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import FieldDisagreementError, ResourceLimitError
-from .graphs import Graph, bits, minimalize
+from .graphs import Graph, bits, minimalize, relabel
 from .rank_modp import rank_gf2, rank_gf3, rank_modp
 
 DEFAULT_COMPONENT_CAP = 8
@@ -140,14 +140,16 @@ def initial_ideal(g: Graph, max_vertices: int = DEFAULT_COMPONENT_CAP) -> Square
 # -- induced subcomplex homology -------------------------------------------
 
 
-def _faces_by_size(local_gens: list[int], k: int) -> list[list[int]]:
-    """Faces of the complex on k vertices avoiding every generator.
+def _faces_by_size(gens: Iterable[int], wmask: int) -> list[list[int]]:
+    """Faces of the complex restricted to ``wmask``, relabeled onto 0..k-1.
 
     Returns lists of face bitmasks grouped by face size (index 0 holds
     the empty face).  A face of size s + 1 extends a face of size s by a
     vertex above its top vertex, so each face is built once, and only
     the generators through that vertex can block it.
     """
+    k = wmask.bit_count()
+    local_gens = relabel([g for g in gens if g & ~wmask == 0], wmask)
     through = [[g for g in local_gens if g >> v & 1] for v in range(k)]
     by_size = [[0]]
     while True:
@@ -208,13 +210,6 @@ def _reduced_homology(by_size: list[list[int]], p: int) -> dict[int, int]:
     return {s - 1: len(faces) - ranks[s] - ranks[s + 1] for s, faces in enumerate(by_size)}
 
 
-def _compress(gens: Iterable[int], wmask: int) -> tuple[list[int], int]:
-    wbits = list(bits(wmask))
-    pos = {b: i for i, b in enumerate(wbits)}
-    local = [sum(1 << pos[b] for b in bits(g)) for g in gens]
-    return local, len(wbits)
-
-
 def homology_dims(ideal: SquarefreeIdeal, w: Iterable[int], p: int) -> dict[int, int]:
     """Reduced homology dimensions of the Stanley-Reisner complex of
     ``ideal`` restricted to the variable subset ``w``, over GF(p).
@@ -229,9 +224,7 @@ def homology_dims(ideal: SquarefreeIdeal, w: Iterable[int], p: int) -> dict[int,
         if not 0 <= v < ideal.num_vars:
             raise ValueError(f"variable index {v} out of range")
         wmask |= 1 << v
-    contained = [g for g in ideal.gens if g & ~wmask == 0]
-    local, k = _compress(contained, wmask)
-    return _reduced_homology(_faces_by_size(local, k), p)
+    return _reduced_homology(_faces_by_size(ideal.gens, wmask), p)
 
 
 # -- regularity of squarefree ideals ---------------------------------------
@@ -327,8 +320,7 @@ def _scan_ideal(
             break
         if _has_dominated_vertex(wmask, table):
             continue
-        local, k = _compress([g for g in gens if g & ~wmask == 0], wmask)
-        by_size = _faces_by_size(local, k)
+        by_size = _faces_by_size(gens, wmask)
         # H~_{s-1} = |F_s| - r_s - r_{s+1} can raise a field's value
         # only for s above its best, so walk down from the top face
         # size, one new rank per step, to the first nonzero degree.
@@ -392,22 +384,6 @@ def require_field_agreement(values_by_prime: dict[int, int]) -> None:
         raise FieldDisagreementError(values_by_prime)
 
 
-def component_subgraphs(g: Graph) -> list[tuple[Graph, Sequence[int]]]:
-    """Each connected component of g as its own induced subgraph (labels
-    ascending, as in ``induced_delete``) with the map back to g's
-    labels, at a cost linear in the component's size."""
-    comps = g.component_masks()
-    if len(comps) == 1:
-        return [(g, range(g.n))]
-    out = []
-    for comp in comps:
-        back = list(bits(comp))
-        new = {v: i for i, v in enumerate(back)}
-        rows = tuple(sum(1 << new[u] for u in bits(g.adj[v])) for v in back)
-        out.append((Graph(len(back), rows), back))
-    return out
-
-
 @lru_cache(maxsize=_COMPONENT_CACHE_SIZE)
 def _component_regularity(g: Graph, fields: tuple[int, ...]) -> tuple[int, int, int]:
     """(value, witness_mask, witness_degree) for a connected graph whose
@@ -415,8 +391,7 @@ def _component_regularity(g: Graph, fields: tuple[int, ...]) -> tuple[int, int, 
     ideal = initial_ideal(g, g.n)
     best = _scan_ideal(ideal, fields)
     require_field_agreement({p: best[p][0] for p in fields})
-    value, wmask, t = best[fields[0]]
-    return value, wmask, t
+    return best[fields[0]]
 
 
 def regularity_bei(
@@ -426,9 +401,9 @@ def regularity_bei(
 ) -> RegularityResult:
     """Regularity of the quotient by the binomial edge ideal of g.
 
-    Computed per connected component (values add; witnesses join with
-    degrees t = sum(t_i + 1) - 1) over every requested field.  The cap
-    applies to each component's vertex count.
+    Computed on each of ``g.component_subgraphs()`` (values add; witnesses
+    join, mapped back to g's labels, with degrees t = sum(t_i + 1) - 1)
+    over every requested field.  The cap applies to each component.
     """
     if not fields:
         raise ValueError("fields must name at least one prime")
@@ -444,7 +419,7 @@ def regularity_bei(
         )
     total = 0
     witness: set[int] = set()
-    for sub, back in component_subgraphs(g):
+    for sub, back in g.component_subgraphs():
         if sub.n > component_cap:
             raise ResourceLimitError(
                 f"component with {sub.n} vertices exceeds cap {component_cap}"

@@ -14,12 +14,14 @@ enumeration, plus ``ref_longest_induced_path``: the depth-first search
 with the count bound alone, whose witnesses the bounded search must
 reproduce exactly.  The graph transform references relabel through a dict and
 test vertex pairs one at a time, so they share none of the bit shifting
-in ``Graph``; the compatibility reference scans every vertex for (c).
+in ``Graph``, and the component reference is a breadth-first search over
+a neighbour dict; the compatibility reference scans every vertex for (c).
 ``RefMisSolver`` is the memoized MIS search with no bound, whose values
 and witnesses the bounded search must reproduce exactly; ``ref_eta``
 runs it on eta's clique sets.
 """
 
+from collections import deque
 from itertools import combinations, permutations
 from typing import Sequence
 
@@ -270,6 +272,31 @@ def ref_saturate(g: Graph, v: int) -> Graph:
         adj[a] |= 1 << b
         adj[b] |= 1 << a
     return Graph(g.n, tuple(adj))
+
+
+def ref_components(g: Graph, keep) -> list[tuple[int, ...]]:
+    """Connected components of the subgraph induced on the vertex set
+    ``keep``, by breadth-first search over a neighbour dict; each comes
+    as a sorted tuple, ordered by smallest vertex."""
+    keep = set(keep)
+    nbrs = {v: [u for u in keep if u != v and g.has_edge(v, u)] for v in keep}
+    seen: set[int] = set()
+    out = []
+    for start in sorted(keep):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = deque([start])
+        comp = []
+        while queue:
+            v = queue.popleft()
+            comp.append(v)
+            for u in nbrs[v]:
+                if u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+        out.append(tuple(sorted(comp)))
+    return out
 
 
 def brute_compatibility(phi, g: Graph) -> dict:

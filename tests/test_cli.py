@@ -293,6 +293,19 @@ def test_verify_unknown_option_still_exits_2(capsys, tmp_path):
     assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--gap", "eta-L", "--exhaustive", "2", "--top", "-1"],
+    ["verify", "chain", "--exhaustive", "2", "--jobs", "0"],
+    ["verify", "chain", "--exhaustive", "2", "--jobs", "-1"],
+])
+def test_count_options_out_of_range_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"argument {argv[-2]}: {argv[-1]} is below" in err
+
+
 def test_verify_compatible_exhaustive_4(capsys):
     code, out, _ = run(capsys, "verify", "compatible", "--exhaustive", "4",
                        "--map", "eta", "--format", "json")

@@ -71,6 +71,15 @@ def test_decode_rejects_bad_byte():
     assert err.value.offset is not None
 
 
+def test_decode_rejects_non_canonical_strings():
+    # set padding bits, and the long form for n <= 62, all spelling K2
+    assert decode_graph6("A_") == complete(2)
+    for text, offset in (("A~", 1), ("Aa", 1), ("~??A_", 0)):
+        with pytest.raises(ParseError) as err:
+            decode_graph6(text)
+        assert err.value.offset == offset
+
+
 def test_decode_rejects_non_ascii_with_offset():
     with pytest.raises(ParseError) as err:
         decode_graph6("é")
@@ -106,6 +115,12 @@ def test_any_text_parses_or_raises_parse_error(text):
             parse(text)
         except ParseError:
             pass
+    try:
+        g = decode_graph6(text)
+    except ParseError:
+        pass
+    else:
+        assert encode_graph6(g) == text.strip()
 
 
 def test_parse_edge_list_p3():

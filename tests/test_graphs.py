@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beibounds.graphs import Graph, bits, edge
+from beibounds.graphs import Graph, bits, components, edge
 from beibounds.generators import all_labeled, complete, gnp, net, path, union
 
-from brute import brute_iv, ref_induced_delete, ref_saturate
+from brute import brute_iv, ref_components, ref_induced_delete, ref_saturate
 
 
 def test_from_edge_list_path():
@@ -165,9 +165,29 @@ def test_transforms_match_dict_relabelling_reference(args):
         assert graph.strip_isolated() == ref_induced_delete(graph, isolated)
 
 
+_EDGE_MASKS = st.one_of(
+    st.integers(0, 2 ** 91 - 1),  # about half of the pairs: few components
+    st.sets(st.integers(0, 90), max_size=16).map(lambda ks: sum(1 << k for k in ks)),
+)
+
+
+@given(st.integers(0, 14), _EDGE_MASKS, st.integers(0, 2 ** 14 - 1))
+@settings(max_examples=300, deadline=None)
+def test_components_match_bfs_reference(n, edge_mask, keep):
+    g = _mask_graph(n, edge_mask)
+    keep &= g.full_mask()
+    want = ref_components(g, bits(keep))
+    assert [tuple(bits(m)) for m in components(g.adj, keep)] == want
+    assert g.cut_signature(bits(g.full_mask() & ~keep)) == want
+    subs = g.component_subgraphs()
+    assert [tuple(back) for _, back in subs] == ref_components(g, range(n))
+    for sub, back in subs:
+        assert sub == ref_induced_delete(g, set(range(n)) - set(back))
+
+
 def test_induced_delete_matches_reference_on_many_word_rows():
-    # 130 labels span three machine words; up to 129 drops take eight
-    # compress passes
+    # 130 labels span three machine words; the drop sets cross the word
+    # boundaries and range from six labels to all but one
     n = 130
     g = _mask_graph(n, random.Random(5).getrandbits(n * (n - 1) // 2))
     for drop in (range(0, n, 2), range(1, n, 3), range(40, 100), range(1, n),
