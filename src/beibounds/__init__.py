@@ -7,15 +7,12 @@ from .graphs import Graph, edge
 from .graphio import decode_graph6, encode_graph6, format_edge_list, parse_edge_list
 from .invariants import (
     CliqueDisjointSet,
-    ConflictGraph,
-    conflict_graph,
     eta,
     extend_clique_disjoint,
     in_common_clique,
     is_clique_disjoint,
     longest_induced_path,
     maximal_cliques,
-    max_independent_set,
 )
 from .compatibility import (
     BoundChainReport,
@@ -43,7 +40,6 @@ __all__ = [
     "BoundChainReport",
     "CliqueDisjointSet",
     "CompatibilityReport",
-    "ConflictGraph",
     "FieldDisagreementError",
     "Graph",
     "ParseError",
@@ -54,7 +50,6 @@ __all__ = [
     "check_compatibility",
     "check_iv_lemma",
     "check_regularity_recursion",
-    "conflict_graph",
     "decode_graph6",
     "edge",
     "encode_graph6",
@@ -68,7 +63,6 @@ __all__ = [
     "initial_ideal",
     "is_clique_disjoint",
     "longest_induced_path",
-    "max_independent_set",
     "maximal_cliques",
     "nonfree_vertex_failures",
     "parse_edge_list",

@@ -90,19 +90,17 @@ def build_spec(tokens: list[str]) -> Graph:
         raise ValueError(f"generator {name!r} is missing arguments") from None
 
 
+# spec names whose generator takes one size argument, and those that take none
+_SIZED = {"path": generators.path, "cycle": generators.cycle,
+          "complete": generators.complete, "sierpinski": generators.sierpinski}
+_NAMED = {"net": generators.net, "fig2-closed": generators.fig2_closed}
+
+
 def _build_spec(name: str, args: list[str]) -> Graph:
-    if name == "path":
-        return generators.path(int(args[0]))
-    if name == "cycle":
-        return generators.cycle(int(args[0]))
-    if name == "complete":
-        return generators.complete(int(args[0]))
-    if name == "net":
-        return generators.net()
-    if name == "fig2-closed":
-        return generators.fig2_closed()
-    if name == "sierpinski":
-        return generators.sierpinski(int(args[0]))
+    if name in _SIZED:
+        return _SIZED[name](int(args[0]))
+    if name in _NAMED:
+        return _NAMED[name]()
     if name == "gnp":
         n, frac, seed = int(args[0]), args[1], int(args[2])
         num, den = frac.split("/")
@@ -124,17 +122,17 @@ def _build_spec(name: str, args: list[str]) -> Graph:
 def corpus_from_args(args) -> tuple[str, list[Graph]]:
     graphs: list[Graph] = []
     desc = []
-    if getattr(args, "inputs", None):
+    if args.inputs:
         graphs.extend(load_inputs(args.inputs))
         desc.append(f"{len(graphs)} graphs from files")
-    if getattr(args, "exhaustive", None):
+    if args.exhaustive:
         count = 0
         for n in range(1, args.exhaustive + 1):
             for g in generators.all_labeled(n):
                 graphs.append(g)
                 count += 1
         desc.append(f"all labeled graphs on 1..{args.exhaustive} vertices ({count})")
-    if getattr(args, "random", None):
+    if args.random:
         num, den = (int(x) for x in args.gnp.split("/"))
         rng = random.Random(args.seed)
         for _ in range(args.random):
@@ -143,7 +141,7 @@ def corpus_from_args(args) -> tuple[str, list[Graph]]:
         desc.append(
             f"{args.random} random graphs (n<={args.max_n}, p={num}/{den}, seed={args.seed})"
         )
-    if getattr(args, "sierpinski", None):
+    if args.sierpinski:
         for k in range(1, args.sierpinski + 1):
             graphs.append(generators.sierpinski(k))
         desc.append(f"sierpinski levels 1..{args.sierpinski}")

@@ -97,9 +97,6 @@ class Graph:
 
     # -- basic queries ------------------------------------------------
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
@@ -239,14 +236,3 @@ class Graph:
             self._check_vertex(v)
             mask |= 1 << v
         return mask
-
-    def key(self) -> tuple[int, int]:
-        """(n, packed upper-triangle edge bits); canonical for labeled graphs."""
-        mask = 0
-        k = 0
-        for v in range(1, self.n):
-            for u in range(v):
-                if self.adj[u] >> v & 1:
-                    mask |= 1 << k
-                k += 1
-        return self.n, mask

@@ -16,8 +16,8 @@ reaches it; below that it may stop at an upper bound, the size of a
 greedy clique cover.  The include branch runs first and sets the
 exclude branch's threshold just above its own result, so the bound
 prunes without changing any choice, and the witnesses are those of the
-unbounded search.  The edge-level conflict graph stays public as an
-independent reference.
+unbounded search.  The edge-level conflict graph is kept as an
+independent reference for the tests.
 
 The longest induced path of each component comes from a depth-first
 search from every vertex.  Each search node computes its available set
@@ -265,20 +265,6 @@ class _MisSolver:
         return count
 
 
-def max_independent_set(
-    adj: Sequence[int], node_limit: int = DEFAULT_NODE_LIMIT
-) -> tuple[int, int]:
-    """Exact maximum independent set of a bitset-adjacency graph.
-
-    Returns (size, member bitmask).  Branch and bound: a greedy clique
-    cover bounds each subproblem against the size it must reach to
-    matter (see ``_MisSolver``).  Raises ResourceLimitError past the
-    node budget; never returns an approximate answer.
-    """
-    solver = _MisSolver(adj, node_limit)
-    return solver.solve((1 << len(adj)) - 1, 0)
-
-
 # -- eta ------------------------------------------------------------------
 
 
@@ -298,12 +284,8 @@ class CliqueDisjointSet:
 
 def is_clique_disjoint(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
     """Check that all pairs of (distinct) edges avoid common cliques."""
-    es = [_require_edge(g, e) for e in edges]
-    for i in range(len(es)):
-        for j in range(i + 1, len(es)):
-            if in_common_clique(g, es[i], es[j]):
-                return False
-    return True
+    masks = [1 << u | 1 << v for u, v in (_require_edge(g, e) for e in edges)]
+    return not any(g.is_clique(a | b) for a, b in combinations(masks, 2))
 
 
 @lru_cache(maxsize=_ETA_CACHE_SIZE)

@@ -83,18 +83,23 @@ class SquarefreeIdeal:
     def from_supports(cls, num_vars: int, supports: Iterable[Iterable[int]]) -> "SquarefreeIdeal":
         masks = []
         for sup in supports:
-            m = 0
-            for v in sup:
-                if not 0 <= v < num_vars:
-                    raise ValueError(f"variable index {v} out of range")
-                m |= 1 << v
-            if m == 0:
+            masks.append(_variable_mask(sup, num_vars))
+            if not masks[-1]:
                 raise ValueError("empty generator (unit ideal) not supported")
-            masks.append(m)
         return cls(num_vars, minimalize(masks))
 
     def supports(self) -> list[tuple[int, ...]]:
         return [tuple(bits(m)) for m in self.gens]
+
+
+def _variable_mask(indices: Iterable[int], num_vars: int) -> int:
+    """Bitmask of variable indices, each checked to lie in 0..num_vars-1."""
+    mask = 0
+    for v in indices:
+        if not 0 <= v < num_vars:
+            raise ValueError(f"variable index {v} out of range")
+        mask |= 1 << v
+    return mask
 
 
 def variable_name(idx: int, n: int) -> str:
@@ -219,11 +224,7 @@ def homology_dims(ideal: SquarefreeIdeal, w: Iterable[int], p: int) -> dict[int,
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    wmask = 0
-    for v in w:
-        if not 0 <= v < ideal.num_vars:
-            raise ValueError(f"variable index {v} out of range")
-        wmask |= 1 << v
+    wmask = _variable_mask(w, ideal.num_vars)
     return _reduced_homology(_faces_by_size(ideal.gens, wmask), p)
 
 
@@ -339,21 +340,15 @@ def _scan_ideal(
     return best
 
 
-def regularity_squarefree(
-    ideal: SquarefreeIdeal, p: int, max_vars: int = DEFAULT_VAR_CAP
-) -> "RegularityResult":
-    """Regularity of the quotient by a squarefree monomial ideal over GF(p)."""
+def regularity_squarefree(ideal: SquarefreeIdeal, p: int) -> "RegularityResult":
+    """Regularity of the quotient by a squarefree monomial ideal over GF(p);
+    the scan is exponential, so past ``DEFAULT_VAR_CAP`` variables it raises
+    ResourceLimitError."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if ideal.num_vars > max_vars:
+    if ideal.num_vars > DEFAULT_VAR_CAP:
         raise ResourceLimitError(
-            f"subset scan capped at {max_vars} variables (got {ideal.num_vars})"
-        )
-    if max_vars > DEFAULT_VAR_CAP:
-        warnings.warn(
-            f"variable cap raised to {max_vars}; the lattice scan is exponential",
-            RuntimeWarning,
-            stacklevel=2,
+            f"subset scan capped at {DEFAULT_VAR_CAP} variables (got {ideal.num_vars})"
         )
     value, wmask, t = _scan_ideal(ideal, (p,))[p]
     return RegularityResult(value, frozenset(bits(wmask)), t, (p,), True)

@@ -31,6 +31,7 @@ from beibounds.generators import (
     path,
     with_injected_isolates,
 )
+from beibounds.graphio import encode_graph6
 from beibounds.invariants import conflict_graph, eta, extend_clique_disjoint, is_clique_disjoint, longest_induced_path, maximal_cliques
 from beibounds.regularity import regularity_bei
 
@@ -87,7 +88,7 @@ def test_criterion_2_bound_chain_sweep_n5():
         for g in all_labeled(n):
             rep = bound_chain(g, with_reg=True)
             if rep.reg is None or not rep.passed:
-                violations.append((g.key(), rep.violations))
+                violations.append((encode_graph6(g), rep.violations))
             count += 1
     _report("2 (bound chain, all n<=5 with reg)", not violations,
             f"{count} graphs; L<=reg<=eta<=c, reg<=n-1, reg<=n-2 off-path; violations={violations[:3]}",
@@ -102,9 +103,9 @@ def test_criterion_3_eta_compatibility_n6():
     for n in range(1, 7):
         for g in all_labeled(n):
             if not check_compatibility(phi, g, "eta").passed:
-                bad.append(("conditions", g.key()))
+                bad.append(("conditions", encode_graph6(g)))
             if nonfree_vertex_failures(phi, g):
-                bad.append(("strong", g.key()))
+                bad.append(("strong", encode_graph6(g)))
             count += 1
     _report("3 (eta compatibility, all n<=6)", not bad,
             f"{count} graphs, conditions a/b/c plus per-vertex strong form; failures={bad[:3]}",
@@ -123,7 +124,7 @@ def test_criterion_4_iv_lemma_n6():
                 if not g.is_free_vertex(v):
                     pairs += 1
                     if not check_iv_lemma(g, v):
-                        bad.append((g.key(), v))
+                        bad.append((encode_graph6(g), v))
     _report("4 (iv drop lemma, all n<=6)", not bad,
             f"{graphs} graphs, {pairs} (G, non-free v) pairs; failures={bad[:3]}",
             started)
@@ -155,9 +156,9 @@ def test_criterion_5_constructive_extension_randomized():
         try:
             out = extend_clique_disjoint(g, v, h)
             if len(out) != len(h) + 1 or not is_clique_disjoint(g, out.edges):
-                bad.append((g.key(), v, h))
+                bad.append((encode_graph6(g), v, h))
         except Exception as exc:  # any raise on a valid instance is a failure
-            bad.append((g.key(), v, h, repr(exc)))
+            bad.append((encode_graph6(g), v, h, repr(exc)))
         done += 1
     _report("5 (constructive extension, 10000 seeded instances)", not bad,
             f"{done} instances on n<=12; failures={bad[:3]}", started)
@@ -173,7 +174,7 @@ def test_criterion_6_recursion_inequality_n5():
             for v in range(g.n):
                 pairs += 1
                 if not check_regularity_recursion(g, v, reg_fn):
-                    bad.append((g.key(), v))
+                    bad.append((encode_graph6(g), v))
     _report("6 (regularity recursion, all n<=5, all v)", not bad,
             f"{pairs} (G, v) pairs; failures={bad[:3]}", started)
 
@@ -208,7 +209,7 @@ def test_criterion_8_oracle_cross_checks():
         for g in all_labeled(n):
             res = regularity_bei(g)
             if res.fields_used != (2, 3) or not res.agreement:
-                problems.append(f"fields {g.key()}")
+                problems.append(f"fields {encode_graph6(g)}")
             count += 1
 
     rng = random.Random(424242)
@@ -217,7 +218,7 @@ def test_criterion_8_oracle_cross_checks():
         positions = [rng.randint(0, core.n) for _ in range(rng.randint(1, 3))]
         padded = with_injected_isolates(core, positions)
         if regularity_bei(padded).value != regularity_bei(padded.strip_isolated()).value:
-            problems.append(f"isolates {core.key()} {positions}")
+            problems.append(f"isolates {encode_graph6(core)} {positions}")
 
     _report("8 (oracle cross-checks)", not problems,
             f"reg(P_n)=n-1 for n<=7; GF(2)=GF(3) on {count} graphs; 1000 isolate-injected graphs; problems={problems[:3]}",

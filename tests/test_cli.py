@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import beibounds
-from beibounds import invariants
+from beibounds import generators, invariants
 from beibounds.cli import build_spec, main, parse_args, parse_graph_text
 from beibounds.errors import ResourceLimitError
 from beibounds.generators import cycle, net, path, sierpinski, union
@@ -46,6 +46,28 @@ def test_gen_sierpinski_2_is_15_vertices(capsys):
 def test_gen_union_spec():
     g = build_spec(["union", "complete:3,complete:2"])
     assert g.n == 5 and g.edge_count() == 4
+
+
+@pytest.mark.parametrize("spec, want", [
+    ("path 4", lambda: generators.path(4)),
+    ("cycle 5", lambda: generators.cycle(5)),
+    ("complete 4", lambda: generators.complete(4)),
+    ("sierpinski 1", lambda: generators.sierpinski(1)),
+    ("net", generators.net),
+    ("fig2-closed", generators.fig2_closed),
+    ("gnp 6 1/2 3", lambda: generators.gnp(6, 1, 2, 3)),
+    # the empty part is skipped
+    ("union path:2,,cycle:3", lambda: generators.union([generators.path(2), generators.cycle(3)])),
+])
+def test_gen_every_spec_matches_its_generator(capsys, spec, want):
+    code, out, _ = run(capsys, "gen", *spec.split())
+    assert code == 0 and out == encode_graph6(want()) + "\n"
+
+
+def test_gen_missing_arguments_exits_2(capsys):
+    code, out, err = run(capsys, "gen", "gnp", "6", "1/2")
+    assert code == 2 and out == ""
+    assert err == "error: generator 'gnp' is missing arguments\n"
 
 
 def test_gen_unknown_spec_exits_2(capsys):

@@ -71,6 +71,18 @@ def test_decode_rejects_bad_byte():
     assert err.value.offset is not None
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("~~??????", "258047 vertices", 1),  # the 6-byte-count form
+    ("~??", "truncated graph6 long-form header", 3),
+    ("~\x7f??", "invalid graph6 header byte", 1),
+    ("D_\x7f", "invalid graph6 body byte", 2),
+])
+def test_decode_error_names_its_offset(text, message, offset):
+    with pytest.raises(ParseError, match=message) as err:
+        decode_graph6(text)
+    assert err.value.offset == offset
+
+
 def test_decode_rejects_non_canonical_strings():
     # set padding bits, and the long form for n <= 62, all spelling K2
     assert decode_graph6("A_") == complete(2)

@@ -31,6 +31,16 @@ def test_from_edge_list_rejects_out_of_range(bad):
         Graph.from_edge_list(3, bad)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: path(3).has_edge(5, 0), "vertex 5 out of range for n=3"),
+    (lambda: Graph(2, (0,)), "adjacency length does not match vertex count"),
+    (lambda: Graph.from_edge_list(-1, []), "vertex count must be non-negative"),
+])
+def test_malformed_graphs_and_vertices_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_from_edge_list_rejects_self_loop():
     with pytest.raises(ValueError):
         Graph.from_edge_list(3, [(1, 1)])

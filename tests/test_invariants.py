@@ -15,7 +15,6 @@ from beibounds.invariants import (
     in_common_clique,
     is_clique_disjoint,
     longest_induced_path,
-    max_independent_set,
     maximal_cliques,
 )
 
@@ -30,6 +29,11 @@ from brute import (
     ref_longest_induced_path,
     ref_max_independent_set,
 )
+
+
+def max_independent_set(adj, node_limit=invariants.DEFAULT_NODE_LIMIT):
+    """(size, member bitmask) of an exact maximum independent set."""
+    return invariants._MisSolver(adj, node_limit).solve((1 << len(adj)) - 1, 0)
 
 
 # -- maximal cliques ---------------------------------------------------------

@@ -25,3 +25,50 @@ def test_package_imports_only_the_standard_library():
                 if top not in sys.stdlib_module_names and top != "beibounds":
                     outside.append(f"{path.name}: {name}")
     assert outside == []
+
+
+def test_exports_resolve_and_every_import_is_exported():
+    """Each name in ``__all__`` exists, and each name ``__init__.py``
+    takes with ``from .module import name`` is listed there, so an
+    export dropped from one place is dropped from both."""
+    assert all(hasattr(beibounds, name) for name in beibounds.__all__)
+    tree = ast.parse(pathlib.Path(beibounds.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    }
+    assert imported - set(beibounds.__all__) == set()
+
+
+def test_cli_looks_up_the_benchmark_hooks_at_call_time(monkeypatch, capsys):
+    """The benchmark worker patches ``decode_graph6`` (its per-graph
+    clock), ``bound_chain`` (called with ``with_reg=``) and
+    ``make_report`` on ``beibounds.cli``; each must be looked up when
+    ``verify chain`` runs, not bound earlier."""
+    from beibounds import cli
+
+    calls = {"decode": 0, "chain": [], "report": 0}
+    decode, chain, report = cli.decode_graph6, cli.bound_chain, cli.make_report
+
+    def counted_decode(text):
+        calls["decode"] += 1
+        return decode(text)
+
+    def counted_chain(g, **kw):
+        calls["chain"].append(kw.get("with_reg"))
+        return chain(g, **kw)
+
+    def counted_report(*args, **kw):
+        calls["report"] += 1
+        return report(*args, **kw)
+
+    monkeypatch.setattr(cli, "decode_graph6", counted_decode)
+    monkeypatch.setattr(cli, "bound_chain", counted_chain)
+    monkeypatch.setattr(cli, "make_report", counted_report)
+    code = cli.main(["verify", "chain", "--random", "3", "--max-n", "4", "--seed", "0",
+                     "--with-reg", "--format", "json", "--jobs", "1"])
+    capsys.readouterr()
+    assert code == 0
+    assert calls == {"decode": 3, "chain": [True, True, True], "report": 1}

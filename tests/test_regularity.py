@@ -175,8 +175,21 @@ def test_mod3_moore_space_homology_only_in_characteristic_3():
 
 def test_homology_rejects_non_prime():
     ideal = SquarefreeIdeal.from_supports(4, [(0, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="4 is not prime"):
         homology_dims(ideal, [0, 1], 4)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        regularity_squarefree(ideal, 4)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        regularity_bei(path(3), fields=(2, 4))
+
+
+def test_variable_indices_checked_by_one_rule():
+    with pytest.raises(ValueError, match="variable index 3 out of range"):
+        SquarefreeIdeal.from_supports(3, [(0, 3)])
+    with pytest.raises(ValueError, match="variable index 3 out of range"):
+        homology_dims(SquarefreeIdeal.from_supports(3, [(0, 1)]), [3], 2)
+    with pytest.raises(ValueError, match="unit ideal"):
+        SquarefreeIdeal.from_supports(3, [()])
 
 
 # -- regularity of squarefree ideals ------------------------------------------
