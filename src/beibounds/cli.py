@@ -84,36 +84,44 @@ def build_spec(tokens: list[str]) -> Graph:
     if not tokens:
         raise ValueError("empty generator spec")
     name, args = tokens[0], tokens[1:]
-    try:
-        return _build_spec(name, args)
-    except IndexError:
-        raise ValueError(f"generator {name!r} is missing arguments") from None
-
-
-# spec names whose generator takes one size argument, and those that take none
-_SIZED = {"path": generators.path, "cycle": generators.cycle,
-          "complete": generators.complete, "sierpinski": generators.sierpinski}
-_NAMED = {"net": generators.net, "fig2-closed": generators.fig2_closed}
-
-
-def _build_spec(name: str, args: list[str]) -> Graph:
-    if name in _SIZED:
-        return _SIZED[name](int(args[0]))
-    if name in _NAMED:
-        return _NAMED[name]()
-    if name == "gnp":
-        n, frac, seed = int(args[0]), args[1], int(args[2])
-        num, den = frac.split("/")
-        return generators.gnp(n, int(num), int(den), seed)
     if name == "union":
-        parts = []
-        for sub in ",".join(args).split(","):
-            sub = sub.strip()
-            if not sub:
-                continue
-            parts.append(build_spec(sub.split(":")))
-        return generators.union(parts)
-    raise ValueError(f"unknown generator {name!r}")
+        parts = (sub.strip() for sub in ",".join(args).split(","))
+        return generators.union([build_spec(sub.split(":")) for sub in parts if sub])
+    if name not in _SPECS:
+        raise ValueError(f"unknown generator {name!r}")
+    make, types = _SPECS[name]
+    if len(args) < len(types):
+        raise ValueError(f"generator {name!r} is missing arguments")
+    if len(args) > len(types):
+        raise ValueError(f"generator {name!r} has extra arguments: {' '.join(args[len(types):])}")
+    values = []
+    for parse, text in zip(types, args):
+        try:
+            values.append(parse(text))
+        except (ValueError, argparse.ArgumentTypeError):
+            raise ValueError(f"generator {name!r}: bad argument {text!r}") from None
+    return make(*values)
+
+
+def _fraction(text: str) -> tuple[int, int]:
+    """An argparse type for NUM/DEN, the edge probability of gnp."""
+    num, _, den = text.partition("/")
+    try:
+        return int(num), int(den)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not NUM/DEN") from None
+
+
+# spec name -> (generator, a parser per argument)
+_SPECS = {
+    "path": (generators.path, (int,)),
+    "cycle": (generators.cycle, (int,)),
+    "complete": (generators.complete, (int,)),
+    "sierpinski": (generators.sierpinski, (int,)),
+    "net": (generators.net, ()),
+    "fig2-closed": (generators.fig2_closed, ()),
+    "gnp": (lambda n, frac, seed: generators.gnp(n, *frac, seed), (int, _fraction, int)),
+}
 
 
 # -- corpora ---------------------------------------------------------------
@@ -133,7 +141,7 @@ def corpus_from_args(args) -> tuple[str, list[Graph]]:
                 count += 1
         desc.append(f"all labeled graphs on 1..{args.exhaustive} vertices ({count})")
     if args.random:
-        num, den = (int(x) for x in args.gnp.split("/"))
+        num, den = args.gnp
         rng = random.Random(args.seed)
         for _ in range(args.random):
             n = rng.randint(1, args.max_n)
@@ -437,13 +445,13 @@ def _at_least(low: int):
 
 def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("inputs", nargs="*", help="graph files ('-' for stdin)")
-    p.add_argument("--exhaustive", type=int, metavar="N",
+    p.add_argument("--exhaustive", type=_at_least(0), metavar="N",
                    help="all labeled graphs on 1..N vertices")
-    p.add_argument("--random", type=int, metavar="COUNT")
-    p.add_argument("--gnp", default="1/2", metavar="NUM/DEN")
+    p.add_argument("--random", type=_at_least(0), metavar="COUNT")
+    p.add_argument("--gnp", type=_fraction, default="1/2", metavar="NUM/DEN")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-n", type=int, default=8)
-    p.add_argument("--sierpinski", type=int, metavar="K",
+    p.add_argument("--max-n", type=_at_least(1), default=8)
+    p.add_argument("--sierpinski", type=_at_least(0), metavar="K",
                    help="sierpinski levels 1..K")
 
 

@@ -52,7 +52,7 @@ from .rank_modp import rank_gf2, rank_gf3, rank_modp
 
 DEFAULT_COMPONENT_CAP = 8
 DEFAULT_VAR_CAP = 2 * DEFAULT_COMPONENT_CAP
-DEFAULT_FIELDS = (2, 3)
+FIELDS = (2, 3)  # regularity_bei computes over both and requires agreement
 # Entries of the per-component cache: a bound, so that long sweeps run
 # in bounded memory.
 _COMPONENT_CACHE_SIZE = 1 << 16
@@ -231,24 +231,13 @@ def homology_dims(ideal: SquarefreeIdeal, w: Iterable[int], p: int) -> dict[int,
 # -- regularity of squarefree ideals ---------------------------------------
 
 
-def _lcm_lattice(gens: tuple[int, ...], nv: int) -> list[int]:
-    """Nonempty unions of generators, by descending size, then ascending
-    variable tuple.
-
-    Among subsets of one size, the ascending-tuple order is the
-    descending order of the bit-reversed masks, so one integer key
-    sorts both ways at once.
-    """
+def _lcm_lattice(gens: tuple[int, ...]) -> set[int]:
+    """Nonempty unions of generators, unordered."""
     lattice = {0}
     for g in gens:
         lattice |= {x | g for x in lattice}
     lattice.discard(0)
-    width = f"0{nv}b"
-    return sorted(
-        lattice,
-        key=lambda m: m.bit_count() << nv | int(format(m, width)[::-1], 2),
-        reverse=True,
-    )
+    return lattice
 
 
 def _domination_table(gens: tuple[int, ...], nv: int) -> list[list[tuple[int, int]]]:
@@ -295,32 +284,33 @@ def _has_dominated_vertex(wmask: int, table: list[list[tuple[int, int]]]) -> boo
     return False
 
 
-def _scan_ideal(
-    ideal: SquarefreeIdeal, fields: tuple[int, ...]
-) -> dict[int, tuple[int, int, int]]:
+def _scan_ideal(ideal: SquarefreeIdeal, fields: tuple[int, ...]) -> dict[int, tuple[int, int]]:
     """Max (t+1) over induced subcomplexes, per field.
 
-    Returns {field: (value, witness_mask, witness_degree)}.  Only the
-    LCM-lattice elements W (unions of generators) are scanned: any other
-    subset has a vertex in no contained generator, a cone apex, so its
-    complex is acyclic.  An element whose complex has a dominated vertex
-    v is skipped too: deleting v is a strong collapse onto the complex
-    of W - v (Barmak-Minian), which has the same homology in every
-    field, and W - v (or the smaller element it reduces to) comes later
-    in the scan with the same value.  Elements go by descending size,
+    Returns {field: (value, witness_mask)}; the witness degree is
+    value - 1, and (0, 0) is the zero result.  Only the LCM-lattice
+    elements W (unions of generators) are candidates: any other subset
+    has a vertex in no contained generator, a cone apex, so its complex
+    is acyclic.  An element whose complex has a dominated vertex v is
+    dropped before ordering: deleting v is a strong collapse onto the
+    complex of W - v (Barmak-Minian), which has the same homology in
+    every field, and W - v (or the smaller element it reduces to) is
+    ranked instead with the same value.  The rest go by descending size,
     then ascending variable tuple, and an element of size s cannot beat
     a value of s - 1, which bounds the scan.  The witness is the first
     domination-free element that attains the value.
     """
-    best = {p: (0, 0, -1) for p in fields}
+    best = dict.fromkeys(fields, (0, 0))
     gens = ideal.gens
     table = _domination_table(gens, ideal.num_vars)
+    survivors = sorted(
+        (w for w in _lcm_lattice(gens) if not _has_dominated_vertex(w, table)),
+        key=lambda w: (-w.bit_count(), list(bits(w))),
+    )
     floor = 0  # the least value over the fields
-    for wmask in _lcm_lattice(gens, ideal.num_vars):
+    for wmask in survivors:
         if wmask.bit_count() - 1 <= floor:
             break
-        if _has_dominated_vertex(wmask, table):
-            continue
         by_size = _faces_by_size(gens, wmask)
         # H~_{s-1} = |F_s| - r_s - r_{s+1} can raise a field's value
         # only for s above its best, so walk down from the top face
@@ -334,7 +324,7 @@ def _scan_ideal(
             r_here = _boundary_ranks(by_size, s, live)
             for p in live:
                 if len(by_size[s]) > r_here[p] + r_above[p]:
-                    best[p] = (s, wmask, s - 1)
+                    best[p] = (s, wmask)
             r_above = r_here
         floor = min(b[0] for b in best.values())
     return best
@@ -350,8 +340,8 @@ def regularity_squarefree(ideal: SquarefreeIdeal, p: int) -> "RegularityResult":
         raise ResourceLimitError(
             f"subset scan capped at {DEFAULT_VAR_CAP} variables (got {ideal.num_vars})"
         )
-    value, wmask, t = _scan_ideal(ideal, (p,))[p]
-    return RegularityResult(value, frozenset(bits(wmask)), t, (p,), True)
+    value, wmask = _scan_ideal(ideal, (p,))[p]
+    return RegularityResult(value, frozenset(bits(wmask)), value - 1, (p,), True)
 
 
 # -- regularity of binomial edge ideals ------------------------------------
@@ -380,31 +370,22 @@ def require_field_agreement(values_by_prime: dict[int, int]) -> None:
 
 
 @lru_cache(maxsize=_COMPONENT_CACHE_SIZE)
-def _component_regularity(g: Graph, fields: tuple[int, ...]) -> tuple[int, int, int]:
-    """(value, witness_mask, witness_degree) for a connected graph whose
+def _component_regularity(g: Graph) -> tuple[int, int]:
+    """(value, witness_mask) over ``FIELDS`` for a connected graph whose
     size ``regularity_bei`` has already checked against its cap."""
-    ideal = initial_ideal(g, g.n)
-    best = _scan_ideal(ideal, fields)
-    require_field_agreement({p: best[p][0] for p in fields})
-    return best[fields[0]]
+    best = _scan_ideal(initial_ideal(g, g.n), FIELDS)
+    require_field_agreement({p: best[p][0] for p in FIELDS})
+    return best[FIELDS[0]]
 
 
-def regularity_bei(
-    g: Graph,
-    fields: tuple[int, ...] = DEFAULT_FIELDS,
-    component_cap: int = DEFAULT_COMPONENT_CAP,
-) -> RegularityResult:
+def regularity_bei(g: Graph, component_cap: int = DEFAULT_COMPONENT_CAP) -> RegularityResult:
     """Regularity of the quotient by the binomial edge ideal of g.
 
     Computed on each of ``g.component_subgraphs()`` (values add; witnesses
     join, mapped back to g's labels, with degrees t = sum(t_i + 1) - 1)
-    over every requested field.  The cap applies to each component.
+    over both fields of ``FIELDS``, which must agree.  The cap applies to
+    each component.
     """
-    if not fields:
-        raise ValueError("fields must name at least one prime")
-    for p in fields:
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
     if component_cap > DEFAULT_COMPONENT_CAP:
         warnings.warn(
             f"component cap raised to {component_cap}; the lattice scan still grows "
@@ -419,8 +400,8 @@ def regularity_bei(
             raise ResourceLimitError(
                 f"component with {sub.n} vertices exceeds cap {component_cap}"
             )
-        value, wmask, _t = _component_regularity(sub, tuple(fields))
+        value, wmask = _component_regularity(sub)
         total += value
         for v in bits(wmask):
             witness.add(back[v] if v < sub.n else g.n + back[v - sub.n])
-    return RegularityResult(total, frozenset(witness), total - 1, tuple(fields), True)
+    return RegularityResult(total, frozenset(witness), total - 1, FIELDS, True)

@@ -6,11 +6,13 @@ the solvers under test beyond the Graph container itself.  The rank
 reference eliminates on numpy arrays, which the package does not use.
 The regularity reference takes ``homology_dims`` of every variable
 subset, so it shares none of the scan's pruning (lattice, domination,
-size bound).  The initial-ideal reference walks every label-valid
-simple path, chords and all, so it shares none of the admissible-path
-walk's pruning; minimalized, its monomials give the minimal
-generators.  The induced-path references are permutation and subset
-enumeration, plus ``ref_longest_induced_path``: the depth-first search
+size bound); the witness reference tests the lattice and domination
+rules on each subset in witness order, domination by listing faces.
+The initial-ideal reference walks every label-valid simple path,
+chords and all, so it shares none of the admissible-path walk's
+pruning; minimalized, its monomials give the minimal generators.
+The induced-path references are permutation and subset enumeration,
+plus ``ref_longest_induced_path``: the depth-first search
 with the count bound alone, whose witnesses the bounded search must
 reproduce exactly.  The graph transform references relabel through a dict and
 test vertex pairs one at a time, so they share none of the bit shifting
@@ -66,6 +68,28 @@ def brute_regularity_squarefree(ideal, p: int) -> int:
             if dim:
                 best = max(best, t + 1)
     return best
+
+
+def ref_reg_witness(ideal, value: int) -> frozenset[int]:
+    """The witness rule, by subset enumeration: the first variable subset
+    W, by descending size and then ascending tuple, that is the union of
+    the generators inside it, has no vertex v dominated by a vertex u
+    (every face through v stays a face when u is added), and has nonzero
+    reduced homology in degree ``value - 1`` over GF(2) and GF(3).  The
+    empty set when no nonempty W qualifies."""
+    for size in range(ideal.num_vars, 0, -1):
+        for w in combinations(range(ideal.num_vars), size):
+            inside = [set(bits(g)) for g in ideal.gens if set(bits(g)) <= set(w)]
+            if set().union(*inside) != set(w):
+                continue
+            faces = {frozenset(f) for k in range(size + 1) for f in combinations(w, k)
+                     if not any(g <= set(f) for g in inside)}
+            if any(all(f | {u} in faces for f in faces if v in f)
+                   for u in w for v in w if u != v):
+                continue
+            if all(homology_dims(ideal, w, p).get(value - 1) for p in (2, 3)):
+                return frozenset(w)
+    return frozenset()
 
 
 def label_valid_path_monomials(g: Graph) -> set[int]:

@@ -70,6 +70,20 @@ def test_gen_missing_arguments_exits_2(capsys):
     assert err == "error: generator 'gnp' is missing arguments\n"
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("path 3 7", "generator 'path' has extra arguments: 7"),
+    ("net 3", "generator 'net' has extra arguments: 3"),
+    ("union path:2:9,cycle:3", "generator 'path' has extra arguments: 9"),
+    ("gnp 6 1/2/3 3", "generator 'gnp': bad argument '1/2/3'"),
+    ("gnp 6 1 3", "generator 'gnp': bad argument '1'"),
+    ("path x", "generator 'path': bad argument 'x'"),
+])
+def test_gen_bad_arguments_exit_2_naming_the_generator(capsys, spec, message):
+    code, out, err = run(capsys, "gen", *spec.split())
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_gen_unknown_spec_exits_2(capsys):
     code, _, err = run(capsys, "gen", "frobnicate")
     assert code == 2 and "error" in err
@@ -319,6 +333,10 @@ def test_verify_unknown_option_still_exits_2(capsys, tmp_path):
     ["search", "--gap", "eta-L", "--exhaustive", "2", "--top", "-1"],
     ["verify", "chain", "--exhaustive", "2", "--jobs", "0"],
     ["verify", "chain", "--exhaustive", "2", "--jobs", "-1"],
+    ["verify", "chain", "--random", "3", "--max-n", "0"],
+    ["verify", "chain", "--exhaustive", "2", "--random", "-2"],
+    ["verify", "chain", "--exhaustive", "-1"],
+    ["search", "--gap", "eta-L", "--sierpinski", "-1"],
 ])
 def test_count_options_out_of_range_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -326,6 +344,15 @@ def test_count_options_out_of_range_exit_2(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and f"argument {argv[-2]}: {argv[-1]} is below" in err
+
+
+@pytest.mark.parametrize("frac", ["1/2/3", "1", "x/2"])
+def test_gnp_flag_must_be_num_den_exit_2(capsys, frac):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "chain", "--random", "3", "--gnp", frac])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"argument --gnp: '{frac}' is not NUM/DEN" in err
 
 
 def test_verify_compatible_exhaustive_4(capsys):

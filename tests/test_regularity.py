@@ -1,12 +1,13 @@
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from beibounds.errors import FieldDisagreementError, ResourceLimitError
 from beibounds.generators import all_labeled, complete, cycle, fig2_closed, gnp, net, path, sierpinski, union, with_injected_isolates
-from beibounds.graphs import Graph
+from beibounds.graphio import encode_graph6
+from beibounds.graphs import Graph, bits
 from beibounds.invariants import longest_induced_path
 from beibounds import regularity
 from beibounds.regularity import (
@@ -19,7 +20,7 @@ from beibounds.regularity import (
     require_field_agreement,
 )
 
-from brute import brute_regularity_squarefree, label_valid_path_monomials
+from brute import brute_regularity_squarefree, label_valid_path_monomials, ref_reg_witness
 
 
 def supports(ideal):
@@ -179,8 +180,6 @@ def test_homology_rejects_non_prime():
         homology_dims(ideal, [0, 1], 4)
     with pytest.raises(ValueError, match="4 is not prime"):
         regularity_squarefree(ideal, 4)
-    with pytest.raises(ValueError, match="4 is not prime"):
-        regularity_bei(path(3), fields=(2, 4))
 
 
 def test_variable_indices_checked_by_one_rule():
@@ -308,13 +307,6 @@ def test_component_cap_enforced():
         regularity_bei(path(9))
 
 
-def test_empty_fields_rejected_up_front():
-    with pytest.raises(ValueError, match="at least one prime"):
-        regularity_bei(path(3), fields=())
-    with pytest.raises(ValueError, match="at least one prime"):
-        regularity_bei(Graph(0, ()), fields=())
-
-
 def test_cap_override_warns_loudly():
     with pytest.warns(RuntimeWarning):
         assert regularity_bei(path(9), component_cap=9).value == 8
@@ -350,6 +342,24 @@ def test_scan_matches_every_subset_reference_on_torsion(name, p):
     _assert_matches_brute(SquarefreeIdeal.from_supports(num_vars, nonfaces), p)
 
 
+def _connected_witness_corpus():
+    for n in range(1, 5):
+        yield from (g for g in all_labeled(n) if g.is_connected())
+    samples = (gnp(5, 1, 2, seed) for seed in range(1000))
+    yield from islice((g for g in samples if g.is_connected()), 60)
+
+
+def test_witness_is_first_domination_free_union_attaining_the_value():
+    """Among the subsets that attain the value, the witness is pinned to
+    the first by descending size and ascending tuple that is a union of
+    generators with no dominated vertex."""
+    for g in _connected_witness_corpus():
+        res = regularity_bei(g)
+        ideal = SquarefreeIdeal.from_supports(
+            2 * g.n, [list(bits(m)) for m in label_valid_path_monomials(g)])
+        assert res.witness_vars == ref_reg_witness(ideal, res.value), encode_graph6(g)
+
+
 # -- closed forms at the component cap ------------------------------------------
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -372,7 +382,7 @@ def test_component_subgraphs_are_induced_delete_graphs():
     for comp in g.component_masks():
         outside = [v for v in range(g.n) if not comp >> v & 1]
         hits = regularity._component_regularity.cache_info().hits
-        regularity._component_regularity(g.induced_delete(outside), regularity.DEFAULT_FIELDS)
+        regularity._component_regularity(g.induced_delete(outside))
         assert regularity._component_regularity.cache_info().hits == hits + 1
 
 
