@@ -20,15 +20,18 @@ unbounded search.  The edge-level conflict graph is kept as an
 independent reference for the tests.
 
 The longest induced path of each component comes from a depth-first
-search from every vertex.  Each search node computes its available set
-and its counting bound once for all its children, and settles the
-children that cannot grow without entering them.  Two admissible
-bounds, a few big-int operations per node, tighten the count: an
-induced path holds at most two vertices of each triangle of a greedy
-packing (kept in bit planes, built once a search outgrows its cost)
-and at most one degree-1 vertex.  They never prune the first longest
-path, so the witnesses are the count bound's.  The search has a node
-budget, as eta's has.
+search that walks each induced path once, from its least vertex and
+over the vertices above it: one side of the path grows first, and at
+each of its nodes the other side may start.  Each search node computes
+its available set and its counting bound once for all its children,
+and settles the children that cannot grow without entering them.  Two
+admissible bounds, a few big-int operations per node, tighten the
+count: an induced path holds at most two vertices of each triangle of
+a greedy packing (kept in bit planes, built once a search outgrows its
+cost) and at most one degree-1 vertex per open end.  They never prune
+the first longest path, so the witnesses are the count bound's, each
+written smaller end first.  The search has a node budget, as eta's
+has.
 """
 
 from __future__ import annotations
@@ -369,39 +372,55 @@ def _component_lip(
     the running count ``nodes`` of expanded search nodes (at most
     ``node_limit``, else ResourceLimitError).
 
-    Depth-first search from every start vertex, candidates in ascending
-    order.  A node holds an induced path ``path[:k]`` ending at
-    ``last``, the set ``avail`` of vertices off the path with no path
-    neighbour but ``last``, and its candidates ``cand = avail &
-    adj[last]``.  Every later vertex comes from ``rest = avail &
-    ~adj[last]``, so the node bounds the length it can reach by ``k +
-    rest.bit_count()``.  If that does not prune, the node is expanded, and
-    where the bound is within ``most`` of the best length two
-    corrections tighten it: each packed triangle wholly in ``rest``
-    takes one off (an induced path holds two of its vertices at most),
-    and all but one of the degree-1 ``leaves`` in ``rest`` come off
-    (only the path's end can be one).  The node records its longest
-    extension (the path plus the lowest candidate) when that beats the
-    best, and recurses only into candidates with a neighbour in ``rest``.
+    Each induced path is walked once, from its least vertex ``m`` (the
+    root), over the vertices above ``m``.  Side A grows first, from a
+    neighbour ``a1`` of ``m``.  At every side-A node, with path ``m a1
+    .. aj``, side B may start at any of its ``starts``: the neighbours
+    ``b1 > a1`` of ``m`` with no neighbour among ``a1 .. aj``.  Side B
+    is the one-sided search ``extend`` on the path ``aj .. a1 m b1``
+    (``path`` is reversed in place for it), side A closed; so is side A
+    once no start is left, so ``side_a`` always has starts.  Roots go
+    up, candidates and starts ascend, and a node's side-A children come
+    before its side-B starts.  A root bounds its paths as a side-A node
+    does (below), with both sides open while two neighbours are left.
+    Later roots see fewer vertices, so the root loop stops once no more
+    vertices lie above the root than the best length.
+
+    A node holds an induced path ``path[:k]`` ending at ``last``, the
+    set ``avail`` of vertices above the root, off the path, with no path
+    neighbour but ``last`` (side A's also off ``N(m)``), and its
+    candidates ``cand = avail & adj[last]``.  Each open side adds at
+    most one vertex outside ``rest = avail & ~adj[last]``, so a one-sided
+    node bounds the length it can reach by ``k + rest.bit_count()``, and
+    a side-A node by one more while it has candidates too (``k`` counts
+    only one extra vertex: a candidate and a start can be adjacent).  If
+    that does not prune, the node is expanded, and where the bound is
+    within ``most`` of the best length two corrections tighten it: each
+    packed triangle wholly in ``rest`` takes one off (an induced path
+    holds two of its vertices at most), and the degree-1 ``leaves`` in
+    ``rest`` beyond one per open side come off (only the path's ends can
+    be one).  The node records its longest extension (the path plus the
+    lowest candidate, else plus the lowest start) when that beats the
+    best, and enters only the children that can grow.
 
     Member j of packed triangle i is bit ``i + j*t`` of ``availp``,
     which mirrors ``avail`` on the members, and ``adjp[v]`` is the plane
     image of ``adj[v]``, so ``restp & restp >> t & restp >> 2t`` marks
-    the triangles wholly in ``rest``.  (A start vertex keeps its own
-    bit, but its triangle's other members are its neighbours.)  The
-    packing is built at the first start vertex after the search has
-    expanded ``_PACK_AFTER`` nodes; until then ``t``, ``leaves``,
+    the triangles wholly in ``rest``.  The packing covers the vertices
+    from the root up and is built at the first root after the search
+    has expanded ``_PACK_AFTER`` nodes; each root then clears its own
+    plane bit ``own[m]`` from ``availp``.  Until then ``t``, ``leaves``,
     ``most``, ``availp`` and the component's ``adjp`` rows are 0.  Every
     bound is admissible, so it never prunes the first longest path in
     the search order: the witness is the one the count bound alone
-    finds, whenever the packing was built.
+    finds, whenever the packing was built, written smaller end first.
     """
     adj = g.adj
     best_len = 0
     best_path = [(comp & -comp).bit_length() - 1]
     path = [0] * comp.bit_count()
-    t = t2 = leaves = fullp = most = 0
-    packed = False
+    t = t2 = leaves = availp = most = 0
+    own: list[int] = []
 
     def extend(last: int, avail: int, availp: int, cand: int, k: int) -> None:
         nonlocal best_len, best_path, nodes
@@ -430,27 +449,100 @@ def _component_lip(
                 path[k] = u
                 extend(u, rest, restp, grow, k + 1)
 
+    def side_a(last: int, avail: int, availp: int, cand: int, starts: int, k: int) -> None:
+        nonlocal best_len, best_path, nodes
+        if k > best_len:
+            best_len = k
+            if cand:
+                best_path = path[:k] + [(cand & -cand).bit_length() - 1]
+            else:
+                best_path = path[k - 1::-1] + [(starts & -starts).bit_length() - 1]
+        rest = avail & ~adj[last]
+        both = 1 if cand else 0  # both sides still open
+        bound = k + both + rest.bit_count()
+        if bound <= best_len:
+            return
+        nodes += 1
+        if nodes > node_limit:
+            raise ResourceLimitError(f"induced-path search exceeded {node_limit} nodes")
+        restp = availp & ~adjp[last] if availp else 0
+        if bound - best_len <= most:
+            bound -= (restp & restp >> t & restp >> t2).bit_count()
+            ends = (rest & leaves).bit_count() - both
+            if ends > 1:
+                bound -= ends - 1
+        while cand and bound > best_len:
+            low = cand & -cand
+            cand ^= low
+            u = low.bit_length() - 1
+            grow = rest & adj[u]
+            more = starts & ~adj[u]
+            path[k] = u
+            if more:
+                side_a(u, rest, restp, grow, more, k + 1)
+            elif grow:
+                extend(u, rest, restp, grow, k + 1)
+        bound -= both  # side A is closed now
+        if bound > best_len:
+            path[:k] = path[k - 1::-1]
+            while starts and bound > best_len:
+                low = starts & -starts
+                starts ^= low
+                b = low.bit_length() - 1
+                grow = rest & adj[b]
+                if grow:
+                    path[k] = b
+                    extend(b, rest, restp, grow, k + 1)
+            path[:k] = path[k - 1::-1]
+
     first = nodes
-    for start in bits(comp):
-        if not packed and nodes - first >= _PACK_AFTER:
-            packed = True
-            t, leaves = _triangle_planes(adj, comp, adjp)
+    above = comp
+    while above.bit_count() > best_len + 1:
+        low = above & -above
+        above ^= low
+        m = low.bit_length() - 1
+        if not own and nodes - first >= _PACK_AFTER:
+            t, leaves, own = _triangle_planes(adj, above | low, adjp)
             t2 = 2 * t
-            fullp = (1 << 3 * t) - 1
+            availp = (1 << 3 * t) - 1
             most = t + max(leaves.bit_count() - 1, 0)
-        cand = comp & adj[start]
-        if cand:
-            path[0] = start
-            extend(start, comp & ~(1 << start), fullp, cand, 1)
+        if own:
+            availp &= ~own[m]
+        cand = above & adj[m]
+        if not cand:
+            continue
+        if not best_len:
+            best_len = 1
+            best_path = [m, (cand & -cand).bit_length() - 1]
+        path[0] = m
+        rest = above & ~adj[m]
+        restp = availp & ~adjp[m] if availp else 0
+        size = 1 + rest.bit_count()
+        while cand and size + (1 if cand & cand - 1 else 0) > best_len:
+            low = cand & -cand
+            cand ^= low
+            a = low.bit_length() - 1
+            grow = rest & adj[a]
+            more = cand & ~adj[a]
+            path[1] = a
+            if more:
+                side_a(a, rest, restp, grow, more, 2)
+            elif grow:
+                extend(a, rest, restp, grow, 2)
+    if best_path[0] > best_path[-1]:
+        best_path.reverse()
     return best_len, best_path, nodes
 
 
-def _triangle_planes(adj: Sequence[int], comp: int, adjp: list[int]) -> tuple[int, int]:
-    """Pack disjoint triangles of the component greedily, lowest vertex
+def _triangle_planes(
+    adj: Sequence[int], comp: int, adjp: list[int]
+) -> tuple[int, int, list[int]]:
+    """Pack disjoint triangles of ``comp`` greedily, lowest vertex
     first, and write into ``adjp`` each vertex's neighbourhood row in
     the planes (member j of triangle i is bit ``i + j*t``).
 
-    Returns the triangle count t and the mask of degree-1 vertices.
+    Returns the triangle count t, the mask of degree-1 vertices and
+    each vertex's own plane bit (0 off the packing).
     """
     triangles = []
     free = comp
@@ -465,16 +557,17 @@ def _triangle_planes(adj: Sequence[int], comp: int, adjp: list[int]) -> tuple[in
                 free &= ~(1 << a | 1 << b | 1 << c)
                 break
     t = len(triangles)
+    own = [0] * len(adjp)
     for i, tri in enumerate(triangles):
         for j, u in enumerate(tri):
-            bit = 1 << (i + j * t)
+            own[u] = bit = 1 << (i + j * t)
             for v in bits(adj[u]):
                 adjp[v] |= bit
     leaves = 0
     for v in bits(comp):
         if not adj[v] & adj[v] - 1:
             leaves |= 1 << v
-    return t, leaves
+    return t, leaves, own
 
 
 # -- constructive extension (saturated graph -> original graph) -----------

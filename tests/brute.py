@@ -12,7 +12,8 @@ The initial-ideal reference walks every label-valid simple path,
 chords and all, so it shares none of the admissible-path walk's
 pruning; minimalized, its monomials give the minimal generators.
 The induced-path references are permutation and subset enumeration,
-plus ``ref_longest_induced_path``: the depth-first search
+the one-sided depth-first search from every vertex (values only), and
+``ref_longest_induced_path``: the walk from each path's least vertex
 with the count bound alone, whose witnesses the bounded search must
 reproduce exactly.  The graph transform references relabel through a dict and
 test vertex pairs one at a time, so they share none of the bit shifting
@@ -172,10 +173,16 @@ def brute_longest_induced_path(g: Graph) -> int:
 
 
 def ref_longest_induced_path(g: Graph) -> tuple[int, list[list[int]]]:
-    """Longest induced path with one witness per component, from a
-    depth-first search from every vertex bounded only by the count of
-    available vertices; the first longest path in the search order is
-    the witness."""
+    """Longest induced path with one witness per component, from a walk
+    that meets each induced path once, rooted at its least vertex and
+    bounded only by the count of vertices it can still add.
+
+    Side A grows from the root ``m`` first; at each of its paths ``m a1
+    .. aj`` side B may start at a neighbour ``b > a1`` of ``m`` with no
+    neighbour among ``a1 .. aj``, and then grows alone.  Side A's
+    children come before side B's starts, each in ascending order.  The
+    witness is the first longest path in this order, smaller end first.
+    """
     total = 0
     witnesses = []
     for comp in g.component_masks():
@@ -187,16 +194,53 @@ def ref_longest_induced_path(g: Graph) -> tuple[int, list[list[int]]]:
 
 def _ref_component_lip(g: Graph, comp: int) -> tuple[int, list[int]]:
     adj = g.adj
+    best = [(comp & -comp).bit_length() - 1]
+
+    def visit(path: list[int], avail: int, starts) -> None:
+        """``avail``: vertices off the path whose only path neighbour, if
+        any, is ``path[-1]``; ``starts``: side B's possible first vertices
+        on a side-A path, None on a side-B path."""
+        nonlocal best
+        if len(path) > len(best):
+            best = path
+        cand = avail & adj[path[-1]]
+        rest = avail & ~adj[path[-1]]
+        # each open side adds one vertex off rest, every other one is in rest
+        most = len(path) - 1 + bool(cand) + bool(starts) + rest.bit_count()
+        if most < len(best):
+            return
+        for u in bits(cand):
+            visit(path + [u], rest, None if starts is None else starts & ~adj[u])
+        for b in bits(starts or 0):
+            visit(path[::-1] + [b], rest, None)
+
+    for m in bits(comp):
+        above = comp >> m + 1 << m + 1
+        nbrs = above & adj[m]
+        for a in bits(nbrs):
+            visit([m, a], above & ~adj[m], nbrs >> a + 1 << a + 1 & ~adj[a])
+    if best[0] > best[-1]:
+        best = best[::-1]
+    return len(best) - 1, best
+
+
+def ref_longest_induced_path_one_sided(g: Graph) -> int:
+    """Sum over components of the longest induced path length, from a
+    depth-first search from every vertex that grows one end only (so it
+    meets each path from both of its ends), bounded only by the count of
+    available vertices."""
+    return sum(_ref_one_sided_lip(g, comp) for comp in g.component_masks())
+
+
+def _ref_one_sided_lip(g: Graph, comp: int) -> int:
+    adj = g.adj
     best_len = 0
-    best_path = [(comp & -comp).bit_length() - 1]
     path: list[int] = []
 
     def extend(last: int, avail: int, cand: int) -> None:
-        nonlocal best_len, best_path
+        nonlocal best_len
         k = len(path)  # edges in the path once a candidate is appended
-        if k > best_len:
-            best_len = k
-            best_path = path + [(cand & -cand).bit_length() - 1]
+        best_len = max(best_len, k)
         rest = avail & ~adj[last]
         # every later vertex comes from rest, adding one edge each
         bound = k + rest.bit_count()
@@ -216,7 +260,7 @@ def _ref_component_lip(g: Graph, comp: int) -> tuple[int, list[int]]:
             path.append(start)
             extend(start, comp & ~(1 << start), cand)
             path.pop()
-    return best_len, best_path
+    return best_len
 
 
 def _brute_connected(g: Graph, vs) -> bool:

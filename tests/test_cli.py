@@ -272,7 +272,7 @@ def test_verify_chain_without_reg_skips_nothing(capsys, tmp_path):
     ["verify", "chain", "--sierpinski", "3"],
 ])
 def test_L_node_budget_exits_2(capsys, monkeypatch, tmp_path, argv):
-    """L of sierpinski(3) expands about 388k search nodes; with a budget
+    """L of sierpinski(3) expands about 135k search nodes; with a budget
     of 1,000 every command that computes L stops with exit 2."""
     from beibounds import invariants
     monkeypatch.setattr(invariants.longest_induced_path, "__defaults__", (1_000,))

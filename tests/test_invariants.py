@@ -14,6 +14,7 @@ from beibounds.invariants import (
     extend_clique_disjoint,
     in_common_clique,
     is_clique_disjoint,
+    is_induced_path,
     longest_induced_path,
     maximal_cliques,
 )
@@ -27,6 +28,7 @@ from brute import (
     brute_maximal_cliques,
     ref_eta,
     ref_longest_induced_path,
+    ref_longest_induced_path_one_sided,
     ref_max_independent_set,
 )
 
@@ -339,16 +341,44 @@ def test_longest_induced_path_matches_subset_brute_force(g):
 
 
 def test_longest_induced_path_node_budget():
-    assert longest_induced_path(sierpinski(3), node_limit=600_000)[0] == 24
+    assert longest_induced_path(sierpinski(3), node_limit=160_000)[0] == 24
     with pytest.raises(ResourceLimitError):
         longest_induced_path(sierpinski(3), node_limit=1_000)
 
 
 def test_longest_induced_path_budget_spans_components():
-    """sierpinski(2) expands 196 search nodes; two copies share one budget."""
-    assert longest_induced_path(sierpinski(2), node_limit=300)[0] == 8
+    """sierpinski(2) expands 55 search nodes; two copies share one budget."""
+    assert longest_induced_path(sierpinski(2), node_limit=80)[0] == 8
     with pytest.raises(ResourceLimitError):
-        longest_induced_path(union([sierpinski(2), sierpinski(2)]), node_limit=300)
+        longest_induced_path(union([sierpinski(2), sierpinski(2)]), node_limit=80)
+
+
+def _check_lip_witnesses(g, total, witnesses):
+    assert all(is_induced_path(g, w) for w in witnesses)
+    assert all(w[0] <= w[-1] for w in witnesses)
+    assert sum(len(w) - 1 for w in witnesses) == total
+
+
+@pytest.mark.parametrize("g, want", [
+    # a spider whose least vertex is its centre: the longest path runs
+    # 4-3-2-0-5-6, so both of its ends are leaves in the rest of the
+    # side-A node 0-2
+    (Graph.from_edge_list(7, [(0, 1), (0, 2), (2, 3), (3, 4), (0, 5), (5, 6)]), 5),
+    # C4: at the side-A node 0-1, the candidate 2 and the start 3 are
+    # adjacent, so the node may count only one of them
+    (cycle(4), 2),
+    # the longest path 3-2-7-6-5 has root 2, above the members 0 and 1 of
+    # the packed triangle 0-1-6; their plane bits must be off, or the
+    # triangle counts as wholly in rest at root 2
+    (Graph.from_edge_list(8, [(0, 1), (0, 6), (0, 7), (1, 6), (1, 7), (2, 3), (2, 4),
+                              (2, 7), (5, 6), (6, 7)]), 4),
+])
+def test_longest_induced_path_two_sides_from_the_root(monkeypatch, g, want):
+    monkeypatch.setattr(invariants, "_PACK_AFTER", 0)
+    total, witnesses = longest_induced_path(g)
+    assert total == want == brute_longest_induced_path_subsets(g)
+    _check_lip_witnesses(g, total, witnesses)
+    assert (total, witnesses) == ref_longest_induced_path(g)
 
 
 @st.composite
@@ -384,11 +414,38 @@ def test_longest_induced_path_bounds_keep_witnesses_exhaustive_n6(monkeypatch):
             assert longest_induced_path(g) == ref_longest_induced_path(g)
 
 
+@given(triangle_pendant_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_longest_induced_path_relabelled_triangle_pendant_graphs(g, rng):
+    """Relabelled, packed triangles and pendant vertices also fall below
+    the roots.  Values against the one-sided search, which meets each
+    path from both of its ends (subset enumeration is out of reach at 20
+    vertices)."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    h = Graph.from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariants, "_PACK_AFTER", 0)
+        total, witnesses = longest_induced_path(h)
+    assert total == ref_longest_induced_path_one_sided(h)
+    _check_lip_witnesses(h, total, witnesses)
+    assert (total, witnesses) == ref_longest_induced_path(h)
+
+
+def test_longest_induced_path_matches_one_sided_search_exhaustive_n6():
+    for n in range(1, 7):
+        for g in all_labeled(n):
+            assert longest_induced_path(g)[0] == ref_longest_induced_path_one_sided(g)
+
+
 @pytest.mark.parametrize(
     "g", [sierpinski(1), sierpinski(2), sierpinski(3)] + [gnp(40, 1, 10, s) for s in range(3)]
 )
 def test_longest_induced_path_witnesses_match_reference(g):
-    assert longest_induced_path(g) == ref_longest_induced_path(g)
+    total, witnesses = longest_induced_path(g)
+    assert (total, witnesses) == ref_longest_induced_path(g)
+    assert total == ref_longest_induced_path_one_sided(g)
+    _check_lip_witnesses(g, total, witnesses)
 
 
 # -- constructive extension ----------------------------------------------------
