@@ -419,14 +419,25 @@ def cmd_search(args) -> int:
     desc, graphs = corpus_from_args(args)
     hi, lo = GAPS[args.gap]
     rows = []
+    skipped = []  # (graph6, message) per graph a resource cap stopped
     for g in graphs:
-        rec = invariant_record(g, with_reg="reg" in (hi, lo))
+        try:
+            rec = invariant_record(g, with_reg="reg" in (hi, lo))
+        except ResourceLimitError as exc:
+            skipped.append((encode_graph6(g), str(exc)))
+            continue
         gap = rec[hi] - rec[lo]
         rows.append((gap, rec["graph6"], {k: rec[k] for k in ("n", "L", "eta", "c", "reg") if k in rec}))
     rows.sort(key=lambda r: (-r[0], r[1]))
     top = [{"gap": gap, "graph6": g6, "values": vals} for gap, g6, vals in rows[: args.top]]
+    top += [{"graph6": g6, "skipped": message} for g6, message in skipped]
     report = make_report(["search", args.gap], desc, top, [], started)
     emit(report, args.format)
+    if skipped:
+        print(f"error: a resource cap skipped {len(skipped)} graph(s):", file=sys.stderr)
+        for g6, message in skipped:
+            print(f"{g6}: {message}", file=sys.stderr)
+        return 2
     return 0
 
 

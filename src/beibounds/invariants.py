@@ -20,15 +20,17 @@ unbounded search.  The edge-level conflict graph is kept as an
 independent reference for the tests.
 
 The longest induced path of each component comes from a depth-first
-search that walks each induced path once, from its least vertex and
-over the vertices above it: one side of the path grows first, and at
-each of its nodes the other side may start.  Each search node computes
-its available set and its counting bound once for all its children,
-and settles the children that cannot grow without entering them.  Two
-admissible bounds, a few big-int operations per node, tighten the
-count: an induced path holds at most two vertices of each triangle of
-a greedy packing (kept in bit planes, built once a search outgrows its
-cost) and at most one degree-1 vertex per open end.  They never prune
+search that walks each induced path once, from its first vertex in a
+smallest-last order and over the vertices not yet rooted: each root is
+a vertex of least degree among those, so later roots search smaller
+graphs.  One side of the path grows first, and at each of its nodes the
+other side may start.  Each search node computes its available set and
+its counting bound once for all its children, and settles the children
+that cannot grow without entering them.  Two admissible bounds, a few
+big-int operations per node, tighten the count: an induced path holds
+at most two vertices of each triangle of a greedy packing (kept in bit
+planes, built once a search outgrows its cost) and at most one
+degree-1 vertex at the open end of a one-sided path.  They never prune
 the first longest path, so the witnesses are the count bound's, each
 written smaller end first.  The search has a node budget, as eta's
 has.
@@ -372,22 +374,27 @@ def _component_lip(
     the running count ``nodes`` of expanded search nodes (at most
     ``node_limit``, else ResourceLimitError).
 
-    Each induced path is walked once, from its least vertex ``m`` (the
-    root), over the vertices above ``m``.  Side A grows first, from a
-    neighbour ``a1`` of ``m``.  At every side-A node, with path ``m a1
-    .. aj``, side B may start at any of its ``starts``: the neighbours
-    ``b1 > a1`` of ``m`` with no neighbour among ``a1 .. aj``.  Side B
-    is the one-sided search ``extend`` on the path ``aj .. a1 m b1``
-    (``path`` is reversed in place for it), side A closed; so is side A
-    once no start is left, so ``side_a`` always has starts.  Roots go
-    up, candidates and starts ascend, and a node's side-A children come
-    before its side-B starts.  A root bounds its paths as a side-A node
-    does (below), with both sides open while two neighbours are left.
-    Later roots see fewer vertices, so the root loop stops once no more
-    vertices lie above the root than the best length.
+    Each induced path is walked once, from its first vertex ``m`` (the
+    root) in a smallest-last order, over the vertices not yet rooted,
+    ``unrooted``: each root is a vertex of least degree in the subgraph
+    induced on ``unrooted``, the least on ties, so the sparse parts of
+    the component are rooted first and later roots search less of it
+    (Matula-Beck 1983).  Side A grows first, from a neighbour ``a1`` of
+    ``m``.  At every side-A node, with path ``m a1 .. aj``, side B may
+    start at any of its ``starts``: the unrooted neighbours ``b1 > a1``
+    of ``m`` with no neighbour among ``a1 .. aj``.  Side B is the
+    one-sided search ``extend`` on the path ``aj .. a1 m b1`` (``path``
+    is reversed in place for it), side A closed; so is side A once no
+    start is left, so ``side_a`` always has starts.  Candidates
+    and starts ascend, and a node's side-A children come before its
+    side-B starts.  A root bounds its paths as a side-A node does
+    (below), with both sides open while two neighbours are left.  Later
+    roots see fewer vertices, so the root loop stops once no more
+    vertices are unrooted, the root among them, than the best length
+    plus one.
 
     A node holds an induced path ``path[:k]`` ending at ``last``, the
-    set ``avail`` of vertices above the root, off the path, with no path
+    set ``avail`` of unrooted vertices, off the path, with no path
     neighbour but ``last`` (side A's also off ``N(m)``), and its
     candidates ``cand = avail & adj[last]``.  Each open side adds at
     most one vertex outside ``rest = avail & ~adj[last]``, so a one-sided
@@ -397,23 +404,27 @@ def _component_lip(
     that does not prune, the node is expanded, and where the bound is
     within ``most`` of the best length two corrections tighten it: each
     packed triangle wholly in ``rest`` takes one off (an induced path
-    holds two of its vertices at most), and the degree-1 ``leaves`` in
-    ``rest`` beyond one per open side come off (only the path's ends can
-    be one).  The node records its longest extension (the path plus the
-    lowest candidate, else plus the lowest start) when that beats the
-    best, and enters only the children that can grow.
+    holds two of its vertices at most), and at a one-sided node the
+    degree-1 ``leaves`` in ``rest`` beyond one come off (only the path's
+    open end can be one).  Side A needs no such correction: a root with
+    two unrooted neighbours has the least degree among the unrooted
+    vertices, so none of them has degree 1.  The node records its
+    longest extension (the path plus the lowest candidate, else plus
+    the lowest start) when that beats the best, and enters only the
+    children that can grow.
 
     Member j of packed triangle i is bit ``i + j*t`` of ``availp``,
     which mirrors ``avail`` on the members, and ``adjp[v]`` is the plane
     image of ``adj[v]``, so ``restp & restp >> t & restp >> 2t`` marks
-    the triangles wholly in ``rest``.  The packing covers the vertices
-    from the root up and is built at the first root after the search
-    has expanded ``_PACK_AFTER`` nodes; each root then clears its own
-    plane bit ``own[m]`` from ``availp``.  Until then ``t``, ``leaves``,
-    ``most``, ``availp`` and the component's ``adjp`` rows are 0.  Every
-    bound is admissible, so it never prunes the first longest path in
-    the search order: the witness is the one the count bound alone
-    finds, whenever the packing was built, written smaller end first.
+    the triangles wholly in ``rest``.  The packing covers the unrooted
+    vertices, the root among them, and is built at the first root after
+    the search has expanded ``_PACK_AFTER`` nodes; each root then clears
+    its own plane bit ``own[m]`` from ``availp``.  Until then ``t``,
+    ``leaves``, ``most``, ``availp`` and the component's ``adjp`` rows
+    are 0.  Every bound is admissible, so it never prunes the first
+    longest path in the search order: the witness is the one the count
+    bound alone finds, whenever the packing was built, written smaller
+    end first.
     """
     adj = g.adj
     best_len = 0
@@ -468,9 +479,6 @@ def _component_lip(
         restp = availp & ~adjp[last] if availp else 0
         if bound - best_len <= most:
             bound -= (restp & restp >> t & restp >> t2).bit_count()
-            ends = (rest & leaves).bit_count() - both
-            if ends > 1:
-                bound -= ends - 1
         while cand and bound > best_len:
             low = cand & -cand
             cand ^= low
@@ -496,26 +504,37 @@ def _component_lip(
             path[:k] = path[k - 1::-1]
 
     first = nodes
-    above = comp
-    while above.bit_count() > best_len + 1:
-        low = above & -above
-        above ^= low
-        m = low.bit_length() - 1
+    unrooted = comp
+    while unrooted.bit_count() > best_len + 1:
+        # the root: a vertex of least degree among the unrooted ones,
+        # the least on ties
+        m = -1
+        fewest = unrooted.bit_count()
+        left = unrooted
+        while left:
+            low = left & -left
+            left ^= low
+            u = low.bit_length() - 1
+            degree = (adj[u] & unrooted).bit_count()
+            if degree < fewest:
+                m, fewest = u, degree
+        low = 1 << m
+        unrooted ^= low
         if not own and nodes - first >= _PACK_AFTER:
-            t, leaves, own = _triangle_planes(adj, above | low, adjp)
+            t, leaves, own = _triangle_planes(adj, unrooted | low, adjp)
             t2 = 2 * t
             availp = (1 << 3 * t) - 1
             most = t + max(leaves.bit_count() - 1, 0)
         if own:
             availp &= ~own[m]
-        cand = above & adj[m]
+        cand = unrooted & adj[m]
         if not cand:
             continue
         if not best_len:
             best_len = 1
             best_path = [m, (cand & -cand).bit_length() - 1]
         path[0] = m
-        rest = above & ~adj[m]
+        rest = unrooted & ~adj[m]
         restp = availp & ~adjp[m] if availp else 0
         size = 1 + rest.bit_count()
         while cand and size + (1 if cand & cand - 1 else 0) > best_len:
@@ -537,12 +556,14 @@ def _component_lip(
 def _triangle_planes(
     adj: Sequence[int], comp: int, adjp: list[int]
 ) -> tuple[int, int, list[int]]:
-    """Pack disjoint triangles of ``comp`` greedily, lowest vertex
+    """Pack disjoint triangles of the vertex set ``comp`` (the search
+    passes the vertices it has not yet rooted) greedily, lowest vertex
     first, and write into ``adjp`` each vertex's neighbourhood row in
     the planes (member j of triangle i is bit ``i + j*t``).
 
-    Returns the triangle count t, the mask of degree-1 vertices and
-    each vertex's own plane bit (0 off the packing).
+    Returns the triangle count t, the mask of the vertices of ``comp``
+    with degree 1 in the graph, and each vertex's own plane bit (0 off
+    the packing).
     """
     triangles = []
     free = comp

@@ -13,9 +13,9 @@ chords and all, so it shares none of the admissible-path walk's
 pruning; minimalized, its monomials give the minimal generators.
 The induced-path references are permutation and subset enumeration,
 the one-sided depth-first search from every vertex (values only), and
-``ref_longest_induced_path``: the walk from each path's least vertex
-with the count bound alone, whose witnesses the bounded search must
-reproduce exactly.  The graph transform references relabel through a dict and
+``ref_longest_induced_path``: the walk from each path's first vertex
+in the least-degree root order, with the count bound alone, whose
+witnesses the bounded search must reproduce exactly.  The graph transform references relabel through a dict and
 test vertex pairs one at a time, so they share none of the bit shifting
 in ``Graph``, and the component reference is a breadth-first search over
 a neighbour dict; the compatibility reference scans every vertex for (c).
@@ -174,14 +174,18 @@ def brute_longest_induced_path(g: Graph) -> int:
 
 def ref_longest_induced_path(g: Graph) -> tuple[int, list[list[int]]]:
     """Longest induced path with one witness per component, from a walk
-    that meets each induced path once, rooted at its least vertex and
-    bounded only by the count of vertices it can still add.
+    that meets each induced path once, rooted at its first vertex in a
+    smallest-last order and bounded only by the count of vertices it can
+    still add.
 
-    Side A grows from the root ``m`` first; at each of its paths ``m a1
-    .. aj`` side B may start at a neighbour ``b > a1`` of ``m`` with no
-    neighbour among ``a1 .. aj``, and then grows alone.  Side A's
-    children come before side B's starts, each in ascending order.  The
-    witness is the first longest path in this order, smaller end first.
+    Each root ``m`` is a vertex of least degree in the subgraph induced
+    on the vertices not yet rooted, the least on ties, and its walk
+    stays on those vertices.  Side A grows from ``m`` first; at each of
+    its paths ``m a1 .. aj`` side B may start at a neighbour ``b > a1``
+    of ``m`` with no neighbour among ``a1 .. aj``, and then grows alone.
+    Side A's children come before side B's starts, each in ascending
+    order.  The witness is the first longest path in this order,
+    smaller end first.
     """
     total = 0
     witnesses = []
@@ -214,11 +218,13 @@ def _ref_component_lip(g: Graph, comp: int) -> tuple[int, list[int]]:
         for b in bits(starts or 0):
             visit(path[::-1] + [b], rest, None)
 
-    for m in bits(comp):
-        above = comp >> m + 1 << m + 1
-        nbrs = above & adj[m]
+    unrooted = comp
+    while unrooted:
+        m = min(bits(unrooted), key=lambda v: (adj[v] & unrooted).bit_count())
+        unrooted &= ~(1 << m)
+        nbrs = unrooted & adj[m]
         for a in bits(nbrs):
-            visit([m, a], above & ~adj[m], nbrs >> a + 1 << a + 1 & ~adj[a])
+            visit([m, a], unrooted & ~adj[m], nbrs >> a + 1 << a + 1 & ~adj[a])
     if best[0] > best[-1]:
         best = best[::-1]
     return len(best) - 1, best

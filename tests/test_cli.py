@@ -272,7 +272,7 @@ def test_verify_chain_without_reg_skips_nothing(capsys, tmp_path):
     ["verify", "chain", "--sierpinski", "3"],
 ])
 def test_L_node_budget_exits_2(capsys, monkeypatch, tmp_path, argv):
-    """L of sierpinski(3) expands about 135k search nodes; with a budget
+    """L of sierpinski(3) expands about 118k search nodes; with a budget
     of 1,000 every command that computes L stops with exit 2."""
     from beibounds import invariants
     monkeypatch.setattr(invariants.longest_induced_path, "__defaults__", (1_000,))
@@ -318,6 +318,51 @@ def test_verify_chain_keeps_results_past_a_search_budget(
         f"error: a resource cap skipped {name} on 1 graph(s):",
         f"{net6}: search exceeded 7 nodes",
     ]
+
+
+@pytest.mark.parametrize("gap, target", [
+    ("eta-L", "longest_induced_path"),
+    ("eta-L", "eta"),
+    ("c-reg", "regularity_bei"),
+])
+def test_search_keeps_results_past_a_search_budget(capsys, monkeypatch, tmp_path, gap, target):
+    """A graph whose L, eta or reg hits a resource cap is listed with its
+    message after the ranked rows, the other graphs are still ranked,
+    and the command exits 2 after the report."""
+    from beibounds import cli
+    real = getattr(cli, target)
+
+    def capped(g):
+        if g == net():
+            raise ResourceLimitError("search exceeded 7 nodes")
+        return real(g)
+
+    monkeypatch.setattr(cli, target, capped)
+    net6, p4, c5 = (encode_graph6(g) for g in (net(), path(4), cycle(5)))
+    f = tmp_path / "graphs.g6"
+    f.write_text("\n".join((p4, net6, c5)) + "\n")
+    code, out, err = run(capsys, "search", "--gap", gap, str(f), "--format", "json")
+    assert code == 2
+    results = json.loads(out)["results"]
+    assert [(r.get("gap"), r["graph6"]) for r in results] == [(2, c5), (0, p4), (None, net6)]
+    assert results[-1]["skipped"] == "search exceeded 7 nodes"
+    assert err.splitlines() == [
+        "error: a resource cap skipped 1 graph(s):",
+        f"{net6}: search exceeded 7 nodes",
+    ]
+
+
+def test_search_ranks_the_levels_below_an_L_budget_hit(capsys, monkeypatch):
+    monkeypatch.setattr(invariants.longest_induced_path, "__defaults__", (1_000,))
+    code, out, err = run(capsys, "search", "--gap", "eta-L", "--sierpinski", "3",
+                         "--format", "json")
+    assert code == 2
+    results = json.loads(out)["results"]
+    s1, s2, s3 = (encode_graph6(sierpinski(k)) for k in (1, 2, 3))
+    assert sorted(r["graph6"] for r in results[:2]) == sorted([s1, s2])
+    assert results[2] == {"graph6": s3,
+                          "skipped": "induced-path search exceeded 1000 nodes"}
+    assert err.splitlines()[1:] == [f"{s3}: induced-path search exceeded 1000 nodes"]
 
 
 def test_verify_unknown_option_still_exits_2(capsys, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from beibounds import invariants
 from beibounds.errors import ResourceLimitError
+from beibounds.graphio import decode_graph6
 from beibounds.graphs import Graph
 from beibounds.generators import all_labeled, complete, cycle, fig2_closed, gnp, net, path, sierpinski, union
 from beibounds.invariants import (
@@ -341,7 +342,8 @@ def test_longest_induced_path_matches_subset_brute_force(g):
 
 
 def test_longest_induced_path_node_budget():
-    assert longest_induced_path(sierpinski(3), node_limit=160_000)[0] == 24
+    """sierpinski(3) expands 118,102 search nodes."""
+    assert longest_induced_path(sierpinski(3), node_limit=120_000)[0] == 24
     with pytest.raises(ResourceLimitError):
         longest_induced_path(sierpinski(3), node_limit=1_000)
 
@@ -360,18 +362,18 @@ def _check_lip_witnesses(g, total, witnesses):
 
 
 @pytest.mark.parametrize("g, want", [
-    # a spider whose least vertex is its centre: the longest path runs
-    # 4-3-2-0-5-6, so both of its ends are leaves in the rest of the
-    # side-A node 0-2
+    # a spider whose least vertex is its centre: its leaves are rooted
+    # first, so the longest path 4-3-2-0-5-6 is walked from the leaf 4,
+    # and its other end 6 is a leaf in the rest of each node on the way
     (Graph.from_edge_list(7, [(0, 1), (0, 2), (2, 3), (3, 4), (0, 5), (5, 6)]), 5),
     # C4: at the side-A node 0-1, the candidate 2 and the start 3 are
     # adjacent, so the node may count only one of them
     (cycle(4), 2),
-    # the longest path 3-2-7-6-5 has root 2, above the members 0 and 1 of
-    # the packed triangle 0-1-6; their plane bits must be off, or the
-    # triangle counts as wholly in rest at root 2
-    (Graph.from_edge_list(8, [(0, 1), (0, 6), (0, 7), (1, 6), (1, 7), (2, 3), (2, 4),
-                              (2, 7), (5, 6), (6, 7)]), 4),
+    # the longest path 7-0-5-2-3-9 has root 7, rooted after 1 and 8, two
+    # members of the packed triangle 1-2-8; their plane bits must be
+    # off, or the triangle counts as wholly in rest wherever 2 is
+    (Graph.from_edge_list(10, [(0, 4), (0, 5), (0, 7), (1, 2), (1, 8), (2, 3), (2, 5),
+                               (2, 6), (2, 8), (3, 6), (3, 9), (4, 5), (4, 7), (6, 9)]), 5),
 ])
 def test_longest_induced_path_two_sides_from_the_root(monkeypatch, g, want):
     monkeypatch.setattr(invariants, "_PACK_AFTER", 0)
@@ -379,6 +381,15 @@ def test_longest_induced_path_two_sides_from_the_root(monkeypatch, g, want):
     assert total == want == brute_longest_induced_path_subsets(g)
     _check_lip_witnesses(g, total, witnesses)
     assert (total, witnesses) == ref_longest_induced_path(g)
+
+
+def test_longest_induced_path_roots_at_a_least_degree_vertex():
+    """K_{2,3} with parts {0, 1} and {2, 3, 4}: the degree-2 vertex 2
+    is the first root, not the least vertex 0 (whose walk would find
+    0-2-1 first), and its first path grows through 0 to 3."""
+    g = decode_graph6("D]o")
+    assert g.edges() == [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
+    assert longest_induced_path(g) == (2, [[2, 0, 3]]) == ref_longest_induced_path(g)
 
 
 @st.composite

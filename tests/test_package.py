@@ -27,6 +27,35 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_every_module_level_import_is_used():
+    """No linter runs on the package, so this stands in for pyflakes'
+    F401: each name a module imports at its top level is read in that
+    module or listed in its ``__all__``, or its line says ``# noqa:
+    F401`` and then why the import stays."""
+    unused = []
+    for path in sorted(pathlib.Path(beibounds.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                read.update(ast.literal_eval(node.value))
+        lines = text.splitlines()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                _, noqa, reason = lines[alias.lineno - 1].partition("# noqa: F401")
+                if name not in read and not (noqa and reason.strip()):
+                    unused.append(f"{path.name}:{alias.lineno}: {name}")
+    assert unused == []
+
+
 def test_exports_resolve_and_every_import_is_exported():
     """Each name in ``__all__`` exists, and each name ``__init__.py``
     takes with ``from .module import name`` is listed there, so an
