@@ -15,6 +15,7 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 from . import __version__, generators
 from .compatibility import (
@@ -173,7 +174,9 @@ def make_report(command, inputs, results, violations, started) -> dict:
     }
 
 
-def emit(report: dict, fmt: str) -> None:
+def emit(report: dict, fmt: str, code: int) -> None:
+    """Print the report.  The text form ends with ``ok=True`` exactly
+    when ``code``, the command's exit code, is 0."""
     if fmt == "json":
         json.dump(report, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
@@ -187,7 +190,7 @@ def emit(report: dict, fmt: str) -> None:
             print(f"{key}: {val}")
     for v in report["violations"]:
         print(f"VIOLATION: {v}")
-    print(f"ok={not report['violations']} elapsed={report['elapsed_s']}s")
+    print(f"ok={code == 0} elapsed={report['elapsed_s']}s")
 
 
 # -- per-graph records -------------------------------------------------------
@@ -315,10 +318,6 @@ def _verify_one(
     return out, skipped
 
 
-def _verify_star(task):
-    return _verify_one(*task)
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -329,7 +328,7 @@ def cmd_invariants(args) -> int:
     report = make_report(
         ["invariants"], [r["graph6"] for r in results], results, [], started
     )
-    emit(report, args.format)
+    emit(report, args.format, 0)
     return 0
 
 
@@ -349,53 +348,58 @@ def cmd_reg(args) -> int:
             "agreement": reg.agreement,
         })
     report = make_report(["reg"], [r["graph6"] for r in results], results, [], started)
-    emit(report, args.format)
+    emit(report, args.format, 0)
     return 0
 
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     desc, graphs = corpus_from_args(args)
+    # the sweep keeps one graph6 string per graph, not the graphs
+    codes = [encode_graph6(g) for g in graphs]
+    del graphs
     with_reg = args.with_reg or args.require_reg
-    tasks = [(args.kind, encode_graph6(g), with_reg, args.map) for g in graphs]
+    columns = (repeat(args.kind), codes, repeat(with_reg), repeat(args.map))
     violations: list[dict] = []
     # chain value -> (graph6, message) per graph a resource cap skipped it on
     skipped: dict[str, list[tuple[str, str]]] = {"L": [], "eta": [], "reg": []}
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunk = max(1, len(tasks) // (4 * args.jobs))
-            outcomes = list(pool.map(_verify_star, tasks, chunksize=chunk))
+            chunk = max(1, len(codes) // (4 * args.jobs))
+            outcomes = list(pool.map(_verify_one, *columns, chunksize=chunk))
     else:
-        outcomes = map(_verify_star, tasks)
-    for task, (batch, skips) in zip(tasks, outcomes):
+        outcomes = map(_verify_one, *columns)
+    for g6, (batch, skips) in zip(codes, outcomes):
         violations.extend(batch)
         for name, message in skips.items():
-            skipped[name].append((task[1], message))
-    results = {"kind": args.kind, "graphs_checked": len(graphs), "map": args.map}
+            skipped[name].append((g6, message))
+    results = {"kind": args.kind, "graphs_checked": len(codes), "map": args.map}
     if args.kind == "chain":
         # a value is dropped, not failed, when a resource cap stops it
         for name, graphs_skipped in skipped.items():
             results[f"{name}_skipped"] = len(graphs_skipped)
             results[f"{name}_skipped_graphs"] = [g6 for g6, _ in graphs_skipped]
     report = make_report(["verify", args.kind], desc, results, violations, started)
-    emit(report, args.format)
+    reg_required = args.require_reg and skipped["reg"]
+    if violations:
+        code = 1
+    elif skipped["L"] or skipped["eta"] or reg_required:
+        code = 2
+    else:
+        code = 0
+    emit(report, args.format, code)
     for name in ("L", "eta"):
         if skipped[name]:
             print(f"error: a resource cap skipped {name} on {len(skipped[name])} graph(s):",
                   file=sys.stderr)
             for g6, message in skipped[name]:
                 print(f"{g6}: {message}", file=sys.stderr)
-    reg_required = args.require_reg and skipped["reg"]
     if reg_required:
         print(f"error: a resource cap skipped reg on {len(skipped['reg'])} graph(s):",
               file=sys.stderr)
         for g6, _ in skipped["reg"]:
             print(g6, file=sys.stderr)
-    if violations:
-        return 1
-    if skipped["L"] or skipped["eta"] or reg_required:
-        return 2
-    return 0
+    return code
 
 
 def cmd_gen(args) -> int:
@@ -432,7 +436,7 @@ def cmd_search(args) -> int:
     top = [{"gap": gap, "graph6": g6, "values": vals} for gap, g6, vals in rows[: args.top]]
     top += [{"graph6": g6, "skipped": message} for g6, message in skipped]
     report = make_report(["search", args.gap], desc, top, [], started)
-    emit(report, args.format)
+    emit(report, args.format, 2 if skipped else 0)
     if skipped:
         print(f"error: a resource cap skipped {len(skipped)} graph(s):", file=sys.stderr)
         for g6, message in skipped:

@@ -294,8 +294,15 @@ def is_clique_disjoint(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
 
 
 @lru_cache(maxsize=_ETA_CACHE_SIZE)
-def _eta_cached(g: Graph, node_limit: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The one cache of eta values and witnesses, keyed by labeled graph."""
+def _eta_cached(g: Graph, node_limit: int) -> tuple[int, int]:
+    """The one cache of eta values and witnesses, keyed by labeled graph
+    and node budget, so no search runs without its own budget.
+
+    An entry is two ints, ``(size, witness_bits)``: bit ``u*n + v`` is set
+    for each witness edge ``(u, v)``, ``u < v``.  So a sweep holds two
+    ints per cached labeled graph, at most 65,536 of them, and no tuple
+    per witness edge; ``eta`` decodes the bits back into edges.
+    """
     in_cliques = [0] * g.n  # bit i: maximal clique i holds the vertex
     for i, clique in enumerate(maximal_cliques(g)):
         for v in clique:
@@ -315,7 +322,11 @@ def _eta_cached(g: Graph, node_limit: int) -> tuple[int, tuple[tuple[int, int], 
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     size, mask = _MisSolver(adj, node_limit).solve((1 << len(sets)) - 1, 0)
-    return size, tuple(rep[sets[i]] for i in bits(mask))
+    witness = 0
+    for i in bits(mask):
+        u, v = rep[sets[i]]
+        witness |= 1 << u * g.n + v
+    return size, witness
 
 
 def eta(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> tuple[int, CliqueDisjointSet]:
@@ -326,7 +337,7 @@ def eta(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> tuple[int, CliqueDisj
     search visits more than ``node_limit`` nodes.
     """
     size, witness = _eta_cached(g, node_limit)
-    return size, CliqueDisjointSet(g, frozenset(witness))
+    return size, CliqueDisjointSet(g, frozenset(divmod(i, g.n) for i in bits(witness)))
 
 
 # -- longest induced paths -------------------------------------------------

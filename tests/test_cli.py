@@ -365,6 +365,20 @@ def test_search_ranks_the_levels_below_an_L_budget_hit(capsys, monkeypatch):
     assert err.splitlines()[1:] == [f"{s3}: induced-path search exceeded 1000 nodes"]
 
 
+def test_text_report_ok_agrees_with_the_exit_code(capsys, tmp_path):
+    """C9 is above reg's component cap, so its row is skipped and the
+    command exits 2; the text report must not end with ok=True."""
+    f = tmp_path / "graphs.g6"
+    f.write_text(encode_graph6(cycle(9)) + "\n" + encode_graph6(net()) + "\n")
+    code, out, _ = run(capsys, "search", "--gap", "c-reg", str(f))
+    assert code == 2
+    assert out.splitlines()[-1].startswith("ok=False ")
+    f.write_text(encode_graph6(net()) + "\n")
+    code, out, _ = run(capsys, "search", "--gap", "c-reg", str(f))
+    assert code == 0
+    assert out.splitlines()[-1].startswith("ok=True ")
+
+
 def test_verify_unknown_option_still_exits_2(capsys, tmp_path):
     f = tmp_path / "graphs.g6"
     f.write_text(encode_graph6(net()) + "\n")
@@ -477,6 +491,19 @@ def test_verify_compatible_jobs_parallel_matches_serial(capsys):
     r1, r2 = json.loads(out1), json.loads(out2)
     assert r1["violations"] and r1["violations"] == r2["violations"]
     assert r1["results"] == r2["results"]
+
+
+def test_verify_compatible_eta_jobs_2_gives_the_same_report(capsys):
+    argv = ["verify", "compatible", "--exhaustive", "4", "--map", "eta", "--format", "json"]
+    reports = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, *argv, "--jobs", jobs)
+        assert code == 0
+        report = json.loads(out)
+        del report["elapsed_s"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["results"]["graphs_checked"] == 75
 
 
 def test_bad_input_exits_2(capsys, tmp_path):

@@ -282,6 +282,28 @@ def test_eta_mid_density_within_budget():
     assert eta(gnp(40, 1, 3, 1), node_limit=50_000)[0] == 75
 
 
+def test_eta_cache_keeps_each_node_budget():
+    """A value cached under the default budget is not served to a call
+    whose own budget the search would pass."""
+    g = gnp(18, 3, 4, 0)
+    assert eta(g)[0] == 10
+    with pytest.raises(ResourceLimitError):
+        eta(g, node_limit=100)
+
+
+def test_eta_witness_bits_round_trip_past_64_bits():
+    """A cache entry is two ints, with bit u*n + v per witness edge; on
+    40 vertices the bits pass 64."""
+    g = gnp(40, 1, 10, 0)
+    value, witness = eta(g)
+    edges = witness.sorted_edges()
+    assert max(u * g.n + v for u, v in edges) >= 64
+    assert all(u < v and g.has_edge(u, v) for u, v in edges)
+    assert len(edges) == value and is_clique_disjoint(g, edges)
+    entry = invariants._eta_cached(g, invariants.DEFAULT_NODE_LIMIT)
+    assert [type(x) for x in entry] == [int, int]
+
+
 def test_mis_resource_cap_raises():
     cg = conflict_graph(sierpinski(2))
     with pytest.raises(ResourceLimitError):
