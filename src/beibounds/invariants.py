@@ -24,16 +24,17 @@ search that walks each induced path once, from its first vertex in a
 smallest-last order and over the vertices not yet rooted: each root is
 a vertex of least degree among those, so later roots search smaller
 graphs.  One side of the path grows first, and at each of its nodes the
-other side may start.  Each search node computes its available set and
-its counting bound once for all its children, and settles the children
-that cannot grow without entering them.  Two admissible bounds, a few
-big-int operations per node, tighten the count: an induced path holds
-at most two vertices of each triangle of a greedy packing (kept in bit
-planes, built once a search outgrows its cost) and at most one
-degree-1 vertex at the open end of a one-sided path.  They never prune
-the first longest path, so the witnesses are the count bound's, each
-written smaller end first.  The search has a node budget, as eta's
-has.
+other side may start; one node routine serves both sides, and a node
+with no start left is one-sided.  Each search node computes its
+available set and its counting bound once for all its children, and
+settles the children that cannot grow without entering them.  Two
+admissible bounds, a few big-int operations per node, tighten the
+count: an induced path holds at most two vertices of each triangle of
+a greedy packing (kept in bit planes, built once a search outgrows its
+cost) and at most one degree-1 vertex at the open end of a one-sided
+path.  They never prune the first longest path, so the witnesses are
+the count bound's, each written smaller end first.  The search has a
+node budget, as eta's has.
 """
 
 from __future__ import annotations
@@ -386,43 +387,33 @@ def _component_lip(
     ``node_limit``, else ResourceLimitError).
 
     Each induced path is walked once, from its first vertex ``m`` (the
-    root) in a smallest-last order, over the vertices not yet rooted,
-    ``unrooted``: each root is a vertex of least degree in the subgraph
-    induced on ``unrooted``, the least on ties, so the sparse parts of
-    the component are rooted first and later roots search less of it
-    (Matula-Beck 1983).  Side A grows first, from a neighbour ``a1`` of
-    ``m``.  At every side-A node, with path ``m a1 .. aj``, side B may
-    start at any of its ``starts``: the unrooted neighbours ``b1 > a1``
-    of ``m`` with no neighbour among ``a1 .. aj``.  Side B is the
-    one-sided search ``extend`` on the path ``aj .. a1 m b1`` (``path``
-    is reversed in place for it), side A closed; so is side A once no
-    start is left, so ``side_a`` always has starts.  Candidates
-    and starts ascend, and a node's side-A children come before its
-    side-B starts.  A root bounds its paths as a side-A node does
-    (below), with both sides open while two neighbours are left.  Later
-    roots see fewer vertices, so the root loop stops once no more
-    vertices are unrooted, the root among them, than the best length
-    plus one.
+    root) in a smallest-last order, over the vertices not yet rooted:
+    each root is a vertex of least degree in the subgraph they induce,
+    the least on ties, so later roots search less (Matula-Beck 1983).
+    Side A grows first, from a neighbour ``a1`` of ``m``.  At a side-A
+    node with path ``m a1 .. aj``, side B may start at any of its
+    ``starts``: the unrooted neighbours ``b1 > a1`` of ``m`` with no
+    neighbour among ``a1 .. aj``.  A node with ``starts == 0`` is
+    one-sided: side B, grown on the reversed path ``aj .. a1 m b1``, or
+    side A once no start is left.
 
-    A node holds an induced path ``path[:k]`` ending at ``last``, the
-    set ``avail`` of unrooted vertices, off the path, with no path
-    neighbour but ``last`` (side A's also off ``N(m)``), and its
-    candidates ``cand = avail & adj[last]``.  Each open side adds at
-    most one vertex outside ``rest = avail & ~adj[last]``, so a one-sided
-    node bounds the length it can reach by ``k + rest.bit_count()``, and
-    a side-A node by one more while it has candidates too (``k`` counts
-    only one extra vertex: a candidate and a start can be adjacent).  If
-    that does not prune, the node is expanded, and where the bound is
-    within ``most`` of the best length two corrections tighten it: each
-    packed triangle wholly in ``rest`` takes one off (an induced path
-    holds two of its vertices at most), and at a one-sided node the
-    degree-1 ``leaves`` in ``rest`` beyond one come off (only the path's
-    open end can be one).  Side A needs no such correction: a root with
-    two unrooted neighbours has the least degree among the unrooted
-    vertices, so none of them has degree 1.  The node records its
-    longest extension (the path plus the lowest candidate, else plus
-    the lowest start) when that beats the best, and enters only the
-    children that can grow.
+    A node ``grow`` holds an induced path ``path[:k]`` ending at
+    ``last`` and the unrooted vertices ``avail`` off the path with no
+    path neighbour but ``last`` (side A's also off ``N(m)``).  Each open
+    side adds at most one vertex outside ``rest = avail & ~adj[last]``,
+    so ``k`` plus the size of ``rest`` bounds the length, one more while
+    both sides are open (only one: a candidate and a start can be
+    adjacent).  Two corrections tighten it where it is within ``most``
+    of the best length.  Each packed triangle wholly in ``rest`` takes
+    one off, since an induced path holds two of its vertices at most.
+    At one-sided nodes only, the degree-1 ``leaves`` in ``rest`` beyond
+    one come off, since only the open end can be one; side A needs
+    none, because a root with two unrooted neighbours has the least
+    degree among the unrooted vertices, so none of them has degree 1.
+    Every bound is admissible, so it never prunes the first longest
+    path in the search order: the witness is the one the count bound
+    alone finds, whenever the packing was built, written smaller end
+    first.
 
     Member j of packed triangle i is bit ``i + j*t`` of ``availp``,
     which mirrors ``avail`` on the members, and ``adjp[v]`` is the plane
@@ -432,10 +423,7 @@ def _component_lip(
     the search has expanded ``_PACK_AFTER`` nodes; each root then clears
     its own plane bit ``own[m]`` from ``availp``.  Until then ``t``,
     ``leaves``, ``most``, ``availp`` and the component's ``adjp`` rows
-    are 0.  Every bound is admissible, so it never prunes the first
-    longest path in the search order: the witness is the one the count
-    bound alone finds, whenever the packing was built, written smaller
-    end first.
+    are 0.
     """
     adj = g.adj
     best_len = 0
@@ -444,34 +432,7 @@ def _component_lip(
     t = t2 = leaves = availp = most = 0
     own: list[int] = []
 
-    def extend(last: int, avail: int, availp: int, cand: int, k: int) -> None:
-        nonlocal best_len, best_path, nodes
-        if k > best_len:
-            best_len = k
-            best_path = path[:k] + [(cand & -cand).bit_length() - 1]
-        rest = avail & ~adj[last]
-        bound = k + rest.bit_count()
-        if bound <= best_len:
-            return
-        nodes += 1
-        if nodes > node_limit:
-            raise ResourceLimitError(f"induced-path search exceeded {node_limit} nodes")
-        restp = availp & ~adjp[last] if availp else 0
-        if bound - best_len <= most:
-            bound -= (restp & restp >> t & restp >> t2).bit_count()
-            ends = (rest & leaves).bit_count()
-            if ends > 1:
-                bound -= ends - 1
-        while cand and bound > best_len:
-            low = cand & -cand
-            cand ^= low
-            u = low.bit_length() - 1
-            grow = rest & adj[u]
-            if grow:
-                path[k] = u
-                extend(u, rest, restp, grow, k + 1)
-
-    def side_a(last: int, avail: int, availp: int, cand: int, starts: int, k: int) -> None:
+    def grow(last: int, avail: int, availp: int, cand: int, starts: int, k: int) -> None:
         nonlocal best_len, best_path, nodes
         if k > best_len:
             best_len = k
@@ -480,8 +441,10 @@ def _component_lip(
             else:
                 best_path = path[k - 1::-1] + [(starts & -starts).bit_length() - 1]
         rest = avail & ~adj[last]
-        both = 1 if cand else 0  # both sides still open
-        bound = k + both + rest.bit_count()
+        bound = k + rest.bit_count()
+        if starts:
+            both = 1 if cand else 0  # both sides still open
+            bound += both
         if bound <= best_len:
             return
         nodes += 1
@@ -490,28 +453,30 @@ def _component_lip(
         restp = availp & ~adjp[last] if availp else 0
         if bound - best_len <= most:
             bound -= (restp & restp >> t & restp >> t2).bit_count()
+            if not starts:
+                ends = (rest & leaves).bit_count()
+                if ends > 1:
+                    bound -= ends - 1
         while cand and bound > best_len:
             low = cand & -cand
             cand ^= low
             u = low.bit_length() - 1
-            grow = rest & adj[u]
-            more = starts & ~adj[u]
-            path[k] = u
-            if more:
-                side_a(u, rest, restp, grow, more, k + 1)
-            elif grow:
-                extend(u, rest, restp, grow, k + 1)
-        bound -= both  # side A is closed now
-        if bound > best_len:
+            out = rest & adj[u]
+            more = starts & ~adj[u] if starts else 0
+            if out or more:
+                path[k] = u
+                grow(u, rest, restp, out, more, k + 1)
+        if starts and bound - both > best_len:  # side A is closed now
+            bound -= both
             path[:k] = path[k - 1::-1]
             while starts and bound > best_len:
                 low = starts & -starts
                 starts ^= low
                 b = low.bit_length() - 1
-                grow = rest & adj[b]
-                if grow:
+                out = rest & adj[b]
+                if out:
                     path[k] = b
-                    extend(b, rest, restp, grow, k + 1)
+                    grow(b, rest, restp, out, 0, k + 1)
             path[:k] = path[k - 1::-1]
 
     first = nodes
@@ -552,13 +517,11 @@ def _component_lip(
             low = cand & -cand
             cand ^= low
             a = low.bit_length() - 1
-            grow = rest & adj[a]
+            out = rest & adj[a]
             more = cand & ~adj[a]
-            path[1] = a
-            if more:
-                side_a(a, rest, restp, grow, more, 2)
-            elif grow:
-                extend(a, rest, restp, grow, 2)
+            if out or more:
+                path[1] = a
+                grow(a, rest, restp, out, more, 2)
     if best_path[0] > best_path[-1]:
         best_path.reverse()
     return best_len, best_path, nodes

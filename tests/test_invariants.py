@@ -363,18 +363,30 @@ def test_longest_induced_path_matches_subset_brute_force(g):
     assert sum(len(w) - 1 for w in witnesses) == total
 
 
-def test_longest_induced_path_node_budget():
-    """sierpinski(3) expands 118,102 search nodes."""
-    assert longest_induced_path(sierpinski(3), node_limit=120_000)[0] == 24
+@pytest.mark.parametrize("g, pack_after, value, count", [
+    (sierpinski(3), invariants._PACK_AFTER, 24, 118_102),
+    (sierpinski(3), 0, 24, 89_614),
+    (gnp(40, 1, 10, 0), invariants._PACK_AFTER, 19, 20_371),
+], ids=["sierpinski3", "sierpinski3-pack0", "gnp40"])
+def test_longest_induced_path_node_budget(monkeypatch, g, pack_after, value, count):
+    """The search expands exactly ``count`` nodes: that many pass the
+    budget, one fewer does not."""
+    monkeypatch.setattr(invariants, "_PACK_AFTER", pack_after)
+    assert longest_induced_path(g, node_limit=count)[0] == value
     with pytest.raises(ResourceLimitError):
-        longest_induced_path(sierpinski(3), node_limit=1_000)
+        longest_induced_path(g, node_limit=count - 1)
 
 
 def test_longest_induced_path_budget_spans_components():
-    """sierpinski(2) expands 55 search nodes; two copies share one budget."""
-    assert longest_induced_path(sierpinski(2), node_limit=80)[0] == 8
+    """sierpinski(2) expands 55 search nodes; two copies share one
+    budget of 110."""
+    one, two = sierpinski(2), union([sierpinski(2), sierpinski(2)])
+    assert longest_induced_path(one, node_limit=55)[0] == 8
     with pytest.raises(ResourceLimitError):
-        longest_induced_path(union([sierpinski(2), sierpinski(2)]), node_limit=80)
+        longest_induced_path(one, node_limit=54)
+    assert longest_induced_path(two, node_limit=110)[0] == 16
+    with pytest.raises(ResourceLimitError):
+        longest_induced_path(two, node_limit=109)
 
 
 def _check_lip_witnesses(g, total, witnesses):
@@ -472,9 +484,13 @@ def test_longest_induced_path_matches_one_sided_search_exhaustive_n6():
 
 
 @pytest.mark.parametrize(
-    "g", [sierpinski(1), sierpinski(2), sierpinski(3)] + [gnp(40, 1, 10, s) for s in range(3)]
+    "g",
+    [sierpinski(1), sierpinski(2), sierpinski(3)]
+    + [gnp(40, 1, 10, s) for s in range(3)]
+    + [gnp(n, 3, 4, 0) for n in (18, 19, 20)],
 )
 def test_longest_induced_path_witnesses_match_reference(g):
+    """Every graph of the benchmark's eta_family panel."""
     total, witnesses = longest_induced_path(g)
     assert (total, witnesses) == ref_longest_induced_path(g)
     assert total == ref_longest_induced_path_one_sided(g)
