@@ -14,7 +14,6 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 
 from . import __version__, generators
@@ -364,6 +363,8 @@ def cmd_verify(args) -> int:
     # chain value -> (graph6, message) per graph a resource cap skipped it on
     skipped: dict[str, list[tuple[str, str]]] = {"L": [], "eta": [], "reg": []}
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a slow import few runs need
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             chunk = max(1, len(codes) // (4 * args.jobs))
             outcomes = list(pool.map(_verify_one, *columns, chunksize=chunk))
@@ -499,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="build a named graph or family member")
-    p.add_argument("spec", nargs="+", help="e.g. 'path 5', 'net', 'sierpinski 2'")
+    p.add_argument("spec", nargs="+", help="e.g. path 5, net, sierpinski 2")
     p.add_argument("--format", choices=["graph6", "edges"], default="graph6")
     p.set_defaults(func=cmd_gen)
 

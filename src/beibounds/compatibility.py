@@ -47,7 +47,7 @@ _MAP_CACHE_SIZE = 1 << 16
 
 def eta_value(g: Graph) -> int:
     """eta's size, read from its one cache (see :func:`invariants.eta`)."""
-    return _eta_cached(g, DEFAULT_NODE_LIMIT)[0]
+    return _eta_cached(g.adj, DEFAULT_NODE_LIMIT)[0]
 
 
 def clique_count_value(g: Graph) -> int:

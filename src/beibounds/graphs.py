@@ -9,7 +9,6 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
@@ -64,17 +63,35 @@ def edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True, slots=True)
 class Graph:
     """A simple undirected graph on vertices 0..n-1.
 
-    Instances are immutable and hashable; every transformation returns a
-    new graph.  ``adj[v]`` is the neighborhood of v as a bitmask.  No
-    per-instance dict: graphs are the keys of the invariant caches.
+    Instances are treated as immutable and hash on ``adj``; every
+    transformation returns a new graph.  ``adj[v]`` is the neighborhood
+    of v as a bitmask.  No per-instance dict, and the hash of ``adj`` is
+    computed once, when the graph is built: graphs are the keys of the
+    invariant caches.
     """
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ("n", "adj", "_hash")
+
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        if len(adj) != n:
+            raise ValueError("adjacency length does not match vertex count")
+        self.n = n
+        self.adj = adj
+        self._hash = hash(adj)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return self._hash == other._hash and self.adj == other.adj
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, adj={self.adj!r})"
 
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -90,10 +107,6 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return cls(n, tuple(adj))
-
-    def __post_init__(self):
-        if len(self.adj) != self.n:
-            raise ValueError("adjacency length does not match vertex count")
 
     # -- basic queries ------------------------------------------------
 
@@ -161,20 +174,23 @@ class Graph:
         """``induced_delete((v,))``: every row drops bit v and shifts the
         bits above it down by one."""
         self._check_vertex(v)
+        adj = self.adj
         low = (1 << v) - 1
         high = ~low
         return Graph(self.n - 1, tuple([
-            row & low | row >> 1 & high for row in self.adj[:v] + self.adj[v + 1:]
+            row & low | row >> 1 & high for row in adj[:v] + adj[v + 1:]
         ]))
 
     def saturate(self, v: int) -> "Graph":
         """Complete the neighborhood of v into a clique; keep all edges."""
         self._check_vertex(v)
-        nbr = self.adj[v]
-        return Graph(self.n, tuple([
-            row | nbr & ~(1 << u) if nbr >> u & 1 else row
-            for u, row in enumerate(self.adj)
-        ]))
+        adj = list(self.adj)
+        nbr = left = adj[v]
+        while left:
+            low = left & -left
+            left ^= low
+            adj[low.bit_length() - 1] |= nbr ^ low
+        return Graph(self.n, tuple(adj))
 
     def strip_isolated(self) -> "Graph":
         isolated = self.isolated_vertices()

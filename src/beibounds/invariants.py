@@ -8,12 +8,13 @@ subgraph, that is when some maximal clique holds both.  So eta is a
 maximum set packing of the edges' clique sets (the maximal cliques
 through each edge).  Swapping a packed edge for one whose clique set is
 a subset of its own keeps the packing clique-disjoint, so eta only looks
-at the inclusion-minimal clique sets, one edge for each.  An exact
-maximum independent set solver (memoized branching, degree <= 1
-reductions, component splitting) then runs on the sets that meet.  Each
-call takes a threshold ``need`` and is exact only when the optimum
-reaches it; below that it may stop at an upper bound, the size of a
-greedy clique cover.  The include branch runs first and sets the
+at the inclusion-minimal clique sets, one edge for each.  When no two
+of them meet, they are the packing.  Otherwise an exact maximum
+independent set solver (memoized branching, degree <= 1 reductions,
+component splitting) runs on their conflict rows.  Each solver call
+takes a threshold ``need`` and is exact only when the optimum reaches
+it; below that it may stop at an upper bound, the size of a greedy
+clique cover.  The include branch runs first and sets the
 exclude branch's threshold just above its own result, so the bound
 prunes without changing any choice, and the witnesses are those of the
 unbounded search.  The edge-level conflict graph is kept as an
@@ -295,21 +296,28 @@ def is_clique_disjoint(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
 
 
 @lru_cache(maxsize=_ETA_CACHE_SIZE)
-def _eta_cached(g: Graph, node_limit: int) -> tuple[int, int]:
-    """The one cache of eta values and witnesses, keyed by labeled graph
-    and node budget, so no search runs without its own budget.
+def _eta_cached(adj: tuple[int, ...], node_limit: int) -> tuple[int, int]:
+    """The one cache of eta values and witnesses, keyed by the adjacency
+    rows of a labeled graph and the node budget, so no search runs
+    without its own budget.  A key holds no ``Graph``, and a hit runs no
+    Python code; the graph is built only on a miss.
 
     An entry is two ints, ``(size, witness_bits)``: bit ``u*n + v`` is set
     for each witness edge ``(u, v)``, ``u < v``.  So a sweep holds two
     ints per cached labeled graph, at most 65,536 of them, and no tuple
     per witness edge; ``eta`` decodes the bits back into edges.
+
+    When no two minimal clique sets meet, the packing is all of them,
+    which is what the MIS search would return; only sets that meet build
+    the conflict rows and run ``_MisSolver``.
     """
-    in_cliques = [0] * g.n  # bit i: maximal clique i holds the vertex
-    for i, clique in enumerate(maximal_cliques(g)):
+    n = len(adj)
+    in_cliques = [0] * n  # bit i: maximal clique i holds the vertex
+    for i, clique in enumerate(maximal_cliques(Graph(n, adj))):
         for v in clique:
             in_cliques[v] |= 1 << i
     rep: dict[int, tuple[int, int]] = {}  # clique set -> least edge with it
-    for u, row in enumerate(g.adj):
+    for u, row in enumerate(adj):
         above = row >> u + 1 << u + 1
         while above:
             low = above & -above
@@ -317,16 +325,22 @@ def _eta_cached(g: Graph, node_limit: int) -> tuple[int, int]:
             v = low.bit_length() - 1
             rep.setdefault(in_cliques[u] & in_cliques[v], (u, v))
     sets = minimalize(rep)
-    adj = [0] * len(sets)
-    for i, j in combinations(range(len(sets)), 2):
-        if sets[i] & sets[j]:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    size, mask = _MisSolver(adj, node_limit).solve((1 << len(sets)) - 1, 0)
+    size, mask = len(sets), (1 << len(sets)) - 1
+    union = total = 0
+    for s in sets:
+        union |= s
+        total += s.bit_count()
+    if union.bit_count() < total:  # two sets meet
+        conflicts = [0] * size
+        for i, j in combinations(range(size), 2):
+            if sets[i] & sets[j]:
+                conflicts[i] |= 1 << j
+                conflicts[j] |= 1 << i
+        size, mask = _MisSolver(conflicts, node_limit).solve(mask, 0)
     witness = 0
     for i in bits(mask):
         u, v = rep[sets[i]]
-        witness |= 1 << u * g.n + v
+        witness |= 1 << u * n + v
     return size, witness
 
 
@@ -337,7 +351,7 @@ def eta(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> tuple[int, CliqueDisj
     the least edge that has it; raises ResourceLimitError once the
     search visits more than ``node_limit`` nodes.
     """
-    size, witness = _eta_cached(g, node_limit)
+    size, witness = _eta_cached(g.adj, node_limit)
     return size, CliqueDisjointSet(g, frozenset(divmod(i, g.n) for i in bits(witness)))
 
 

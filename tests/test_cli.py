@@ -64,6 +64,20 @@ def test_gen_every_spec_matches_its_generator(capsys, spec, want):
     assert code == 0 and out == encode_graph6(want()) + "\n"
 
 
+def test_gen_help_examples_build(capsys):
+    """Each example ``gen --help`` gives runs as shown, one argument per word."""
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    examples = help_text.split("e.g. ", 1)[1].split(" options:", 1)[0].split(", ")
+    assert examples == ["path 5", "net", "sierpinski 2"]
+    for spec in examples:
+        code, out, err = run(capsys, "gen", *spec.split())
+        assert code == 0 and err == ""
+        assert out == encode_graph6(build_spec(spec.split())) + "\n"
+
+
 def test_gen_missing_arguments_exits_2(capsys):
     code, out, err = run(capsys, "gen", "gnp", "6", "1/2")
     assert code == 2 and out == ""

@@ -3,7 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from beibounds import invariants
+from beibounds.graphio import decode_graph6, encode_graph6
 from beibounds.graphs import Graph, bits, components, edge
+from beibounds.invariants import eta
 from beibounds.generators import all_labeled, complete, gnp, net, path, union
 
 from brute import brute_iv, ref_components, ref_induced_delete, ref_saturate
@@ -74,6 +77,38 @@ def test_induced_delete_complete():
 
 def test_deletion_map_is_ascending_survivors():
     assert net().deletion_map([1, 3]) == [0, 2, 4, 5]
+
+
+def test_equal_graphs_from_every_builder_compare_and_hash_equal():
+    """A triangle with a pendant, read from graph6, from an edge list
+    and by saturating the middle of a path."""
+    built = [
+        decode_graph6(encode_graph6(Graph.from_edge_list(4, [(0, 1), (0, 2), (1, 2), (2, 3)]))),
+        Graph.from_edge_list(4, [(2, 3), (1, 2), (0, 2), (0, 1)]),
+        Graph.from_edge_list(4, [(0, 1), (0, 2), (2, 3)]).saturate(0),
+    ]
+    first = built[0]
+    assert all(g == first and hash(g) == hash(first) for g in built)
+    assert not any(g != first for g in built)
+    assert len(set(built)) == 1
+    assert first != Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+
+
+def test_equal_graphs_share_one_eta_cache_entry():
+    invariants._eta_cached.cache_clear()
+    a = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+    b = decode_graph6(encode_graph6(a))
+    assert a is not b
+    assert eta(a)[0] == eta(b)[0] == 3
+    info = invariants._eta_cached.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_graph_repr_and_foreign_equality():
+    g = path(3)
+    assert repr(g) == "Graph(n=3, adj=(2, 5, 2))"
+    assert g != (3, g.adj) and (3, g.adj) != g
+    assert g != g.adj
 
 
 def test_saturate_path_middle_gives_triangle():

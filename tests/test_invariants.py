@@ -132,6 +132,8 @@ def test_conflict_graph_of_net_matches_pairwise_checks():
         (Graph.from_edge_list(0, []), 0),
         (complete(2), 1),
         (union([complete(1), path(3), complete(1), complete(3), complete(1)]), 3),
+        # K_{2,2,2}: the smallest graph whose minimal clique sets meet
+        (decode_graph6("E]~o"), 4),
     ],
 )
 def test_eta_named_values(g, want):
@@ -300,7 +302,7 @@ def test_eta_witness_bits_round_trip_past_64_bits():
     assert max(u * g.n + v for u, v in edges) >= 64
     assert all(u < v and g.has_edge(u, v) for u, v in edges)
     assert len(edges) == value and is_clique_disjoint(g, edges)
-    entry = invariants._eta_cached(g, invariants.DEFAULT_NODE_LIMIT)
+    entry = invariants._eta_cached(g.adj, invariants.DEFAULT_NODE_LIMIT)
     assert [type(x) for x in entry] == [int, int]
 
 

@@ -1,7 +1,9 @@
 """Package-wide rules that no single module's tests can see."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import beibounds
@@ -101,3 +103,17 @@ def test_cli_looks_up_the_benchmark_hooks_at_call_time(monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert calls == {"decode": 3, "chain": [True, True, True], "report": 1}
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    """``concurrent.futures`` is imported only by ``verify --jobs > 1``,
+    so a fresh ``import beibounds.cli`` (every benchmark worker's set-up)
+    does not pay for it."""
+    src = str(pathlib.Path(beibounds.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, beibounds.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
