@@ -66,7 +66,7 @@ def memoized(phi: InvariantMap) -> InvariantMap:
     """Cache phi by labeled graph in a bounded LRU cache; sweeps revisit
     derived graphs a lot.
 
-    A ``Graph`` hashes and compares on ``(n, adj)``, which identifies a
+    A ``Graph`` hashes and compares on ``adj``, which identifies a
     labeled graph exactly, so it is the key itself.  Each call makes a
     new cache.  ``eta_value`` needs none: it reads eta's own cache.
     """

@@ -66,29 +66,38 @@ def edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """A simple undirected graph on vertices 0..n-1.
 
-    Instances are treated as immutable and hash on ``adj``; every
-    transformation returns a new graph.  ``adj[v]`` is the neighborhood
-    of v as a bitmask.  No per-instance dict, and the hash of ``adj`` is
-    computed once, when the graph is built: graphs are the keys of the
-    invariant caches.
+    Immutable: assigning or deleting ``n`` or ``adj`` raises
+    AttributeError, and every transformation returns a new graph.
+    ``adj[v]`` is the neighborhood of v as a bitmask.  Graphs hash and
+    compare on ``adj``, whose length is ``n``, so they are the keys of
+    the invariant caches.  No per-instance dict.
     """
 
-    __slots__ = ("n", "adj", "_hash")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
         if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
-        self.n = n
-        self.adj = adj
-        self._hash = hash(adj)
+        _set_n(self, n)
+        _set_adj(self, adj)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to Graph.{name}: graphs are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete Graph.{name}: graphs are immutable")
+
+    def __reduce__(self) -> tuple[type, tuple[int, tuple[int, ...]]]:
+        # pickle and copy rebuild through __init__: their default sets slots by setattr
+        return Graph, (self.n, self.adj)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.adj)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Graph:
             return NotImplemented
-        return self._hash == other._hash and self.adj == other.adj
+        return self.adj == other.adj
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n!r}, adj={self.adj!r})"
@@ -252,3 +261,9 @@ class Graph:
             self._check_vertex(v)
             mask |= 1 << v
         return mask
+
+
+# The slot descriptors' own setters: ``Graph.__init__`` writes through
+# these, since ``Graph.__setattr__`` refuses every assignment.
+_set_n = Graph.n.__set__
+_set_adj = Graph.adj.__set__

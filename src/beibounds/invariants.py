@@ -309,8 +309,13 @@ def _eta_cached(adj: tuple[int, ...], node_limit: int) -> tuple[int, int]:
 
     When no two minimal clique sets meet, the packing is all of them,
     which is what the MIS search would return; only sets that meet build
-    the conflict rows and run ``_MisSolver``.
+    the conflict rows and run ``_MisSolver``.  The budget counts solver
+    nodes.  A search on pairwise disjoint sets would end at its root, one
+    node, so the shortcut takes any budget of at least 1, and a budget
+    below 1 raises on every graph, whether or not the solver runs.
     """
+    if node_limit < 1:
+        raise ResourceLimitError(f"independent-set search exceeded {node_limit} nodes")
     n = len(adj)
     in_cliques = [0] * n  # bit i: maximal clique i holds the vertex
     for i, clique in enumerate(maximal_cliques(Graph(n, adj))):
@@ -349,7 +354,9 @@ def eta(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> tuple[int, CliqueDisj
 
     Solved on the inclusion-minimal edge clique sets, each standing for
     the least edge that has it; raises ResourceLimitError once the
-    search visits more than ``node_limit`` nodes.
+    independent-set search visits more than ``node_limit`` nodes.  That
+    search runs only when two of the sets meet; when none do, it would
+    take one node, so only ``node_limit < 1`` raises there.
     """
     size, witness = _eta_cached(g.adj, node_limit)
     return size, CliqueDisjointSet(g, frozenset(divmod(i, g.n) for i in bits(witness)))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -109,6 +111,26 @@ def test_graph_repr_and_foreign_equality():
     assert repr(g) == "Graph(n=3, adj=(2, 5, 2))"
     assert g != (3, g.adj) and (3, g.adj) != g
     assert g != g.adj
+
+
+def test_graph_fields_cannot_be_assigned_or_deleted():
+    """Graphs are cache keys, so a write to ``n`` or ``adj`` is refused
+    and the graph keeps its value and hash."""
+    g = path(3)
+    before = hash(g)
+    for name, value in (("n", 4), ("adj", (0, 0, 0)), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    for name in ("n", "adj"):
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert g == path(3) and hash(g) == before and g.n == 3
+
+
+def test_graph_pickles_and_copies():
+    g = net()
+    for twin in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert twin.__class__ is Graph and twin == g and hash(twin) == hash(g)
 
 
 def test_saturate_path_middle_gives_triangle():

@@ -293,6 +293,19 @@ def test_eta_cache_keeps_each_node_budget():
         eta(g, node_limit=100)
 
 
+@pytest.mark.parametrize("g6, value, nodes", [("Bg", 2, 1), ("E]~o", 4, 5)])
+def test_eta_budget_counts_search_nodes_with_or_without_the_search(g6, value, nodes):
+    """The search's root is its first node, so a budget below 1 raises
+    whether the minimal clique sets are disjoint (the path P3, no search
+    runs) or meet (K_{2,2,2}, whose search takes 5 nodes)."""
+    g = decode_graph6(g6)
+    invariants._eta_cached.cache_clear()
+    for limit in (-1, 0, nodes - 1):
+        with pytest.raises(ResourceLimitError, match=f"exceeded {limit} nodes"):
+            eta(g, node_limit=limit)
+    assert eta(g, node_limit=nodes)[0] == value
+
+
 def test_eta_witness_bits_round_trip_past_64_bits():
     """A cache entry is two ints, with bit u*n + v per witness edge; on
     40 vertices the bits pass 64."""
