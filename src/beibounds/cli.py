@@ -29,7 +29,7 @@ from .compatibility import (
 )
 from .errors import FieldDisagreementError, ParseError, ResourceLimitError, WitnessError
 from .graphio import decode_graph6, encode_graph6, format_edge_list, parse_edge_list
-from .graphs import Graph
+from .graphs import Graph, bits
 from .invariants import (
     eta,
     is_clique_disjoint,
@@ -304,8 +304,8 @@ def _verify_one(
             for bad in rep.strong_failures:
                 out.append({"graph6": g6, "strong_form": bad})
     elif kind == "iv-lemma":
-        for v in range(g.n):
-            if not g.is_free_vertex(v) and not check_iv_lemma(g, v):
+        for v in bits(g.nonfree_mask()):
+            if not check_iv_lemma(g, v):
                 out.append({"graph6": g6, "vertex": v})
     elif kind == "recursion":
         reg_fn = memoized(regularity_value)

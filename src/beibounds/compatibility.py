@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ResourceLimitError
-from .graphs import Graph
+from .graphs import Graph, bits
 from .invariants import (
     DEFAULT_NODE_LIMIT,
     _eta_cached,
@@ -97,12 +97,13 @@ class CompatibilityReport:
         return self.pass_a and self.pass_b and self.pass_c
 
 
-def nonfree_vertex_values(phi: InvariantMap, g: Graph) -> Iterator[tuple[int, int, int]]:
-    """(v, phi(G - v), phi(G_v)) for every non-free v, ascending, built
-    as consumed."""
-    for v in range(g.n):
-        if not g.is_free_vertex(v):
-            yield v, phi(g.minus_vertex(v)), phi(g.saturate(v))
+def nonfree_vertex_values(
+    phi: InvariantMap, g: Graph, nonfree: int
+) -> Iterator[tuple[int, int, int]]:
+    """(v, phi(G - v), phi(G_v)) for every v of ``nonfree``, the mask of
+    g's non-free vertices, ascending, built as consumed."""
+    for v in bits(nonfree):
+        yield v, phi(g.minus_vertex(v)), phi(g.saturate(v))
 
 
 def _strong_failures(phi_g: int, table: Iterable[tuple[int, int, int]]) -> list[dict]:
@@ -118,8 +119,11 @@ def check_compatibility(
 ) -> CompatibilityReport:
     """Evaluate conditions (a), (b), (c) for one map on one graph.
 
-    Condition (c) searches the non-free vertices in ascending order and
-    records the first witness; a failing condition attaches a structured
+    One mask of the non-free vertices serves (b) and (c).  A graph with
+    none has no induced P3, so it is exactly a disjoint union of complete
+    graphs, and only then is its decomposition read for (b).  Condition
+    (c) searches the non-free vertices in ascending order and records
+    the first witness; a failing condition attaches a structured
     counterexample with the offending values.  The scan stops at the
     witness unless ``strong`` is set: then the whole table is built up
     front and ``strong_failures`` holds the strong per-vertex form's
@@ -129,7 +133,8 @@ def check_compatibility(
     report = CompatibilityReport(name, True, True, True)
     phi_g = phi(g)
     report.values["phi"] = phi_g
-    table: Iterable[tuple[int, int, int]] = nonfree_vertex_values(phi, g)
+    nonfree = g.nonfree_mask()
+    table: Iterable[tuple[int, int, int]] = nonfree_vertex_values(phi, g, nonfree)
     if strong:
         table = list(table)
         report.strong_failures = _strong_failures(phi_g, table)
@@ -146,8 +151,8 @@ def check_compatibility(
         }
         return report
 
-    sizes = g.completes_decomposition()
-    if sizes is not None and sizes and min(sizes) >= 2:
+    sizes = None if nonfree else g.completes_decomposition()
+    if sizes and min(sizes) >= 2:
         t = len(sizes)
         report.values["union_components"] = t
         if phi_g < t:
@@ -181,7 +186,7 @@ def nonfree_vertex_failures(phi: InvariantMap, g: Graph) -> list[dict]:
     For every non-free v the inequalities phi(G-v) <= phi(G) and
     phi(G_v) < phi(G) must hold; returns one record per violation.
     """
-    return _strong_failures(phi(g), nonfree_vertex_values(phi, g))
+    return _strong_failures(phi(g), nonfree_vertex_values(phi, g, g.nonfree_mask()))
 
 
 def check_iv_lemma(g: Graph, v: int) -> bool:

@@ -121,13 +121,20 @@ def all_labeled(n: int) -> Iterator[Graph]:
     """Stream all 2^C(n,2) labeled graphs on n vertices.
 
     Bit k of the enumeration index is the k-th pair in lexicographic
-    order.  No isomorphism reduction; capped at n <= 7.
+    order.  Each graph's rows are the last one's with the changed pairs
+    toggled.  No isomorphism reduction; capped at n <= 7.
     """
     if n > ALL_LABELED_MAX_N:
         raise ValueError(f"all_labeled capped at n={ALL_LABELED_MAX_N}")
     pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield Graph.from_edge_list(n, [pairs[k] for k in bits(mask)])
+    rows = [0] * n
+    yield Graph(n, tuple(rows))
+    for mask in range(1, 1 << len(pairs)):
+        # from mask - 1 to mask, pairs 0..k flip, k the lowest bit of mask
+        for u, v in pairs[:(mask & -mask).bit_length()]:
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+        yield Graph(n, tuple(rows))
 
 
 def with_injected_isolates(g: Graph, positions: list[int]) -> Graph:

@@ -211,9 +211,25 @@ class Graph:
         """True iff N(v) induces a complete graph (vacuously for deg <= 1)."""
         return self.is_clique(self.neighbors(v))
 
+    def nonfree_mask(self) -> int:
+        """The non-free vertices as a bitmask, in one pass over the rows:
+        v is non-free iff some neighbour u misses another neighbour of v,
+        that is iff v is the middle of an induced P3."""
+        adj = self.adj
+        mask = 0
+        for v, row in enumerate(adj):
+            left = row
+            while left:
+                low = left & -left
+                left ^= low
+                if row & ~(adj[low.bit_length() - 1] | low):
+                    mask |= 1 << v
+                    break
+        return mask
+
     def internal_vertex_count(self) -> int:
         """Number of non-free vertices."""
-        return sum(1 for v in range(self.n) if not self.is_free_vertex(v))
+        return self.nonfree_mask().bit_count()
 
     def isolated_vertices(self) -> list[int]:
         return [v for v in range(self.n) if not self.adj[v]]

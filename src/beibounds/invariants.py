@@ -3,18 +3,23 @@ sets (eta), longest induced paths, and the constructive one-step
 extension that grows a clique-disjoint set of the saturated graph G_v
 into a strictly larger one of G.
 
+One Bron-Kerbosch routine finds the maximal cliques as vertex
+bitmasks; ``maximal_cliques`` is its view as sorted vertex tuples, and
+eta reads the bitmasks directly.
+
 Two edges "conflict" when their endpoint union induces a complete
 subgraph, that is when some maximal clique holds both.  So eta is a
 maximum set packing of the edges' clique sets (the maximal cliques
 through each edge).  Swapping a packed edge for one whose clique set is
 a subset of its own keeps the packing clique-disjoint, so eta only looks
 at the inclusion-minimal clique sets, one edge for each.  When no two
-of them meet, they are the packing.  Otherwise an exact maximum
-independent set solver (memoized branching, degree <= 1 reductions,
-component splitting) runs on their conflict rows.  Each solver call
-takes a threshold ``need`` and is exact only when the optimum reaches
-it; below that it may stop at an upper bound, the size of a greedy
-clique cover.  The include branch runs first and sets the
+of them meet, they are the packing, in any numbering of the cliques.
+Otherwise the sets are renumbered in ``maximal_cliques`` order and an
+exact maximum independent set solver (memoized branching, degree <= 1
+reductions, component splitting) runs on their conflict rows.  Each
+solver call takes a threshold ``need`` and is exact only when the
+optimum reaches it; below that it may stop at an upper bound, the size
+of a greedy clique cover.  The include branch runs first and sets the
 exclude branch's threshold just above its own result, so the bound
 prunes without changing any choice, and the witnesses are those of the
 unbounded search.  The edge-level conflict graph is kept as an
@@ -62,18 +67,24 @@ _ETA_CACHE_SIZE = 1 << 16
 
 
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
-    """All maximal cliques (isolated vertices count, as 1-cliques).
+    """All maximal cliques (isolated vertices count, as 1-cliques),
+    sorted by vertex tuple, so the count and order are reproducible."""
+    return sorted([tuple(bits(c)) for c in _clique_masks(g.adj)])
 
-    Bron-Kerbosch with max-intersection pivoting; output sorted by
-    vertex tuple, so the count and order are reproducible.
-    """
-    out: list[tuple[int, ...]] = []
-    adj = g.adj
 
-    def expand(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            out.append(tuple(bits(r)))
-            return
+def _clique_masks(adj: Sequence[int]) -> list[int]:
+    """The maximal cliques as vertex bitmasks, in discovery order:
+    Bron-Kerbosch with max-intersection pivoting.  A node's children
+    depend only on its own sets, so they go on a stack, not the call
+    stack."""
+    out: list[int] = []
+    stack = [(0, (1 << len(adj)) - 1, 0)] if adj else []
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                out.append(r)
+            continue
         pivot = -1
         best = -1
         left = p | x
@@ -89,13 +100,10 @@ def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
             low = left & -left
             left ^= low
             nbr = adj[low.bit_length() - 1]
-            expand(r | low, p & nbr, x & nbr)
-            p &= ~low
+            stack.append((r | low, p & nbr, x & nbr))
+            p ^= low
             x |= low
-
-    if g.n:
-        expand(0, g.full_mask(), 0)
-    return sorted(out)
+    return out
 
 
 # -- edge conflict relation ---------------------------------------------
@@ -300,52 +308,82 @@ def _eta_cached(adj: tuple[int, ...], node_limit: int) -> tuple[int, int]:
     """The one cache of eta values and witnesses, keyed by the adjacency
     rows of a labeled graph and the node budget, so no search runs
     without its own budget.  A key holds no ``Graph``, and a hit runs no
-    Python code; the graph is built only on a miss.
+    Python code; a miss works on the rows and the clique bitmasks alone
+    and builds no graph.
 
     An entry is two ints, ``(size, witness_bits)``: bit ``u*n + v`` is set
     for each witness edge ``(u, v)``, ``u < v``.  So a sweep holds two
     ints per cached labeled graph, at most 65,536 of them, and no tuple
     per witness edge; ``eta`` decodes the bits back into edges.
 
-    When no two minimal clique sets meet, the packing is all of them,
-    which is what the MIS search would return; only sets that meet build
-    the conflict rows and run ``_MisSolver``.  The budget counts solver
-    nodes.  A search on pairwise disjoint sets would end at its root, one
-    node, so the shortcut takes any budget of at least 1, and a budget
-    below 1 raises on every graph, whether or not the solver runs.
+    The cliques are numbered in discovery order.  A singleton clique set
+    is minimal by itself, and a larger set that holds one is not, so
+    only the larger sets that avoid every singleton go through
+    ``minimalize``.  When no two minimal sets meet, the packing is all of
+    them, which is what the MIS search would return, whatever the
+    numbering.  Only when two of them meet are the cliques renumbered in
+    ``maximal_cliques`` order and the sets sorted and given conflict rows
+    for ``_MisSolver``, so the search and its witness are those of that
+    order.  The budget counts
+    solver nodes.  A search on pairwise disjoint sets would end at its
+    root, one node, so the shortcut takes any budget of at least 1, and
+    a budget below 1 raises on every graph, whether or not the solver
+    runs.
     """
     if node_limit < 1:
         raise ResourceLimitError(f"independent-set search exceeded {node_limit} nodes")
     n = len(adj)
-    in_cliques = [0] * n  # bit i: maximal clique i holds the vertex
-    for i, clique in enumerate(maximal_cliques(Graph(n, adj))):
-        for v in clique:
-            in_cliques[v] |= 1 << i
-    rep: dict[int, tuple[int, int]] = {}  # clique set -> least edge with it
+    cliques = _clique_masks(adj)
+    in_cliques = [0] * n  # bit i: clique i holds the vertex
+    bit = 1
+    for c in cliques:
+        while c:
+            low = c & -c
+            c ^= low
+            in_cliques[low.bit_length() - 1] |= bit
+        bit <<= 1
+    rep: dict[int, int] = {}  # clique set -> bit u*n + v of its least edge (u, v)
     for u, row in enumerate(adj):
         above = row >> u + 1 << u + 1
+        mine = in_cliques[u]
+        base = u * n
         while above:
             low = above & -above
             above ^= low
             v = low.bit_length() - 1
-            rep.setdefault(in_cliques[u] & in_cliques[v], (u, v))
-    sets = minimalize(rep)
-    size, mask = len(sets), (1 << len(sets)) - 1
+            rep.setdefault(mine & in_cliques[v], base + v)
+    singles = witness = 0
+    for s, e in rep.items():
+        if not s & s - 1:
+            singles |= s
+            witness |= 1 << e
+    sets = minimalize([s for s in rep if s & s - 1 and not s & singles])
     union = total = 0
     for s in sets:
         union |= s
         total += s.bit_count()
-    if union.bit_count() < total:  # two sets meet
-        conflicts = [0] * size
-        for i, j in combinations(range(size), 2):
-            if sets[i] & sets[j]:
-                conflicts[i] |= 1 << j
-                conflicts[j] |= 1 << i
-        size, mask = _MisSolver(conflicts, node_limit).solve(mask, 0)
+    if union.bit_count() == total:  # no two minimal sets meet
+        for s in sets:
+            witness |= 1 << rep[s]
+        return singles.bit_count() + len(sets), witness
+    order = sorted(range(len(cliques)), key=lambda i: tuple(bits(cliques[i])))
+    new_bit = [0] * len(cliques)
+    for k, i in enumerate(order):
+        new_bit[i] = 1 << k
+    ranked = sorted(
+        (sum([new_bit[i] for i in bits(s)]), rep[s])
+        for s in [1 << i for i in bits(singles)] + list(sets)
+    )
+    size = len(ranked)
+    conflicts = [0] * size
+    for i, j in combinations(range(size), 2):
+        if ranked[i][0] & ranked[j][0]:
+            conflicts[i] |= 1 << j
+            conflicts[j] |= 1 << i
+    size, mask = _MisSolver(conflicts, node_limit).solve((1 << size) - 1, 0)
     witness = 0
     for i in bits(mask):
-        u, v = rep[sets[i]]
-        witness |= 1 << u * n + v
+        witness |= 1 << ranked[i][1]
     return size, witness
 
 

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from beibounds.generators import (
@@ -12,6 +14,7 @@ from beibounds.generators import (
     union,
     with_injected_isolates,
 )
+from beibounds.graphs import Graph, bits
 from beibounds.invariants import maximal_cliques
 
 
@@ -70,6 +73,17 @@ def test_all_labeled_counts():
 
 def test_all_labeled_streams_distinct_graphs():
     assert len(set(all_labeled(4))) == 64
+
+
+def test_all_labeled_index_is_the_pair_mask():
+    """The graph at index ``mask`` has the pairs of the set bits of
+    ``mask``; sweep reports list graphs in this order."""
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        stream = list(all_labeled(n))
+        assert len(stream) == 1 << len(pairs)
+        for mask, g in enumerate(stream):
+            assert g == Graph.from_edge_list(n, [pairs[k] for k in bits(mask)])
 
 
 def test_with_injected_isolates():

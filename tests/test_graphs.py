@@ -11,7 +11,7 @@ from beibounds.graphs import Graph, bits, components, edge
 from beibounds.invariants import eta
 from beibounds.generators import all_labeled, complete, gnp, net, path, union
 
-from brute import brute_iv, ref_components, ref_induced_delete, ref_saturate
+from brute import brute_free_vertex, brute_iv, ref_components, ref_induced_delete, ref_saturate
 
 
 def test_from_edge_list_path():
@@ -160,6 +160,16 @@ def test_internal_vertex_count_against_brute_force():
     assert net().internal_vertex_count() == brute_iv(net()) == 3
     assert path(4).internal_vertex_count() == brute_iv(path(4)) == 2
     assert union([complete(3), complete(2)]).internal_vertex_count() == 0
+
+
+def test_nonfree_mask_matches_brute_force_exhaustive_n5():
+    """One pass gives the non-free vertices, and a graph with none is
+    exactly a disjoint union of complete graphs."""
+    for n in range(1, 6):
+        for g in all_labeled(n):
+            mask = g.nonfree_mask()
+            assert mask == sum(1 << v for v in range(n) if not brute_free_vertex(g, v))
+            assert (g.completes_decomposition() is not None) == (mask == 0)
 
 
 def test_strip_isolated():

@@ -260,6 +260,38 @@ def test_eta_matches_unbounded_reference_exhaustive_n5():
             assert (value, witness.edges) == ref_eta(g)
 
 
+def _perfect_matchings(vs):
+    if not vs:
+        yield []
+        return
+    for partner in vs[1:]:
+        rest = [v for v in vs[1:] if v != partner]
+        for m in _perfect_matchings(rest):
+            yield [(vs[0], partner)] + m
+
+
+def test_eta_matches_unbounded_reference_on_labeled_octahedra(monkeypatch):
+    """The 15 labeled octahedra, K6 minus a perfect matching, are the only
+    graphs with n <= 6 whose minimal clique sets meet, so they alone run
+    the solver, on sets renumbered in ``maximal_cliques`` order."""
+    runs = []
+
+    class Counted(invariants._MisSolver):
+        def __init__(self, adj, node_limit):
+            runs.append(len(adj))
+            super().__init__(adj, node_limit)
+
+    monkeypatch.setattr(invariants, "_MisSolver", Counted)
+    invariants._eta_cached.cache_clear()
+    octahedra = set()
+    for matching in _perfect_matchings(list(range(6))):
+        g = Graph.from_edge_list(6, [e for e in combinations(range(6), 2) if e not in matching])
+        value, witness = eta(g)
+        assert (value, witness.edges) == ref_eta(g)
+        octahedra.add(g)
+    assert len(octahedra) == len(runs) == 15
+
+
 @pytest.mark.parametrize(
     "g",
     [sierpinski(k) for k in (1, 2, 3)]
