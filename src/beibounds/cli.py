@@ -14,7 +14,9 @@ import json
 import random
 import sys
 import time
-from itertools import repeat
+from functools import partial
+from itertools import chain
+from typing import Callable, Iterable, Iterator
 
 from . import __version__, generators
 from .compatibility import (
@@ -46,6 +48,8 @@ from .regularity import (
 )
 
 SCHEMA = "beibounds/report-v1"
+# Most graphs in one task of a ``verify --jobs > 1`` pool.
+_MAX_CHUNK = 1024
 
 
 # -- input handling ---------------------------------------------------------
@@ -127,35 +131,72 @@ _SPECS = {
 # -- corpora ---------------------------------------------------------------
 
 
-def corpus_from_args(args) -> tuple[str, list[Graph]]:
-    graphs: list[Graph] = []
+# a corpus part: its graph count and a function that makes its graphs
+_Part = tuple[int, Callable[[], Iterable[Graph]]]
+
+
+class Corpus:
+    """The graphs of a sweep, made afresh on each iteration.
+
+    Each part knows its count, so ``len()`` builds no graph, and a sweep
+    that consumes the graphs as they come holds one at a time.
+    """
+
+    def __init__(self, parts: list[_Part]):
+        self._parts = parts
+
+    def __len__(self) -> int:
+        return sum(count for count, _ in self._parts)
+
+    def __iter__(self) -> Iterator[Graph]:
+        return chain.from_iterable(make() for _, make in self._parts)
+
+
+def corpus_from_args(args) -> tuple[str, Corpus]:
+    """A description of the corpus and its graphs: the input files, then
+    ``--exhaustive``, ``--random`` and ``--sierpinski``, in that order.
+
+    Files are read and ``--random`` graphs drawn here, as lists: a
+    ``gnp`` draw costs about a third of a ``verify chain`` step on a
+    small graph, so the draws stay out of the sweep.
+    ``--exhaustive`` and ``--sierpinski`` are only counted here and made
+    afresh on each iteration.  Every flag is checked against its
+    generator's cap here, so a bad one fails before the first graph is
+    checked.
+    """
+    parts: list[_Part] = []
     desc = []
     if args.inputs:
-        graphs.extend(load_inputs(args.inputs))
-        desc.append(f"{len(graphs)} graphs from files")
+        loaded = load_inputs(args.inputs)
+        parts.append((len(loaded), lambda: loaded))
+        desc.append(f"{len(loaded)} graphs from files")
     if args.exhaustive:
-        count = 0
-        for n in range(1, args.exhaustive + 1):
-            for g in generators.all_labeled(n):
-                graphs.append(g)
-                count += 1
-        desc.append(f"all labeled graphs on 1..{args.exhaustive} vertices ({count})")
+        top = args.exhaustive
+        if top > generators.ALL_LABELED_MAX_N:
+            raise ValueError(f"all_labeled capped at n={generators.ALL_LABELED_MAX_N}")
+        count = sum(1 << n * (n - 1) // 2 for n in range(1, top + 1))
+        parts.append((count, lambda: chain.from_iterable(
+            map(generators.all_labeled, range(1, top + 1)))))
+        desc.append(f"all labeled graphs on 1..{top} vertices ({count})")
     if args.random:
         num, den = args.gnp
         rng = random.Random(args.seed)
-        for _ in range(args.random):
-            n = rng.randint(1, args.max_n)
-            graphs.append(generators.gnp(n, num, den, rng.randrange(2**32)))
+        drawn = [generators.gnp(rng.randint(1, args.max_n), num, den, rng.randrange(2**32))
+                 for _ in range(args.random)]
+        parts.append((len(drawn), lambda: drawn))
         desc.append(
             f"{args.random} random graphs (n<={args.max_n}, p={num}/{den}, seed={args.seed})"
         )
     if args.sierpinski:
-        for k in range(1, args.sierpinski + 1):
-            graphs.append(generators.sierpinski(k))
+        if args.sierpinski > generators.SIERPINSKI_MAX_LEVEL:
+            raise ValueError(
+                f"sierpinski level must be in 1..{generators.SIERPINSKI_MAX_LEVEL}")
+        levels = range(1, args.sierpinski + 1)
+        parts.append((len(levels), lambda: map(generators.sierpinski, levels)))
         desc.append(f"sierpinski levels 1..{args.sierpinski}")
-    if not graphs:
+    if not parts:
         raise ValueError("empty corpus: give inputs or corpus flags")
-    return "; ".join(desc), graphs
+    return "; ".join(desc), Corpus(parts)
 
 
 # -- reports ----------------------------------------------------------------
@@ -278,11 +319,11 @@ def invariant_record(g: Graph, with_reg: bool) -> dict:
 
 
 def _verify_one(
-    kind: str, g6: str, with_reg: bool, map_name: str = "eta"
-) -> tuple[list[dict], dict[str, str]]:
-    """Violation records for one graph, and the chain values that a
-    resource cap skipped, each with its message; run in worker
-    processes."""
+    kind: str, with_reg: bool, map_name: str, g6: str
+) -> tuple[str, list[dict], dict[str, str]]:
+    """The graph6 string of one graph, its violation records, and the
+    chain values that a resource cap skipped, each with its message; run
+    in worker processes under ``--jobs > 1``."""
     g = decode_graph6(g6)
     out = []
     skipped: dict[str, str] = {}
@@ -314,7 +355,7 @@ def _verify_one(
                 out.append({"graph6": g6, "vertex": v})
     else:
         raise ValueError(f"unknown verify kind {kind!r}")
-    return out, skipped
+    return g6, out, skipped
 
 
 # -- subcommands -------------------------------------------------------------
@@ -351,30 +392,37 @@ def cmd_reg(args) -> int:
     return 0
 
 
+def _outcomes(verify: Callable, codes: Iterator[str], jobs: int, size: int) -> Iterator:
+    """``verify`` on each graph6 string, in corpus order, in ``jobs``
+    processes.  The pool takes the strings as it needs them, in chunks
+    of at most ``_MAX_CHUNK``, so a sweep holds a bounded number of
+    graphs whatever the corpus size."""
+    if jobs == 1:
+        yield from map(verify, codes)
+        return
+    from multiprocessing import Pool  # a slow import few runs need
+
+    with Pool(jobs) as pool:
+        yield from pool.imap(verify, codes, max(1, min(size // (4 * jobs), _MAX_CHUNK)))
+
+
 def cmd_verify(args) -> int:
     started = time.perf_counter()
-    desc, graphs = corpus_from_args(args)
-    # the sweep keeps one graph6 string per graph, not the graphs
-    codes = [encode_graph6(g) for g in graphs]
-    del graphs
+    desc, corpus = corpus_from_args(args)
     with_reg = args.with_reg or args.require_reg
-    columns = (repeat(args.kind), codes, repeat(with_reg), repeat(args.map))
+    verify = partial(_verify_one, args.kind, with_reg, args.map)
+    # each graph is encoded as the sweep reaches it, and only its string goes on
+    codes = map(encode_graph6, corpus)
+    checked = 0
     violations: list[dict] = []
     # chain value -> (graph6, message) per graph a resource cap skipped it on
     skipped: dict[str, list[tuple[str, str]]] = {"L": [], "eta": [], "reg": []}
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # a slow import few runs need
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunk = max(1, len(codes) // (4 * args.jobs))
-            outcomes = list(pool.map(_verify_one, *columns, chunksize=chunk))
-    else:
-        outcomes = map(_verify_one, *columns)
-    for g6, (batch, skips) in zip(codes, outcomes):
+    for g6, batch, skips in _outcomes(verify, codes, args.jobs, len(corpus)):
+        checked += 1
         violations.extend(batch)
         for name, message in skips.items():
             skipped[name].append((g6, message))
-    results = {"kind": args.kind, "graphs_checked": len(codes), "map": args.map}
+    results = {"kind": args.kind, "graphs_checked": checked, "map": args.map}
     if args.kind == "chain":
         # a value is dropped, not failed, when a resource cap stops it
         for name, graphs_skipped in skipped.items():

@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ResourceLimitError
-from .graphs import Graph, bits
+from .graphs import Graph, bits, minus_vertex_rows, saturate_rows
 from .invariants import (
     DEFAULT_NODE_LIMIT,
     _eta_cached,
@@ -47,7 +47,11 @@ _MAP_CACHE_SIZE = 1 << 16
 
 def eta_value(g: Graph) -> int:
     """eta's size, read from its one cache (see :func:`invariants.eta`)."""
-    return _eta_cached(g.adj, DEFAULT_NODE_LIMIT)[0]
+    return _eta_of_rows(g.adj)
+
+
+def _eta_of_rows(adj: tuple[int, ...]) -> int:
+    return _eta_cached(adj, DEFAULT_NODE_LIMIT).bit_count()
 
 
 def clique_count_value(g: Graph) -> int:
@@ -101,9 +105,13 @@ def nonfree_vertex_values(
     phi: InvariantMap, g: Graph, nonfree: int
 ) -> Iterator[tuple[int, int, int]]:
     """(v, phi(G - v), phi(G_v)) for every v of ``nonfree``, the mask of
-    g's non-free vertices, ascending, built as consumed."""
+    g's non-free vertices, ascending, built as consumed.  Each v is a
+    vertex of g, so the derived rows are built unchecked, and eta, which
+    reads only the rows, gets no ``Graph`` for them."""
+    adj = g.adj
+    of_rows = _eta_of_rows if phi is eta_value else lambda rows: phi(Graph(len(rows), rows))
     for v in bits(nonfree):
-        yield v, phi(g.minus_vertex(v)), phi(g.saturate(v))
+        yield v, of_rows(minus_vertex_rows(adj, v)), of_rows(saturate_rows(adj, v))
 
 
 def _strong_failures(phi_g: int, table: Iterable[tuple[int, int, int]]) -> list[dict]:

@@ -56,6 +56,26 @@ def minimalize(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(kept))
 
 
+def minus_vertex_rows(adj: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """Rows of G - v for a vertex v of G: every row but v's drops bit v
+    and shifts the bits above it down by one.  ``v`` is not checked."""
+    low = (1 << v) - 1
+    high = ~low
+    return tuple([row & low | row >> 1 & high for row in adj[:v] + adj[v + 1:]])
+
+
+def saturate_rows(adj: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """Rows of G_v for a vertex v of G: the neighborhood of v completed
+    into a clique.  ``v`` is not checked."""
+    rows = list(adj)
+    nbr = left = rows[v]
+    while left:
+        low = left & -left
+        left ^= low
+        rows[low.bit_length() - 1] |= nbr ^ low
+    return tuple(rows)
+
+
 def edge(u: int, v: int) -> tuple[int, int]:
     """Normalize an unordered pair to (min, max)."""
     if u == v:
@@ -180,26 +200,15 @@ class Graph:
         return Graph(keep.bit_count(), tuple(relabel([adj[v] for v in bits(keep)], keep)))
 
     def minus_vertex(self, v: int) -> "Graph":
-        """``induced_delete((v,))``: every row drops bit v and shifts the
-        bits above it down by one."""
+        """``induced_delete((v,))``, in one pass over the rows (see
+        :func:`minus_vertex_rows`)."""
         self._check_vertex(v)
-        adj = self.adj
-        low = (1 << v) - 1
-        high = ~low
-        return Graph(self.n - 1, tuple([
-            row & low | row >> 1 & high for row in adj[:v] + adj[v + 1:]
-        ]))
+        return Graph(self.n - 1, minus_vertex_rows(self.adj, v))
 
     def saturate(self, v: int) -> "Graph":
         """Complete the neighborhood of v into a clique; keep all edges."""
         self._check_vertex(v)
-        adj = list(self.adj)
-        nbr = left = adj[v]
-        while left:
-            low = left & -left
-            left ^= low
-            adj[low.bit_length() - 1] |= nbr ^ low
-        return Graph(self.n, tuple(adj))
+        return Graph(self.n, saturate_rows(self.adj, v))
 
     def strip_isolated(self) -> "Graph":
         isolated = self.isolated_vertices()

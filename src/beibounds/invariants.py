@@ -304,17 +304,18 @@ def is_clique_disjoint(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
 
 
 @lru_cache(maxsize=_ETA_CACHE_SIZE)
-def _eta_cached(adj: tuple[int, ...], node_limit: int) -> tuple[int, int]:
+def _eta_cached(adj: tuple[int, ...], node_limit: int) -> int:
     """The one cache of eta values and witnesses, keyed by the adjacency
     rows of a labeled graph and the node budget, so no search runs
     without its own budget.  A key holds no ``Graph``, and a hit runs no
     Python code; a miss works on the rows and the clique bitmasks alone
     and builds no graph.
 
-    An entry is two ints, ``(size, witness_bits)``: bit ``u*n + v`` is set
-    for each witness edge ``(u, v)``, ``u < v``.  So a sweep holds two
-    ints per cached labeled graph, at most 65,536 of them, and no tuple
-    per witness edge; ``eta`` decodes the bits back into edges.
+    An entry is one int, the witness bits: bit ``u*n + v`` is set for
+    each witness edge ``(u, v)``, ``u < v``, so eta is its
+    ``bit_count()``.  A sweep holds one int per cached labeled graph, at
+    most 65,536 of them, and no tuple per witness edge; ``eta`` decodes
+    the bits back into edges.
 
     The cliques are numbered in discovery order.  A singleton clique set
     is minimal by itself, and a larger set that holds one is not, so
@@ -365,7 +366,7 @@ def _eta_cached(adj: tuple[int, ...], node_limit: int) -> tuple[int, int]:
     if union.bit_count() == total:  # no two minimal sets meet
         for s in sets:
             witness |= 1 << rep[s]
-        return singles.bit_count() + len(sets), witness
+        return witness
     order = sorted(range(len(cliques)), key=lambda i: tuple(bits(cliques[i])))
     new_bit = [0] * len(cliques)
     for k, i in enumerate(order):
@@ -380,11 +381,11 @@ def _eta_cached(adj: tuple[int, ...], node_limit: int) -> tuple[int, int]:
         if ranked[i][0] & ranked[j][0]:
             conflicts[i] |= 1 << j
             conflicts[j] |= 1 << i
-    size, mask = _MisSolver(conflicts, node_limit).solve((1 << size) - 1, 0)
+    mask = _MisSolver(conflicts, node_limit).solve((1 << size) - 1, 0)[1]
     witness = 0
     for i in bits(mask):
         witness |= 1 << ranked[i][1]
-    return size, witness
+    return witness
 
 
 def eta(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> tuple[int, CliqueDisjointSet]:
@@ -394,10 +395,13 @@ def eta(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> tuple[int, CliqueDisj
     the least edge that has it; raises ResourceLimitError once the
     independent-set search visits more than ``node_limit`` nodes.  That
     search runs only when two of the sets meet; when none do, it would
-    take one node, so only ``node_limit < 1`` raises there.
+    take one node, so only ``node_limit < 1`` raises there.  The cache
+    keeps the witness edges as one int of bits, and the size is their
+    count.
     """
-    size, witness = _eta_cached(g.adj, node_limit)
-    return size, CliqueDisjointSet(g, frozenset(divmod(i, g.n) for i in bits(witness)))
+    witness = _eta_cached(g.adj, node_limit)
+    return witness.bit_count(), CliqueDisjointSet(
+        g, frozenset(divmod(i, g.n) for i in bits(witness)))
 
 
 # -- longest induced paths -------------------------------------------------

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,11 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import beibounds
-from beibounds import generators, invariants
+from beibounds import cli, generators, invariants
 from beibounds.cli import build_spec, main, parse_args, parse_graph_text
 from beibounds.errors import ResourceLimitError
 from beibounds.generators import cycle, net, path, sierpinski, union
 from beibounds.graphio import encode_graph6
+from beibounds.graphs import Graph
 
 
 def run(capsys, *argv):
@@ -518,6 +520,101 @@ def test_verify_compatible_eta_jobs_2_gives_the_same_report(capsys):
         reports.append(report)
     assert reports[0] == reports[1]
     assert reports[0]["results"]["graphs_checked"] == 75
+
+
+def test_verify_jobs_2_prints_the_serial_report_with_violations_and_skips(capsys, monkeypatch):
+    """The pool's results come back in corpus order over several chunks,
+    so ``--jobs 2`` prints the ``--jobs 1`` report byte for byte apart
+    from ``elapsed_s``: the same violations and ``*_skipped_graphs``
+    lists in the same order, and the same stderr.  (Workers fork, so
+    they see the patched searches.)"""
+    import beibounds.compatibility as compat
+    real_eta, real_lip = compat.eta, compat.longest_induced_path
+
+    def eta(g):
+        if g.edge_count() % 4 == 1:
+            raise ResourceLimitError("search exceeded 7 nodes")
+        value, witness = real_eta(g)
+        return value + 1, witness  # breaks eta <= c wherever eta = c
+
+    def lip(g):
+        if g.edge_count() % 4 == 3:
+            raise ResourceLimitError("search exceeded 9 nodes")
+        return real_lip(g)
+
+    monkeypatch.setattr(compat, "eta", eta)
+    monkeypatch.setattr(compat, "longest_induced_path", lip)
+    argv = ["verify", "chain", "--exhaustive", "4", "--random", "60", "--max-n", "6",
+            "--seed", "2", "--format", "json"]
+    runs = []
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, *argv, "--jobs", jobs)
+        runs.append((code, re.sub(r'"elapsed_s": [0-9.]+', '"elapsed_s": 0', out), err))
+    assert runs[0] == runs[1]
+    code, out, _ = runs[0]
+    report = json.loads(out)
+    results = report["results"]
+    assert code == 1 and results["graphs_checked"] == 135
+    assert report["violations"] and results["L_skipped_graphs"] and results["eta_skipped_graphs"]
+
+
+def _corpus(*argv):
+    return cli.corpus_from_args(parse_args(["verify", "chain", *argv]))[1]
+
+
+def test_corpus_size_needs_no_graph_and_the_first_arrives_at_once(monkeypatch):
+    """``len()`` of the n <= 7 corpus is the sum of 2^C(n,2) over n, made
+    without a graph, and its first graph, K1, comes before any other."""
+    made = []
+    real = generators.all_labeled
+
+    def counted(n):
+        for g in real(n):
+            made.append(g)
+            yield g
+
+    monkeypatch.setattr(generators, "all_labeled", counted)
+    corpus = _corpus("--exhaustive", "7")
+    assert len(corpus) == 2_131_019 and made == []
+    assert next(iter(corpus)) == Graph(1, (0,)) and made == [Graph(1, (0,))]
+
+
+def test_corpus_iterates_again_to_the_same_graphs(tmp_path):
+    f = tmp_path / "net.g6"
+    f.write_text(encode_graph6(net()) + "\n")
+    for argv in ([str(f), "--exhaustive", "3", "--random", "40", "--max-n", "6", "--seed", "9",
+                  "--sierpinski", "2"],
+                 ["--random", "25", "--seed", "4"]):
+        corpus = _corpus(*argv)
+        first = list(corpus)
+        assert list(corpus) == first and len(first) == len(corpus)
+    assert len(_corpus(str(f), "--exhaustive", "3", "--random", "40", "--sierpinski", "2")) == 54
+
+
+@pytest.mark.parametrize("argv", [
+    ["--exhaustive", "4"],
+    ["--exhaustive", "3", "--random", "25", "--max-n", "6", "--sierpinski", "1"],
+])
+def test_graphs_checked_is_the_corpus_size(capsys, argv):
+    code, out, _ = run(capsys, "verify", "iv-lemma", *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["graphs_checked"] == len(_corpus(*argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "compatible", "--exhaustive", "8"],
+    ["verify", "chain", "--exhaustive", "3", "--exhaustive", "8"],
+    ["search", "--gap", "c-eta", "--exhaustive", "8", "--format", "json"],
+])
+def test_exhaustive_above_the_cap_exits_2_before_any_graph(capsys, monkeypatch, argv):
+    """The cap of ``all_labeled`` is checked before the sweep starts, so
+    no graph is made or checked and no report is printed."""
+    made = []
+    monkeypatch.setattr(generators, "all_labeled", made.append)
+    monkeypatch.setattr(cli, "decode_graph6", made.append)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, made) == (2, "", [])
+    assert err == f"error: all_labeled capped at n={generators.ALL_LABELED_MAX_N}\n"
 
 
 def test_bad_input_exits_2(capsys, tmp_path):

@@ -13,10 +13,12 @@ from beibounds.compatibility import (
     is_path_graph,
     memoized,
     nonfree_vertex_failures,
+    nonfree_vertex_values,
     regularity_value,
 )
 from beibounds.errors import ResourceLimitError
 from beibounds.generators import all_labeled, complete, cycle, fig2_closed, net, path, sierpinski, union
+from beibounds.invariants import eta
 
 from brute import brute_compatibility
 
@@ -151,6 +153,19 @@ def test_bound_chain_flags_violations():
     rep = bound_chain(path(4), with_reg=True, reg_fn=lambda g: 99)
     assert not rep.passed
     assert any(v["inequality"] == "reg<=eta" for v in rep.violations)
+
+
+def test_nonfree_vertex_values_builds_g_minus_v_and_g_v():
+    """The table's unchecked row transforms give the same graphs as the
+    checked ``minus_vertex`` and ``saturate`` at each non-free vertex,
+    and eta, read off the rows with no ``Graph``, the same values."""
+    for n in range(1, 6):
+        for g in all_labeled(n):
+            nonfree = g.nonfree_mask()
+            derived = [(v, g.minus_vertex(v), g.saturate(v)) for v in range(n) if nonfree >> v & 1]
+            assert list(nonfree_vertex_values(lambda h: h, g, nonfree)) == derived
+            assert list(nonfree_vertex_values(eta_value, g, nonfree)) == [
+                (v, eta(minus)[0], eta(sat)[0]) for v, minus, sat in derived]
 
 
 def test_compatibility_exhaustive_n4_for_eta():

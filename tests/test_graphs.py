@@ -40,6 +40,9 @@ def test_from_edge_list_rejects_out_of_range(bad):
     (lambda: path(3).has_edge(5, 0), "vertex 5 out of range for n=3"),
     (lambda: Graph(2, (0,)), "adjacency length does not match vertex count"),
     (lambda: Graph.from_edge_list(-1, []), "vertex count must be non-negative"),
+    # the public transforms check v; the row helpers behind them do not
+    (lambda: path(3).minus_vertex(3), "vertex 3 out of range for n=3"),
+    (lambda: path(3).saturate(-1), "vertex -1 out of range for n=3"),
 ])
 def test_malformed_graphs_and_vertices_rejected(build, message):
     with pytest.raises(ValueError, match=message):

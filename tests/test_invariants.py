@@ -339,8 +339,8 @@ def test_eta_budget_counts_search_nodes_with_or_without_the_search(g6, value, no
 
 
 def test_eta_witness_bits_round_trip_past_64_bits():
-    """A cache entry is two ints, with bit u*n + v per witness edge; on
-    40 vertices the bits pass 64."""
+    """A cache entry is one int, with bit u*n + v per witness edge, and
+    its popcount is eta; on 40 vertices the bits pass 64."""
     g = gnp(40, 1, 10, 0)
     value, witness = eta(g)
     edges = witness.sorted_edges()
@@ -348,7 +348,8 @@ def test_eta_witness_bits_round_trip_past_64_bits():
     assert all(u < v and g.has_edge(u, v) for u, v in edges)
     assert len(edges) == value and is_clique_disjoint(g, edges)
     entry = invariants._eta_cached(g.adj, invariants.DEFAULT_NODE_LIMIT)
-    assert [type(x) for x in entry] == [int, int]
+    assert type(entry) is int and entry.bit_count() == value and entry.bit_length() > 64
+    assert entry == sum(1 << u * g.n + v for u, v in edges)
 
 
 def test_mis_resource_cap_raises():
