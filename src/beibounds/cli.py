@@ -10,6 +10,7 @@ single versioned report object per run.
 from __future__ import annotations
 
 import argparse
+import heapq
 import json
 import random
 import sys
@@ -275,7 +276,7 @@ def _check_reg_witness(g: Graph, reg: RegularityResult) -> None:
     for sub, back in g.component_subgraphs():
         share = [i for i, v in enumerate(back) if v in reg.witness_vars]
         share += [sub.n + i for i, v in enumerate(back) if g.n + v in reg.witness_vars]
-        ideal = initial_ideal(sub, sub.n)
+        ideal = initial_ideal(sub)
         for p in totals:
             dims = homology_dims(ideal, share, p)
             top = max((t for t, dim in dims.items() if dim), default=None)
@@ -358,6 +359,15 @@ def _verify_one(
     return g6, out, skipped
 
 
+def _print_skips(skipped: list[tuple[str, str]], what: str = "") -> None:
+    """List on stderr the graphs a resource cap skipped, one
+    ``graph6: message`` line each, under a header naming ``what``."""
+    if skipped:
+        print(f"error: a resource cap skipped {what}{len(skipped)} graph(s):", file=sys.stderr)
+        for g6, message in skipped:
+            print(f"{g6}: {message}", file=sys.stderr)
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -429,25 +439,13 @@ def cmd_verify(args) -> int:
             results[f"{name}_skipped"] = len(graphs_skipped)
             results[f"{name}_skipped_graphs"] = [g6 for g6, _ in graphs_skipped]
     report = make_report(["verify", args.kind], desc, results, violations, started)
-    reg_required = args.require_reg and skipped["reg"]
-    if violations:
-        code = 1
-    elif skipped["L"] or skipped["eta"] or reg_required:
-        code = 2
-    else:
-        code = 0
+    # a skipped L or eta fails the sweep; a skipped reg only with --require-reg
+    failed = [name for name in ("L", "eta", "reg")
+              if skipped[name] and (name != "reg" or args.require_reg)]
+    code = 1 if violations else 2 if failed else 0
     emit(report, args.format, code)
-    for name in ("L", "eta"):
-        if skipped[name]:
-            print(f"error: a resource cap skipped {name} on {len(skipped[name])} graph(s):",
-                  file=sys.stderr)
-            for g6, message in skipped[name]:
-                print(f"{g6}: {message}", file=sys.stderr)
-    if reg_required:
-        print(f"error: a resource cap skipped reg on {len(skipped['reg'])} graph(s):",
-              file=sys.stderr)
-        for g6, _ in skipped["reg"]:
-            print(g6, file=sys.stderr)
+    for name in failed:
+        _print_skips(skipped[name], f"{name} on ")
     return code
 
 
@@ -471,27 +469,28 @@ def cmd_search(args) -> int:
     started = time.perf_counter()
     desc, graphs = corpus_from_args(args)
     hi, lo = GAPS[args.gap]
-    rows = []
     skipped = []  # (graph6, message) per graph a resource cap stopped
-    for g in graphs:
-        try:
-            rec = invariant_record(g, with_reg="reg" in (hi, lo))
-        except ResourceLimitError as exc:
-            skipped.append((encode_graph6(g), str(exc)))
-            continue
-        gap = rec[hi] - rec[lo]
-        rows.append((gap, rec["graph6"], {k: rec[k] for k in ("n", "L", "eta", "c", "reg") if k in rec}))
-    rows.sort(key=lambda r: (-r[0], r[1]))
-    top = [{"gap": gap, "graph6": g6, "values": vals} for gap, g6, vals in rows[: args.top]]
-    top += [{"graph6": g6, "skipped": message} for g6, message in skipped]
-    report = make_report(["search", args.gap], desc, top, [], started)
-    emit(report, args.format, 2 if skipped else 0)
-    if skipped:
-        print(f"error: a resource cap skipped {len(skipped)} graph(s):", file=sys.stderr)
-        for g6, message in skipped:
-            print(f"{g6}: {message}", file=sys.stderr)
-        return 2
-    return 0
+
+    def rows():
+        for g in graphs:
+            try:
+                rec = invariant_record(g, with_reg="reg" in (hi, lo))
+            except ResourceLimitError as exc:
+                skipped.append((encode_graph6(g), str(exc)))
+                continue
+            yield (rec[hi] - rec[lo], rec["graph6"],
+                   {k: rec[k] for k in ("n", "L", "eta", "c", "reg") if k in rec})
+
+    # only the --top rows are kept, in the order a full sort would give;
+    # nsmallest reads no row for n = 0, so it takes one to check every graph
+    top = heapq.nsmallest(max(args.top, 1), rows(), key=lambda r: (-r[0], r[1]))[: args.top]
+    results = [{"gap": gap, "graph6": g6, "values": vals} for gap, g6, vals in top]
+    results += [{"graph6": g6, "skipped": message} for g6, message in skipped]
+    report = make_report(["search", args.gap], desc, results, [], started)
+    code = 2 if skipped else 0
+    emit(report, args.format, code)
+    _print_skips(skipped)
+    return code
 
 
 # -- argument parsing ---------------------------------------------------------

@@ -16,10 +16,10 @@ class ParseError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An exact solver or scan exceeded its configured cap.
+    """An exact solver or scan exceeded its work budget.
 
-    This is an operational error, never a wrong answer: callers either
-    raise the cap or treat the quantity as unavailable.
+    This is an operational error, never a wrong answer: callers treat
+    the quantity as unavailable or pass a larger ``node_limit``.
     """
 
 

@@ -37,11 +37,15 @@ Disconnected graphs are handled per ``Graph.component_subgraphs`` (the
 quotient is a tensor product over disjoint variable sets, so regularity
 adds and witnesses join), which keeps the per-scan variable count at
 2 * (component size).
+
+The vertex count does not predict the cost, so each call of the
+admissible-path walk and of the scan counts its work (a stack pop; a
+lattice element or a face built) and raises ResourceLimitError, naming
+the stage, past ``SCAN_BUDGET`` units.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -50,8 +54,9 @@ from .errors import FieldDisagreementError, ResourceLimitError
 from .graphs import Graph, bits, minimalize, relabel
 from .rank_modp import rank_gf2, rank_gf3, rank_modp
 
-DEFAULT_COMPONENT_CAP = 8
-DEFAULT_VAR_CAP = 2 * DEFAULT_COMPONENT_CAP
+# Work units per call: steps of one admissible-path walk, or lattice
+# elements plus faces built in one scan.
+SCAN_BUDGET = 600_000
 FIELDS = (2, 3)  # regularity_bei computes over both and requires agreement
 # Entries of the per-component cache: a bound, so that long sweeps run
 # in bounded memory.
@@ -109,7 +114,7 @@ def variable_name(idx: int, n: int) -> str:
 # -- initial ideal of the binomial edge ideal ------------------------------
 
 
-def initial_ideal(g: Graph, max_vertices: int = DEFAULT_COMPONENT_CAP) -> SquarefreeIdeal:
+def initial_ideal(g: Graph) -> SquarefreeIdeal:
     """Squarefree initial ideal of the binomial edge ideal of g.
 
     Its minimal generators are the monomials of the admissible paths,
@@ -119,20 +124,21 @@ def initial_ideal(g: Graph, max_vertices: int = DEFAULT_COMPONENT_CAP) -> Square
     allows, that is adjacent to the path's end and to none of its
     earlier vertices (``blocked`` holds their closed neighbourhoods),
     and stops at the first vertex adjacent to j, so it closes each
-    admissible path once.
+    admissible path once.  Each stack pop is one step, and past
+    ``SCAN_BUDGET`` steps it raises ResourceLimitError.
     """
-    if g.n > max_vertices:
-        raise ResourceLimitError(
-            f"initial ideal capped at {max_vertices} vertices (got {g.n})"
-        )
     n, adj = g.n, g.adj
     gens = []
+    steps = 0
     for i in range(n):
         low = (1 << i) - 1  # vertices < i
         for j in range(i + 1, n):
             high = g.full_mask() >> (j + 1) << (j + 1)  # vertices > j
             stack = [(i, 0, 0)]  # (path end, blocked, interior)
             while stack:
+                steps += 1
+                if steps > SCAN_BUDGET:
+                    raise ResourceLimitError(f"admissible-path walk exceeded {SCAN_BUDGET} steps")
                 cur, blocked, interior = stack.pop()
                 if adj[cur] >> j & 1:
                     gens.append(1 << i | 1 << (n + j) | interior & high | (interior & low) << n)
@@ -145,20 +151,31 @@ def initial_ideal(g: Graph, max_vertices: int = DEFAULT_COMPONENT_CAP) -> Square
 # -- induced subcomplex homology -------------------------------------------
 
 
-def _faces_by_size(gens: Iterable[int], wmask: int) -> list[list[int]]:
+def _scan_over_budget() -> ResourceLimitError:
+    return ResourceLimitError(f"lattice scan exceeded {SCAN_BUDGET} work units")
+
+
+def _faces_by_size(gens: Iterable[int], wmask: int, room: float = float("inf")) -> list[list[int]]:
     """Faces of the complex restricted to ``wmask``, relabeled onto 0..k-1.
 
     Returns lists of face bitmasks grouped by face size (index 0 holds
     the empty face).  A face of size s + 1 extends a face of size s by a
     vertex above its top vertex, so each face is built once, and only
-    the generators through that vertex can block it.
+    the generators through that vertex can block it.  Past ``room``
+    faces, the empty face included, it raises ResourceLimitError; the
+    check runs once per face size.
     """
     k = wmask.bit_count()
     local_gens = relabel([g for g in gens if g & ~wmask == 0], wmask)
     through = [[g for g in local_gens if g >> v & 1] for v in range(k)]
-    by_size = [[0]]
-    while True:
-        grown = []
+    by_size = []
+    level = [0]
+    while level:
+        room -= len(level)
+        if room < 0:
+            raise _scan_over_budget()
+        by_size.append(level)
+        level = []
         for f in by_size[-1]:
             for v in range(f.bit_length(), k):
                 h = f | 1 << v
@@ -166,10 +183,8 @@ def _faces_by_size(gens: Iterable[int], wmask: int) -> list[list[int]]:
                     if g & h == g:
                         break
                 else:
-                    grown.append(h)
-        if not grown:
-            return by_size
-        by_size.append(grown)
+                    level.append(h)
+    return by_size
 
 
 def _boundary_ranks(by_size: list[list[int]], s: int, fields: tuple[int, ...]) -> dict[int, int]:
@@ -232,10 +247,16 @@ def homology_dims(ideal: SquarefreeIdeal, w: Iterable[int], p: int) -> dict[int,
 
 
 def _lcm_lattice(gens: tuple[int, ...]) -> set[int]:
-    """Nonempty unions of generators, unordered."""
+    """Nonempty unions of generators, unordered.  Past ``SCAN_BUDGET``
+    of them it raises ResourceLimitError before the set takes them in."""
     lattice = {0}
     for g in gens:
-        lattice |= {x | g for x in lattice}
+        new = {x | g for x in lattice}
+        if len(lattice) + len(new) - 1 > SCAN_BUDGET:
+            new -= lattice  # only when the sizes alone do not settle it
+            if len(lattice) + len(new) - 1 > SCAN_BUDGET:
+                raise _scan_over_budget()
+        lattice |= new
     lattice.discard(0)
     return lattice
 
@@ -298,20 +319,24 @@ def _scan_ideal(ideal: SquarefreeIdeal, fields: tuple[int, ...]) -> dict[int, tu
     ranked instead with the same value.  The rest go by descending size,
     then ascending variable tuple, and an element of size s cannot beat
     a value of s - 1, which bounds the scan.  The witness is the first
-    domination-free element that attains the value.
+    domination-free element that attains the value.  Past ``SCAN_BUDGET``
+    lattice elements plus faces built it raises ResourceLimitError.
     """
     best = dict.fromkeys(fields, (0, 0))
     gens = ideal.gens
+    lattice = _lcm_lattice(gens)
+    used = len(lattice)
     table = _domination_table(gens, ideal.num_vars)
     survivors = sorted(
-        (w for w in _lcm_lattice(gens) if not _has_dominated_vertex(w, table)),
+        (w for w in lattice if not _has_dominated_vertex(w, table)),
         key=lambda w: (-w.bit_count(), list(bits(w))),
     )
     floor = 0  # the least value over the fields
     for wmask in survivors:
         if wmask.bit_count() - 1 <= floor:
             break
-        by_size = _faces_by_size(gens, wmask)
+        by_size = _faces_by_size(gens, wmask, SCAN_BUDGET - used)
+        used += sum(map(len, by_size))
         # H~_{s-1} = |F_s| - r_s - r_{s+1} can raise a field's value
         # only for s above its best, so walk down from the top face
         # size, one new rank per step, to the first nonzero degree.
@@ -332,14 +357,10 @@ def _scan_ideal(ideal: SquarefreeIdeal, fields: tuple[int, ...]) -> dict[int, tu
 
 def regularity_squarefree(ideal: SquarefreeIdeal, p: int) -> "RegularityResult":
     """Regularity of the quotient by a squarefree monomial ideal over GF(p);
-    the scan is exponential, so past ``DEFAULT_VAR_CAP`` variables it raises
+    the scan is exponential, so past ``SCAN_BUDGET`` work units it raises
     ResourceLimitError."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if ideal.num_vars > DEFAULT_VAR_CAP:
-        raise ResourceLimitError(
-            f"subset scan capped at {DEFAULT_VAR_CAP} variables (got {ideal.num_vars})"
-        )
     value, wmask = _scan_ideal(ideal, (p,))[p]
     return RegularityResult(value, frozenset(bits(wmask)), value - 1, (p,), True)
 
@@ -371,35 +392,23 @@ def require_field_agreement(values_by_prime: dict[int, int]) -> None:
 
 @lru_cache(maxsize=_COMPONENT_CACHE_SIZE)
 def _component_regularity(g: Graph) -> tuple[int, int]:
-    """(value, witness_mask) over ``FIELDS`` for a connected graph whose
-    size ``regularity_bei`` has already checked against its cap."""
-    best = _scan_ideal(initial_ideal(g, g.n), FIELDS)
+    """(value, witness_mask) over ``FIELDS`` for a connected graph."""
+    best = _scan_ideal(initial_ideal(g), FIELDS)
     require_field_agreement({p: best[p][0] for p in FIELDS})
     return best[FIELDS[0]]
 
 
-def regularity_bei(g: Graph, component_cap: int = DEFAULT_COMPONENT_CAP) -> RegularityResult:
+def regularity_bei(g: Graph) -> RegularityResult:
     """Regularity of the quotient by the binomial edge ideal of g.
 
     Computed on each of ``g.component_subgraphs()`` (values add; witnesses
     join, mapped back to g's labels, with degrees t = sum(t_i + 1) - 1)
-    over both fields of ``FIELDS``, which must agree.  The cap applies to
-    each component.
+    over both fields of ``FIELDS``, which must agree.  ``SCAN_BUDGET``
+    applies to the walk and to the scan of each component.
     """
-    if component_cap > DEFAULT_COMPONENT_CAP:
-        warnings.warn(
-            f"component cap raised to {component_cap}; the lattice scan still grows "
-            "exponentially with component size",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     total = 0
     witness: set[int] = set()
     for sub, back in g.component_subgraphs():
-        if sub.n > component_cap:
-            raise ResourceLimitError(
-                f"component with {sub.n} vertices exceeds cap {component_cap}"
-            )
         value, wmask = _component_regularity(sub)
         total += value
         for v in bits(wmask):

@@ -227,8 +227,21 @@ def test_verify_chain_inputs_after_options(capsys, tmp_path):
     _chain_with_reg(capsys, tmp_path, "--with-reg", "FILE")
 
 
+@pytest.fixture
+def small_scan_budget(monkeypatch):
+    """A reg budget of 10,000 work units, which C9's scan (11,580
+    lattice elements) passes and net's (635 units) fits.  The cache is
+    cleared so that no C9 value from an earlier test hides the skip;
+    workers fork, so they see the budget too."""
+    from beibounds import regularity
+    regularity._component_regularity.cache_clear()
+    monkeypatch.setattr(regularity, "SCAN_BUDGET", 10_000)
+    return "lattice scan exceeded 10000 work units"
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_verify_chain_reports_reg_skipped_by_component_cap(capsys, tmp_path, jobs):
+def test_verify_chain_reports_reg_skipped_by_component_cap(capsys, tmp_path, jobs,
+                                                           small_scan_budget):
     c9 = encode_graph6(cycle(9))
     f = tmp_path / "graphs.g6"
     f.write_text(encode_graph6(net()) + "\n" + c9 + "\n")
@@ -247,14 +260,16 @@ def test_verify_chain_reports_reg_skipped_by_component_cap(capsys, tmp_path, job
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_verify_chain_require_reg_exits_2_on_a_skip(capsys, tmp_path, jobs, fmt):
+def test_verify_chain_require_reg_exits_2_on_a_skip(capsys, tmp_path, jobs, fmt,
+                                                    small_scan_budget):
     c9 = encode_graph6(cycle(9))
     f = tmp_path / "graphs.g6"
     f.write_text(encode_graph6(net()) + "\n" + c9 + "\n")
     code, out, err = run(capsys, "verify", "chain", str(f), "--require-reg",
                          "--jobs", jobs, "--format", fmt)
     assert code == 2
-    assert err.splitlines()[1:] == [c9]
+    assert err.splitlines() == ["error: a resource cap skipped reg on 1 graph(s):",
+                                f"{c9}: {small_scan_budget}"]
     if fmt == "json":
         results = json.loads(out)["results"]
         assert (results["reg_skipped"], results["reg_skipped_graphs"]) == (1, [c9])
@@ -273,7 +288,7 @@ def test_verify_chain_require_reg_passes_a_clean_corpus(capsys, jobs, fmt):
         assert (results["graphs_checked"], results["reg_skipped"]) == (11, 0)
 
 
-def test_verify_chain_without_reg_skips_nothing(capsys, tmp_path):
+def test_verify_chain_without_reg_skips_nothing(capsys, tmp_path, small_scan_budget):
     f = tmp_path / "c9.g6"
     f.write_text(encode_graph6(cycle(9)) + "\n")
     code, out, _ = run(capsys, "verify", "chain", str(f), "--format", "json")
@@ -381,9 +396,9 @@ def test_search_ranks_the_levels_below_an_L_budget_hit(capsys, monkeypatch):
     assert err.splitlines()[1:] == [f"{s3}: induced-path search exceeded 1000 nodes"]
 
 
-def test_text_report_ok_agrees_with_the_exit_code(capsys, tmp_path):
-    """C9 is above reg's component cap, so its row is skipped and the
-    command exits 2; the text report must not end with ok=True."""
+def test_text_report_ok_agrees_with_the_exit_code(capsys, tmp_path, small_scan_budget):
+    """C9 is past the reg budget, so its row is skipped and the command
+    exits 2; the text report must not end with ok=True."""
     f = tmp_path / "graphs.g6"
     f.write_text(encode_graph6(cycle(9)) + "\n" + encode_graph6(net()) + "\n")
     code, out, _ = run(capsys, "search", "--gap", "c-reg", str(f))
@@ -393,6 +408,23 @@ def test_text_report_ok_agrees_with_the_exit_code(capsys, tmp_path):
     code, out, _ = run(capsys, "search", "--gap", "c-reg", str(f))
     assert code == 0
     assert out.splitlines()[-1].startswith("ok=True ")
+
+
+@pytest.mark.parametrize("top", ["0", "1", "3"])
+def test_search_checks_every_graph_whatever_the_top(capsys, tmp_path, small_scan_budget, top):
+    """Only ``--top`` rows are kept, but every graph is still checked,
+    so a skip after the ranked rows is listed even with ``--top 0``."""
+    c9, p4, c5, k3 = map(encode_graph6, (cycle(9), path(4), cycle(5), generators.complete(3)))
+    f = tmp_path / "graphs.g6"
+    f.write_text("\n".join((p4, c5, c9, k3, c5)) + "\n")
+    code, out, err = run(capsys, "search", "--gap", "c-reg", str(f), "--top", top,
+                         "--format", "json")
+    assert code == 2
+    ranked = [(2, c5), (2, c5), (0, k3), (0, p4)][:int(top)]
+    results = json.loads(out)["results"]
+    assert [(r["gap"], r["graph6"]) for r in results[:-1]] == ranked
+    assert results[-1] == {"graph6": c9, "skipped": small_scan_budget}
+    assert err.splitlines()[1:] == [f"{c9}: {small_scan_budget}"]
 
 
 def test_verify_unknown_option_still_exits_2(capsys, tmp_path):

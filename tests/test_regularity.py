@@ -56,8 +56,10 @@ def test_initial_ideal_c4_has_two_path_monomials():
     }
 
 
-def test_initial_ideal_cap():
-    with pytest.raises(ResourceLimitError):
+def test_initial_ideal_cap(monkeypatch):
+    """The walk stops past the budget; P9 takes 92 steps."""
+    monkeypatch.setattr(regularity, "SCAN_BUDGET", 50)
+    with pytest.raises(ResourceLimitError, match="admissible-path walk exceeded 50 steps"):
         initial_ideal(path(9))
 
 
@@ -74,7 +76,7 @@ def test_admissible_walk_matches_reference_on_every_small_labeled_graph():
 @settings(max_examples=40, deadline=None)
 def test_admissible_walk_matches_reference_on_random_graphs(n, p_num, seed):
     g = gnp(n, p_num, 4, seed)
-    assert initial_ideal(g, n).gens == minimalize(label_valid_path_monomials(g))
+    assert initial_ideal(g).gens == minimalize(label_valid_path_monomials(g))
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -82,10 +84,10 @@ def test_initial_ideal_closed_forms_above_the_cap(n):
     # K_n: only the edges are admissible; P_n: only its n - 1 edges are
     # label-valid; C_n: each pair i < j has exactly one admissible arc
     gens = {(i, n + j) for i in range(n) for j in range(i + 1, n)}
-    assert supports(initial_ideal(complete(n), n)) == gens
-    assert len(initial_ideal(path(n), n).gens) == n - 1
+    assert supports(initial_ideal(complete(n))) == gens
+    assert len(initial_ideal(path(n)).gens) == n - 1
     if n >= 3:
-        assert len(initial_ideal(cycle(n), n).gens) == n * (n - 1) // 2
+        assert len(initial_ideal(cycle(n)).gens) == n * (n - 1) // 2
 
 
 def test_minimalize_is_an_antichain():
@@ -234,8 +236,10 @@ def test_require_field_agreement_raises_with_both_values():
 
 
 def test_var_cap_enforced():
-    ideal = SquarefreeIdeal(18, (0b11,))
-    with pytest.raises(ResourceLimitError):
+    """20 disjoint pairs span 2^20 - 1 lattice elements, past the budget,
+    and the scan stops before its lattice set holds them."""
+    ideal = SquarefreeIdeal.from_supports(40, [(2 * i, 2 * i + 1) for i in range(20)])
+    with pytest.raises(ResourceLimitError, match="lattice scan exceeded"):
         regularity_squarefree(ideal, 2)
 
 
@@ -252,6 +256,9 @@ def test_var_cap_enforced():
         (union([complete(3), complete(2)]), 2),
         (union([complete(2), complete(2), complete(3)]), 3),
         (Graph.from_edge_list(3, []), 0),
+        # the most scan work (15,378 lattice elements and 60,349 faces)
+        # of 2,100 random connected gnp(8, k/10) graphs
+        (gnp(8, 4, 10, 101), 5),
     ],
 )
 def test_regularity_named_values(g, want):
@@ -302,14 +309,38 @@ def test_component_cap_allows_large_unions():
     assert regularity_bei(g).value == 4
 
 
-def test_component_cap_enforced():
-    with pytest.raises(ResourceLimitError):
+def test_component_cap_enforced(monkeypatch):
+    """P9's walk (92 steps) fits a budget of 10,000, and its scan (255
+    lattice elements and 58,077 faces) does not."""
+    regularity._component_regularity.cache_clear()
+    monkeypatch.setattr(regularity, "SCAN_BUDGET", 10_000)
+    with pytest.raises(ResourceLimitError, match="lattice scan exceeded 10000 work units"):
         regularity_bei(path(9))
 
 
-def test_cap_override_warns_loudly():
-    with pytest.warns(RuntimeWarning):
-        assert regularity_bei(path(9), component_cap=9).value == 8
+@pytest.mark.parametrize("g, steps, elements, faces", [
+    (net(), 36, 261, 374),
+    (complete(8), 28, 7_279, 3),
+    (cycle(9), 148, 11_580, 65_979),
+])
+def test_budget_counts_walk_steps_lattice_elements_and_faces(
+    monkeypatch, g, steps, elements, faces
+):
+    """Each budget is pinned exactly: the walk passes at its step count
+    and raises one below it, the lattice likewise at its element count,
+    and the whole scan at elements plus faces."""
+    gens = initial_ideal(g).gens
+    for budget, stage, run in [
+        (steps, "admissible-path walk", lambda: initial_ideal(g)),
+        (elements, "lattice scan", lambda: regularity._lcm_lattice(gens)),
+        (elements + faces, "lattice scan", lambda: regularity_bei(g)),
+    ]:
+        regularity._component_regularity.cache_clear()
+        monkeypatch.setattr(regularity, "SCAN_BUDGET", budget - 1)
+        with pytest.raises(ResourceLimitError, match=f"{stage} exceeded {budget - 1} "):
+            run()
+        monkeypatch.setattr(regularity, "SCAN_BUDGET", budget)
+        run()
 
 
 # -- the scan against an unpruned reference -----------------------------------
@@ -360,9 +391,9 @@ def test_witness_is_first_domination_free_union_attaining_the_value():
         assert res.witness_vars == ref_reg_witness(ideal, res.value), encode_graph6(g)
 
 
-# -- closed forms at the component cap ------------------------------------------
+# -- closed forms -----------------------------------------------------------------
 
-@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("n", range(4, 11))
 def test_cycle_regularity_is_n_minus_two(n):
     # Zafar-Zahid 2013
     assert regularity_bei(cycle(n)).value == n - 2
