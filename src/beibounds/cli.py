@@ -319,12 +319,26 @@ def invariant_record(g: Graph, with_reg: bool) -> dict:
     return rec
 
 
+def reg_record(g: Graph) -> dict:
+    reg = regularity_bei(g)
+    _check_reg_witness(g, reg)
+    return {
+        "graph6": encode_graph6(g),
+        "reg": reg.value,
+        "witness_vars": sorted(variable_name(v, g.n) for v in reg.witness_vars),
+        "witness_degree": reg.witness_degree,
+        "fields": list(reg.fields_used),
+        "agreement": reg.agreement,
+    }
+
+
 def _verify_one(
     kind: str, with_reg: bool, map_name: str, g6: str
 ) -> tuple[str, list[dict], dict[str, str]]:
     """The graph6 string of one graph, its violation records, and the
-    chain values that a resource cap skipped, each with its message; run
-    in worker processes under ``--jobs > 1``."""
+    values that a resource cap skipped (chain: L, eta, reg; recursion:
+    reg), each with its message; run in worker processes under
+    ``--jobs > 1``."""
     g = decode_graph6(g6)
     out = []
     skipped: dict[str, str] = {}
@@ -351,9 +365,12 @@ def _verify_one(
                 out.append({"graph6": g6, "vertex": v})
     elif kind == "recursion":
         reg_fn = memoized(regularity_value)
-        for v in range(g.n):
-            if not check_regularity_recursion(g, v, reg_fn):
-                out.append({"graph6": g6, "vertex": v})
+        try:
+            for v in range(g.n):
+                if not check_regularity_recursion(g, v, reg_fn):
+                    out.append({"graph6": g6, "vertex": v})
+        except ResourceLimitError as exc:
+            skipped["reg"] = str(exc)
     else:
         raise ValueError(f"unknown verify kind {kind!r}")
     return g6, out, skipped
@@ -368,38 +385,46 @@ def _print_skips(skipped: list[tuple[str, str]], what: str = "") -> None:
             print(f"{g6}: {message}", file=sys.stderr)
 
 
+def _records(
+    record: Callable[[Graph], dict], graphs: Iterable[Graph], skipped: list[tuple[str, str]]
+) -> Iterator[dict]:
+    """``record`` of each graph in turn; a graph that a resource cap
+    stops yields nothing and goes on ``skipped`` as (graph6, message)."""
+    for g in graphs:
+        try:
+            yield record(g)
+        except ResourceLimitError as exc:
+            skipped.append((encode_graph6(g), str(exc)))
+
+
+def _emit_with_skips(command, inputs, results, skipped, started, fmt) -> int:
+    """Emit the report with one ``skipped`` row per graph a resource cap
+    stopped, after the others, then list those graphs on stderr; the
+    exit code is 2 if there are any."""
+    results += [{"graph6": g6, "skipped": message} for g6, message in skipped]
+    code = 2 if skipped else 0
+    emit(make_report(command, inputs, results, [], started), fmt, code)
+    _print_skips(skipped)
+    return code
+
+
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_invariants(args) -> int:
+def _cmd_records(args, command: str, record: Callable[[Graph], dict]) -> int:
     started = time.perf_counter()
-    graphs = load_inputs(args.inputs)
-    results = [invariant_record(g, args.with_reg) for g in graphs]
-    report = make_report(
-        ["invariants"], [r["graph6"] for r in results], results, [], started
-    )
-    emit(report, args.format, 0)
-    return 0
+    skipped: list[tuple[str, str]] = []
+    results = list(_records(record, load_inputs(args.inputs), skipped))
+    inputs = [r["graph6"] for r in results] + [g6 for g6, _ in skipped]
+    return _emit_with_skips([command], inputs, results, skipped, started, args.format)
+
+
+def cmd_invariants(args) -> int:
+    return _cmd_records(args, "invariants", partial(invariant_record, with_reg=args.with_reg))
 
 
 def cmd_reg(args) -> int:
-    started = time.perf_counter()
-    graphs = load_inputs(args.inputs)
-    results = []
-    for g in graphs:
-        reg = regularity_bei(g)
-        _check_reg_witness(g, reg)
-        results.append({
-            "graph6": encode_graph6(g),
-            "reg": reg.value,
-            "witness_vars": sorted(variable_name(v, g.n) for v in reg.witness_vars),
-            "witness_degree": reg.witness_degree,
-            "fields": list(reg.fields_used),
-            "agreement": reg.agreement,
-        })
-    report = make_report(["reg"], [r["graph6"] for r in results], results, [], started)
-    emit(report, args.format, 0)
-    return 0
+    return _cmd_records(args, "reg", reg_record)
 
 
 def _outcomes(verify: Callable, codes: Iterator[str], jobs: int, size: int) -> Iterator:
@@ -433,15 +458,15 @@ def cmd_verify(args) -> int:
         for name, message in skips.items():
             skipped[name].append((g6, message))
     results = {"kind": args.kind, "graphs_checked": checked, "map": args.map}
-    if args.kind == "chain":
-        # a value is dropped, not failed, when a resource cap stops it
-        for name, graphs_skipped in skipped.items():
-            results[f"{name}_skipped"] = len(graphs_skipped)
-            results[f"{name}_skipped_graphs"] = [g6 for g6, _ in graphs_skipped]
+    # a value is dropped, not failed, when a resource cap stops it
+    for name in {"chain": ("L", "eta", "reg"), "recursion": ("reg",)}.get(args.kind, ()):
+        results[f"{name}_skipped"] = len(skipped[name])
+        results[f"{name}_skipped_graphs"] = [g6 for g6, _ in skipped[name]]
     report = make_report(["verify", args.kind], desc, results, violations, started)
-    # a skipped L or eta fails the sweep; a skipped reg only with --require-reg
-    failed = [name for name in ("L", "eta", "reg")
-              if skipped[name] and (name != "reg" or args.require_reg)]
+    # a skipped L or eta fails the sweep; a skipped reg only with
+    # --require-reg, or under recursion, which checks nothing else
+    failed = [name for name in ("L", "eta", "reg") if skipped[name] and (
+        name != "reg" or args.require_reg or args.kind == "recursion")]
     code = 1 if violations else 2 if failed else 0
     emit(report, args.format, code)
     for name in failed:
@@ -469,28 +494,16 @@ def cmd_search(args) -> int:
     started = time.perf_counter()
     desc, graphs = corpus_from_args(args)
     hi, lo = GAPS[args.gap]
-    skipped = []  # (graph6, message) per graph a resource cap stopped
-
-    def rows():
-        for g in graphs:
-            try:
-                rec = invariant_record(g, with_reg="reg" in (hi, lo))
-            except ResourceLimitError as exc:
-                skipped.append((encode_graph6(g), str(exc)))
-                continue
-            yield (rec[hi] - rec[lo], rec["graph6"],
-                   {k: rec[k] for k in ("n", "L", "eta", "c", "reg") if k in rec})
-
+    skipped: list[tuple[str, str]] = []
+    rows = ((rec[hi] - rec[lo], rec["graph6"],
+             {k: rec[k] for k in ("n", "L", "eta", "c", "reg") if k in rec})
+            for rec in _records(partial(invariant_record, with_reg="reg" in (hi, lo)),
+                                graphs, skipped))
     # only the --top rows are kept, in the order a full sort would give;
     # nsmallest reads no row for n = 0, so it takes one to check every graph
-    top = heapq.nsmallest(max(args.top, 1), rows(), key=lambda r: (-r[0], r[1]))[: args.top]
+    top = heapq.nsmallest(max(args.top, 1), rows, key=lambda r: (-r[0], r[1]))[: args.top]
     results = [{"gap": gap, "graph6": g6, "values": vals} for gap, g6, vals in top]
-    results += [{"graph6": g6, "skipped": message} for g6, message in skipped]
-    report = make_report(["search", args.gap], desc, results, [], started)
-    code = 2 if skipped else 0
-    emit(report, args.format, code)
-    _print_skips(skipped)
-    return code
+    return _emit_with_skips(["search", args.gap], desc, results, skipped, started, args.format)
 
 
 # -- argument parsing ---------------------------------------------------------

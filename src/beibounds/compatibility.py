@@ -30,13 +30,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ResourceLimitError
 from .graphs import Graph, bits, minus_vertex_rows, saturate_rows
-from .invariants import (
-    DEFAULT_NODE_LIMIT,
-    _eta_cached,
-    eta,
-    longest_induced_path,
-    maximal_cliques,
-)
+from .invariants import _eta_cached, eta, longest_induced_path, maximal_cliques
 from .regularity import regularity_bei
 
 InvariantMap = Callable[[Graph], int]
@@ -47,11 +41,7 @@ _MAP_CACHE_SIZE = 1 << 16
 
 def eta_value(g: Graph) -> int:
     """eta's size, read from its one cache (see :func:`invariants.eta`)."""
-    return _eta_of_rows(g.adj)
-
-
-def _eta_of_rows(adj: tuple[int, ...]) -> int:
-    return _eta_cached(adj, DEFAULT_NODE_LIMIT).bit_count()
+    return _eta_cached(g.adj).bit_count()
 
 
 def clique_count_value(g: Graph) -> int:
@@ -109,7 +99,8 @@ def nonfree_vertex_values(
     vertex of g, so the derived rows are built unchecked, and eta, which
     reads only the rows, gets no ``Graph`` for them."""
     adj = g.adj
-    of_rows = _eta_of_rows if phi is eta_value else lambda rows: phi(Graph(len(rows), rows))
+    of_rows = ((lambda rows: _eta_cached(rows).bit_count()) if phi is eta_value
+               else lambda rows: phi(Graph(len(rows), rows)))
     for v in bits(nonfree):
         yield v, of_rows(minus_vertex_rows(adj, v)), of_rows(saturate_rows(adj, v))
 

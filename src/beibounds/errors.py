@@ -19,7 +19,7 @@ class ResourceLimitError(RuntimeError):
     """An exact solver or scan exceeded its work budget.
 
     This is an operational error, never a wrong answer: callers treat
-    the quantity as unavailable or pass a larger ``node_limit``.
+    the quantity as unavailable.
     """
 
 

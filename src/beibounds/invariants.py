@@ -39,8 +39,11 @@ count: an induced path holds at most two vertices of each triangle of
 a greedy packing (kept in bit planes, built once a search outgrows its
 cost) and at most one degree-1 vertex at the open end of a one-sided
 path.  They never prune the first longest path, so the witnesses are
-the count bound's, each written smaller end first.  The search has a
-node budget, as eta's has.
+the count bound's, each written smaller end first.
+
+Both searches count their nodes against one module constant,
+``NODE_BUDGET``, read at call time, and raise ResourceLimitError past
+it.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ from typing import Iterable, Sequence
 from .errors import ResourceLimitError
 from .graphs import Graph, bits, components, edge, minimalize
 
-DEFAULT_NODE_LIMIT = 5_000_000
+# Search nodes each eta or L call may visit before it raises.
+NODE_BUDGET = 5_000_000
 # Expanded search nodes after which a component builds its triangle
 # packing.  The packing costs up to about 150 nodes' worth of time and
 # saves little on random graphs, so building it sooner slows them.
@@ -175,9 +179,8 @@ class _MisSolver:
     of failed calls.  A call with ``need <= 0`` computes no bound.
     """
 
-    def __init__(self, adj: Sequence[int], node_limit: int):
+    def __init__(self, adj: Sequence[int]):
         self.adj = adj
-        self.node_limit = node_limit
         self.nodes = 0
         self.memo: dict[int, tuple[int, int]] = {}
         self.failed: dict[int, int] = {}  # mask -> an upper bound below a past need
@@ -190,10 +193,9 @@ class _MisSolver:
         if known is not None and known < need:
             return known, None
         self.nodes += 1
-        if self.nodes > self.node_limit:
-            raise ResourceLimitError(
-                f"independent-set search exceeded {self.node_limit} nodes"
-            )
+        budget = NODE_BUDGET
+        if self.nodes > budget:
+            raise ResourceLimitError(f"independent-set search exceeded {budget} nodes")
         adj = self.adj
         taken_size = 0
         taken_mask = 0
@@ -304,12 +306,13 @@ def is_clique_disjoint(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
 
 
 @lru_cache(maxsize=_ETA_CACHE_SIZE)
-def _eta_cached(adj: tuple[int, ...], node_limit: int) -> int:
+def _eta_cached(adj: tuple[int, ...]) -> int:
     """The one cache of eta values and witnesses, keyed by the adjacency
-    rows of a labeled graph and the node budget, so no search runs
-    without its own budget.  A key holds no ``Graph``, and a hit runs no
-    Python code; a miss works on the rows and the clique bitmasks alone
-    and builds no graph.
+    rows of a labeled graph alone.  A key holds no ``Graph``, and a hit
+    runs no Python code, whatever the budget; a miss works on the rows
+    and the clique bitmasks alone, builds no graph and spends at most
+    ``NODE_BUDGET`` solver nodes.  A miss past the budget raises, and
+    ``lru_cache`` stores no exception, so a failure is not cached.
 
     An entry is one int, the witness bits: bit ``u*n + v`` is set for
     each witness edge ``(u, v)``, ``u < v``, so eta is its
@@ -325,14 +328,8 @@ def _eta_cached(adj: tuple[int, ...], node_limit: int) -> int:
     numbering.  Only when two of them meet are the cliques renumbered in
     ``maximal_cliques`` order and the sets sorted and given conflict rows
     for ``_MisSolver``, so the search and its witness are those of that
-    order.  The budget counts
-    solver nodes.  A search on pairwise disjoint sets would end at its
-    root, one node, so the shortcut takes any budget of at least 1, and
-    a budget below 1 raises on every graph, whether or not the solver
-    runs.
+    order.  The budget counts solver nodes, so the shortcut spends none.
     """
-    if node_limit < 1:
-        raise ResourceLimitError(f"independent-set search exceeded {node_limit} nodes")
     n = len(adj)
     cliques = _clique_masks(adj)
     in_cliques = [0] * n  # bit i: clique i holds the vertex
@@ -381,25 +378,23 @@ def _eta_cached(adj: tuple[int, ...], node_limit: int) -> int:
         if ranked[i][0] & ranked[j][0]:
             conflicts[i] |= 1 << j
             conflicts[j] |= 1 << i
-    mask = _MisSolver(conflicts, node_limit).solve((1 << size) - 1, 0)[1]
+    mask = _MisSolver(conflicts).solve((1 << size) - 1, 0)[1]
     witness = 0
     for i in bits(mask):
         witness |= 1 << ranked[i][1]
     return witness
 
 
-def eta(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> tuple[int, CliqueDisjointSet]:
+def eta(g: Graph) -> tuple[int, CliqueDisjointSet]:
     """Maximum size of a clique-disjoint edge set, with one witness.
 
     Solved on the inclusion-minimal edge clique sets, each standing for
     the least edge that has it; raises ResourceLimitError once the
-    independent-set search visits more than ``node_limit`` nodes.  That
-    search runs only when two of the sets meet; when none do, it would
-    take one node, so only ``node_limit < 1`` raises there.  The cache
-    keeps the witness edges as one int of bits, and the size is their
-    count.
+    independent-set search visits more than ``NODE_BUDGET`` nodes.  That
+    search runs only when two of the sets meet.  The cache keeps the
+    witness edges as one int of bits, and the size is their count.
     """
-    witness = _eta_cached(g.adj, node_limit)
+    witness = _eta_cached(g.adj)
     return witness.bit_count(), CliqueDisjointSet(
         g, frozenset(divmod(i, g.n) for i in bits(witness)))
 
@@ -407,23 +402,21 @@ def eta(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> tuple[int, CliqueDisj
 # -- longest induced paths -------------------------------------------------
 
 
-def longest_induced_path(
-    g: Graph, node_limit: int = DEFAULT_NODE_LIMIT
-) -> tuple[int, list[list[int]]]:
+def longest_induced_path(g: Graph) -> tuple[int, list[list[int]]]:
     """Sum over components of the longest induced path length.
 
     Length is the edge count; a single-vertex component contributes 0.
     Returns the sum and one witness path per component (ordered by the
     component's smallest vertex).  Raises ResourceLimitError once the
-    searches of all components together expand more than ``node_limit``
-    nodes (see :func:`_component_lip`).
+    searches of all components together expand more than
+    ``NODE_BUDGET`` nodes (see :func:`_component_lip`).
     """
     total = 0
     witnesses = []
     nodes = 0
     adjp = [0] * g.n  # triangle-plane rows, filled per component on demand
     for comp in g.component_masks():
-        length, path, nodes = _component_lip(g, comp, adjp, nodes, node_limit)
+        length, path, nodes = _component_lip(g, comp, adjp, nodes)
         total += length
         witnesses.append(path)
     return total, witnesses
@@ -443,11 +436,11 @@ def is_induced_path(g: Graph, path: Sequence[int]) -> bool:
 
 
 def _component_lip(
-    g: Graph, comp: int, adjp: list[int], nodes: int, node_limit: int
+    g: Graph, comp: int, adjp: list[int], nodes: int
 ) -> tuple[int, list[int], int]:
     """Longest induced path of the component ``comp``, one witness, and
     the running count ``nodes`` of expanded search nodes (at most
-    ``node_limit``, else ResourceLimitError).
+    ``NODE_BUDGET``, else ResourceLimitError).
 
     Each induced path is walked once, from its first vertex ``m`` (the
     root) in a smallest-last order, over the vertices not yet rooted:
@@ -489,6 +482,7 @@ def _component_lip(
     are 0.
     """
     adj = g.adj
+    budget = NODE_BUDGET
     best_len = 0
     best_path = [(comp & -comp).bit_length() - 1]
     path = [0] * comp.bit_count()
@@ -511,8 +505,8 @@ def _component_lip(
         if bound <= best_len:
             return
         nodes += 1
-        if nodes > node_limit:
-            raise ResourceLimitError(f"induced-path search exceeded {node_limit} nodes")
+        if nodes > budget:
+            raise ResourceLimitError(f"induced-path search exceeded {budget} nodes")
         restp = availp & ~adjp[last] if availp else 0
         if bound - best_len <= most:
             bound -= (restp & restp >> t & restp >> t2).bit_count()

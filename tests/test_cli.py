@@ -227,21 +227,15 @@ def test_verify_chain_inputs_after_options(capsys, tmp_path):
     _chain_with_reg(capsys, tmp_path, "--with-reg", "FILE")
 
 
-@pytest.fixture
-def small_scan_budget(monkeypatch):
-    """A reg budget of 10,000 work units, which C9's scan (11,580
-    lattice elements) passes and net's (635 units) fits.  The cache is
-    cleared so that no C9 value from an earlier test hides the skip;
-    workers fork, so they see the budget too."""
-    from beibounds import regularity
-    regularity._component_regularity.cache_clear()
-    monkeypatch.setattr(regularity, "SCAN_BUDGET", 10_000)
-    return "lattice scan exceeded 10000 work units"
+# A reg budget of 10,000 work units, which C9's scan (11,580 lattice
+# elements) passes and net's (635 units) fits, and the message of C9's skip.
+SMALL_SCAN_BUDGET = 10_000
+C9_SKIP = "lattice scan exceeded 10000 work units"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_verify_chain_reports_reg_skipped_by_component_cap(capsys, tmp_path, jobs,
-                                                           small_scan_budget):
+def test_verify_chain_reports_reg_skipped_by_component_cap(capsys, tmp_path, jobs, set_budget):
+    set_budget("SCAN_BUDGET", SMALL_SCAN_BUDGET)
     c9 = encode_graph6(cycle(9))
     f = tmp_path / "graphs.g6"
     f.write_text(encode_graph6(net()) + "\n" + c9 + "\n")
@@ -260,8 +254,8 @@ def test_verify_chain_reports_reg_skipped_by_component_cap(capsys, tmp_path, job
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_verify_chain_require_reg_exits_2_on_a_skip(capsys, tmp_path, jobs, fmt,
-                                                    small_scan_budget):
+def test_verify_chain_require_reg_exits_2_on_a_skip(capsys, tmp_path, jobs, fmt, set_budget):
+    set_budget("SCAN_BUDGET", SMALL_SCAN_BUDGET)
     c9 = encode_graph6(cycle(9))
     f = tmp_path / "graphs.g6"
     f.write_text(encode_graph6(net()) + "\n" + c9 + "\n")
@@ -269,7 +263,7 @@ def test_verify_chain_require_reg_exits_2_on_a_skip(capsys, tmp_path, jobs, fmt,
                          "--jobs", jobs, "--format", fmt)
     assert code == 2
     assert err.splitlines() == ["error: a resource cap skipped reg on 1 graph(s):",
-                                f"{c9}: {small_scan_budget}"]
+                                f"{c9}: {C9_SKIP}"]
     if fmt == "json":
         results = json.loads(out)["results"]
         assert (results["reg_skipped"], results["reg_skipped_graphs"]) == (1, [c9])
@@ -288,7 +282,8 @@ def test_verify_chain_require_reg_passes_a_clean_corpus(capsys, jobs, fmt):
         assert (results["graphs_checked"], results["reg_skipped"]) == (11, 0)
 
 
-def test_verify_chain_without_reg_skips_nothing(capsys, tmp_path, small_scan_budget):
+def test_verify_chain_without_reg_skips_nothing(capsys, tmp_path, set_budget):
+    set_budget("SCAN_BUDGET", SMALL_SCAN_BUDGET)
     f = tmp_path / "c9.g6"
     f.write_text(encode_graph6(cycle(9)) + "\n")
     code, out, _ = run(capsys, "verify", "chain", str(f), "--format", "json")
@@ -302,11 +297,10 @@ def test_verify_chain_without_reg_skips_nothing(capsys, tmp_path, small_scan_bud
     ["search", "--gap", "eta-L", "--sierpinski", "3"],
     ["verify", "chain", "--sierpinski", "3"],
 ])
-def test_L_node_budget_exits_2(capsys, monkeypatch, tmp_path, argv):
+def test_L_node_budget_exits_2(capsys, set_budget, tmp_path, argv):
     """L of sierpinski(3) expands about 118k search nodes; with a budget
     of 1,000 every command that computes L stops with exit 2."""
-    from beibounds import invariants
-    monkeypatch.setattr(invariants.longest_induced_path, "__defaults__", (1_000,))
+    set_budget("NODE_BUDGET", 1_000)
     f = tmp_path / "s3.g6"
     f.write_text(encode_graph6(sierpinski(3)) + "\n")
     code, _, err = run(capsys, *[str(f) if a == "GRAPH" else a for a in argv])
@@ -383,8 +377,8 @@ def test_search_keeps_results_past_a_search_budget(capsys, monkeypatch, tmp_path
     ]
 
 
-def test_search_ranks_the_levels_below_an_L_budget_hit(capsys, monkeypatch):
-    monkeypatch.setattr(invariants.longest_induced_path, "__defaults__", (1_000,))
+def test_search_ranks_the_levels_below_an_L_budget_hit(capsys, set_budget):
+    set_budget("NODE_BUDGET", 1_000)
     code, out, err = run(capsys, "search", "--gap", "eta-L", "--sierpinski", "3",
                          "--format", "json")
     assert code == 2
@@ -396,9 +390,10 @@ def test_search_ranks_the_levels_below_an_L_budget_hit(capsys, monkeypatch):
     assert err.splitlines()[1:] == [f"{s3}: induced-path search exceeded 1000 nodes"]
 
 
-def test_text_report_ok_agrees_with_the_exit_code(capsys, tmp_path, small_scan_budget):
+def test_text_report_ok_agrees_with_the_exit_code(capsys, tmp_path, set_budget):
     """C9 is past the reg budget, so its row is skipped and the command
     exits 2; the text report must not end with ok=True."""
+    set_budget("SCAN_BUDGET", SMALL_SCAN_BUDGET)
     f = tmp_path / "graphs.g6"
     f.write_text(encode_graph6(cycle(9)) + "\n" + encode_graph6(net()) + "\n")
     code, out, _ = run(capsys, "search", "--gap", "c-reg", str(f))
@@ -411,9 +406,10 @@ def test_text_report_ok_agrees_with_the_exit_code(capsys, tmp_path, small_scan_b
 
 
 @pytest.mark.parametrize("top", ["0", "1", "3"])
-def test_search_checks_every_graph_whatever_the_top(capsys, tmp_path, small_scan_budget, top):
+def test_search_checks_every_graph_whatever_the_top(capsys, tmp_path, set_budget, top):
     """Only ``--top`` rows are kept, but every graph is still checked,
     so a skip after the ranked rows is listed even with ``--top 0``."""
+    set_budget("SCAN_BUDGET", SMALL_SCAN_BUDGET)
     c9, p4, c5, k3 = map(encode_graph6, (cycle(9), path(4), cycle(5), generators.complete(3)))
     f = tmp_path / "graphs.g6"
     f.write_text("\n".join((p4, c5, c9, k3, c5)) + "\n")
@@ -423,8 +419,66 @@ def test_search_checks_every_graph_whatever_the_top(capsys, tmp_path, small_scan
     ranked = [(2, c5), (2, c5), (0, k3), (0, p4)][:int(top)]
     results = json.loads(out)["results"]
     assert [(r["gap"], r["graph6"]) for r in results[:-1]] == ranked
-    assert results[-1] == {"graph6": c9, "skipped": small_scan_budget}
-    assert err.splitlines()[1:] == [f"{c9}: {small_scan_budget}"]
+    assert results[-1] == {"graph6": c9, "skipped": C9_SKIP}
+    assert err.splitlines()[1:] == [f"{c9}: {C9_SKIP}"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--require-reg"]])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_recursion_reports_a_reg_skip(capsys, tmp_path, set_budget, jobs, extra):
+    """A graph past the reg budget is skipped, the sweep carries on, and
+    the command exits 2 after the report, with or without --require-reg."""
+    set_budget("SCAN_BUDGET", SMALL_SCAN_BUDGET)
+    c9 = encode_graph6(cycle(9))
+    f = tmp_path / "graphs.g6"
+    f.write_text(encode_graph6(net()) + "\n" + c9 + "\n")
+    code, out, err = run(capsys, "verify", "recursion", str(f), "--jobs", jobs,
+                         "--format", "json", *extra)
+    assert code == 2
+    report = json.loads(out)
+    assert report["violations"] == []
+    assert {k: report["results"][k] for k in ("graphs_checked", "reg_skipped",
+                                              "reg_skipped_graphs")} == {
+        "graphs_checked": 2, "reg_skipped": 1, "reg_skipped_graphs": [c9]}
+    assert err.splitlines() == ["error: a resource cap skipped reg on 1 graph(s):",
+                                f"{c9}: {C9_SKIP}"]
+
+
+def test_verify_recursion_keeps_a_violation_found_before_a_skip(capsys, monkeypatch, tmp_path):
+    c9 = encode_graph6(cycle(9))
+
+    def check(g, v, reg_fn):
+        if v:
+            raise ResourceLimitError("synthetic budget")
+        return False
+
+    monkeypatch.setattr(cli, "check_regularity_recursion", check)
+    f = tmp_path / "c9.g6"
+    f.write_text(c9 + "\n")
+    code, out, err = run(capsys, "verify", "recursion", str(f), "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["violations"] == [{"graph6": c9, "vertex": 0}]
+    assert report["results"]["reg_skipped_graphs"] == [c9]
+    assert err.splitlines()[1:] == [f"{c9}: synthetic budget"]
+
+
+@pytest.mark.parametrize("argv", [["reg"], ["invariants", "--with-reg"]])
+def test_per_graph_commands_report_past_a_reg_skip(capsys, tmp_path, set_budget, argv):
+    """The net is reported, C9 follows as a skipped row and is named on
+    stderr, and the command exits 2 after the report."""
+    set_budget("SCAN_BUDGET", SMALL_SCAN_BUDGET)
+    net6, c9 = encode_graph6(net()), encode_graph6(cycle(9))
+    f = tmp_path / "graphs.g6"
+    f.write_text(net6 + "\n" + c9 + "\n")
+    code, out, err = run(capsys, *argv, str(f), "--format", "json")
+    assert code == 2
+    report = json.loads(out)
+    assert report["inputs"] == [net6, c9]
+    first, skipped = report["results"]
+    assert (first["graph6"], first["reg"]) == (net6, 4)
+    assert skipped == {"graph6": c9, "skipped": C9_SKIP}
+    assert err.splitlines() == ["error: a resource cap skipped 1 graph(s):", f"{c9}: {C9_SKIP}"]
 
 
 def test_verify_unknown_option_still_exits_2(capsys, tmp_path):

@@ -134,7 +134,7 @@ def test_bound_chain_skips_a_value_past_its_budget(monkeypatch, name, target):
     """A search that hits its budget leaves its value None, with the
     message, and drops every check and flag that needs it; the others
     stay.  A violation on the remaining values is still reported."""
-    def capped(g, node_limit=None):
+    def capped(g):
         raise ResourceLimitError("synthetic budget")
 
     import beibounds.compatibility as compat

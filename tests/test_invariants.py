@@ -34,9 +34,9 @@ from brute import (
 )
 
 
-def max_independent_set(adj, node_limit=invariants.DEFAULT_NODE_LIMIT):
+def max_independent_set(adj):
     """(size, member bitmask) of an exact maximum independent set."""
-    return invariants._MisSolver(adj, node_limit).solve((1 << len(adj)) - 1, 0)
+    return invariants._MisSolver(adj).solve((1 << len(adj)) - 1, 0)
 
 
 # -- maximal cliques ---------------------------------------------------------
@@ -182,11 +182,13 @@ def test_eta_disjoint_cliques_take_one_edge_each():
         lo = hi
 
 
-def test_eta_search_stays_small():
+def test_eta_search_stays_small(set_budget):
     """The search runs on inclusion-minimal edge clique sets; on the full
     conflict graph these budgets are exhausted."""
-    assert eta(sierpinski(3), node_limit=1_000)[0] == 36
-    assert eta(gnp(18, 3, 4, 0), node_limit=2_000)[0] == 10
+    set_budget("NODE_BUDGET", 1_000)
+    assert eta(sierpinski(3))[0] == 36
+    set_budget("NODE_BUDGET", 2_000)
+    assert eta(gnp(18, 3, 4, 0))[0] == 10
 
 
 def _triangle_free(g):
@@ -241,7 +243,7 @@ def test_mis_threshold_contract(adj, need):
     exact and every recorded bound is an upper bound, whatever need
     was asked."""
     n = len(adj)
-    solver = invariants._MisSolver(adj, 10**9)
+    solver = invariants._MisSolver(adj)
     size, members = solver.solve((1 << n) - 1, need)
     ref = RefMisSolver(adj, 10**9)
     best = ref.solve((1 << n) - 1)
@@ -277,9 +279,9 @@ def test_eta_matches_unbounded_reference_on_labeled_octahedra(monkeypatch):
     runs = []
 
     class Counted(invariants._MisSolver):
-        def __init__(self, adj, node_limit):
+        def __init__(self, adj):
             runs.append(len(adj))
-            super().__init__(adj, node_limit)
+            super().__init__(adj)
 
     monkeypatch.setattr(invariants, "_MisSolver", Counted)
     invariants._eta_cached.cache_clear()
@@ -304,38 +306,50 @@ def test_eta_matches_unbounded_reference_on_panel(g):
 
 
 @pytest.mark.parametrize("n, budget", [(18, 350), (19, 700), (20, 400)])
-def test_eta_dense_panel_node_counts(n, budget):
+def test_eta_dense_panel_node_counts(set_budget, n, budget):
     """The unbounded search visits 1,291, 6,614 and 1,948 MIS nodes on
     these graphs; the clique-cover bound 263, 589 and 314."""
-    assert eta(gnp(n, 3, 4, 0), node_limit=budget)[0] == {18: 10, 19: 10, 20: 13}[n]
+    set_budget("NODE_BUDGET", budget)
+    assert eta(gnp(n, 3, 4, 0))[0] == {18: 10, 19: 10, 20: 13}[n]
 
 
-def test_eta_mid_density_within_budget():
+def test_eta_mid_density_within_budget(set_budget):
     """The unbounded search needs 496,454 nodes here; the clique-cover
     bound about 10k."""
-    assert eta(gnp(40, 1, 3, 1), node_limit=50_000)[0] == 75
+    set_budget("NODE_BUDGET", 50_000)
+    assert eta(gnp(40, 1, 3, 1))[0] == 75
 
 
-def test_eta_cache_keeps_each_node_budget():
-    """A value cached under the default budget is not served to a call
-    whose own budget the search would pass."""
+def test_eta_cache_serves_a_hit_under_any_budget(monkeypatch):
+    """The cache is keyed by the rows alone: a value cached under the
+    default budget is served under a budget its search would pass, and
+    only a miss, after ``cache_clear()``, spends the budget and raises."""
     g = gnp(18, 3, 4, 0)
     assert eta(g)[0] == 10
-    with pytest.raises(ResourceLimitError):
-        eta(g, node_limit=100)
-
-
-@pytest.mark.parametrize("g6, value, nodes", [("Bg", 2, 1), ("E]~o", 4, 5)])
-def test_eta_budget_counts_search_nodes_with_or_without_the_search(g6, value, nodes):
-    """The search's root is its first node, so a budget below 1 raises
-    whether the minimal clique sets are disjoint (the path P3, no search
-    runs) or meet (K_{2,2,2}, whose search takes 5 nodes)."""
-    g = decode_graph6(g6)
+    monkeypatch.setattr(invariants, "NODE_BUDGET", 100)
+    assert eta(g)[0] == 10
     invariants._eta_cached.cache_clear()
-    for limit in (-1, 0, nodes - 1):
-        with pytest.raises(ResourceLimitError, match=f"exceeded {limit} nodes"):
-            eta(g, node_limit=limit)
-    assert eta(g, node_limit=nodes)[0] == value
+    with pytest.raises(ResourceLimitError, match="exceeded 100 nodes"):
+        eta(g)
+
+
+@pytest.mark.parametrize("g6, value, nodes", [("Bg", 2, 0), ("E]~o", 4, 5)])
+def test_eta_budget_counts_search_nodes_with_or_without_the_search(
+    monkeypatch, set_budget, g6, value, nodes
+):
+    """A miss passes at the number of solver nodes it visits and raises
+    one short: 5 on K_{2,2,2}, whose minimal clique sets meet, and none
+    on the path P3, whose sets are disjoint, so no search runs.  A hit is
+    served under any budget."""
+    g = decode_graph6(g6)
+    if nodes:
+        set_budget("NODE_BUDGET", nodes - 1)
+        with pytest.raises(ResourceLimitError, match=f"exceeded {nodes - 1} nodes"):
+            eta(g)
+    set_budget("NODE_BUDGET", nodes)
+    assert eta(g)[0] == value
+    monkeypatch.setattr(invariants, "NODE_BUDGET", -1)
+    assert eta(g)[0] == value
 
 
 def test_eta_witness_bits_round_trip_past_64_bits():
@@ -347,15 +361,16 @@ def test_eta_witness_bits_round_trip_past_64_bits():
     assert max(u * g.n + v for u, v in edges) >= 64
     assert all(u < v and g.has_edge(u, v) for u, v in edges)
     assert len(edges) == value and is_clique_disjoint(g, edges)
-    entry = invariants._eta_cached(g.adj, invariants.DEFAULT_NODE_LIMIT)
+    entry = invariants._eta_cached(g.adj)
     assert type(entry) is int and entry.bit_count() == value and entry.bit_length() > 64
     assert entry == sum(1 << u * g.n + v for u, v in edges)
 
 
-def test_mis_resource_cap_raises():
+def test_mis_resource_cap_raises(set_budget):
     cg = conflict_graph(sierpinski(2))
+    set_budget("NODE_BUDGET", 3)
     with pytest.raises(ResourceLimitError):
-        max_independent_set(cg.adj, node_limit=3)
+        max_independent_set(cg.adj)
 
 
 # -- longest induced path -----------------------------------------------------
@@ -416,25 +431,27 @@ def test_longest_induced_path_matches_subset_brute_force(g):
     (sierpinski(3), 0, 24, 89_614),
     (gnp(40, 1, 10, 0), invariants._PACK_AFTER, 19, 20_371),
 ], ids=["sierpinski3", "sierpinski3-pack0", "gnp40"])
-def test_longest_induced_path_node_budget(monkeypatch, g, pack_after, value, count):
+def test_longest_induced_path_node_budget(monkeypatch, set_budget, g, pack_after, value, count):
     """The search expands exactly ``count`` nodes: that many pass the
     budget, one fewer does not."""
     monkeypatch.setattr(invariants, "_PACK_AFTER", pack_after)
-    assert longest_induced_path(g, node_limit=count)[0] == value
+    set_budget("NODE_BUDGET", count)
+    assert longest_induced_path(g)[0] == value
+    set_budget("NODE_BUDGET", count - 1)
     with pytest.raises(ResourceLimitError):
-        longest_induced_path(g, node_limit=count - 1)
+        longest_induced_path(g)
 
 
-def test_longest_induced_path_budget_spans_components():
+def test_longest_induced_path_budget_spans_components(set_budget):
     """sierpinski(2) expands 55 search nodes; two copies share one
     budget of 110."""
     one, two = sierpinski(2), union([sierpinski(2), sierpinski(2)])
-    assert longest_induced_path(one, node_limit=55)[0] == 8
-    with pytest.raises(ResourceLimitError):
-        longest_induced_path(one, node_limit=54)
-    assert longest_induced_path(two, node_limit=110)[0] == 16
-    with pytest.raises(ResourceLimitError):
-        longest_induced_path(two, node_limit=109)
+    for g, value, count in [(one, 8, 55), (two, 16, 110)]:
+        set_budget("NODE_BUDGET", count)
+        assert longest_induced_path(g)[0] == value
+        set_budget("NODE_BUDGET", count - 1)
+        with pytest.raises(ResourceLimitError):
+            longest_induced_path(g)
 
 
 def _check_lip_witnesses(g, total, witnesses):

@@ -56,9 +56,9 @@ def test_initial_ideal_c4_has_two_path_monomials():
     }
 
 
-def test_initial_ideal_cap(monkeypatch):
+def test_initial_ideal_cap(set_budget):
     """The walk stops past the budget; P9 takes 92 steps."""
-    monkeypatch.setattr(regularity, "SCAN_BUDGET", 50)
+    set_budget("SCAN_BUDGET", 50)
     with pytest.raises(ResourceLimitError, match="admissible-path walk exceeded 50 steps"):
         initial_ideal(path(9))
 
@@ -309,11 +309,10 @@ def test_component_cap_allows_large_unions():
     assert regularity_bei(g).value == 4
 
 
-def test_component_cap_enforced(monkeypatch):
+def test_component_cap_enforced(set_budget):
     """P9's walk (92 steps) fits a budget of 10,000, and its scan (255
     lattice elements and 58,077 faces) does not."""
-    regularity._component_regularity.cache_clear()
-    monkeypatch.setattr(regularity, "SCAN_BUDGET", 10_000)
+    set_budget("SCAN_BUDGET", 10_000)
     with pytest.raises(ResourceLimitError, match="lattice scan exceeded 10000 work units"):
         regularity_bei(path(9))
 
@@ -324,7 +323,7 @@ def test_component_cap_enforced(monkeypatch):
     (cycle(9), 148, 11_580, 65_979),
 ])
 def test_budget_counts_walk_steps_lattice_elements_and_faces(
-    monkeypatch, g, steps, elements, faces
+    set_budget, g, steps, elements, faces
 ):
     """Each budget is pinned exactly: the walk passes at its step count
     and raises one below it, the lattice likewise at its element count,
@@ -335,11 +334,10 @@ def test_budget_counts_walk_steps_lattice_elements_and_faces(
         (elements, "lattice scan", lambda: regularity._lcm_lattice(gens)),
         (elements + faces, "lattice scan", lambda: regularity_bei(g)),
     ]:
-        regularity._component_regularity.cache_clear()
-        monkeypatch.setattr(regularity, "SCAN_BUDGET", budget - 1)
+        set_budget("SCAN_BUDGET", budget - 1)
         with pytest.raises(ResourceLimitError, match=f"{stage} exceeded {budget - 1} "):
             run()
-        monkeypatch.setattr(regularity, "SCAN_BUDGET", budget)
+        set_budget("SCAN_BUDGET", budget)
         run()
 
 
