@@ -457,7 +457,9 @@ def cmd_verify(args) -> int:
         violations.extend(batch)
         for name, message in skips.items():
             skipped[name].append((g6, message))
-    results = {"kind": args.kind, "graphs_checked": checked, "map": args.map}
+    results = {"kind": args.kind, "graphs_checked": checked}
+    if args.kind == "compatible":  # the only kind that reads --map
+        results["map"] = args.map
     # a value is dropped, not failed, when a resource cap stops it
     for name in {"chain": ("L", "eta", "reg"), "recursion": ("reg",)}.get(args.kind, ()):
         results[f"{name}_skipped"] = len(skipped[name])

@@ -5,18 +5,24 @@ into a strictly larger one of G.
 
 One Bron-Kerbosch routine finds the maximal cliques as vertex
 bitmasks; ``maximal_cliques`` is its view as sorted vertex tuples, and
-eta reads the bitmasks directly.
+eta reads the bitmasks directly when it needs them.
 
 Two edges "conflict" when their endpoint union induces a complete
 subgraph, that is when some maximal clique holds both.  So eta is a
 maximum set packing of the edges' clique sets (the maximal cliques
 through each edge).  Swapping a packed edge for one whose clique set is
 a subset of its own keeps the packing clique-disjoint, so eta only looks
-at the inclusion-minimal clique sets, one edge for each.  When no two
-of them meet, they are the packing, in any numbering of the cliques.
-Otherwise the sets are renumbered in ``maximal_cliques`` order and an
-exact maximum independent set solver (memoized branching, degree <= 1
-reductions, component splitting) runs on their conflict rows.  Each
+at the inclusion-minimal clique sets, one edge for each.  An edge lies
+in a single maximal clique iff its endpoints' common neighbourhood is a
+clique, so these singleton sets come from the rows in one pass over the
+edges.  When every other edge lies in one of those cliques, the
+singletons are the packing, and Bron-Kerbosch does not run; otherwise
+it lists the cliques for the remaining edges' sets.  When no two
+minimal sets meet, they are the packing, in any numbering of the
+cliques.  Otherwise the sets are renumbered in ``maximal_cliques``
+order and an exact maximum independent set solver (memoized
+branching, degree <= 1 reductions, component splitting) runs on their
+conflict rows.  Each
 solver call takes a threshold ``need`` and is exact only when the
 optimum reaches it; below that it may stop at an upper bound, the size
 of a greedy clique cover.  The include branch runs first and sets the
@@ -320,17 +326,59 @@ def _eta_cached(adj: tuple[int, ...]) -> int:
     most 65,536 of them, and no tuple per witness edge; ``eta`` decodes
     the bits back into edges.
 
-    The cliques are numbered in discovery order.  A singleton clique set
-    is minimal by itself, and a larger set that holds one is not, so
-    only the larger sets that avoid every singleton go through
-    ``minimalize``.  When no two minimal sets meet, the packing is all of
-    them, which is what the MIS search would return, whatever the
-    numbering.  Only when two of them meet are the cliques renumbered in
-    ``maximal_cliques`` order and the sets sorted and given conflict rows
-    for ``_MisSolver``, so the search and its witness are those of that
-    order.  The budget counts solver nodes, so the shortcut spends none.
+    An edge ``uv`` lies in exactly one maximal clique iff its common
+    neighbourhood ``C`` is a clique, and that clique is ``C + u + v``.
+    So one pass over the edges, in ``(u, v)`` order, finds every
+    singleton clique set with its least edge, and lists the other edges.
+    A singleton set is minimal by itself, and an edge's set holds the
+    singleton ``Q`` iff the edge lies in ``Q``, so when every listed
+    edge lies in some singleton clique, the singletons are all the
+    minimal sets, and they never meet: the packing is all of them, and
+    no clique list is built.
+
+    Otherwise Bron-Kerbosch lists the cliques, numbered in discovery
+    order, and only the clique sets of the listed edges in no singleton
+    clique go through ``minimalize``.  When no two minimal sets meet,
+    the packing is all of them, which is what the MIS search would
+    return, whatever the numbering.  Only when two of them meet are the
+    cliques renumbered in ``maximal_cliques`` order and the sets sorted
+    and given conflict rows for ``_MisSolver``, so the search and its
+    witness are those of that order.  The budget counts solver nodes, so
+    the shortcuts spend none.
     """
     n = len(adj)
+    singles: dict[int, int] = {}  # singleton clique -> bit u*n + v of its least edge
+    shared = []  # (pair mask, bit u*n + v) of each edge in two or more cliques
+    for u, row in enumerate(adj):
+        above = row >> u + 1 << u + 1
+        base = u * n
+        ubit = 1 << u
+        while above:
+            low = above & -above
+            above ^= low
+            v = low.bit_length() - 1
+            common = row & adj[v]
+            left = common if common & common - 1 else 0  # 0 or 1 vertex: a clique
+            while left:
+                w = left & -left
+                left ^= w
+                if common & ~adj[w.bit_length() - 1] != w:
+                    shared.append((ubit | low, base + v))
+                    break
+            else:
+                singles.setdefault(common | ubit | low, base + v)
+    witness = 0
+    for e in singles.values():
+        witness |= 1 << e
+    loose = []  # the shared edges in no singleton clique
+    for pair, e in shared:
+        for q in singles:
+            if q & pair == pair:
+                break
+        else:
+            loose.append(e)
+    if not loose:
+        return witness
     cliques = _clique_masks(adj)
     in_cliques = [0] * n  # bit i: clique i holds the vertex
     bit = 1
@@ -341,21 +389,10 @@ def _eta_cached(adj: tuple[int, ...]) -> int:
             in_cliques[low.bit_length() - 1] |= bit
         bit <<= 1
     rep: dict[int, int] = {}  # clique set -> bit u*n + v of its least edge (u, v)
-    for u, row in enumerate(adj):
-        above = row >> u + 1 << u + 1
-        mine = in_cliques[u]
-        base = u * n
-        while above:
-            low = above & -above
-            above ^= low
-            v = low.bit_length() - 1
-            rep.setdefault(mine & in_cliques[v], base + v)
-    singles = witness = 0
-    for s, e in rep.items():
-        if not s & s - 1:
-            singles |= s
-            witness |= 1 << e
-    sets = minimalize([s for s in rep if s & s - 1 and not s & singles])
+    for e in loose:
+        u, v = divmod(e, n)
+        rep.setdefault(in_cliques[u] & in_cliques[v], e)
+    sets = minimalize(rep)
     union = total = 0
     for s in sets:
         union |= s
@@ -364,13 +401,11 @@ def _eta_cached(adj: tuple[int, ...]) -> int:
         for s in sets:
             witness |= 1 << rep[s]
         return witness
-    order = sorted(range(len(cliques)), key=lambda i: tuple(bits(cliques[i])))
-    new_bit = [0] * len(cliques)
-    for k, i in enumerate(order):
-        new_bit[i] = 1 << k
+    # clique -> its bit in maximal_cliques order
+    rank = {c: 1 << k for k, c in enumerate(sorted(cliques, key=lambda c: tuple(bits(c))))}
     ranked = sorted(
-        (sum([new_bit[i] for i in bits(s)]), rep[s])
-        for s in [1 << i for i in bits(singles)] + list(sets)
+        [(rank[q], e) for q, e in singles.items()]
+        + [(sum([rank[cliques[i]] for i in bits(s)]), rep[s]) for s in sets]
     )
     size = len(ranked)
     conflicts = [0] * size
@@ -390,9 +425,11 @@ def eta(g: Graph) -> tuple[int, CliqueDisjointSet]:
 
     Solved on the inclusion-minimal edge clique sets, each standing for
     the least edge that has it; raises ResourceLimitError once the
-    independent-set search visits more than ``NODE_BUDGET`` nodes.  That
-    search runs only when two of the sets meet.  The cache keeps the
-    witness edges as one int of bits, and the size is their count.
+    independent-set search visits more than ``NODE_BUDGET`` nodes.  The
+    single-clique sets come from common neighbourhoods; Bron-Kerbosch
+    runs only when some edge lies in none of those cliques, and the
+    search only when two of the sets meet.  The cache keeps the witness
+    edges as one int of bits, and the size is their count.
     """
     witness = _eta_cached(g.adj)
     return witness.bit_count(), CliqueDisjointSet(

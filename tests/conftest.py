@@ -20,3 +20,15 @@ def set_budget(monkeypatch):
         cache.cache_clear()
         monkeypatch.setattr(module, name, value)
     return set_to
+
+
+@pytest.fixture
+def clique_mask_calls(monkeypatch):
+    """The rows of each ``invariants._clique_masks`` call the test makes,
+    in order, after ``_eta_cached.cache_clear()``, so every eta is a
+    miss that shows whether it lists cliques."""
+    calls = []
+    real = invariants._clique_masks
+    monkeypatch.setattr(invariants, "_clique_masks", lambda adj: calls.append(adj) or real(adj))
+    invariants._eta_cached.cache_clear()
+    return calls

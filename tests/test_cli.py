@@ -533,6 +533,35 @@ def test_verify_compatible_computes_each_eta_once(capsys):
     assert invariants._eta_cached.cache_info().misses == 1100
 
 
+def test_verify_compatible_builds_no_clique_list_up_to_5_vertices(capsys, clique_mask_calls):
+    """Every edge of every labeled graph with n <= 5 whose common
+    neighbourhood is no clique lies in some edge's single maximal
+    clique, so no ``eta`` miss of the sweep lists cliques (each of the
+    1,100 misses did before the singleton pass)."""
+    code, _, _ = run(capsys, "verify", "compatible", "--exhaustive", "5", "--format", "json")
+    assert code == 0
+    assert invariants._eta_cached.cache_info().misses == 1100
+    assert clique_mask_calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["chain", "--exhaustive", "3"],
+    ["recursion", "--exhaustive", "3"],
+    ["iv-lemma", "--exhaustive", "3"],
+    ["compatible", "--exhaustive", "3"],
+    ["compatible", "--exhaustive", "3", "--map", "induced-path"],
+])
+def test_verify_reports_the_map_only_for_compatible(capsys, argv):
+    """Only ``verify compatible`` reads ``--map``, so only its report
+    names the map."""
+    code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+    results = json.loads(out)["results"]
+    if argv[0] == "compatible":
+        assert results["map"] == (argv[-1] if "--map" in argv else "eta")
+    else:
+        assert code == 0 and "map" not in results
+
+
 def test_verify_iv_lemma_random_corpus(capsys):
     code, out, _ = run(capsys, "verify", "iv-lemma", "--random", "30", "--max-n", "7",
                        "--seed", "5", "--format", "json")

@@ -294,6 +294,70 @@ def test_eta_matches_unbounded_reference_on_labeled_octahedra(monkeypatch):
     assert len(octahedra) == len(runs) == 15
 
 
+def _one_clique_rule_holds(g):
+    """An edge lies in exactly one maximal clique iff its common
+    neighbourhood is a clique, and that clique is the edge plus it."""
+    cliques = [sum(1 << v for v in c) for c in maximal_cliques(g)]
+    for u, v in g.edges():
+        pair = 1 << u | 1 << v
+        through = [c for c in cliques if c & pair == pair]
+        common = g.adj[u] & g.adj[v]
+        assert (len(through) == 1) == g.is_clique(common)
+        if len(through) == 1:
+            assert through[0] == common | pair
+
+
+def test_one_clique_rule_exhaustive_n5():
+    for n in range(1, 6):
+        for g in all_labeled(n):
+            _one_clique_rule_holds(g)
+
+
+@given(graphs_up_to_10())
+@settings(max_examples=200, deadline=None)
+def test_one_clique_rule_on_random_graphs(g):
+    _one_clique_rule_holds(g)
+
+
+def test_eta_lists_cliques_on_octahedra_and_sierpinski_2(clique_mask_calls):
+    """Every edge of an octahedron lies in two triangles, so no edge has
+    a clique of its own.  sierpinski(2), the triangular grid of side 4,
+    has 9 such cliques, the up triangles on its boundary; the 3 edges of
+    its central up triangle lie in it and in a down triangle, neither of
+    them one of the 9.  So each of these misses lists the cliques."""
+    octahedra = [
+        Graph.from_edge_list(6, [e for e in combinations(range(6), 2) if e not in matching])
+        for matching in _perfect_matchings(list(range(6)))
+    ]
+    graphs = octahedra + [sierpinski(2)]
+    results = [eta(g) for g in graphs]
+    assert clique_mask_calls == [g.adj for g in graphs]
+    for g, (value, witness) in zip(graphs, results):
+        assert (value, witness.edges) == ref_eta(g)
+
+
+@st.composite
+def dense_gnp(draw):
+    n = draw(st.integers(2, 12))
+    return gnp(n, draw(st.integers(5, 10)), 10, draw(st.integers(0, 2 ** 31)))
+
+
+@given(dense_gnp())
+@settings(max_examples=200, deadline=None)
+def test_eta_matches_unbounded_reference_on_dense_graphs(g):
+    """Dense draws take both paths of a miss: the singletons alone, and
+    the clique list past them."""
+    value, witness = eta(g)
+    assert (value, witness.edges) == ref_eta(g)
+
+
+def test_dense_draws_take_both_miss_paths(clique_mask_calls):
+    draws = [gnp(n, k, 10, s) for n in (8, 12) for k in (5, 9) for s in range(5)]
+    for g in draws:
+        eta(g)
+    assert 0 < len(clique_mask_calls) < len(draws)
+
+
 @pytest.mark.parametrize(
     "g",
     [sierpinski(k) for k in (1, 2, 3)]
