@@ -26,7 +26,6 @@ from .compatibility import (
     check_compatibility,
     check_iv_lemma,
     check_regularity_recursion,
-    memoized,
     nonfree_vertex_failures,  # noqa: F401  (perfbench/tracer.py wraps it here)
     regularity_value,
 )
@@ -51,6 +50,9 @@ from .regularity import (
 SCHEMA = "beibounds/report-v1"
 # Most graphs in one task of a ``verify --jobs > 1`` pool.
 _MAX_CHUNK = 1024
+# The chain value each budgeted ``verify compatible --map`` computes,
+# under which a graph past its budget is listed as skipped.
+_MAP_VALUES = {"eta": "eta", "induced-path": "L"}
 
 
 # -- input handling ---------------------------------------------------------
@@ -90,8 +92,10 @@ def build_spec(tokens: list[str]) -> Graph:
         raise ValueError("empty generator spec")
     name, args = tokens[0], tokens[1:]
     if name == "union":
-        parts = (sub.strip() for sub in ",".join(args).split(","))
-        return generators.union([build_spec(sub.split(":")) for sub in parts if sub])
+        specs = [sub.strip() for sub in ",".join(args).split(",")]
+        if not any(specs):
+            raise ValueError("generator 'union' is missing arguments")
+        return generators.union([build_spec(sub.split(":")) for sub in specs if sub])
     if name not in _SPECS:
         raise ValueError(f"unknown generator {name!r}")
     make, types = _SPECS[name]
@@ -336,43 +340,44 @@ def _verify_one(
     kind: str, with_reg: bool, map_name: str, g6: str
 ) -> tuple[str, list[dict], dict[str, str]]:
     """The graph6 string of one graph, its violation records, and the
-    values that a resource cap skipped (chain: L, eta, reg; recursion:
-    reg), each with its message; run in worker processes under
-    ``--jobs > 1``."""
+    values that a resource cap skipped (chain: L, eta, reg; compatible:
+    the map's value, L or eta; recursion: reg), each with its message;
+    run in worker processes under ``--jobs > 1``.  A skip ends the
+    graph's checks and keeps the violations found before it."""
     g = decode_graph6(g6)
     out = []
     skipped: dict[str, str] = {}
-    if kind == "chain":
-        rep = bound_chain(g, with_reg=with_reg)
-        skipped = rep.skipped
-        for v in rep.violations:
-            out.append({"graph6": g6, **v,
-                        "values": {"L": rep.length_sum, "eta": rep.eta,
-                                   "c": rep.clique_count, "reg": rep.reg}})
-    elif kind == "compatible":
-        phi = NAMED_MAPS[map_name]
-        # the per-vertex strong form holds for eta at every non-free vertex
-        strong = map_name == "eta"
-        rep = check_compatibility(phi, g, name=map_name, strong=strong)
-        if not rep.passed:
-            out.append({"graph6": g6, "counterexample": rep.counterexample})
-        if strong:
-            for bad in rep.strong_failures:
-                out.append({"graph6": g6, "strong_form": bad})
-    elif kind == "iv-lemma":
-        for v in bits(g.nonfree_mask()):
-            if not check_iv_lemma(g, v):
-                out.append({"graph6": g6, "vertex": v})
-    elif kind == "recursion":
-        reg_fn = memoized(regularity_value)
-        try:
-            for v in range(g.n):
-                if not check_regularity_recursion(g, v, reg_fn):
+    try:
+        if kind == "chain":
+            rep = bound_chain(g, with_reg=with_reg)
+            skipped = rep.skipped
+            for v in rep.violations:
+                out.append({"graph6": g6, **v,
+                            "values": {"L": rep.length_sum, "eta": rep.eta,
+                                       "c": rep.clique_count, "reg": rep.reg}})
+        elif kind == "compatible":
+            phi = NAMED_MAPS[map_name]
+            # the per-vertex strong form holds for eta at every non-free vertex
+            strong = map_name == "eta"
+            rep = check_compatibility(phi, g, name=map_name, strong=strong)
+            if not rep.passed:
+                out.append({"graph6": g6, "counterexample": rep.counterexample})
+            if strong:
+                for bad in rep.strong_failures:
+                    out.append({"graph6": g6, "strong_form": bad})
+        elif kind == "iv-lemma":
+            for v in bits(g.nonfree_mask()):
+                if not check_iv_lemma(g, v):
                     out.append({"graph6": g6, "vertex": v})
-        except ResourceLimitError as exc:
-            skipped["reg"] = str(exc)
-    else:
-        raise ValueError(f"unknown verify kind {kind!r}")
+        elif kind == "recursion":
+            for v in range(g.n):
+                if not check_regularity_recursion(g, v, regularity_value):
+                    out.append({"graph6": g6, "vertex": v})
+        else:
+            raise ValueError(f"unknown verify kind {kind!r}")
+    except ResourceLimitError as exc:
+        # bound_chain skips its own values, and iv-lemma has no budget
+        skipped[_MAP_VALUES[map_name] if kind == "compatible" else "reg"] = str(exc)
     return g6, out, skipped
 
 
@@ -461,7 +466,9 @@ def cmd_verify(args) -> int:
     if args.kind == "compatible":  # the only kind that reads --map
         results["map"] = args.map
     # a value is dropped, not failed, when a resource cap stops it
-    for name in {"chain": ("L", "eta", "reg"), "recursion": ("reg",)}.get(args.kind, ()):
+    names = {"chain": ("L", "eta", "reg"), "recursion": ("reg",),
+             "compatible": (_MAP_VALUES[args.map],) if args.map in _MAP_VALUES else ()}
+    for name in names.get(args.kind, ()):
         results[f"{name}_skipped"] = len(skipped[name])
         results[f"{name}_skipped_graphs"] = [g6 for g6, _ in skipped[name]]
     report = make_report(["verify", args.kind], desc, results, violations, started)

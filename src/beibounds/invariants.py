@@ -15,21 +15,20 @@ a subset of its own keeps the packing clique-disjoint, so eta only looks
 at the inclusion-minimal clique sets, one edge for each.  An edge lies
 in a single maximal clique iff its endpoints' common neighbourhood is a
 clique, so these singleton sets come from the rows in one pass over the
-edges.  When every other edge lies in one of those cliques, the
-singletons are the packing, and Bron-Kerbosch does not run; otherwise
-it lists the cliques for the remaining edges' sets.  When no two
-minimal sets meet, they are the packing, in any numbering of the
-cliques.  Otherwise the sets are renumbered in ``maximal_cliques``
-order and an exact maximum independent set solver (memoized
-branching, degree <= 1 reductions, component splitting) runs on their
-conflict rows.  Each
-solver call takes a threshold ``need`` and is exact only when the
-optimum reaches it; below that it may stop at an upper bound, the size
-of a greedy clique cover.  The include branch runs first and sets the
-exclude branch's threshold just above its own result, so the bound
-prunes without changing any choice, and the witnesses are those of the
-unbounded search.  The edge-level conflict graph is kept as an
-independent reference for the tests.
+edges.  They meet no other minimal set, so every one is packed.  When
+every other edge lies in one of those cliques, they are the whole
+packing, and Bron-Kerbosch does not run.  Otherwise it lists the
+cliques, numbered in ``maximal_cliques`` order, the edges in no
+singleton clique get their clique sets, and an exact maximum
+independent set solver (memoized branching, degree <= 1 reductions,
+component splitting) packs their minimal sets.  Each solver call takes
+a threshold ``need`` and is exact only when the optimum reaches it;
+below that it may stop at an upper bound, the size of a greedy clique
+cover.  The include branch runs first and sets the exclude branch's
+threshold just above its own result, so the bound prunes without
+changing any choice, and the witnesses are those of the unbounded
+search.  The edge-level conflict graph is kept as an independent
+reference for the tests.
 
 The longest induced path of each component comes from a depth-first
 search that walks each induced path once, from its first vertex in a
@@ -331,20 +330,18 @@ def _eta_cached(adj: tuple[int, ...]) -> int:
     So one pass over the edges, in ``(u, v)`` order, finds every
     singleton clique set with its least edge, and lists the other edges.
     A singleton set is minimal by itself, and an edge's set holds the
-    singleton ``Q`` iff the edge lies in ``Q``, so when every listed
-    edge lies in some singleton clique, the singletons are all the
-    minimal sets, and they never meet: the packing is all of them, and
-    no clique list is built.
+    singleton ``Q`` iff the edge lies in ``Q``.  So the singletons meet
+    no other minimal set, and all of their least edges are in the
+    witness.  When every listed edge lies in some singleton clique, they
+    are the whole witness, and no clique list is built.
 
-    Otherwise Bron-Kerbosch lists the cliques, numbered in discovery
-    order, and only the clique sets of the listed edges in no singleton
-    clique go through ``minimalize``.  When no two minimal sets meet,
-    the packing is all of them, which is what the MIS search would
-    return, whatever the numbering.  Only when two of them meet are the
-    cliques renumbered in ``maximal_cliques`` order and the sets sorted
-    and given conflict rows for ``_MisSolver``, so the search and its
-    witness are those of that order.  The budget counts solver nodes, so
-    the shortcuts spend none.
+    Otherwise Bron-Kerbosch lists the cliques, numbered in
+    ``maximal_cliques`` order, and the listed edges in no singleton
+    clique, the loose ones, get clique sets.  ``_MisSolver`` runs once
+    on the conflict rows of their minimal sets, in ascending order, and
+    the least edge of each set it chooses joins the witness.  The budget
+    counts solver nodes: a miss that lists cliques spends at least one,
+    and any other miss none.
     """
     n = len(adj)
     singles: dict[int, int] = {}  # singleton clique -> bit u*n + v of its least edge
@@ -379,10 +376,9 @@ def _eta_cached(adj: tuple[int, ...]) -> int:
             loose.append(e)
     if not loose:
         return witness
-    cliques = _clique_masks(adj)
-    in_cliques = [0] * n  # bit i: clique i holds the vertex
+    in_cliques = [0] * n  # bit i: clique i, in maximal_cliques order, holds the vertex
     bit = 1
-    for c in cliques:
+    for c in sorted(_clique_masks(adj), key=lambda c: tuple(bits(c))):
         while c:
             low = c & -c
             c ^= low
@@ -393,30 +389,14 @@ def _eta_cached(adj: tuple[int, ...]) -> int:
         u, v = divmod(e, n)
         rep.setdefault(in_cliques[u] & in_cliques[v], e)
     sets = minimalize(rep)
-    union = total = 0
-    for s in sets:
-        union |= s
-        total += s.bit_count()
-    if union.bit_count() == total:  # no two minimal sets meet
-        for s in sets:
-            witness |= 1 << rep[s]
-        return witness
-    # clique -> its bit in maximal_cliques order
-    rank = {c: 1 << k for k, c in enumerate(sorted(cliques, key=lambda c: tuple(bits(c))))}
-    ranked = sorted(
-        [(rank[q], e) for q, e in singles.items()]
-        + [(sum([rank[cliques[i]] for i in bits(s)]), rep[s]) for s in sets]
-    )
-    size = len(ranked)
+    size = len(sets)
     conflicts = [0] * size
     for i, j in combinations(range(size), 2):
-        if ranked[i][0] & ranked[j][0]:
+        if sets[i] & sets[j]:
             conflicts[i] |= 1 << j
             conflicts[j] |= 1 << i
-    mask = _MisSolver(conflicts).solve((1 << size) - 1, 0)[1]
-    witness = 0
-    for i in bits(mask):
-        witness |= 1 << ranked[i][1]
+    for i in bits(_MisSolver(conflicts).solve((1 << size) - 1, 0)[1]):
+        witness |= 1 << rep[sets[i]]
     return witness
 
 
@@ -426,10 +406,10 @@ def eta(g: Graph) -> tuple[int, CliqueDisjointSet]:
     Solved on the inclusion-minimal edge clique sets, each standing for
     the least edge that has it; raises ResourceLimitError once the
     independent-set search visits more than ``NODE_BUDGET`` nodes.  The
-    single-clique sets come from common neighbourhoods; Bron-Kerbosch
-    runs only when some edge lies in none of those cliques, and the
-    search only when two of the sets meet.  The cache keeps the witness
-    edges as one int of bits, and the size is their count.
+    single-clique sets come from common neighbourhoods and are all
+    packed; Bron-Kerbosch and the search run only when some edge lies in
+    none of those cliques, on the sets of those edges.  The cache keeps
+    the witness edges as one int of bits, and the size is their count.
     """
     witness = _eta_cached(g.adj)
     return witness.bit_count(), CliqueDisjointSet(

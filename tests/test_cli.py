@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import beibounds
-from beibounds import cli, generators, invariants
+from beibounds import cli, compatibility, generators, invariants
 from beibounds.cli import build_spec, main, parse_args, parse_graph_text
 from beibounds.errors import ResourceLimitError
 from beibounds.generators import cycle, net, path, sierpinski, union
@@ -98,6 +98,13 @@ def test_gen_bad_arguments_exit_2_naming_the_generator(capsys, spec, message):
     code, out, err = run(capsys, "gen", *spec.split())
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("spec", [["union"], ["union", ","]])
+def test_gen_empty_union_exits_2(capsys, spec):
+    code, out, err = run(capsys, "gen", *spec)
+    assert code == 2 and out == ""
+    assert err == "error: generator 'union' is missing arguments\n"
 
 
 def test_gen_unknown_spec_exits_2(capsys):
@@ -442,6 +449,38 @@ def test_verify_recursion_reports_a_reg_skip(capsys, tmp_path, set_budget, jobs,
         "graphs_checked": 2, "reg_skipped": 1, "reg_skipped_graphs": [c9]}
     assert err.splitlines() == ["error: a resource cap skipped reg on 1 graph(s):",
                                 f"{c9}: {C9_SKIP}"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_compatible_reports_a_map_skip(capsys, set_budget, jobs):
+    """A graph whose map value passes the node budget is skipped, the
+    sweep carries on, and the command exits 2 after the report."""
+    set_budget("NODE_BUDGET", 1_000)
+    compatibility.NAMED_MAPS["induced-path"].cache_clear()
+    code, out, err = run(capsys, "verify", "compatible", "--map", "induced-path",
+                         "--sierpinski", "3", "--jobs", jobs, "--format", "json")
+    assert code == 2
+    report = json.loads(out)
+    s3 = encode_graph6(sierpinski(3))
+    assert report["violations"] == []
+    assert report["results"] == {
+        "kind": "compatible", "map": "induced-path", "graphs_checked": 3,
+        "L_skipped": 1, "L_skipped_graphs": [s3]}
+    assert err.splitlines() == ["error: a resource cap skipped L on 1 graph(s):",
+                                f"{s3}: induced-path search exceeded 1000 nodes"]
+
+
+def test_verify_compatible_reports_an_eta_skip(capsys, tmp_path, set_budget):
+    """With --map eta the skip is listed under eta."""
+    set_budget("NODE_BUDGET", 100)
+    dense = encode_graph6(generators.gnp(18, 3, 4, 0))
+    f = tmp_path / "graphs.g6"
+    f.write_text(encode_graph6(net()) + "\n" + dense + "\n")
+    code, out, err = run(capsys, "verify", "compatible", str(f), "--format", "json")
+    assert code == 2
+    results = json.loads(out)["results"]
+    assert (results["graphs_checked"], results["eta_skipped_graphs"]) == (2, [dense])
+    assert err.splitlines()[1:] == [f"{dense}: independent-set search exceeded 100 nodes"]
 
 
 def test_verify_recursion_keeps_a_violation_found_before_a_skip(capsys, monkeypatch, tmp_path):

@@ -336,6 +336,39 @@ def test_eta_lists_cliques_on_octahedra_and_sierpinski_2(clique_mask_calls):
         assert (value, witness.edges) == ref_eta(g)
 
 
+def test_eta_matches_reference_wherever_a_miss_lists_cliques_exhaustive_n6(clique_mask_calls):
+    """The 195 labeled graphs with n <= 6 whose eta miss lists cliques,
+    the 15 octahedra among them, match the reference in value and
+    witness."""
+    listed = []
+    for n in range(7):
+        for g in all_labeled(n):
+            calls = len(clique_mask_calls)
+            value, witness = eta(g)
+            if len(clique_mask_calls) > calls:
+                listed.append((g, value, witness.edges))
+    assert len(listed) == 195
+    for g, value, edges in listed:
+        assert (value, edges) == ref_eta(g)
+
+
+def test_eta_solver_gets_only_the_loose_sets_on_sierpinski_2(monkeypatch):
+    """sierpinski(2)'s 9 singleton cliques never reach the solver: it
+    gets one row for each edge of the central up triangle, whose clique
+    sets all hold that triangle, and takes one of them."""
+    rows = []
+
+    class Recorded(invariants._MisSolver):
+        def __init__(self, adj):
+            super().__init__(adj)
+            rows.append(list(adj))
+
+    monkeypatch.setattr(invariants, "_MisSolver", Recorded)
+    invariants._eta_cached.cache_clear()
+    assert eta(sierpinski(2))[0] == 10
+    assert rows == [[0b110, 0b101, 0b011]]
+
+
 @st.composite
 def dense_gnp(draw):
     n = draw(st.integers(2, 12))
@@ -397,14 +430,16 @@ def test_eta_cache_serves_a_hit_under_any_budget(monkeypatch):
         eta(g)
 
 
-@pytest.mark.parametrize("g6, value, nodes", [("Bg", 2, 0), ("E]~o", 4, 5)])
+@pytest.mark.parametrize("g6, value, nodes", [("Bg", 2, 0), ("E]~o", 4, 5), ("EL~o", 5, 1)])
 def test_eta_budget_counts_search_nodes_with_or_without_the_search(
     monkeypatch, set_budget, g6, value, nodes
 ):
     """A miss passes at the number of solver nodes it visits and raises
-    one short: 5 on K_{2,2,2}, whose minimal clique sets meet, and none
-    on the path P3, whose sets are disjoint, so no search runs.  A hit is
-    served under any budget."""
+    one short: 5 on K_{2,2,2}, whose minimal clique sets meet; 1 on
+    ``EL~o``, which lists cliques for one loose set, taken in the
+    solver's root node; and none on the path P3, where every edge lies
+    in a clique of its own, so no search runs.  A hit is served under
+    any budget."""
     g = decode_graph6(g6)
     if nodes:
         set_budget("NODE_BUDGET", nodes - 1)
