@@ -135,18 +135,3 @@ def all_labeled(n: int) -> Iterator[Graph]:
             rows[u] ^= 1 << v
             rows[v] ^= 1 << u
         yield Graph(n, tuple(rows))
-
-
-def with_injected_isolates(g: Graph, positions: list[int]) -> Graph:
-    """Insert isolated vertices before the given old labels.
-
-    ``positions`` lists old vertex labels (0..g.n, end-insertion allowed,
-    repeats allowed) in any order; each insertion shifts later labels up.
-    """
-    if any(not 0 <= p <= g.n for p in positions):
-        raise ValueError("insertion positions must lie in 0..n")
-    mapping = list(range(g.n))
-    for pos in sorted(positions, reverse=True):
-        mapping = [m + 1 if m >= pos else m for m in mapping]
-    edges = [(mapping[u], mapping[v]) for u, v in g.edges()]
-    return Graph.from_edge_list(g.n + len(positions), edges)

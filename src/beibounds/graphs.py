@@ -9,6 +9,7 @@ reproducible.
 
 from __future__ import annotations
 
+from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
 
 
@@ -74,6 +75,42 @@ def saturate_rows(adj: tuple[int, ...], v: int) -> tuple[int, ...]:
         left ^= low
         rows[low.bit_length() - 1] |= nbr ^ low
     return tuple(rows)
+
+
+def canonical_rows(adj: Sequence[int]) -> tuple[int, ...]:
+    """Rows of a canonical relabelling: two graphs get the same rows
+    exactly when they are isomorphic.
+
+    Vertex colours start equal, and each round recolours a vertex by
+    the rank of (its colour, its neighbours' sorted colours), until the
+    number of colours stops growing.  The ranks do not depend on the
+    labelling, so the refined cells, in colour order, are the same for
+    every relabelling.  The rows are the least tuple over the vertex
+    orders that list the cells in that order, each cell in any order.
+    That is the product of the cells' factorials, up to n! orders on a
+    regular graph, so the relabelling is for small graphs only.
+    """
+    n = len(adj)
+    nbrs = [list(bits(row)) for row in adj]
+    colour = [0] * n
+    while True:
+        sig = [(colour[v], tuple(sorted([colour[u] for u in nbrs[v]]))) for v in range(n)]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        done = len(rank) == len(set(colour))
+        colour = [rank[s] for s in sig]
+        if done:
+            break
+    cells = [[v for v in range(n) if colour[v] == c] for c in range(len(rank))]
+    best = None
+    pos = [0] * n
+    for parts in product(*map(permutations, cells)):
+        order = [v for part in parts for v in part]
+        for i, v in enumerate(order):
+            pos[v] = 1 << i
+        rows = tuple([sum([pos[u] for u in nbrs[v]]) for v in order])
+        if best is None or rows < best:
+            best = rows
+    return best
 
 
 def edge(u: int, v: int) -> tuple[int, int]:
@@ -261,15 +298,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.component_masks()) == 1
-
-    def cut_signature(self, cut: Iterable[int]) -> list[tuple[int, ...]]:
-        """Vertex sets of the components of G - cut, in original labels.
-
-        Ordered by smallest contained vertex; the length is the component
-        count of the cut.
-        """
-        kept = self.full_mask() & ~self._vertex_mask(cut)
-        return [tuple(bits(m)) for m in components(self.adj, kept)]
 
     def completes_decomposition(self) -> list[int] | None:
         """Component sizes if every component is complete, else None."""

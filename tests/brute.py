@@ -21,7 +21,9 @@ in ``Graph``, and the component reference is a breadth-first search over
 a neighbour dict; the compatibility reference scans every vertex for (c).
 ``RefMisSolver`` is the memoized MIS search with no bound, whose values
 and witnesses the bounded search must reproduce exactly; ``ref_eta``
-runs it on eta's clique sets.
+runs it on eta's clique sets.  ``cut_signature`` (on the package's
+``components``) and ``with_injected_isolates`` are test-only graph
+helpers, not references.
 """
 
 from collections import deque
@@ -31,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from beibounds.errors import ResourceLimitError
-from beibounds.graphs import Graph, bits
+from beibounds.graphs import Graph, bits, components
 from beibounds.invariants import maximal_cliques
 from beibounds.regularity import homology_dims
 
@@ -541,3 +543,30 @@ def ref_eta(g: Graph) -> tuple[int, frozenset]:
     adj = [sum(1 << j for j, b in enumerate(sets) if j != i and a & b) for i, a in enumerate(sets)]
     size, mask = ref_max_independent_set(adj)
     return size, frozenset(rep[sets[i]] for i in range(len(sets)) if mask >> i & 1)
+
+
+def cut_signature(g: Graph, cut) -> list[tuple[int, ...]]:
+    """Vertex sets of the components of G - cut, in g's labels, ordered
+    by smallest contained vertex; the length is the component count of
+    the cut."""
+    kept = g.full_mask()
+    for v in cut:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
+        kept &= ~(1 << v)
+    return [tuple(bits(m)) for m in components(g.adj, kept)]
+
+
+def with_injected_isolates(g: Graph, positions: list[int]) -> Graph:
+    """Insert isolated vertices before the given old labels.
+
+    ``positions`` lists old vertex labels (0..g.n, end-insertion allowed,
+    repeats allowed) in any order; each insertion shifts later labels up.
+    """
+    if any(not 0 <= p <= g.n for p in positions):
+        raise ValueError("insertion positions must lie in 0..n")
+    mapping = list(range(g.n))
+    for pos in sorted(positions, reverse=True):
+        mapping = [m + 1 if m >= pos else m for m in mapping]
+    edges = [(mapping[u], mapping[v]) for u, v in g.edges()]
+    return Graph.from_edge_list(g.n + len(positions), edges)

@@ -29,11 +29,12 @@ from beibounds.generators import (
     sierpinski,
     union,
     path,
-    with_injected_isolates,
 )
 from beibounds.graphio import encode_graph6
 from beibounds.invariants import conflict_graph, eta, extend_clique_disjoint, is_clique_disjoint, longest_induced_path, maximal_cliques
 from beibounds.regularity import regularity_bei
+
+from brute import with_injected_isolates
 
 
 def _report(criterion: str, ok: bool, detail: str, started: float) -> None:

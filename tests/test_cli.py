@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import beibounds
-from beibounds import cli, compatibility, generators, invariants
+from beibounds import cli, compatibility, generators, invariants, regularity
 from beibounds.cli import build_spec, main, parse_args, parse_graph_text
 from beibounds.errors import ResourceLimitError
 from beibounds.generators import cycle, net, path, sierpinski, union
@@ -486,7 +486,8 @@ def test_verify_compatible_reports_an_eta_skip(capsys, tmp_path, set_budget):
 def test_verify_recursion_keeps_a_violation_found_before_a_skip(capsys, monkeypatch, tmp_path):
     c9 = encode_graph6(cycle(9))
 
-    def check(g, v, reg_fn):
+    def check(g, v, reg_fn, reg_g):
+        assert reg_g == 7  # reg(C9), computed once per graph
         if v:
             raise ResourceLimitError("synthetic budget")
         return False
@@ -581,6 +582,18 @@ def test_verify_compatible_builds_no_clique_list_up_to_5_vertices(capsys, clique
     assert code == 0
     assert invariants._eta_cached.cache_info().misses == 1100
     assert clique_mask_calls == []
+
+
+def test_verify_chain_scans_each_class_once(capsys):
+    """A cold ``verify chain --exhaustive 5 --with-reg`` scans the 31
+    connected classes on 1..5 vertices once each; a scan per labeled
+    component made 772."""
+    regularity._component_regularity.cache_clear()
+    regularity._component_value.cache_clear()
+    code, _, _ = run(capsys, "verify", "chain", "--exhaustive", "5", "--with-reg",
+                     "--format", "json")
+    assert code == 0
+    assert regularity._component_regularity.cache_info().misses == 31
 
 
 @pytest.mark.parametrize("argv", [

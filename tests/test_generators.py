@@ -12,10 +12,11 @@ from beibounds.generators import (
     path,
     sierpinski,
     union,
-    with_injected_isolates,
 )
 from beibounds.graphs import Graph, bits
 from beibounds.invariants import maximal_cliques
+
+from brute import with_injected_isolates
 
 
 def test_path_cycle_complete_shapes():

@@ -1,17 +1,25 @@
 import copy
 import pickle
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beibounds import invariants
+from beibounds import invariants, regularity
 from beibounds.graphio import decode_graph6, encode_graph6
-from beibounds.graphs import Graph, bits, components, edge
+from beibounds.graphs import Graph, bits, canonical_rows, components, edge
 from beibounds.invariants import eta
 from beibounds.generators import all_labeled, complete, gnp, net, path, union
 
-from brute import brute_free_vertex, brute_iv, ref_components, ref_induced_delete, ref_saturate
+from brute import (
+    brute_free_vertex,
+    brute_iv,
+    cut_signature,
+    ref_components,
+    ref_induced_delete,
+    ref_saturate,
+)
 
 
 def test_from_edge_list_path():
@@ -188,9 +196,37 @@ def test_completes_decomposition():
 
 
 def test_cut_signature():
-    assert path(3).cut_signature([1]) == [(0,), (2,)]
-    assert net().cut_signature([0, 1, 2]) == [(3,), (4,), (5,)]
-    assert net().cut_signature([]) == [(0, 1, 2, 3, 4, 5)]
+    assert cut_signature(path(3), [1]) == [(0,), (2,)]
+    assert cut_signature(net(), [0, 1, 2]) == [(3,), (4,), (5,)]
+    assert cut_signature(net(), []) == [(0, 1, 2, 3, 4, 5)]
+
+
+def test_canonical_rows_count_the_classes():
+    """One canonical form per isomorphism class: 1, 2, 4, 11 and 34
+    classes on 1..5 vertices (OEIS A000088)."""
+    counts = [len({canonical_rows(g.adj) for g in all_labeled(n)}) for n in range(1, 6)]
+    assert counts == [1, 2, 4, 11, 34]
+
+
+def _is_relabelling(a: Graph, b: Graph) -> bool:
+    """Some permutation of a's vertices maps its edges onto b's."""
+    edges = {frozenset(e) for e in b.edges()}
+    return a.n == b.n and any(
+        {frozenset((p[u], p[v])) for u, v in a.edges()} == edges
+        for p in permutations(range(a.n))
+    )
+
+
+@given(st.integers(0, regularity.CANONICAL_MAX_N), st.integers(0, 4), st.integers(0, 2 ** 16),
+       st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_canonical_rows_ignore_the_labelling(n, p_num, seed, rng):
+    g = gnp(n, p_num, 4, seed)
+    perm = rng.sample(range(n), n)
+    h = Graph.from_edge_list(n, [(perm[u], perm[v]) for u, v in g.edges()])
+    rows = canonical_rows(g.adj)
+    assert canonical_rows(h.adj) == rows
+    assert _is_relabelling(g, Graph(n, rows))
 
 
 def small_graphs(max_n=5):
@@ -258,7 +294,7 @@ def test_components_match_bfs_reference(n, edge_mask, keep):
     keep &= g.full_mask()
     want = ref_components(g, bits(keep))
     assert [tuple(bits(m)) for m in components(g.adj, keep)] == want
-    assert g.cut_signature(bits(g.full_mask() & ~keep)) == want
+    assert cut_signature(g, bits(g.full_mask() & ~keep)) == want
     subs = g.component_subgraphs()
     assert [tuple(back) for _, back in subs] == ref_components(g, range(n))
     for sub, back in subs:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beibounds.errors import FieldDisagreementError, ResourceLimitError
-from beibounds.generators import all_labeled, complete, cycle, fig2_closed, gnp, net, path, sierpinski, union, with_injected_isolates
+from beibounds.generators import all_labeled, complete, cycle, fig2_closed, gnp, net, path, sierpinski, union
 from beibounds.graphio import encode_graph6
 from beibounds.graphs import Graph, bits
 from beibounds.invariants import longest_induced_path
@@ -17,10 +17,16 @@ from beibounds.regularity import (
     minimalize,
     regularity_bei,
     regularity_squarefree,
+    regularity_value,
     require_field_agreement,
 )
 
-from brute import brute_regularity_squarefree, label_valid_path_monomials, ref_reg_witness
+from brute import (
+    brute_regularity_squarefree,
+    label_valid_path_monomials,
+    ref_reg_witness,
+    with_injected_isolates,
+)
 
 
 def supports(ideal):
@@ -413,6 +419,34 @@ def test_component_subgraphs_are_induced_delete_graphs():
         hits = regularity._component_regularity.cache_info().hits
         regularity._component_regularity(g.induced_delete(outside))
         assert regularity._component_regularity.cache_info().hits == hits + 1
+
+
+def test_regularity_value_matches_regularity_bei_exhaustive_n5():
+    """The value read from a canonical scan is the labelled one's on
+    every labeled graph that criterion 8 walks."""
+    for n in range(6):
+        for g in all_labeled(n):
+            assert regularity_value(g) == regularity_bei(g).value, g
+
+
+def test_isomorphic_components_share_one_scan():
+    """Relabellings of the net on their own and beside a triangle reach
+    one scan, of the canonical labelling; a component above
+    ``CANONICAL_MAX_N`` is scanned in its own labelling."""
+    regularity._component_regularity.cache_clear()
+    regularity._component_value.cache_clear()
+    g = net()
+    for seed in range(5):
+        g = _relabel(g, random.Random(seed).sample(range(6), 6))
+        assert regularity_value(g) == 4
+        assert regularity_value(union([complete(3), g])) == 5
+    assert regularity._component_regularity.cache_info().misses == 2  # net and K3
+    n = regularity.CANONICAL_MAX_N + 1
+    big = _relabel(cycle(n), random.Random(0).sample(range(n), n))
+    assert regularity_value(big) == n - 2
+    hits = regularity._component_regularity.cache_info().hits
+    regularity._component_regularity(big)
+    assert regularity._component_regularity.cache_info().hits == hits + 1
 
 
 def test_many_small_components():
