@@ -14,12 +14,15 @@ the chain on whole corpora.
 
 Condition (c) and its strong per-vertex form both read one table per
 graph: (v, phi(G - v), phi(G_v)) over the non-free vertices v, each
-derived graph built once.  Condition (c) alone reads the rows up to its
-first witness; the strong form, asked for with the eta map, reads them
-all, and one pass then serves both.  Free vertices are left out
-because neither check can use them: for a free v the neighbourhood is
-already a clique, so G_v = G and phi(G_v) < phi(G) fails for every map,
-and the strong form asks only about non-free vertices.
+derived graph built once.  The named maps read their values by one int
+per labeled graph, so G is packed once and the derived graphs are read
+by keys derived from G's, with nothing built.  Condition (c) alone
+reads the rows up to its first witness; the strong form, asked for with
+the eta map, reads them all, and one pass then serves both.  Free
+vertices are left out because neither check can use them: for a free v
+the neighbourhood is already a clique, so G_v = G and phi(G_v) < phi(G)
+fails for every map, and the strong form asks only about non-free
+vertices.
 """
 
 from __future__ import annotations
@@ -29,7 +32,15 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ResourceLimitError
-from .graphs import Graph, bits, minus_vertex_rows, saturate_rows
+from .graphs import (
+    Graph,
+    bits,
+    key_rows,
+    minus_vertex_rows,
+    rows_key,
+    saturate_rows,
+    vertex_keys,
+)
 from .invariants import _eta_cached, eta, longest_induced_path, maximal_cliques
 from .regularity import (
     regularity_bei,  # noqa: F401  (perfbench/tracer.py wraps it here)
@@ -42,9 +53,30 @@ InvariantMap = Callable[[Graph], int]
 _MAP_CACHE_SIZE = 1 << 16
 
 
-def eta_value(g: Graph) -> int:
-    """eta's size, read from its one cache (see :func:`invariants.eta`)."""
-    return _eta_cached(g.adj).bit_count()
+class KeyedMap:
+    """A map read by the key of a labeled graph (:func:`graphs.rows_key`):
+    ``of_key(key)`` is the value, and calling the map on a ``Graph``
+    packs its rows first.  ``check_compatibility`` packs each graph once
+    and reads G - v and G_v by keys derived from G's, with no rows built.
+    """
+
+    __slots__ = ("of_key",)
+
+    def __init__(self, of_key: Callable[[int], int]):
+        self.of_key = of_key
+
+    def __call__(self, g: Graph) -> int:
+        return self.of_key(rows_key(g.adj))
+
+    def cache_info(self):
+        return self.of_key.cache_info()
+
+    def cache_clear(self) -> None:
+        self.of_key.cache_clear()
+
+
+# eta's size, read from its one cache (see :func:`invariants.eta`)
+eta_value = KeyedMap(lambda key: _eta_cached(key).bit_count())
 
 
 def clique_count_value(g: Graph) -> int:
@@ -55,15 +87,20 @@ def induced_path_value(g: Graph) -> int:
     return longest_induced_path(g)[0]
 
 
-def memoized(phi: InvariantMap) -> InvariantMap:
+def memoized(phi: InvariantMap) -> KeyedMap:
     """Cache phi by labeled graph in a bounded LRU cache; sweeps revisit
     derived graphs a lot.
 
-    A ``Graph`` hashes and compares on ``adj``, which identifies a
-    labeled graph exactly, so it is the key itself.  Each call makes a
-    new cache.  ``eta_value`` needs none: it reads eta's own cache.
+    The cache is keyed by :func:`graphs.rows_key`, one int that
+    identifies a labeled graph exactly, so it holds no ``Graph`` or row
+    tuple; a miss unpacks the rows into a ``Graph`` for phi.  Each call
+    makes a new cache.  ``eta_value`` needs none: it reads eta's own
+    cache.
     """
-    return lru_cache(maxsize=_MAP_CACHE_SIZE)(phi)
+    def of_key(key: int) -> int:
+        rows = key_rows(key)
+        return phi(Graph(len(rows), rows))
+    return KeyedMap(lru_cache(maxsize=_MAP_CACHE_SIZE)(of_key))
 
 
 # One process-wide cache per map: eta's lives in ``invariants``.
@@ -91,17 +128,25 @@ class CompatibilityReport:
 
 
 def nonfree_vertex_values(
-    phi: InvariantMap, g: Graph, nonfree: int
+    phi: InvariantMap, g: Graph, nonfree: int, key: Optional[int] = None
 ) -> Iterator[tuple[int, int, int]]:
     """(v, phi(G - v), phi(G_v)) for every v of ``nonfree``, the mask of
-    g's non-free vertices, ascending, built as consumed.  Each v is a
-    vertex of g, so the derived rows are built unchecked, and eta, which
-    reads only the rows, gets no ``Graph`` for them."""
-    adj = g.adj
-    of_rows = ((lambda rows: _eta_cached(rows).bit_count()) if phi is eta_value
-               else lambda rows: phi(Graph(len(rows), rows)))
+    g's non-free vertices, ascending, built as consumed.  A
+    :class:`KeyedMap` reads each derived graph by its key, derived from
+    g's (``key``, packed here when not given), and no rows are built;
+    any other map gets a ``Graph`` of the derived rows, built unchecked,
+    since each v is a vertex of g."""
+    if isinstance(phi, KeyedMap):
+        of_key = phi.of_key
+        if key is None:
+            key = rows_key(g.adj)
+        for v, minus, saturated in vertex_keys(key, g.n, nonfree):
+            yield v, of_key(minus), of_key(saturated)
+        return
+    adj, n = g.adj, g.n
     for v in bits(nonfree):
-        yield v, of_rows(minus_vertex_rows(adj, v)), of_rows(saturate_rows(adj, v))
+        yield (v, phi(Graph(n - 1, minus_vertex_rows(adj, v))),
+               phi(Graph(n, saturate_rows(adj, v))))
 
 
 def _strong_failures(phi_g: int, table: Iterable[tuple[int, int, int]]) -> list[dict]:
@@ -129,16 +174,20 @@ def check_compatibility(
     conditions give; otherwise it stays None.
     """
     report = CompatibilityReport(name, True, True, True)
-    phi_g = phi(g)
+    if isinstance(phi, KeyedMap):
+        key: Optional[int] = rows_key(g.adj)
+        phi_g = phi.of_key(key)
+    else:
+        key, phi_g = None, phi(g)
     report.values["phi"] = phi_g
     nonfree = g.nonfree_mask()
-    table: Iterable[tuple[int, int, int]] = nonfree_vertex_values(phi, g, nonfree)
+    table: Iterable[tuple[int, int, int]] = nonfree_vertex_values(phi, g, nonfree, key)
     if strong:
         table = list(table)
         report.strong_failures = _strong_failures(phi_g, table)
 
     hat = g.strip_isolated()
-    phi_hat = phi(hat)
+    phi_hat = phi_g if hat is g else phi(hat)
     report.values["phi_hat"] = phi_hat
     if phi_hat > phi_g:
         report.pass_a = False

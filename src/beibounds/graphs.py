@@ -9,7 +9,9 @@ reproducible.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations, product
+from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
 
@@ -77,6 +79,95 @@ def saturate_rows(adj: tuple[int, ...], v: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
+# -- one int per labeled graph ---------------------------------------------
+#
+# A key packs the rows into one int, row u in bits [u*w, u*w + n) of a
+# slot of w bits, the least power of two above n and at least 8, with
+# the top bit n*w set.  The top bit fixes n, so graphs with different n
+# never share a key, and an int key is no container, so the caches that
+# keep keys give the cyclic garbage collector nothing to track.  With
+# w > n, a slot never carries into the next one, which lets the keys of
+# G - v and G_v come from G's key in a few big-int steps.
+
+
+def _row_bytes(n: int) -> int:
+    """Bytes a row takes in the key of a graph on n vertices."""
+    return 1 << max(n.bit_length() - 3, 0)
+
+
+# The rows of a key on n < 64 vertices as one struct of n 1-, 2-, 4- or
+# 8-byte fields, listed by n and keyed by the bytes they fill, which fix n.
+_ROW_STRUCTS = [Struct(f"<{n}{'BHIQ'[_row_bytes(n).bit_length() - 1]}") for n in range(64)]
+_ROW_STRUCT_OF_SIZE = {rows.size: rows for rows in _ROW_STRUCTS}
+
+
+def rows_key(adj: Sequence[int]) -> int:
+    """The key of a labeled graph, from its rows."""
+    n = len(adj)
+    if n < 64:
+        rows = _ROW_STRUCTS[n]
+        return int.from_bytes(rows.pack(*adj), "little") | 1 << 8 * rows.size
+    size = _row_bytes(n)
+    body = b"".join([row.to_bytes(size, "little") for row in adj])
+    return int.from_bytes(body, "little") | 1 << 8 * size * n
+
+
+def key_rows(key: int) -> tuple[int, ...]:
+    """The rows of the labeled graph whose key is ``key``."""
+    top = key.bit_length() - 1 >> 3  # n times the bytes of a row
+    body = key.to_bytes(top + 1, "little")
+    rows = _ROW_STRUCT_OF_SIZE.get(top)
+    if rows is not None:
+        return rows.unpack_from(body)
+    # n >= 64, and then 4 size^2 <= top < 8 size^2 for the row size
+    size = 1 << ((top >> 2).bit_length() - 1 >> 1)
+    return tuple([int.from_bytes(body[i:i + size], "little") for i in range(0, top, size)])
+
+
+@lru_cache(maxsize=64)
+def _key_layout(n: int) -> tuple[int, ...]:
+    """The constants of the derived keys on n vertices: the slot width
+    w; the row mask; the multiplier and slot mask of ``spread``; the
+    off-diagonal bits; bit 0 of each of the n - 1 slots of G - v and
+    their n - 1 low bits; and the top bit of G - v, or 0 when n - 1
+    needs narrower slots.  Each is an int of about n*w bits."""
+    w = 8 * _row_bytes(n)
+    row_mask = (1 << n) - 1
+    lows = sum([1 << u * w for u in range(n)])
+    lows_minus = sum([1 << u * w for u in range(n - 1)])
+    return (w, row_mask, sum([1 << (w - 1) * k for k in range(n)]), lows,
+            lows * row_mask ^ sum([1 << u * (w + 1) for u in range(n)]),
+            lows_minus, lows_minus * (row_mask >> 1),
+            1 << (n - 1) * w if n and _row_bytes(n - 1) * 8 == w else 0)
+
+
+def vertex_keys(key: int, n: int, mask: int) -> Iterator[tuple[int, int, int]]:
+    """(v, key of G - v, key of G_v) for each vertex v of ``mask``,
+    ascending, where G is the graph on n vertices with key ``key``.
+
+    G_v ORs ``spread(N(v)) * N(v)`` into G's key, off the diagonal:
+    ``spread`` moves bit u of N(v) to bit 0 of slot u with one multiply
+    and one mask, since the n shifted copies of N(v) never overlap, and
+    the product puts N(v) in the slot of each neighbour.  So v is
+    non-free exactly when the key of G_v differs from G's.  G - v drops
+    slot v by two shifts, then column v by keeping the columns below v
+    and shifting those above it down one, and repacks only when n - 1
+    needs narrower slots.
+    """
+    w, row_mask, spread, lows, off_diagonal, lows_minus, full_minus, top_minus = _key_layout(n)
+    for v in bits(mask):
+        shift = v * w
+        nbr = key >> shift & row_mask
+        saturated = key | (nbr * spread & lows) * nbr & off_diagonal
+        if top_minus:
+            below = lows_minus * ((1 << v) - 1)
+            minus = key & (1 << shift) - 1 | key >> shift + w << shift
+            minus = minus & below | minus >> 1 & (full_minus ^ below) | top_minus
+        else:
+            minus = rows_key(minus_vertex_rows(key_rows(key), v))
+        yield v, minus, saturated
+
+
 def canonical_rows(adj: Sequence[int]) -> tuple[int, ...]:
     """Rows of a canonical relabelling: two graphs get the same rows
     exactly when they are isomorphic.
@@ -126,8 +217,9 @@ class Graph:
     Immutable: assigning or deleting ``n`` or ``adj`` raises
     AttributeError, and every transformation returns a new graph.
     ``adj[v]`` is the neighborhood of v as a bitmask.  Graphs hash and
-    compare on ``adj``, whose length is ``n``, so they are the keys of
-    the invariant caches.  No per-instance dict.
+    compare on ``adj``, whose length is ``n``, so they key the
+    regularity caches; the eta and map caches take :func:`rows_key`.
+    No per-instance dict.
     """
 
     __slots__ = ("n", "adj")

@@ -59,7 +59,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import ResourceLimitError
-from .graphs import Graph, bits, components, edge, minimalize
+from .graphs import Graph, bits, components, edge, key_rows, minimalize, rows_key
 
 # Search nodes each eta or L call may visit before it raises.
 NODE_BUDGET = 5_000_000
@@ -311,13 +311,15 @@ def is_clique_disjoint(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
 
 
 @lru_cache(maxsize=_ETA_CACHE_SIZE)
-def _eta_cached(adj: tuple[int, ...]) -> int:
-    """The one cache of eta values and witnesses, keyed by the adjacency
-    rows of a labeled graph alone.  A key holds no ``Graph``, and a hit
-    runs no Python code, whatever the budget; a miss works on the rows
-    and the clique bitmasks alone, builds no graph and spends at most
-    ``NODE_BUDGET`` solver nodes.  A miss past the budget raises, and
-    ``lru_cache`` stores no exception, so a failure is not cached.
+def _eta_cached(key: int) -> int:
+    """The one cache of eta values and witnesses, keyed by the one int
+    of a labeled graph (:func:`graphs.rows_key`).  A key is no
+    container, so the cache gives the cyclic garbage collector nothing
+    to track, and a hit runs no Python code, whatever the budget; a miss
+    unpacks the rows, works on them and the clique bitmasks alone,
+    builds no graph and spends at most ``NODE_BUDGET`` solver nodes.  A
+    miss past the budget raises, and ``lru_cache`` stores no exception,
+    so a failure is not cached.
 
     An entry is one int, the witness bits: bit ``u*n + v`` is set for
     each witness edge ``(u, v)``, ``u < v``, so eta is its
@@ -343,6 +345,7 @@ def _eta_cached(adj: tuple[int, ...]) -> int:
     counts solver nodes: a miss that lists cliques spends at least one,
     and any other miss none.
     """
+    adj = key_rows(key)
     n = len(adj)
     singles: dict[int, int] = {}  # singleton clique -> bit u*n + v of its least edge
     shared = []  # (pair mask, bit u*n + v) of each edge in two or more cliques
@@ -411,7 +414,7 @@ def eta(g: Graph) -> tuple[int, CliqueDisjointSet]:
     none of those cliques, on the sets of those edges.  The cache keeps
     the witness edges as one int of bits, and the size is their count.
     """
-    witness = _eta_cached(g.adj)
+    witness = _eta_cached(rows_key(g.adj))
     return witness.bit_count(), CliqueDisjointSet(
         g, frozenset(divmod(i, g.n) for i in bits(witness)))
 

@@ -573,6 +573,26 @@ def test_verify_compatible_computes_each_eta_once(capsys):
     assert invariants._eta_cached.cache_info().misses == 1100
 
 
+def test_verify_compatible_keys_the_eta_cache_by_int(capsys, monkeypatch):
+    """Every ``_eta_cached`` argument of the sweep is the int key of a
+    labeled graph, never a row tuple."""
+    keys = []
+    real = invariants._eta_cached
+    real.cache_clear()
+
+    def record(key):
+        keys.append(key)
+        return real(key)
+
+    monkeypatch.setattr(invariants, "_eta_cached", record)
+    monkeypatch.setattr(compatibility, "_eta_cached", record)
+    code, _, _ = run(capsys, "verify", "compatible", "--exhaustive", "4", "--format", "json")
+    assert code == 0
+    assert keys and all(type(key) is int for key in keys)
+    # the 64 + 8 + 2 + 1 labeled graphs on 1..4 vertices and the 0-vertex graph
+    assert real.cache_info().misses == 76
+
+
 def test_verify_compatible_builds_no_clique_list_up_to_5_vertices(capsys, clique_mask_calls):
     """Every edge of every labeled graph with n <= 5 whose common
     neighbourhood is no clique lies in some edge's single maximal

@@ -18,6 +18,7 @@ from beibounds.compatibility import (
 )
 from beibounds.errors import ResourceLimitError
 from beibounds.generators import all_labeled, complete, cycle, fig2_closed, net, path, sierpinski, union
+from beibounds.graphs import Graph, bits
 from beibounds.invariants import eta
 
 from brute import brute_compatibility
@@ -217,3 +218,34 @@ def test_invariant_caches_are_bounded():
                    NAMED_MAPS["clique-count"], NAMED_MAPS["induced-path"]):
         maxsize = cached.cache_info().maxsize
         assert maxsize is not None and maxsize >= 1 << 16
+
+
+def test_memoized_keys_each_labeled_graph_by_one_int():
+    """A memoized map calls phi once per labeled graph, on a graph equal
+    to the one asked for; equal graphs built apart share the entry, and
+    the edgeless graphs on 0..4 vertices, whose rows are all 0, get an
+    entry each."""
+    seen = []
+    phi = memoized(lambda g: seen.append(g) or g.edge_count())
+    graphs = [g for n in range(5) for g in all_labeled(n)]
+    assert [phi(g) for g in graphs] == [g.edge_count() for g in graphs]
+    assert seen == graphs
+    assert [phi(Graph(g.n, tuple(g.adj))) for g in graphs] == [g.edge_count() for g in graphs]
+    info = phi.cache_info()
+    assert (info.misses, info.hits) == (len(graphs), len(graphs))
+    phi.cache_clear()
+    assert phi.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("map_name", sorted(NAMED_MAPS))
+def test_named_maps_read_derived_graphs_by_key(map_name):
+    """Each named map reads G, G - v and G_v by key and gives the values
+    of the map on the graphs themselves."""
+    phi = NAMED_MAPS[map_name]
+    plain = {"eta": lambda g: eta(g)[0], "clique-count": clique_count_value,
+             "induced-path": induced_path_value}[map_name]
+    for g in [net(), cycle(5), fig2_closed(), union([path(3), complete(1)])]:
+        nonfree = g.nonfree_mask()
+        assert list(nonfree_vertex_values(phi, g, nonfree)) == [
+            (v, plain(g.minus_vertex(v)), plain(g.saturate(v))) for v in bits(nonfree)]
+        assert phi(g) == plain(g)

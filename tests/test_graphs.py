@@ -8,7 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from beibounds import invariants, regularity
 from beibounds.graphio import decode_graph6, encode_graph6
-from beibounds.graphs import Graph, bits, canonical_rows, components, edge
+from beibounds.graphs import (
+    Graph,
+    bits,
+    canonical_rows,
+    components,
+    edge,
+    key_rows,
+    minus_vertex_rows,
+    rows_key,
+    saturate_rows,
+    vertex_keys,
+)
 from beibounds.invariants import eta
 from beibounds.generators import all_labeled, complete, gnp, net, path, union
 
@@ -115,6 +126,61 @@ def test_equal_graphs_share_one_eta_cache_entry():
     assert eta(a)[0] == eta(b)[0] == 3
     info = invariants._eta_cached.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def _assert_vertex_keys_match_packed_rows(g):
+    """Every derived key is the key of the literal rows of G - v or
+    G_v, and the key of G_v differs from G's exactly at a non-free v."""
+    key = rows_key(g.adj)
+    nonfree = g.nonfree_mask()
+    got = list(vertex_keys(key, g.n, g.full_mask()))
+    assert [v for v, _, _ in got] == list(range(g.n))
+    for v, minus, saturated in got:
+        assert minus == rows_key(minus_vertex_rows(g.adj, v)), (g, v)
+        assert saturated == rows_key(saturate_rows(g.adj, v)), (g, v)
+        assert (saturated != key) == bool(nonfree >> v & 1), (g, v)
+
+
+def test_vertex_keys_match_packed_rows_exhaustive_n6():
+    for n in range(7):
+        for g in all_labeled(n):
+            _assert_vertex_keys_match_packed_rows(g)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 63, 64, 65])
+def test_vertex_keys_match_packed_rows_across_slot_widths(n):
+    """Rows take one byte up to n = 7, then two, four, eight and sixteen
+    bytes up to 15, 31, 63 and 127, so G - v repacks at n = 8, 16, 32
+    and 64."""
+    for p_num, seed in [(0, 0), (1, 0), (1, 1), (2, 0), (3, 0), (4, 0)]:
+        _assert_vertex_keys_match_packed_rows(gnp(n, p_num, 4, seed))
+
+
+def test_vertex_keys_follow_the_mask():
+    g = net()
+    key = rows_key(g.adj)
+    assert list(vertex_keys(key, g.n, 0)) == []
+    assert [v for v, _, _ in vertex_keys(key, g.n, 0b100101)] == [0, 2, 5]
+
+
+def test_key_rows_inverts_rows_key():
+    graphs = [g for n in range(6) for g in all_labeled(n)]
+    graphs += [gnp(n, p_num, 4, 0) for n in (7, 8, 9, 15, 16, 17, 40, 63, 64, 65, 127, 128)
+               for p_num in range(5)]
+    keys = set()
+    for g in graphs:
+        key = rows_key(g.adj)
+        assert type(key) is int and key_rows(key) == g.adj
+        keys.add(key)
+    assert len(keys) == len({g.adj for g in graphs})
+
+
+def test_keys_of_different_vertex_counts_differ():
+    """The top bit fixes n: the edgeless graphs on 0..129 vertices,
+    whose rows are all 0, get 130 different keys."""
+    keys = [rows_key((0,) * n) for n in range(130)]
+    assert len(set(keys)) == 130
+    assert [key_rows(key) for key in keys] == [(0,) * n for n in range(130)]
 
 
 def test_graph_repr_and_foreign_equality():
