@@ -1,10 +1,12 @@
 import pytest
 
-from beibounds import invariants, regularity
+from beibounds import compatibility, invariants, regularity
+from beibounds.graphs import Graph, key_rows
 
 # budget constant -> its module and the caches of the values it bounds
 _BUDGETS = {
-    "NODE_BUDGET": (invariants, (invariants._eta_cached,)),
+    "NODE_BUDGET": (invariants, (invariants._eta_cached,
+                                 compatibility.NAMED_MAPS["induced-path"])),
     "SCAN_BUDGET": (regularity, (regularity._component_regularity,
                                  regularity._component_value)),
 }
@@ -34,3 +36,20 @@ def clique_mask_calls(monkeypatch):
     monkeypatch.setattr(invariants, "_clique_masks", lambda adj: calls.append(adj) or real(adj))
     invariants._eta_cached.cache_clear()
     return calls
+
+
+@pytest.fixture
+def patch_map(monkeypatch):
+    """``patch_map(name, phi)`` puts a map that caches nothing in place of
+    ``NAMED_MAPS[name]`` for the test: on a labeled graph g it gives
+    ``phi(g, real)``, where ``real`` is the map it replaces, so no value
+    it makes outlives the test.  ``bound_chain`` reads L, eta and c
+    there, and ``verify --jobs`` workers fork, so they see it too."""
+    def patch(name: str, phi) -> None:
+        real = compatibility.NAMED_MAPS[name]
+
+        def of_key(key: int) -> int:
+            rows = key_rows(key)
+            return phi(Graph(len(rows), rows), real)
+        monkeypatch.setitem(compatibility.NAMED_MAPS, name, compatibility.KeyedMap(of_key))
+    return patch

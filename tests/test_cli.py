@@ -17,7 +17,7 @@ from beibounds.cli import build_spec, main, parse_args, parse_graph_text
 from beibounds.errors import ResourceLimitError
 from beibounds.generators import cycle, net, path, sierpinski, union
 from beibounds.graphio import encode_graph6
-from beibounds.graphs import Graph
+from beibounds.graphs import Graph, rows_key
 
 
 def run(capsys, *argv):
@@ -315,26 +315,24 @@ def test_L_node_budget_exits_2(capsys, set_budget, tmp_path, argv):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("name, target, other", [
-    ("L", "longest_induced_path", "eta"),
+# each id names the search behind the map
+@pytest.mark.parametrize("name, map_name, other", [
+    ("L", "induced-path", "eta"),
     ("eta", "eta", "L"),
-])
+], ids=["L-longest_induced_path-eta", "eta-eta-L"])
 def test_verify_chain_keeps_results_past_a_search_budget(
-    capsys, monkeypatch, tmp_path, jobs, name, target, other
+    capsys, patch_map, tmp_path, jobs, name, map_name, other
 ):
     """A search that hits its budget on one graph skips that value there
     and the checks that need it; every other result stays in the report,
     and the command exits 2 after it.  (Workers fork, so they see the
-    patched search.)"""
-    import beibounds.compatibility as compat
-    real = getattr(compat, target)
-
-    def capped(g):
+    patched map.)"""
+    def capped(g, real):
         if g == net():
             raise ResourceLimitError("search exceeded 7 nodes")
         return real(g)
 
-    monkeypatch.setattr(compat, target, capped)
+    patch_map(map_name, capped)
     net6 = encode_graph6(net())
     f = tmp_path / "graphs.g6"
     f.write_text("\n".join(encode_graph6(g) for g in (path(4), net(), cycle(5))) + "\n")
@@ -456,7 +454,6 @@ def test_verify_compatible_reports_a_map_skip(capsys, set_budget, jobs):
     """A graph whose map value passes the node budget is skipped, the
     sweep carries on, and the command exits 2 after the report."""
     set_budget("NODE_BUDGET", 1_000)
-    compatibility.NAMED_MAPS["induced-path"].cache_clear()
     code, out, err = run(capsys, "verify", "compatible", "--map", "induced-path",
                          "--sierpinski", "3", "--jobs", jobs, "--format", "json")
     assert code == 2
@@ -709,28 +706,24 @@ def test_verify_compatible_eta_jobs_2_gives_the_same_report(capsys):
     assert reports[0]["results"]["graphs_checked"] == 75
 
 
-def test_verify_jobs_2_prints_the_serial_report_with_violations_and_skips(capsys, monkeypatch):
+def test_verify_jobs_2_prints_the_serial_report_with_violations_and_skips(capsys, patch_map):
     """The pool's results come back in corpus order over several chunks,
     so ``--jobs 2`` prints the ``--jobs 1`` report byte for byte apart
     from ``elapsed_s``: the same violations and ``*_skipped_graphs``
     lists in the same order, and the same stderr.  (Workers fork, so
-    they see the patched searches.)"""
-    import beibounds.compatibility as compat
-    real_eta, real_lip = compat.eta, compat.longest_induced_path
-
-    def eta(g):
+    they see the patched maps.)"""
+    def eta(g, real):
         if g.edge_count() % 4 == 1:
             raise ResourceLimitError("search exceeded 7 nodes")
-        value, witness = real_eta(g)
-        return value + 1, witness  # breaks eta <= c wherever eta = c
+        return real(g) + 1  # breaks eta <= c wherever eta = c
 
-    def lip(g):
+    def lip(g, real):
         if g.edge_count() % 4 == 3:
             raise ResourceLimitError("search exceeded 9 nodes")
-        return real_lip(g)
+        return real(g)
 
-    monkeypatch.setattr(compat, "eta", eta)
-    monkeypatch.setattr(compat, "longest_induced_path", lip)
+    patch_map("eta", eta)
+    patch_map("induced-path", lip)
     argv = ["verify", "chain", "--exhaustive", "4", "--random", "60", "--max-n", "6",
             "--seed", "2", "--format", "json"]
     runs = []
@@ -747,6 +740,25 @@ def test_verify_jobs_2_prints_the_serial_report_with_violations_and_skips(capsys
 
 def _corpus(*argv):
     return cli.corpus_from_args(parse_args(["verify", "chain", *argv]))[1]
+
+
+def test_verify_chain_searches_each_labeled_graph_once(capsys, monkeypatch):
+    """``verify chain`` reads L and c through the keyed map caches, so a
+    corpus that repeats labeled graphs runs the induced-path search and
+    the clique listing once per distinct graph."""
+    keys = {"longest_induced_path": [], "maximal_cliques": []}
+    for target, seen in keys.items():
+        real = getattr(compatibility, target)
+        monkeypatch.setattr(compatibility, target,
+                            lambda g, real=real, seen=seen: seen.append(rows_key(g.adj)) or real(g))
+    for map_name in ("induced-path", "clique-count"):
+        compatibility.NAMED_MAPS[map_name].cache_clear()
+    argv = ["--random", "300", "--max-n", "4", "--seed", "0"]
+    code, _, _ = run(capsys, "verify", "chain", *argv, "--jobs", "1")
+    assert code == 0
+    distinct = sorted({rows_key(g.adj) for g in _corpus(*argv)})
+    assert len(distinct) < 300
+    assert sorted(keys["longest_induced_path"]) == sorted(keys["maximal_cliques"]) == distinct
 
 
 def test_corpus_size_needs_no_graph_and_the_first_arrives_at_once(monkeypatch):

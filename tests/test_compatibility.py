@@ -19,7 +19,7 @@ from beibounds.compatibility import (
 from beibounds.errors import ResourceLimitError
 from beibounds.generators import all_labeled, complete, cycle, fig2_closed, net, path, sierpinski, union
 from beibounds.graphs import Graph, bits
-from beibounds.invariants import eta
+from beibounds.invariants import eta, longest_induced_path, maximal_cliques
 
 from brute import brute_compatibility
 
@@ -130,16 +130,17 @@ def test_bound_chain_degrades_without_oracle():
     assert "reg=eta" not in rep.flags
 
 
-@pytest.mark.parametrize("name, target", [("L", "longest_induced_path"), ("eta", "eta")])
-def test_bound_chain_skips_a_value_past_its_budget(monkeypatch, name, target):
+# each id names the search behind the map
+@pytest.mark.parametrize("name, map_name", [("L", "induced-path"), ("eta", "eta")],
+                         ids=["L-longest_induced_path", "eta-eta"])
+def test_bound_chain_skips_a_value_past_its_budget(patch_map, name, map_name):
     """A search that hits its budget leaves its value None, with the
     message, and drops every check and flag that needs it; the others
     stay.  A violation on the remaining values is still reported."""
-    def capped(g):
+    def capped(g, real):
         raise ResourceLimitError("synthetic budget")
 
-    import beibounds.compatibility as compat
-    monkeypatch.setattr(compat, target, capped)
+    patch_map(map_name, capped)
     rep = bound_chain(net(), with_reg=True, reg_fn=lambda g: 5)
     assert rep.skipped == {name: "synthetic budget"}
     assert (rep.length_sum, rep.eta) == ((None, 4) if name == "L" else (3, None))
@@ -148,6 +149,16 @@ def test_bound_chain_skips_a_value_past_its_budget(monkeypatch, name, target):
     assert [v["inequality"] for v in rep.violations] == (
         ["reg<=eta", "reg<=n-2"] if name == "L" else ["reg<=n-2"]
     )
+
+
+def test_bound_chain_reads_the_values_of_the_searches():
+    """Read through the keyed map caches, the chain's L, eta and c are
+    the searches' own values on every labeled graph with n <= 4."""
+    for n in range(5):
+        for g in all_labeled(n):
+            rep = bound_chain(g, with_reg=False)
+            assert (rep.length_sum, rep.eta, rep.clique_count) == (
+                longest_induced_path(g)[0], eta(g)[0], len(maximal_cliques(g)))
 
 
 def test_bound_chain_flags_violations():
