@@ -13,16 +13,21 @@ from above, so these checks plus the regularity oracle machine-verify
 the chain on whole corpora.
 
 Condition (c) and its strong per-vertex form both read one table per
-graph: (v, phi(G - v), phi(G_v)) over the non-free vertices v, each
-derived graph built once.  The named maps read their values by one int
-per labeled graph, so G is packed once and the derived graphs are read
-by keys derived from G's, with nothing built.  Condition (c) alone
-reads the rows up to its first witness; the strong form, asked for with
-the eta map, reads them all, and one pass then serves both.  Free
-vertices are left out because neither check can use them: for a free v
-the neighbourhood is already a clique, so G_v = G and phi(G_v) < phi(G)
-fails for every map, and the strong form asks only about non-free
-vertices.
+graph: (v, phi(G - v), phi(G_v)) over the non-free vertices v.
+Condition (c) alone reads the rows up to its first witness; the strong
+form, asked for with the eta map, reads them all, and one pass then
+serves both.  Free vertices are left out because neither check can use
+them: for a free v the neighbourhood is already a clique, so G_v = G
+and phi(G_v) < phi(G) fails for every map, and the strong form asks
+only about non-free vertices.
+
+The named maps are read by one int per labeled graph (a
+:class:`KeyedMap`): G is packed once, and one flat loop over the
+non-free vertices derives the keys of G - v and G_v from G's and reads
+their values, as it derives the key of G minus its isolated vertices,
+with no graph or row built.  Any other map is called on the graphs
+themselves, each derived graph built once; that route is the reference
+the keyed one is tested against.
 
 The bound chain reads L, eta and c from the same caches by G's key, so
 a corpus pays each search once per labeled graph, and a cached L or c
@@ -35,17 +40,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import index
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ResourceLimitError
 from .graphs import (
     Graph,
     bits,
+    derived_keys,
+    key_layout,
     key_rows,
     minus_vertex_rows,
     rows_key,
     saturate_rows,
-    vertex_keys,
+    stripped_key,
 )
 # perfbench/tracer.py wraps eta here; nothing in this module calls it
 from .invariants import _eta_cached, eta, longest_induced_path, maximal_cliques  # noqa: F401
@@ -62,28 +70,37 @@ _MAP_CACHE_SIZE = 1 << 16
 
 class KeyedMap:
     """A map read by the key of a labeled graph (:func:`graphs.rows_key`):
-    ``of_key(key)`` is the value, and calling the map on a ``Graph``
-    packs its rows first.  ``check_compatibility`` packs each graph once
-    and reads G - v and G_v by keys derived from G's, with no rows built.
+    ``lookup(key)`` is the entry of one cache and ``value(entry)`` the
+    map's value.  For the named maps both are C functions, so a cache hit
+    runs no Python frame.  ``of_key(key)`` is the value, and calling the
+    map on a ``Graph`` packs its rows first.  ``cache_info`` and
+    ``cache_clear`` reach the cache.  ``check_compatibility`` packs each
+    graph once and reads G - v and G_v by keys derived from G's, with no
+    rows built.
     """
 
-    __slots__ = ("of_key",)
+    __slots__ = ("lookup", "value")
 
-    def __init__(self, of_key: Callable[[int], int]):
-        self.of_key = of_key
+    def __init__(self, lookup: Callable[[int], int], value: Callable[[int], int] = index):
+        self.lookup = lookup
+        self.value = value
+
+    def of_key(self, key: int) -> int:
+        return self.value(self.lookup(key))
 
     def __call__(self, g: Graph) -> int:
         return self.of_key(rows_key(g.adj))
 
     def cache_info(self):
-        return self.of_key.cache_info()
+        return self.lookup.cache_info()
 
     def cache_clear(self) -> None:
-        self.of_key.cache_clear()
+        self.lookup.cache_clear()
 
 
-# eta's size, read from its one cache (see :func:`invariants.eta`)
-eta_value = KeyedMap(lambda key: _eta_cached(key).bit_count())
+# eta's size: the popcount of its witness bits in its one cache (see
+# :func:`invariants.eta`)
+eta_value = KeyedMap(_eta_cached, int.bit_count)
 
 
 def clique_count_value(g: Graph) -> int:
@@ -135,21 +152,12 @@ class CompatibilityReport:
 
 
 def nonfree_vertex_values(
-    phi: InvariantMap, g: Graph, nonfree: int, key: Optional[int] = None
+    phi: InvariantMap, g: Graph, nonfree: int
 ) -> Iterator[tuple[int, int, int]]:
     """(v, phi(G - v), phi(G_v)) for every v of ``nonfree``, the mask of
-    g's non-free vertices, ascending, built as consumed.  A
-    :class:`KeyedMap` reads each derived graph by its key, derived from
-    g's (``key``, packed here when not given), and no rows are built;
-    any other map gets a ``Graph`` of the derived rows, built unchecked,
-    since each v is a vertex of g."""
-    if isinstance(phi, KeyedMap):
-        of_key = phi.of_key
-        if key is None:
-            key = rows_key(g.adj)
-        for v, minus, saturated in vertex_keys(key, g.n, nonfree):
-            yield v, of_key(minus), of_key(saturated)
-        return
+    g's non-free vertices, ascending, built as consumed: each derived
+    graph is a ``Graph`` of the derived rows, built unchecked, since v
+    is a vertex of g."""
     adj, n = g.adj, g.n
     for v in bits(nonfree):
         yield (v, phi(Graph(n - 1, minus_vertex_rows(adj, v))),
@@ -164,6 +172,42 @@ def _strong_failures(phi_g: int, table: Iterable[tuple[int, int, int]]) -> list[
     ]
 
 
+def _read_by_key(
+    phi: KeyedMap, g: Graph, nonfree: int, strong: bool
+) -> tuple[int, int, Optional[tuple[int, int, int]], list[tuple[int, int, int]]]:
+    """phi(G), phi(G minus isolated vertices), the first witness row
+    (v, phi(G - v), phi(G_v)) of (c) or None, and the rows that fail the
+    strong form, each read by a key derived from G's (see
+    :func:`graphs.derived_keys`).  The rows are read as
+    :func:`check_compatibility` reads them."""
+    lookup, value = phi.lookup, phi.value
+    adj, n = g.adj, g.n
+    key = rows_key(adj)
+    phi_g = phi_hat = value(lookup(key))
+    if 0 in adj:
+        phi_hat = value(lookup(stripped_key(key, adj)))
+    witness = None
+    failed = []
+    if strong or phi_hat <= phi_g:
+        layout = key_layout(n)
+        left = nonfree
+        while left:
+            low = left & -left
+            left ^= low
+            v = low.bit_length() - 1
+            minus, sat = derived_keys(key, v, layout)
+            minus = value(lookup(minus))
+            sat = value(lookup(sat))
+            if minus > phi_g or sat >= phi_g:
+                if strong:
+                    failed.append((v, minus, sat))
+            elif witness is None:
+                witness = v, minus, sat
+                if not strong:
+                    break
+    return phi_g, phi_hat, witness, failed
+
+
 def check_compatibility(
     phi: InvariantMap, g: Graph, name: str = "phi", strong: bool = False
 ) -> CompatibilityReport:
@@ -171,30 +215,36 @@ def check_compatibility(
 
     One mask of the non-free vertices serves (b) and (c).  A graph with
     none has no induced P3, so it is exactly a disjoint union of complete
-    graphs, and only then is its decomposition read for (b).  Condition
-    (c) searches the non-free vertices in ascending order and records
-    the first witness; a failing condition attaches a structured
-    counterexample with the offending values.  The scan stops at the
-    witness unless ``strong`` is set: then the whole table is built up
-    front and ``strong_failures`` holds the strong per-vertex form's
+    graphs, and only then is its decomposition read for (b).  phi(G) and
+    phi of G minus its isolated vertices are read first, then the rows
+    of the non-free vertices in ascending order, up to the first witness
+    of (c) unless ``strong`` is set, and none when (a) fails and
+    ``strong`` is not.  A failing condition attaches a structured
+    counterexample with the offending values.  With ``strong`` every row
+    is read, and ``strong_failures`` holds the strong per-vertex form's
     violations (see :func:`nonfree_vertex_failures`) whatever the
     conditions give; otherwise it stays None.
+
+    A :class:`KeyedMap` is read by keys alone (:func:`_read_by_key`);
+    any other map is called on the graphs themselves, built by
+    ``strip_isolated`` and :func:`nonfree_vertex_values`.
     """
     report = CompatibilityReport(name, True, True, True)
-    if isinstance(phi, KeyedMap):
-        key: Optional[int] = rows_key(g.adj)
-        phi_g = phi.of_key(key)
-    else:
-        key, phi_g = None, phi(g)
-    report.values["phi"] = phi_g
     nonfree = g.nonfree_mask()
-    table: Iterable[tuple[int, int, int]] = nonfree_vertex_values(phi, g, nonfree, key)
+    if isinstance(phi, KeyedMap):
+        phi_g, phi_hat, witness, failed = _read_by_key(phi, g, nonfree, strong)
+    else:
+        phi_g = phi(g)
+        hat = g.strip_isolated()
+        phi_hat = phi_g if hat is g else phi(hat)
+        rows = nonfree_vertex_values(phi, g, nonfree) if strong or phi_hat <= phi_g else ()
+        failed = []  # the rows _strong_failures sifts
+        if strong:
+            rows = failed = list(rows)
+        witness = next((row for row in rows if row[1] <= phi_g and row[2] < phi_g), None)
+    report.values["phi"] = phi_g
     if strong:
-        table = list(table)
-        report.strong_failures = _strong_failures(phi_g, table)
-
-    hat = g.strip_isolated()
-    phi_hat = phi_g if hat is g else phi(hat)
+        report.strong_failures = _strong_failures(phi_g, failed)
     report.values["phi_hat"] = phi_hat
     if phi_hat > phi_g:
         report.pass_a = False
@@ -214,22 +264,19 @@ def check_compatibility(
             report.counterexample = {"condition": "b", "phi": phi_g, "components": t}
             return report
 
-    seen: dict[int, tuple[int, int]] = {}
-    for v, minus, sat in table:
-        if minus <= phi_g and sat < phi_g:
-            report.witness_vertex = v
-            report.values["phi_minus_witness"] = minus
-            report.values["phi_saturated_witness"] = sat
-            return report
-        seen[v] = minus, sat
-    if seen:
-        # every non-free row was read and none witnesses; a free v has
-        # G_v = G, so only phi(G - v) is new
+    if witness is not None:
+        v, minus, sat = witness
+        report.witness_vertex = v
+        report.values["phi_minus_witness"] = minus
+        report.values["phi_saturated_witness"] = sat
+    elif nonfree:
+        # every non-free row was read and none witnesses; a free v has G_v = G
         report.pass_c = False
-        per_vertex = []
-        for v in range(g.n):
-            minus, sat = seen[v] if v in seen else (phi(g.minus_vertex(v)), phi_g)
-            per_vertex.append({"v": v, "phi_minus": minus, "phi_saturated": sat})
+        per_vertex = [
+            {"v": v, "phi_minus": phi(g.minus_vertex(v)),
+             "phi_saturated": phi(g.saturate(v)) if nonfree >> v & 1 else phi_g}
+            for v in range(g.n)
+        ]
         report.counterexample = {"condition": "c", "phi": phi_g, "per_vertex": per_vertex}
     return report
 

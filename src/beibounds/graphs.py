@@ -125,12 +125,13 @@ def key_rows(key: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=64)
-def _key_layout(n: int) -> tuple[int, ...]:
+def key_layout(n: int) -> tuple[int, ...]:
     """The constants of the derived keys on n vertices: the slot width
     w; the row mask; the multiplier and slot mask of ``spread``; the
     off-diagonal bits; bit 0 of each of the n - 1 slots of G - v and
     their n - 1 low bits; and the top bit of G - v, or 0 when n - 1
-    needs narrower slots.  Each is an int of about n*w bits."""
+    needs narrower slots.  Each is an int of about n*w bits; see
+    :func:`derived_keys`."""
     w = 8 * _row_bytes(n)
     row_mask = (1 << n) - 1
     lows = sum([1 << u * w for u in range(n)])
@@ -141,9 +142,9 @@ def _key_layout(n: int) -> tuple[int, ...]:
             1 << (n - 1) * w if n and _row_bytes(n - 1) * 8 == w else 0)
 
 
-def vertex_keys(key: int, n: int, mask: int) -> Iterator[tuple[int, int, int]]:
-    """(v, key of G - v, key of G_v) for each vertex v of ``mask``,
-    ascending, where G is the graph on n vertices with key ``key``.
+def derived_keys(key: int, v: int, layout: tuple[int, ...]) -> tuple[int, int]:
+    """(key of G - v, key of G_v) for a vertex v of the graph G on n
+    vertices with key ``key``, where ``layout`` is ``key_layout(n)``.
 
     G_v ORs ``spread(N(v)) * N(v)`` into G's key, off the diagonal:
     ``spread`` moves bit u of N(v) to bit 0 of slot u with one multiply
@@ -151,21 +152,30 @@ def vertex_keys(key: int, n: int, mask: int) -> Iterator[tuple[int, int, int]]:
     the product puts N(v) in the slot of each neighbour.  So v is
     non-free exactly when the key of G_v differs from G's.  G - v drops
     slot v by two shifts, then column v by keeping the columns below v
-    and shifting those above it down one, and repacks only when n - 1
-    needs narrower slots.
+    and shifting those above it down one, and is repacked from the rows
+    only when n - 1 needs narrower slots.
     """
-    w, row_mask, spread, lows, off_diagonal, lows_minus, full_minus, top_minus = _key_layout(n)
-    for v in bits(mask):
-        shift = v * w
-        nbr = key >> shift & row_mask
-        saturated = key | (nbr * spread & lows) * nbr & off_diagonal
-        if top_minus:
-            below = lows_minus * ((1 << v) - 1)
-            minus = key & (1 << shift) - 1 | key >> shift + w << shift
-            minus = minus & below | minus >> 1 & (full_minus ^ below) | top_minus
-        else:
-            minus = rows_key(minus_vertex_rows(key_rows(key), v))
-        yield v, minus, saturated
+    w, row_mask, spread, lows, off_diagonal, lows_minus, full_minus, top_minus = layout
+    shift = v * w
+    nbr = key >> shift & row_mask
+    if top_minus:
+        below = lows_minus * ((1 << v) - 1)
+        minus = key & (1 << shift) - 1 | key >> shift + w << shift
+        minus = minus & below | minus >> 1 & (full_minus ^ below) | top_minus
+    else:
+        minus = rows_key(minus_vertex_rows(key_rows(key), v))
+    return minus, key | (nbr * spread & lows) * nbr & off_diagonal
+
+
+def stripped_key(key: int, adj: Sequence[int]) -> int:
+    """The key of G minus its isolated vertices, from G's key and rows;
+    the isolated vertices are dropped from the highest down, so that the
+    labels still to drop keep their place."""
+    n = len(adj)
+    for v in reversed([v for v, row in enumerate(adj) if not row]):
+        key = derived_keys(key, v, key_layout(n))[0]
+        n -= 1
+    return key
 
 
 def canonical_rows(adj: Sequence[int]) -> tuple[int, ...]:

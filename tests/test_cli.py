@@ -572,17 +572,19 @@ def test_verify_compatible_computes_each_eta_once(capsys):
 
 def test_verify_compatible_keys_the_eta_cache_by_int(capsys, monkeypatch):
     """Every ``_eta_cached`` argument of the sweep is the int key of a
-    labeled graph, never a row tuple."""
+    labeled graph, never a row tuple.  The eta map holds the cache
+    itself as its lookup, so the sweep reaches it there."""
     keys = []
     real = invariants._eta_cached
     real.cache_clear()
+    assert compatibility.NAMED_MAPS["eta"].lookup is real
 
     def record(key):
         keys.append(key)
         return real(key)
 
     monkeypatch.setattr(invariants, "_eta_cached", record)
-    monkeypatch.setattr(compatibility, "_eta_cached", record)
+    monkeypatch.setattr(compatibility.NAMED_MAPS["eta"], "lookup", record)
     code, _, _ = run(capsys, "verify", "compatible", "--exhaustive", "4", "--format", "json")
     assert code == 0
     assert keys and all(type(key) is int for key in keys)
@@ -751,8 +753,8 @@ def test_verify_chain_searches_each_labeled_graph_once(capsys, monkeypatch):
         real = getattr(compatibility, target)
         monkeypatch.setattr(compatibility, target,
                             lambda g, real=real, seen=seen: seen.append(rows_key(g.adj)) or real(g))
-    for map_name in ("induced-path", "clique-count"):
-        compatibility.NAMED_MAPS[map_name].cache_clear()
+    for phi in compatibility.NAMED_MAPS.values():
+        phi.cache_clear()
     argv = ["--random", "300", "--max-n", "4", "--seed", "0"]
     code, _, _ = run(capsys, "verify", "chain", *argv, "--jobs", "1")
     assert code == 0

@@ -3,6 +3,7 @@ import pytest
 from beibounds import invariants, regularity
 from beibounds.compatibility import (
     NAMED_MAPS,
+    KeyedMap,
     bound_chain,
     check_compatibility,
     check_iv_lemma,
@@ -17,11 +18,13 @@ from beibounds.compatibility import (
     regularity_value,
 )
 from beibounds.errors import ResourceLimitError
-from beibounds.generators import all_labeled, complete, cycle, fig2_closed, net, path, sierpinski, union
+from beibounds.generators import (
+    all_labeled, complete, cycle, fig2_closed, gnp, net, path, sierpinski, union,
+)
 from beibounds.graphs import Graph, bits
 from beibounds.invariants import eta, longest_induced_path, maximal_cliques
 
-from brute import brute_compatibility
+from brute import brute_compatibility, ref_eta, with_injected_isolates
 
 
 def test_eta_is_compatible_on_c4():
@@ -170,7 +173,7 @@ def test_bound_chain_flags_violations():
 def test_nonfree_vertex_values_builds_g_minus_v_and_g_v():
     """The table's unchecked row transforms give the same graphs as the
     checked ``minus_vertex`` and ``saturate`` at each non-free vertex,
-    and eta, read off the rows with no ``Graph``, the same values."""
+    and the eta map the same values on them."""
     for n in range(1, 6):
         for g in all_labeled(n):
             nonfree = g.nonfree_mask()
@@ -260,3 +263,62 @@ def test_named_maps_read_derived_graphs_by_key(map_name):
         assert list(nonfree_vertex_values(phi, g, nonfree)) == [
             (v, plain(g.minus_vertex(v)), plain(g.saturate(v))) for v in bits(nonfree)]
         assert phi(g) == plain(g)
+
+
+# each named map's plain callable, computed with no cache
+_PLAIN_MAPS = {"eta": lambda g: ref_eta(g)[0], "clique-count": clique_count_value,
+               "induced-path": induced_path_value}
+
+
+@pytest.mark.parametrize("map_name", sorted(NAMED_MAPS))
+def test_keyed_reads_give_the_plain_maps_report_n5(map_name):
+    """Read by keys derived from G's, each named map gives the report of
+    its plain callable, read on the graphs themselves, with and without
+    the strong form, on every labeled graph with n <= 5."""
+    keyed, plain = NAMED_MAPS[map_name], _PLAIN_MAPS[map_name]
+    for n in range(6):
+        for g in all_labeled(n):
+            for strong in (False, True):
+                assert (check_compatibility(keyed, g, map_name, strong)
+                        == check_compatibility(plain, g, map_name, strong)), (g, strong)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 16, 17])
+def test_keyed_reads_give_the_plain_maps_report_across_slot_widths(n):
+    """G - v and G minus its isolated vertices repack to narrower slots
+    below n = 8 and 16; graphs on either side, with isolated vertices
+    injected, read the same reports by key as on the graphs."""
+    plain = {"eta": lambda g: eta(g)[0], "clique-count": clique_count_value,
+             "induced-path": induced_path_value}
+    for p_num, seed, isolates in [(1, 0, []), (2, 1, [0]), (3, 2, [1, 1]), (2, 3, [0, n - 3])]:
+        g = with_injected_isolates(gnp(n - len(isolates), p_num, 4, seed), isolates)
+        for map_name, phi in plain.items():
+            for strong in (False, True):
+                assert (check_compatibility(NAMED_MAPS[map_name], g, map_name, strong)
+                        == check_compatibility(phi, g, map_name, strong)), (g, map_name, strong)
+
+
+@pytest.mark.parametrize("map_name", sorted(NAMED_MAPS))
+def test_named_maps_reach_their_cache(map_name):
+    """``cache_info`` and ``cache_clear`` reach each named map's cache."""
+    phi = NAMED_MAPS[map_name]
+    phi.cache_clear()
+    assert phi.cache_info().currsize == 0
+    assert phi(net()) == phi(net())
+    info = phi.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    phi.cache_clear()
+    assert phi.cache_info().currsize == 0
+
+
+def test_keyed_reads_stop_at_the_first_witness_unless_strong():
+    """On C4 every vertex is non-free and vertex 0 witnesses (c): the
+    keyed loop reads G and the two rows of vertex 0, and with the strong
+    form G and both rows of all four vertices."""
+    keys = []
+    phi = KeyedMap(lambda key: keys.append(key) or eta_value.of_key(key))
+    assert check_compatibility(phi, cycle(4)).witness_vertex == 0
+    assert len(keys) == 3
+    keys.clear()
+    assert check_compatibility(phi, cycle(4), strong=True).strong_failures == []
+    assert len(keys) == 1 + 2 * 4

@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beibounds.errors import ParseError
-from beibounds.generators import all_labeled, complete, gnp, net, path, union
+from beibounds.generators import all_labeled, complete, gnp, net, path, sierpinski, union
 from beibounds.cli import parse_graph_text
 from beibounds.graphio import decode_graph6, encode_graph6, format_edge_list, parse_edge_list
 from beibounds.graphs import Graph
+
+from brute import ref_decode_graph6, ref_encode_graph6
 
 
 def test_k2_encodes_to_known_string():
@@ -45,6 +47,31 @@ def test_many_component_round_trip():
 def test_round_trip_random_graphs(n, seed):
     g = gnp(n, 1, 2, seed)
     assert decode_graph6(encode_graph6(g)) == g
+
+
+def _assert_codec_matches_reference(g):
+    text = ref_encode_graph6(g)
+    assert encode_graph6(g) == text, g
+    assert decode_graph6(text) == ref_decode_graph6(text) == g, text
+
+
+def test_codec_matches_the_bit_reference_on_every_labeled_graph_n6():
+    for n in range(7):
+        for g in all_labeled(n):
+            _assert_codec_matches_reference(g)
+
+
+@pytest.mark.parametrize("n, p_num", [(n, p) for n in (61, 62, 63, 64) for p in (0, 1, 2, 3, 4)]
+                         + [(300, 1), (300, 2)])
+def test_codec_matches_the_bit_reference_on_gnp(n, p_num):
+    """The short form ends at n = 62; the long form starts at 63."""
+    _assert_codec_matches_reference(gnp(n, p_num, 4, n + p_num))
+
+
+@pytest.mark.parametrize("level", [5, 6])
+def test_codec_matches_the_bit_reference_on_sierpinski(level):
+    """561 and 2,145 vertices, sparse: a body of 26,180 and 383,306 bytes."""
+    _assert_codec_matches_reference(sierpinski(level))
 
 
 def _nx_graph6(g):
@@ -119,20 +146,36 @@ _EDGE_TEXT = st.lists(
 ).map("\n".join)
 
 
-@given(st.one_of(st.text(max_size=40), _EDGE_TEXT))
+@st.composite
+def _graph6_text(draw):
+    """A short- or long-form header and a body of about the length it
+    asks for, from bytes around the printable range of graph6."""
+    n = draw(st.integers(0, 14))
+    size = max(0, (n * (n - 1) // 2 + 5) // 6 + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    head = draw(st.sampled_from([chr(n + 63), "~??" + chr(n + 63)]))
+    alphabet = st.characters(min_codepoint=60, max_codepoint=128)
+    return head + draw(st.text(alphabet=alphabet, min_size=size, max_size=size))
+
+
+@given(st.one_of(st.text(max_size=40), _EDGE_TEXT, _graph6_text()))
 @settings(max_examples=400, deadline=None)
 def test_any_text_parses_or_raises_parse_error(text):
-    for parse in (decode_graph6, parse_edge_list, parse_graph_text):
+    """Any text gives the reference decoder's graph, or raises its
+    message at its offset."""
+    for parse in (parse_edge_list, parse_graph_text):
         try:
             parse(text)
         except ParseError:
             pass
     try:
-        g = decode_graph6(text)
-    except ParseError:
-        pass
+        want = ref_decode_graph6(text)
+    except ParseError as ref:
+        with pytest.raises(ParseError) as err:
+            decode_graph6(text)
+        assert (str(err.value), err.value.offset) == (str(ref), ref.offset)
     else:
-        assert encode_graph6(g) == text.strip()
+        assert decode_graph6(text) == want
+        assert encode_graph6(want) == text.strip()
 
 
 def test_parse_edge_list_p3():

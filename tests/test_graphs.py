@@ -18,7 +18,7 @@ from beibounds.graphs import (
     minus_vertex_rows,
     rows_key,
     saturate_rows,
-    vertex_keys,
+    stripped_key,
 )
 from beibounds.invariants import eta
 from beibounds.generators import all_labeled, complete, gnp, net, path, union
@@ -30,6 +30,8 @@ from brute import (
     ref_components,
     ref_induced_delete,
     ref_saturate,
+    vertex_keys,
+    with_injected_isolates,
 )
 
 
@@ -161,6 +163,22 @@ def test_vertex_keys_follow_the_mask():
     key = rows_key(g.adj)
     assert list(vertex_keys(key, g.n, 0)) == []
     assert [v for v, _, _ in vertex_keys(key, g.n, 0b100101)] == [0, 2, 5]
+
+
+def test_stripped_key_is_the_key_of_the_stripped_graph_n6():
+    for n in range(7):
+        for g in all_labeled(n):
+            if 0 in g.adj:
+                assert stripped_key(rows_key(g.adj), g.adj) == rows_key(g.strip_isolated().adj), g
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 33, 65])
+def test_stripped_key_repacks_across_slot_widths(n):
+    """Dropping isolated vertices may cross to narrower slots (below 8,
+    16, 32 and 64 vertices) once or more."""
+    for isolates in ([0], [n - 2, 2], [1] * (n // 2)):
+        g = with_injected_isolates(gnp(n - len(isolates), 1, 2, n), isolates)
+        assert stripped_key(rows_key(g.adj), g.adj) == rows_key(g.strip_isolated().adj), g
 
 
 def test_key_rows_inverts_rows_key():

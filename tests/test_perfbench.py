@@ -1,9 +1,10 @@
 """The benchmark harness still runs against the library: its self-test
-passes and every tracer site names a function that exists, so a
-library change that would break traced benchmark runs fails here
-first."""
+passes, every tracer site names a function that exists, and the CLI
+names that the sweep clock wraps are called as it expects, so a library
+change that would break benchmark runs fails here first."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -33,3 +34,27 @@ def test_selftest_passes():
 def test_tracer_site_resolves(owner, attr, name):
     """``Tracer.install`` wraps ``owner.__dict__[attr]``."""
     assert callable(tracer._resolve(owner).__dict__[attr])
+
+
+@pytest.mark.parametrize("argv, graphs, chain", [
+    (["verify", "compatible", "--exhaustive", "4"], 75, False),
+    (["verify", "chain", "--random", "50", "--max-n", "4", "--seed", "0"], 50, True),
+], ids=["compatible", "chain"])
+def test_sweep_clock_names_run_once_per_graph(capsys, monkeypatch, argv, graphs, chain):
+    """``perfbench/worker.py`` times a sweep's graphs from one
+    ``cli.decode_graph6`` call to the next, ends the last at
+    ``cli.make_report`` and watches ``cli.bound_chain``: each is looked
+    up on ``cli`` at call time, decode and the chain run once per graph,
+    and the report is made once."""
+    from beibounds import cli
+
+    calls = {"decode_graph6": 0, "bound_chain": 0, "make_report": 0}
+    for name in calls:
+        def counted(*args, name=name, real=getattr(cli, name), **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    assert cli.main([*argv, "--format", "json", "--jobs", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["graphs_checked"] == graphs
+    assert calls == {"decode_graph6": graphs, "bound_chain": graphs if chain else 0,
+                     "make_report": 1}
