@@ -176,8 +176,8 @@ def _read_by_key(
     phi: KeyedMap, g: Graph, nonfree: int, strong: bool
 ) -> tuple[int, int, Optional[tuple[int, int, int]], list[tuple[int, int, int]]]:
     """phi(G), phi(G minus isolated vertices), the first witness row
-    (v, phi(G - v), phi(G_v)) of (c) or None, and the rows that fail the
-    strong form, each read by a key derived from G's (see
+    (v, phi(G - v), phi(G_v)) of (c) or None, and the rows read that fail
+    the strong form, each read by a key derived from G's (see
     :func:`graphs.derived_keys`).  The rows are read as
     :func:`check_compatibility` reads them."""
     lookup, value = phi.lookup, phi.value
@@ -199,8 +199,7 @@ def _read_by_key(
             minus = value(lookup(minus))
             sat = value(lookup(sat))
             if minus > phi_g or sat >= phi_g:
-                if strong:
-                    failed.append((v, minus, sat))
+                failed.append((v, minus, sat))
             elif witness is None:
                 witness = v, minus, sat
                 if not strong:
@@ -220,7 +219,8 @@ def check_compatibility(
     of the non-free vertices in ascending order, up to the first witness
     of (c) unless ``strong`` is set, and none when (a) fails and
     ``strong`` is not.  A failing condition attaches a structured
-    counterexample with the offending values.  With ``strong`` every row
+    counterexample with the offending values; that of (c) reuses the
+    rows read and reads phi(G - v) only for the free vertices.  With ``strong`` every row
     is read, and ``strong_failures`` holds the strong per-vertex form's
     violations (see :func:`nonfree_vertex_failures`) whatever the
     conditions give; otherwise it stays None.
@@ -238,10 +238,15 @@ def check_compatibility(
         hat = g.strip_isolated()
         phi_hat = phi_g if hat is g else phi(hat)
         rows = nonfree_vertex_values(phi, g, nonfree) if strong or phi_hat <= phi_g else ()
-        failed = []  # the rows _strong_failures sifts
-        if strong:
-            rows = failed = list(rows)
-        witness = next((row for row in rows if row[1] <= phi_g and row[2] < phi_g), None)
+        witness = None
+        failed = []
+        for row in rows:
+            if row[1] > phi_g or row[2] >= phi_g:
+                failed.append(row)
+            elif witness is None:
+                witness = row
+                if not strong:
+                    break
     report.values["phi"] = phi_g
     if strong:
         report.strong_failures = _strong_failures(phi_g, failed)
@@ -270,13 +275,14 @@ def check_compatibility(
         report.values["phi_minus_witness"] = minus
         report.values["phi_saturated_witness"] = sat
     elif nonfree:
-        # every non-free row was read and none witnesses; a free v has G_v = G
+        # every non-free row was read, and failed, so only a free v's
+        # phi(G - v) is new: it has G_v = G
         report.pass_c = False
-        per_vertex = [
-            {"v": v, "phi_minus": phi(g.minus_vertex(v)),
-             "phi_saturated": phi(g.saturate(v)) if nonfree >> v & 1 else phi_g}
-            for v in range(g.n)
-        ]
+        seen = {v: (minus, sat) for v, minus, sat in failed}
+        per_vertex = []
+        for v in range(g.n):
+            minus, sat = seen[v] if v in seen else (phi(g.minus_vertex(v)), phi_g)
+            per_vertex.append({"v": v, "phi_minus": minus, "phi_saturated": sat})
         report.counterexample = {"condition": "c", "phi": phi_g, "per_vertex": per_vertex}
     return report
 

@@ -5,14 +5,15 @@ per printable byte (offset 63); the header is n+63 for n <= 62 and the
 long form '~' + three 6-bit chunks up to n = 258047.  Encoding and
 decoding are bit-exact inverses.
 
-Column v of the stream is the low v bits of row v, so both directions
-work a column at a time, through an accumulator of a few columns whose
+Encoding works a column at a time: column v of the stream is the low
+v bits of row v, gathered in an accumulator of a few columns whose
 first stream bit is its lowest.  Whole bytes of it, their bits
 reversed, are the stream in base64's bit order, and a body byte 63 + c
 carries the same 6-bit chunk as base64's letter c, so the standard
-library's base64 codec packs and unpacks the chunks.  Each step costs
-time linear in its column, so a string costs time linear in its
-length, in the short and the long form alike.
+library's base64 codec packs the chunks.  Each column costs time linear
+in v, so a string costs time linear in its length, in the short and the
+long form alike.  Decoding walks the body's set bits in stream order,
+which is linear too.
 
 The edge-list format is: first non-comment line "n", then one "u v"
 pair per line, 0-based, '#' starts a comment.
@@ -20,7 +21,7 @@ pair per line, 0-based, '#' starts a comment.
 
 from __future__ import annotations
 
-from binascii import a2b_base64, b2a_base64
+from binascii import b2a_base64
 
 from .errors import ParseError
 from .graphs import Graph
@@ -31,7 +32,6 @@ _LONG_MAX = 258047
 _GRAPH6 = bytes(range(63, 127))
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_GRAPH6 = bytes.maketrans(_BASE64, _GRAPH6)
-_TO_BASE64 = bytes.maketrans(_GRAPH6, _BASE64)
 # each byte with its bits in reverse order
 _REVERSED = bytes([int(f"{b:08b}"[::-1], 2) for b in range(256)])
 
@@ -69,6 +69,7 @@ def decode_graph6(text: str) -> Graph:
         raise ParseError("non-ASCII character in graph6 string", offset=exc.start) from None
     if not data:
         raise ParseError("empty graph6 string", offset=0)
+    pos = 0
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
             raise ParseError("graph6 >258047 vertices not supported", offset=1)
@@ -86,38 +87,37 @@ def decode_graph6(text: str) -> Graph:
         pos = 1
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    body = data[pos:]
-    if len(body) != nbytes:
-        raise ParseError(f"graph6 body has {len(body)} bytes, expected {nbytes}", offset=pos)
-    if body.translate(None, _GRAPH6):
-        i = next(i for i, byte in enumerate(body) if not 63 <= byte < 127)
-        raise ParseError("invalid graph6 body byte", offset=pos + i)
+    if len(data) - pos != nbytes:
+        raise ParseError(
+            f"graph6 body has {len(data) - pos} bytes, expected {nbytes}", offset=pos
+        )
+    # stream bit b is the pair (u, v) with b = v(v-1)/2 + u: column v
+    # holds bits start .. start + v - 1.  Each byte gives its six bits
+    # highest first, so one pass over the bytes meets the columns in order.
+    adj = [0] * n
+    v = 1
+    start = 0
+    for i, byte in enumerate(data[pos:]):
+        val = byte - 63
+        if not 0 <= val < 64:
+            raise ParseError("invalid graph6 body byte", offset=pos + i)
+        while val:
+            top = val.bit_length() - 1
+            val ^= 1 << top
+            b = 6 * i + 5 - top
+            if b >= nbits:
+                break  # padding
+            while b >= start + v:
+                start += v
+                v += 1
+            u = b - start
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
     # only the canonical string decodes, so a report names its input as given
     if data[0] == 126 and n <= _SHORT_MAX:
         raise ParseError(f"graph6 long-form header for n = {n} <= {_SHORT_MAX}", offset=0)
     if data[-1] - 63 & (1 << 6 * nbytes - nbits) - 1:
         raise ParseError("graph6 padding bits are not zero", offset=len(data) - 1)
-    # the stream as bytes, each byte's first bit lowest.  Column v, the
-    # low v bits of row v, comes off an accumulator topped up with v + 1
-    # bytes when it holds fewer than v bits, so it stays within 9v + 8
-    # bits; each of its edges (u, v) also sets bit v of row u.  The body is
-    # padded to whole base64 quads with "A", base64's zero chunk.
-    stream = a2b_base64(body.translate(_TO_BASE64) + b"A" * (-nbytes % 4)).translate(_REVERSED)
-    adj = [0] * n
-    acc = held = i = 0
-    for v in range(1, n):
-        if held < v:
-            acc |= int.from_bytes(stream[i:i + v + 1], "little") << held
-            held += 8 * v + 8
-            i += v + 1
-        bit = 1 << v
-        adj[v] = col = acc & bit - 1
-        acc >>= v
-        held -= v
-        while col:
-            low = col & -col
-            col ^= low
-            adj[low.bit_length() - 1] |= bit
     return Graph(n, tuple(adj))
 
 

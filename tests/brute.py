@@ -21,9 +21,8 @@ in ``Graph``, and the component reference is a breadth-first search over
 a neighbour dict; the compatibility reference scans every vertex for (c).
 ``RefMisSolver`` is the memoized MIS search with no bound, whose values
 and witnesses the bounded search must reproduce exactly; ``ref_eta``
-runs it on eta's clique sets.  ``ref_encode_graph6`` and
-``ref_decode_graph6`` code graph6 a bit at a time, sharing none of the
-codec's column and byte work.  ``vertex_keys`` lists the derived keys of
+runs it on eta's clique sets.  ``ref_encode_graph6`` codes graph6 a
+bit at a time, sharing none of the encoder's column and byte work.  ``vertex_keys`` lists the derived keys of
 every vertex of a mask, for the tests of ``graphs.derived_keys``.
 ``cut_signature`` (on the package's
 ``components``) and ``with_injected_isolates`` are test-only graph
@@ -36,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from beibounds.errors import ParseError, ResourceLimitError
+from beibounds.errors import ResourceLimitError
 from beibounds.graphs import Graph, bits, components, derived_keys, key_layout
 from beibounds.invariants import maximal_cliques
 from beibounds.regularity import homology_dims
@@ -549,7 +548,7 @@ def ref_eta(g: Graph) -> tuple[int, frozenset]:
     return size, frozenset(rep[sets[i]] for i in range(len(sets)) if mask >> i & 1)
 
 
-# -- graph6: the codec a bit at a time -------------------------------------------
+# -- graph6: the encoder a bit at a time -----------------------------------------
 
 _G6_SHORT_MAX = 62
 _G6_LONG_MAX = 258047
@@ -577,67 +576,6 @@ def ref_encode_graph6(g: Graph) -> str:
     if nbits:
         out.append((acc << (6 - nbits)) + 63)
     return out.decode("ascii")
-
-
-def ref_decode_graph6(text: str) -> Graph:
-    """graph6 decoded a set bit at a time, with the same checks, messages
-    and offsets as ``graphio.decode_graph6``."""
-    try:
-        data = text.strip().encode("ascii")
-    except UnicodeEncodeError as exc:
-        raise ParseError("non-ASCII character in graph6 string", offset=exc.start) from None
-    if not data:
-        raise ParseError("empty graph6 string", offset=0)
-    pos = 0
-    if data[0] == 126:
-        if len(data) >= 2 and data[1] == 126:
-            raise ParseError("graph6 >258047 vertices not supported", offset=1)
-        if len(data) < 4:
-            raise ParseError("truncated graph6 long-form header", offset=len(data))
-        chunks = [data[i] - 63 for i in (1, 2, 3)]
-        if any(not 0 <= c < 64 for c in chunks):
-            raise ParseError("invalid graph6 header byte", offset=1)
-        n = chunks[0] << 12 | chunks[1] << 6 | chunks[2]
-        pos = 4
-    else:
-        n = data[0] - 63
-        if not 0 <= n <= _G6_SHORT_MAX:
-            raise ParseError("invalid graph6 header byte", offset=0)
-        pos = 1
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
-    if len(data) - pos != nbytes:
-        raise ParseError(
-            f"graph6 body has {len(data) - pos} bytes, expected {nbytes}", offset=pos
-        )
-    # stream bit b is the pair (u, v) with b = v(v-1)/2 + u: column v
-    # holds bits start .. start + v - 1.  Each byte gives its six bits
-    # highest first, so one pass over the bytes meets the columns in order.
-    adj = [0] * n
-    v = 1
-    start = 0
-    for i, byte in enumerate(data[pos:]):
-        val = byte - 63
-        if not 0 <= val < 64:
-            raise ParseError("invalid graph6 body byte", offset=pos + i)
-        while val:
-            top = val.bit_length() - 1
-            val ^= 1 << top
-            b = 6 * i + 5 - top
-            if b >= nbits:
-                break  # padding
-            while b >= start + v:
-                start += v
-                v += 1
-            u = b - start
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    # only the canonical string decodes, so a report names its input as given
-    if data[0] == 126 and n <= _G6_SHORT_MAX:
-        raise ParseError(f"graph6 long-form header for n = {n} <= {_G6_SHORT_MAX}", offset=0)
-    if data[-1] - 63 & (1 << 6 * nbytes - nbits) - 1:
-        raise ParseError("graph6 padding bits are not zero", offset=len(data) - 1)
-    return Graph(n, tuple(adj))
 
 
 def vertex_keys(key: int, n: int, mask: int) -> list[tuple[int, int, int]]:

@@ -253,8 +253,9 @@ def test_memoized_keys_each_labeled_graph_by_one_int():
 
 @pytest.mark.parametrize("map_name", sorted(NAMED_MAPS))
 def test_named_maps_read_derived_graphs_by_key(map_name):
-    """Each named map reads G, G - v and G_v by key and gives the values
-    of the map on the graphs themselves."""
+    """Each named map, called on the built graphs G, G - v and G_v, gives
+    the values of its plain map; the keyed reads are checked against the
+    plain maps by the reports below."""
     phi = NAMED_MAPS[map_name]
     plain = {"eta": lambda g: eta(g)[0], "clique-count": clique_count_value,
              "induced-path": induced_path_value}[map_name]
@@ -322,3 +323,19 @@ def test_keyed_reads_stop_at_the_first_witness_unless_strong():
     keys.clear()
     assert check_compatibility(phi, cycle(4), strong=True).strong_failures == []
     assert len(keys) == 1 + 2 * 4
+
+
+@pytest.mark.parametrize("strong", [False, True])
+def test_failing_c_reads_only_the_free_vertices_again(strong):
+    """A constant map fails (c) on P4, whose vertices 1 and 2 are
+    non-free: its counterexample reuses the two rows the scan read, and
+    reads phi(G - v) afresh only for the free vertices 0 and 3, by key
+    or on the graph."""
+    keys, graphs = [], []
+    keyed = KeyedMap(lambda key: keys.append(key) or 0)
+    plain = lambda g: graphs.append(g) or 0  # noqa: E731
+    reports = [check_compatibility(phi, path(4), strong=strong) for phi in (keyed, plain)]
+    assert reports[0] == reports[1]
+    assert not reports[0].pass_c
+    assert [row["v"] for row in reports[0].counterexample["per_vertex"]] == [0, 1, 2, 3]
+    assert len(keys) == len(graphs) == 1 + 2 * 2 + 2
