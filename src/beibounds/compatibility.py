@@ -21,13 +21,13 @@ them: for a free v the neighbourhood is already a clique, so G_v = G
 and phi(G_v) < phi(G) fails for every map, and the strong form asks
 only about non-free vertices.
 
-The named maps are read by one int per labeled graph (a
-:class:`KeyedMap`): G is packed once, and one flat loop over the
-non-free vertices derives the keys of G - v and G_v from G's and reads
-their values, as it derives the key of G minus its isolated vertices,
-with no graph or row built.  Any other map is called on the graphs
-themselves, each derived graph built once; that route is the reference
-the keyed one is tested against.
+Every map is read by one int per labeled graph (a :class:`KeyedMap`):
+G is packed once, and one flat loop over the non-free vertices derives
+the keys of G - v and G_v from G's and reads their values, as it
+derives the keys of G minus its isolated vertices and, for a (c)
+counterexample, of G - v at each free vertex, with no graph or row
+built.  Any other map is wrapped as a KeyedMap whose lookup unpacks
+each key into a ``Graph`` for it.
 
 The bound chain reads L, eta and c from the same caches by G's key, so
 a corpus pays each search once per labeled graph, and a cached L or c
@@ -41,22 +41,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import index
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Optional
 
 from .errors import ResourceLimitError
 from .graphs import (
     Graph,
-    bits,
     derived_keys,
     key_layout,
     key_rows,
-    minus_vertex_rows,
     rows_key,
-    saturate_rows,
     stripped_key,
 )
-# perfbench/tracer.py wraps eta here; nothing in this module calls it
-from .invariants import _eta_cached, eta, longest_induced_path, maximal_cliques  # noqa: F401
+from .invariants import _eta_cached, longest_induced_path, maximal_cliques
+from .invariants import eta  # noqa: F401  (perfbench/tracer.py wraps it here)
 from .regularity import (
     regularity_bei,  # noqa: F401  (perfbench/tracer.py wraps it here)
     regularity_value,
@@ -111,20 +108,27 @@ def induced_path_value(g: Graph) -> int:
     return longest_induced_path(g)[0]
 
 
+def _graph_lookup(phi: InvariantMap) -> Callable[[int], int]:
+    """phi read by key: the key's rows are unpacked into a ``Graph`` for
+    phi, with no cache."""
+    def of_key(key: int) -> int:
+        rows = key_rows(key)
+        return phi(Graph(len(rows), rows))
+    return of_key
+
+
 def memoized(phi: InvariantMap) -> KeyedMap:
     """Cache phi by labeled graph in a bounded LRU cache; sweeps revisit
     derived graphs a lot.
 
-    The cache is keyed by :func:`graphs.rows_key`, one int that
+    The cache wraps the lookup that :func:`check_compatibility` gives a
+    plain map: it is keyed by :func:`graphs.rows_key`, one int that
     identifies a labeled graph exactly, so it holds no ``Graph`` or row
-    tuple; a miss unpacks the rows into a ``Graph`` for phi.  Each call
-    makes a new cache.  ``eta_value`` needs none: it reads eta's own
-    cache.
+    tuple, and a miss unpacks the rows into a ``Graph`` for phi.  Each
+    call makes a new cache.  ``eta_value`` needs none: it reads eta's
+    own cache.
     """
-    def of_key(key: int) -> int:
-        rows = key_rows(key)
-        return phi(Graph(len(rows), rows))
-    return KeyedMap(lru_cache(maxsize=_MAP_CACHE_SIZE)(of_key))
+    return KeyedMap(lru_cache(maxsize=_MAP_CACHE_SIZE)(_graph_lookup(phi)))
 
 
 # One process-wide cache per map: eta's lives in ``invariants``.
@@ -151,37 +155,34 @@ class CompatibilityReport:
         return self.pass_a and self.pass_b and self.pass_c
 
 
-def nonfree_vertex_values(
-    phi: InvariantMap, g: Graph, nonfree: int
-) -> Iterator[tuple[int, int, int]]:
-    """(v, phi(G - v), phi(G_v)) for every v of ``nonfree``, the mask of
-    g's non-free vertices, ascending, built as consumed: each derived
-    graph is a ``Graph`` of the derived rows, built unchecked, since v
-    is a vertex of g."""
-    adj, n = g.adj, g.n
-    for v in bits(nonfree):
-        yield (v, phi(Graph(n - 1, minus_vertex_rows(adj, v))),
-               phi(Graph(n, saturate_rows(adj, v))))
+def check_compatibility(
+    phi: InvariantMap, g: Graph, name: str = "phi", strong: bool = False
+) -> CompatibilityReport:
+    """Evaluate conditions (a), (b), (c) for one map on one graph.
 
-
-def _strong_failures(phi_g: int, table: Iterable[tuple[int, int, int]]) -> list[dict]:
-    return [
-        {"v": v, "phi": phi_g, "phi_minus": minus, "phi_saturated": sat}
-        for v, minus, sat in table
-        if minus > phi_g or sat >= phi_g
-    ]
-
-
-def _read_by_key(
-    phi: KeyedMap, g: Graph, nonfree: int, strong: bool
-) -> tuple[int, int, Optional[tuple[int, int, int]], list[tuple[int, int, int]]]:
-    """phi(G), phi(G minus isolated vertices), the first witness row
-    (v, phi(G - v), phi(G_v)) of (c) or None, and the rows read that fail
-    the strong form, each read by a key derived from G's (see
-    :func:`graphs.derived_keys`).  The rows are read as
-    :func:`check_compatibility` reads them."""
+    G is packed once and every value is read by a key derived from G's
+    (see :func:`graphs.derived_keys`); a map that is not a
+    :class:`KeyedMap` is called, uncached, on a ``Graph`` unpacked from
+    each key.  One mask of the non-free vertices serves (b) and (c).  A
+    graph with none has no induced P3, so it is exactly a disjoint union
+    of complete graphs, and only then is its decomposition read for (b).
+    phi(G) and phi of G minus its isolated vertices are read first, then
+    the rows (v, phi(G - v), phi(G_v)) of the non-free vertices in
+    ascending order, up to the first witness of (c) unless ``strong`` is
+    set, and none when (a) fails and ``strong`` is not.  A failing
+    condition attaches a structured counterexample with the offending
+    values; that of (c) reuses the rows read and reads phi(G - v) only
+    for the free vertices.  With ``strong`` every row is read, and
+    ``strong_failures`` holds the strong per-vertex form's violations
+    (see :func:`nonfree_vertex_failures`) whatever the conditions give;
+    otherwise it stays None.
+    """
+    if not isinstance(phi, KeyedMap):
+        phi = KeyedMap(_graph_lookup(phi))
     lookup, value = phi.lookup, phi.value
+    report = CompatibilityReport(name, True, True, True)
     adj, n = g.adj, g.n
+    nonfree = g.nonfree_mask()
     key = rows_key(adj)
     phi_g = phi_hat = value(lookup(key))
     if 0 in adj:
@@ -204,52 +205,12 @@ def _read_by_key(
                 witness = v, minus, sat
                 if not strong:
                     break
-    return phi_g, phi_hat, witness, failed
-
-
-def check_compatibility(
-    phi: InvariantMap, g: Graph, name: str = "phi", strong: bool = False
-) -> CompatibilityReport:
-    """Evaluate conditions (a), (b), (c) for one map on one graph.
-
-    One mask of the non-free vertices serves (b) and (c).  A graph with
-    none has no induced P3, so it is exactly a disjoint union of complete
-    graphs, and only then is its decomposition read for (b).  phi(G) and
-    phi of G minus its isolated vertices are read first, then the rows
-    of the non-free vertices in ascending order, up to the first witness
-    of (c) unless ``strong`` is set, and none when (a) fails and
-    ``strong`` is not.  A failing condition attaches a structured
-    counterexample with the offending values; that of (c) reuses the
-    rows read and reads phi(G - v) only for the free vertices.  With ``strong`` every row
-    is read, and ``strong_failures`` holds the strong per-vertex form's
-    violations (see :func:`nonfree_vertex_failures`) whatever the
-    conditions give; otherwise it stays None.
-
-    A :class:`KeyedMap` is read by keys alone (:func:`_read_by_key`);
-    any other map is called on the graphs themselves, built by
-    ``strip_isolated`` and :func:`nonfree_vertex_values`.
-    """
-    report = CompatibilityReport(name, True, True, True)
-    nonfree = g.nonfree_mask()
-    if isinstance(phi, KeyedMap):
-        phi_g, phi_hat, witness, failed = _read_by_key(phi, g, nonfree, strong)
-    else:
-        phi_g = phi(g)
-        hat = g.strip_isolated()
-        phi_hat = phi_g if hat is g else phi(hat)
-        rows = nonfree_vertex_values(phi, g, nonfree) if strong or phi_hat <= phi_g else ()
-        witness = None
-        failed = []
-        for row in rows:
-            if row[1] > phi_g or row[2] >= phi_g:
-                failed.append(row)
-            elif witness is None:
-                witness = row
-                if not strong:
-                    break
     report.values["phi"] = phi_g
     if strong:
-        report.strong_failures = _strong_failures(phi_g, failed)
+        report.strong_failures = [
+            {"v": v, "phi": phi_g, "phi_minus": minus, "phi_saturated": sat}
+            for v, minus, sat in failed
+        ]
     report.values["phi_hat"] = phi_hat
     if phi_hat > phi_g:
         report.pass_a = False
@@ -275,13 +236,16 @@ def check_compatibility(
         report.values["phi_minus_witness"] = minus
         report.values["phi_saturated_witness"] = sat
     elif nonfree:
-        # every non-free row was read, and failed, so only a free v's
-        # phi(G - v) is new: it has G_v = G
+        # (a) held, so every non-free row was read, and failed; only a
+        # free v's phi(G - v) is new: it has G_v = G
         report.pass_c = False
         seen = {v: (minus, sat) for v, minus, sat in failed}
         per_vertex = []
-        for v in range(g.n):
-            minus, sat = seen[v] if v in seen else (phi(g.minus_vertex(v)), phi_g)
+        for v in range(n):
+            if v in seen:
+                minus, sat = seen[v]
+            else:
+                minus, sat = value(lookup(derived_keys(key, v, layout)[0])), phi_g
             per_vertex.append({"v": v, "phi_minus": minus, "phi_saturated": sat})
         report.counterexample = {"condition": "c", "phi": phi_g, "per_vertex": per_vertex}
     return report
@@ -291,9 +255,10 @@ def nonfree_vertex_failures(phi: InvariantMap, g: Graph) -> list[dict]:
     """Condition (c) in its strong per-vertex form.
 
     For every non-free v the inequalities phi(G-v) <= phi(G) and
-    phi(G_v) < phi(G) must hold; returns one record per violation.
+    phi(G_v) < phi(G) must hold; returns one record per violation, the
+    ``strong_failures`` of :func:`check_compatibility`.
     """
-    return _strong_failures(phi(g), nonfree_vertex_values(phi, g, g.nonfree_mask()))
+    return check_compatibility(phi, g, strong=True).strong_failures
 
 
 def check_iv_lemma(g: Graph, v: int) -> bool:

@@ -67,18 +67,6 @@ def minus_vertex_rows(adj: tuple[int, ...], v: int) -> tuple[int, ...]:
     return tuple([row & low | row >> 1 & high for row in adj[:v] + adj[v + 1:]])
 
 
-def saturate_rows(adj: tuple[int, ...], v: int) -> tuple[int, ...]:
-    """Rows of G_v for a vertex v of G: the neighborhood of v completed
-    into a clique.  ``v`` is not checked."""
-    rows = list(adj)
-    nbr = left = rows[v]
-    while left:
-        low = left & -left
-        left ^= low
-        rows[low.bit_length() - 1] |= nbr ^ low
-    return tuple(rows)
-
-
 # -- one int per labeled graph ---------------------------------------------
 #
 # A key packs the rows into one int, row u in bits [u*w, u*w + n) of a
@@ -347,7 +335,13 @@ class Graph:
     def saturate(self, v: int) -> "Graph":
         """Complete the neighborhood of v into a clique; keep all edges."""
         self._check_vertex(v)
-        return Graph(self.n, saturate_rows(self.adj, v))
+        rows = list(self.adj)
+        nbr = left = rows[v]
+        while left:
+            low = left & -left
+            left ^= low
+            rows[low.bit_length() - 1] |= nbr ^ low
+        return Graph(self.n, tuple(rows))
 
     def strip_isolated(self) -> "Graph":
         isolated = self.isolated_vertices()

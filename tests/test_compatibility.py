@@ -1,3 +1,5 @@
+from functools import cache
+
 import pytest
 
 from beibounds import invariants, regularity
@@ -14,17 +16,16 @@ from beibounds.compatibility import (
     is_path_graph,
     memoized,
     nonfree_vertex_failures,
-    nonfree_vertex_values,
     regularity_value,
 )
 from beibounds.errors import ResourceLimitError
 from beibounds.generators import (
     all_labeled, complete, cycle, fig2_closed, gnp, net, path, sierpinski, union,
 )
-from beibounds.graphs import Graph, bits
+from beibounds.graphs import Graph
 from beibounds.invariants import eta, longest_induced_path, maximal_cliques
 
-from brute import brute_compatibility, ref_eta, with_injected_isolates
+from brute import brute_compatibility, brute_free_vertex, ref_eta, with_injected_isolates
 
 
 def test_eta_is_compatible_on_c4():
@@ -170,19 +171,6 @@ def test_bound_chain_flags_violations():
     assert any(v["inequality"] == "reg<=eta" for v in rep.violations)
 
 
-def test_nonfree_vertex_values_builds_g_minus_v_and_g_v():
-    """The table's unchecked row transforms give the same graphs as the
-    checked ``minus_vertex`` and ``saturate`` at each non-free vertex,
-    and the eta map the same values on them."""
-    for n in range(1, 6):
-        for g in all_labeled(n):
-            nonfree = g.nonfree_mask()
-            derived = [(v, g.minus_vertex(v), g.saturate(v)) for v in range(n) if nonfree >> v & 1]
-            assert list(nonfree_vertex_values(lambda h: h, g, nonfree)) == derived
-            assert list(nonfree_vertex_values(eta_value, g, nonfree)) == [
-                (v, eta(minus)[0], eta(sat)[0]) for v, minus, sat in derived]
-
-
 def test_compatibility_exhaustive_n4_for_eta():
     phi = memoized(eta_value)
     for g in all_labeled(4):
@@ -251,19 +239,29 @@ def test_memoized_keys_each_labeled_graph_by_one_int():
     assert phi.cache_info().currsize == 0
 
 
-@pytest.mark.parametrize("map_name", sorted(NAMED_MAPS))
-def test_named_maps_read_derived_graphs_by_key(map_name):
-    """Each named map, called on the built graphs G, G - v and G_v, gives
-    the values of its plain map; the keyed reads are checked against the
-    plain maps by the reports below."""
-    phi = NAMED_MAPS[map_name]
-    plain = {"eta": lambda g: eta(g)[0], "clique-count": clique_count_value,
-             "induced-path": induced_path_value}[map_name]
-    for g in [net(), cycle(5), fig2_closed(), union([path(3), complete(1)])]:
-        nonfree = g.nonfree_mask()
-        assert list(nonfree_vertex_values(phi, g, nonfree)) == [
-            (v, plain(g.minus_vertex(v)), plain(g.saturate(v))) for v in bits(nonfree)]
-        assert phi(g) == plain(g)
+def test_plain_map_is_called_on_g_its_stripped_graph_and_the_derived_graphs():
+    """A map that is not keyed is called, in read order, on graphs equal
+    to G, to G minus its isolated vertices when it has any, and to
+    G - v and G_v at each non-free v; without the strong form the reads
+    stop at the witness of (c).  eta is compatible, so no (c)
+    counterexample reads more."""
+    for n in range(6):
+        for g in all_labeled(n):
+            eta_g = eta(g)[0]
+            head = [g] + ([g.strip_isolated()] if g.isolated_vertices() else [])
+            rows, upto_witness = [], None
+            for v in range(n):
+                if brute_free_vertex(g, v):
+                    continue
+                minus, sat = g.minus_vertex(v), g.saturate(v)
+                rows += [minus, sat]
+                if upto_witness is None and eta(minus)[0] <= eta_g and eta(sat)[0] < eta_g:
+                    upto_witness = len(rows)
+            for strong, want in [(False, head + rows[:upto_witness]), (True, head + rows)]:
+                seen = []
+                assert check_compatibility(lambda h: seen.append(h) or eta(h)[0], g,
+                                           strong=strong).passed
+                assert seen == want, (g, strong)
 
 
 # each named map's plain callable, computed with no cache
@@ -271,32 +269,41 @@ _PLAIN_MAPS = {"eta": lambda g: ref_eta(g)[0], "clique-count": clique_count_valu
                "induced-path": induced_path_value}
 
 
+def _assert_named_map_matches_the_reference(map_name, plain, g):
+    """``check_compatibility`` on the named map gives the report fields
+    and strong-form failures of ``brute_compatibility`` on ``plain``."""
+    ref = brute_compatibility(plain, g)
+    want = (ref["passed"], ref["witness_vertex"], ref["values"], ref["counterexample"])
+    for strong, want_strong in [(False, None), (True, ref["strong"])]:
+        rep = check_compatibility(NAMED_MAPS[map_name], g, map_name, strong)
+        assert (rep.passed, rep.witness_vertex, rep.values, rep.counterexample) == want, (
+            g, map_name, strong)
+        assert rep.strong_failures == want_strong, (g, map_name, strong)
+
+
 @pytest.mark.parametrize("map_name", sorted(NAMED_MAPS))
 def test_keyed_reads_give_the_plain_maps_report_n5(map_name):
-    """Read by keys derived from G's, each named map gives the report of
-    its plain callable, read on the graphs themselves, with and without
-    the strong form, on every labeled graph with n <= 5."""
-    keyed, plain = NAMED_MAPS[map_name], _PLAIN_MAPS[map_name]
+    """Read by keys derived from G's, each named map gives the report
+    that the every-vertex reference gives on its plain callable, with
+    and without the strong form, on every labeled graph with n <= 5.
+    The reference map is cached by graph, apart from the code checked."""
+    plain = cache(_PLAIN_MAPS[map_name])
     for n in range(6):
         for g in all_labeled(n):
-            for strong in (False, True):
-                assert (check_compatibility(keyed, g, map_name, strong)
-                        == check_compatibility(plain, g, map_name, strong)), (g, strong)
+            _assert_named_map_matches_the_reference(map_name, plain, g)
 
 
 @pytest.mark.parametrize("n", [7, 8, 9, 16, 17])
 def test_keyed_reads_give_the_plain_maps_report_across_slot_widths(n):
     """G - v and G minus its isolated vertices repack to narrower slots
     below n = 8 and 16; graphs on either side, with isolated vertices
-    injected, read the same reports by key as on the graphs."""
+    injected, read by key the every-vertex reference's reports."""
     plain = {"eta": lambda g: eta(g)[0], "clique-count": clique_count_value,
              "induced-path": induced_path_value}
     for p_num, seed, isolates in [(1, 0, []), (2, 1, [0]), (3, 2, [1, 1]), (2, 3, [0, n - 3])]:
         g = with_injected_isolates(gnp(n - len(isolates), p_num, 4, seed), isolates)
         for map_name, phi in plain.items():
-            for strong in (False, True):
-                assert (check_compatibility(NAMED_MAPS[map_name], g, map_name, strong)
-                        == check_compatibility(phi, g, map_name, strong)), (g, map_name, strong)
+            _assert_named_map_matches_the_reference(map_name, cache(phi), g)
 
 
 @pytest.mark.parametrize("map_name", sorted(NAMED_MAPS))

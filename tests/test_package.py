@@ -33,12 +33,14 @@ def test_every_module_level_import_is_used():
     """No linter runs on the package, so this stands in for pyflakes'
     F401: each name a module imports at its top level is read in that
     module or listed in its ``__all__``, or its line says ``# noqa:
-    F401`` and then why the import stays."""
+    F401`` and then why the import stays.  Only loads count as reads, so
+    a field or local of the same name hides no unused import."""
     unused = []
     for path in sorted(pathlib.Path(beibounds.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         tree = ast.parse(text)
-        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         for node in tree.body:
             if isinstance(node, ast.Assign) and any(
                 isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets

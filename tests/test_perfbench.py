@@ -3,13 +3,17 @@ passes, every tracer site names a function that exists, and the CLI
 names that the sweep clock wraps are called as it expects, so a library
 change that would break benchmark runs fails here first."""
 
+import ast
 import importlib.util
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
+
+import beibounds
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -34,6 +38,27 @@ def test_selftest_passes():
 def test_tracer_site_resolves(owner, attr, name):
     """``Tracer.install`` wraps ``owner.__dict__[attr]``."""
     assert callable(tracer._resolve(owner).__dict__[attr])
+
+
+def test_every_tracer_shim_import_is_a_site():
+    """An import kept only for the tracer (its ``# noqa: F401`` reason
+    cites perfbench/tracer.py) names a ``(module, attr)`` site, so a
+    shim whose site was dropped fails here instead of staying dead."""
+    sites = {(owner, attr) for owner, attr, _ in tracer.SITES}
+    stray = []
+    for path in sorted(pathlib.Path(beibounds.__file__).parent.glob("*.py")):
+        module = "beibounds" if path.stem == "__init__" else f"beibounds.{path.stem}"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.parse("\n".join(lines)).body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                _, _, reason = lines[alias.lineno - 1].partition("# noqa: F401")
+                if "perfbench/tracer.py" in reason:
+                    name = alias.asname or alias.name
+                    if (module, name) not in sites:
+                        stray.append(f"{path.name}:{alias.lineno}: {name}")
+    assert stray == []
 
 
 @pytest.mark.parametrize("argv, graphs, chain", [
