@@ -22,7 +22,7 @@ from beibounds.errors import ResourceLimitError
 from beibounds.generators import (
     all_labeled, complete, cycle, fig2_closed, gnp, net, path, sierpinski, union,
 )
-from beibounds.graphs import Graph
+from beibounds.graphs import Graph, bits, derived_keys, key_layout, key_rows, rows_key
 from beibounds.invariants import eta, longest_induced_path, maximal_cliques
 
 from brute import brute_compatibility, brute_free_vertex, ref_eta, with_injected_isolates
@@ -210,6 +210,41 @@ def test_chain_exhaustive_n4_with_reg():
     for g in all_labeled(4):
         rep = bound_chain(g, with_reg=True)
         assert rep.passed, (g, rep.violations)
+
+
+def test_nonfree_vertex_values_builds_g_minus_v_and_g_v():
+    """The keys that ``check_compatibility`` derives from G's at each
+    non-free vertex unpack to the same graphs as the checked
+    ``minus_vertex`` and ``saturate``, and eta reads the same values by
+    them as on those graphs."""
+    for n in range(1, 6):
+        layout = key_layout(n)
+        for g in all_labeled(n):
+            key = rows_key(g.adj)
+            for v in bits(g.nonfree_mask()):
+                minus, sat = g.minus_vertex(v), g.saturate(v)
+                minus_key, sat_key = derived_keys(key, v, layout)
+                assert (key_rows(minus_key), key_rows(sat_key)) == (minus.adj, sat.adj), (g, v)
+                assert (eta_value.of_key(minus_key), eta_value.of_key(sat_key)) == (
+                    eta(minus)[0], eta(sat)[0]), (g, v)
+
+
+@pytest.mark.parametrize("map_name", sorted(NAMED_MAPS))
+def test_named_maps_read_derived_graphs_by_key(map_name):
+    """Each named map, read by the keys of G - v and G_v derived from
+    G's, and called on the built graphs G, G - v and G_v, gives the
+    values of its plain map."""
+    phi = NAMED_MAPS[map_name]
+    plain = {"eta": lambda g: eta(g)[0], "clique-count": clique_count_value,
+             "induced-path": induced_path_value}[map_name]
+    for g in [net(), cycle(5), fig2_closed(), union([path(3), complete(1)])]:
+        key, layout = rows_key(g.adj), key_layout(g.n)
+        for v in bits(g.nonfree_mask()):
+            minus, sat = g.minus_vertex(v), g.saturate(v)
+            want = (plain(minus), plain(sat))
+            assert tuple(map(phi.of_key, derived_keys(key, v, layout))) == want, (g, v)
+            assert (phi(minus), phi(sat)) == want, (g, v)
+        assert phi(g) == plain(g)
 
 
 def test_invariant_caches_are_bounded():
