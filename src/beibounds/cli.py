@@ -27,6 +27,7 @@ from .compatibility import (
     check_iv_lemma,
     check_regularity_recursion,
     nonfree_vertex_failures,  # noqa: F401  (perfbench/tracer.py wraps it here)
+    reg_value,
 )
 from .errors import FieldDisagreementError, ParseError, ResourceLimitError, WitnessError
 from .graphio import decode_graph6, encode_graph6, format_edge_list, parse_edge_list
@@ -43,7 +44,6 @@ from .regularity import (
     homology_dims,
     initial_ideal,
     regularity_bei,
-    regularity_value,
     variable_name,
 )
 
@@ -370,9 +370,9 @@ def _verify_one(
                 if not check_iv_lemma(g, v):
                     out.append({"graph6": g6, "vertex": v})
         elif kind == "recursion":
-            reg_g = regularity_value(g)
+            reg_g = reg_value(g)
             for v in range(g.n):
-                if not check_regularity_recursion(g, v, regularity_value, reg_g):
+                if not check_regularity_recursion(g, v, reg_value, reg_g):
                     out.append({"graph6": g6, "vertex": v})
         else:
             raise ValueError(f"unknown verify kind {kind!r}")

@@ -29,9 +29,11 @@ counterexample, of G - v at each free vertex, with no graph or row
 built.  Any other map is wrapped as a KeyedMap whose lookup unpacks
 each key into a ``Graph`` for it.
 
-The bound chain reads L, eta and c from the same caches by G's key, so
-a corpus pays each search once per labeled graph, and a cached L or c
-is served whatever the budget, as eta is.  Where no graph repeats that
+The bound chain reads L, eta, c and reg from the same caches by G's
+key, so a corpus pays each search once per labeled graph, and a cached
+L, c or reg is served whatever the budget, as eta is.  The recursion and
+iv-lemma checks read reg and the non-free vertex count of G_v, G - v
+and G_v - v by keys derived from G's, with no graph built.  Where no graph repeats that
 costs memory, bounded by each cache's 65,536 entries: ``verify chain
 --exhaustive 6`` peaks at 29.1 MB of RSS, 22.3 MB with L and c uncached.
 """
@@ -54,10 +56,8 @@ from .graphs import (
 )
 from .invariants import _eta_cached, longest_induced_path, maximal_cliques
 from .invariants import eta  # noqa: F401  (perfbench/tracer.py wraps it here)
-from .regularity import (
-    regularity_bei,  # noqa: F401  (perfbench/tracer.py wraps it here)
-    regularity_value,
-)
+from .regularity import _reg_cached
+from .regularity import regularity_bei  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 InvariantMap = Callable[[Graph], int]
 
@@ -98,6 +98,8 @@ class KeyedMap:
 # eta's size: the popcount of its witness bits in its one cache (see
 # :func:`invariants.eta`)
 eta_value = KeyedMap(_eta_cached, int.bit_count)
+# reg's value in its one cache (see :func:`regularity.regularity_value`)
+reg_value = KeyedMap(_reg_cached)
 
 
 def clique_count_value(g: Graph) -> int:
@@ -115,6 +117,12 @@ def _graph_lookup(phi: InvariantMap) -> Callable[[int], int]:
         rows = key_rows(key)
         return phi(Graph(len(rows), rows))
     return of_key
+
+
+def _keyed(phi: InvariantMap) -> KeyedMap:
+    """phi itself if it is a :class:`KeyedMap`, else phi read by key with
+    no cache (see :func:`_graph_lookup`)."""
+    return phi if isinstance(phi, KeyedMap) else KeyedMap(_graph_lookup(phi))
 
 
 def memoized(phi: InvariantMap) -> KeyedMap:
@@ -137,6 +145,8 @@ NAMED_MAPS: dict[str, KeyedMap] = {
     "clique-count": memoized(clique_count_value),
     "induced-path": memoized(induced_path_value),
 }
+# The non-free vertex count, which ``check_iv_lemma`` reads.
+iv_value = memoized(Graph.internal_vertex_count)
 
 
 @dataclass
@@ -177,8 +187,7 @@ def check_compatibility(
     (see :func:`nonfree_vertex_failures`) whatever the conditions give;
     otherwise it stays None.
     """
-    if not isinstance(phi, KeyedMap):
-        phi = KeyedMap(_graph_lookup(phi))
+    phi = _keyed(phi)
     lookup, value = phi.lookup, phi.value
     report = CompatibilityReport(name, True, True, True)
     adj, n = g.adj, g.n
@@ -261,28 +270,37 @@ def nonfree_vertex_failures(phi: InvariantMap, g: Graph) -> list[dict]:
     return check_compatibility(phi, g, strong=True).strong_failures
 
 
+def _vertex_keys(g: Graph, v: int) -> tuple[int, int, int, int]:
+    """The keys of G, G - v, G_v and G_v - v for a vertex v of G, derived
+    from G's (see :func:`graphs.derived_keys`)."""
+    g._check_vertex(v)
+    key, layout = rows_key(g.adj), key_layout(g.n)
+    minus, sat = derived_keys(key, v, layout)
+    return key, minus, sat, derived_keys(sat, v, layout)[0]
+
+
 def check_iv_lemma(g: Graph, v: int) -> bool:
     """Strict drop of the non-free vertex count at a non-free vertex:
-    max(iv(G_v), iv(G-v), iv(G_v - v)) < iv(G)."""
+    max(iv(G_v), iv(G-v), iv(G_v - v)) < iv(G), each read from
+    ``iv_value`` by key."""
     if g.is_free_vertex(v):
         raise ValueError(f"vertex {v} is free; the lemma applies to non-free vertices")
-    gv = g.saturate(v)
-    worst = max(
-        gv.internal_vertex_count(),
-        g.minus_vertex(v).internal_vertex_count(),
-        gv.minus_vertex(v).internal_vertex_count(),
-    )
-    return worst < g.internal_vertex_count()
+    key, minus, sat, sat_minus = _vertex_keys(g, v)
+    iv = iv_value.of_key
+    return max(iv(sat), iv(minus), iv(sat_minus)) < iv(key)
 
 
 def check_regularity_recursion(
-    g: Graph, v: int, reg_fn: InvariantMap = regularity_value, reg_g: Optional[int] = None
+    g: Graph, v: int, reg_fn: InvariantMap = reg_value, reg_g: Optional[int] = None
 ) -> bool:
-    """reg(G) <= max(reg(G_v), reg(G-v), reg(G_v - v) + 1).  ``reg_g``,
-    when given, is reg(G), so a check of every vertex computes it once."""
-    gv = g.saturate(v)
-    bound = max(reg_fn(gv), reg_fn(g.minus_vertex(v)), reg_fn(gv.minus_vertex(v)) + 1)
-    return (reg_fn(g) if reg_g is None else reg_g) <= bound
+    """reg(G) <= max(reg(G_v), reg(G-v), reg(G_v - v) + 1), each read by
+    key (a plain ``reg_fn`` is called on each graph unpacked from it).
+    ``reg_g``, when given, is reg(G), so a check of every vertex
+    computes it once."""
+    key, minus, sat, sat_minus = _vertex_keys(g, v)
+    reg = _keyed(reg_fn).of_key
+    bound = max(reg(sat), reg(minus), reg(sat_minus) + 1)
+    return (reg(key) if reg_g is None else reg_g) <= bound
 
 
 def is_path_graph(g: Graph) -> bool:
@@ -313,15 +331,16 @@ class BoundChainReport:
 
 
 def bound_chain(
-    g: Graph, with_reg: bool = True, reg_fn: InvariantMap = regularity_value
+    g: Graph, with_reg: bool = True, reg_fn: InvariantMap = reg_value
 ) -> BoundChainReport:
     """Exact values of L, eta, c (and reg when asked for) plus every
     inequality of the chain between the values computed.  A value whose
     search or scan hits a resource cap is skipped, with the checks and
     flags that need it, rather than failing the run.  L, eta and c are
     read by g's key from the ``NAMED_MAPS`` caches that ``verify
-    compatible`` reads too, so a cached value is served whatever the
-    budget, and one past it is not cached."""
+    compatible`` reads too, and reg from ``reg_fn`` by the same key, so
+    a cached value is served whatever the budget, and one past it is not
+    cached."""
     key = rows_key(g.adj)
     skipped: dict[str, str] = {}
     try:
@@ -336,7 +355,7 @@ def bound_chain(
     reg: Optional[int] = None
     if with_reg:
         try:
-            reg = reg_fn(g)
+            reg = _keyed(reg_fn).of_key(key)
         except ResourceLimitError as exc:
             skipped["reg"] = str(exc)
     # (name, lhs, rhs): lhs <= rhs must hold, and lhs = rhs is a flag

@@ -39,12 +39,15 @@ adds and witnesses join), which keeps the per-scan variable count at
 2 * (component size).
 
 The sweeps (``bound_chain``, ``verify chain --with-reg`` and ``verify
-recursion``) need the value alone and read it from ``regularity_value``.
-Its bounded cache maps each labelled component to its value, and a miss
-scans the component in its canonical labelling (``graphs.canonical_rows``)
-when it has at most ``CANONICAL_MAX_N`` vertices, so each isomorphism
-class is scanned once.  ``regularity_bei`` and the witnesses that ``reg``
-and ``invariants --with-reg`` report stay on the caller's labelling: the
+recursion``) need the value alone and read it from ``_reg_cached``, one
+bounded cache keyed by the one int of a labelled graph
+(``graphs.rows_key``), so ``verify recursion`` reads G - v, G_v and
+G_v - v by keys derived from G's, with no graph built.  A disconnected
+miss sums the entries of its components' keys; a connected one scans
+the graph in its canonical labelling (``graphs.canonical_rows``) when
+it has at most ``CANONICAL_MAX_N`` vertices, so each isomorphism class
+is scanned once.  ``regularity_bei`` and the witnesses that ``reg`` and
+``invariants --with-reg`` report stay on the caller's labelling: the
 initial ideal depends on the vertex order, so a relabelling keeps the
 value but changes the witness.
 
@@ -61,16 +64,25 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import FieldDisagreementError, ResourceLimitError
-from .graphs import Graph, bits, canonical_rows, minimalize, relabel
+from .graphs import (
+    Graph,
+    bits,
+    canonical_rows,
+    components,
+    key_rows,
+    minimalize,
+    relabel,
+    rows_key,
+)
 from .rank_modp import rank_gf2, rank_gf3, rank_modp
 
 # Work units per call: steps of one admissible-path walk, or lattice
 # elements plus faces built in one scan.
 SCAN_BUDGET = 600_000
 FIELDS = (2, 3)  # regularity_bei computes over both and requires agreement
-# Entries of each per-component cache: a bound, so that long sweeps run
-# in bounded memory.
-_COMPONENT_CACHE_SIZE = 1 << 16
+# Entries of each cache: a bound, so that long sweeps run in bounded
+# memory.
+_CACHE_SIZE = 1 << 16
 # ``regularity_value`` scans a component on at most this many vertices
 # in its canonical labelling, and a larger one in its own.  No labelling
 # of a graph this small comes near ``SCAN_BUDGET`` (the most seen is
@@ -407,7 +419,7 @@ def require_field_agreement(values_by_prime: dict[int, int]) -> None:
         raise FieldDisagreementError(values_by_prime)
 
 
-@lru_cache(maxsize=_COMPONENT_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _component_regularity(g: Graph) -> tuple[int, int]:
     """(value, witness_mask) over ``FIELDS`` for a connected graph."""
     best = _scan_ideal(initial_ideal(g), FIELDS)
@@ -433,18 +445,29 @@ def regularity_bei(g: Graph) -> RegularityResult:
     return RegularityResult(total, frozenset(witness), total - 1, FIELDS, True)
 
 
-@lru_cache(maxsize=_COMPONENT_CACHE_SIZE)
-def _component_value(g: Graph) -> int:
-    """reg of a connected graph, read from the scan of its canonical
-    labelling (``graphs.canonical_rows``) up to ``CANONICAL_MAX_N``
-    vertices, so that isomorphic components share one scan."""
-    if g.n <= CANONICAL_MAX_N:
-        g = Graph(g.n, canonical_rows(g.adj))
-    return _component_regularity(g)[0]
+@lru_cache(maxsize=_CACHE_SIZE)
+def _reg_cached(key: int) -> int:
+    """The one cache of reg values, keyed by the one int of a labelled
+    graph (:func:`graphs.rows_key`).  A disconnected miss sums the
+    entries of its components, each relabelled as in
+    ``Graph.component_subgraphs``; a connected one reads the scan of its
+    canonical labelling (``graphs.canonical_rows``) up to
+    ``CANONICAL_MAX_N`` vertices, so that isomorphic components share
+    one scan.  A miss past ``SCAN_BUDGET`` raises, and ``lru_cache``
+    stores no exception, so a skip is not cached."""
+    adj = key_rows(key)
+    n = len(adj)
+    comps = components(adj, (1 << n) - 1)
+    if len(comps) != 1:  # the empty graph has none, and reg 0
+        return sum([_reg_cached(rows_key(relabel([adj[v] for v in bits(c)], c)))
+                    for c in comps])
+    if n <= CANONICAL_MAX_N:
+        adj = canonical_rows(adj)
+    return _component_regularity(Graph(n, adj))[0]
 
 
 def regularity_value(g: Graph) -> int:
-    """``regularity_bei(g).value`` with no witness: the sum over g's
-    components of a bounded cache keyed by the labelled component, whose
-    misses scan each isomorphism class once (see ``_component_value``)."""
-    return sum([_component_value(sub) for sub, _ in g.component_subgraphs()])
+    """``regularity_bei(g).value`` with no witness, read from the bounded
+    cache keyed by g's labelled graph, whose misses scan each
+    isomorphism class of components once (see ``_reg_cached``)."""
+    return _reg_cached(rows_key(g.adj))

@@ -18,7 +18,9 @@ in the least-degree root order, with the count bound alone, whose
 witnesses the bounded search must reproduce exactly.  The graph transform references relabel through a dict and
 test vertex pairs one at a time, so they share none of the bit shifting
 in ``Graph``, and the component reference is a breadth-first search over
-a neighbour dict; the compatibility reference scans every vertex for (c).
+a neighbour dict; the compatibility reference scans every vertex for (c),
+and the recursion and iv-lemma references read G_v, G - v and G_v - v
+built by ``Graph.saturate`` and ``Graph.minus_vertex``, not by key.
 ``RefMisSolver`` is the memoized MIS search with no bound, whose values
 and witnesses the bounded search must reproduce exactly; ``ref_eta``
 runs it on eta's clique sets.  ``ref_encode_graph6`` codes graph6 a
@@ -427,6 +429,27 @@ def brute_compatibility(phi, g: Graph) -> dict:
             out["passed"] = False
             out["counterexample"] = {"condition": "c", "phi": phi_g, "per_vertex": per_vertex}
     return out
+
+
+def built_recursion_graphs(g: Graph, v: int) -> list[Graph]:
+    """G_v, G - v, G_v - v and G, built by ``Graph.saturate`` and
+    ``Graph.minus_vertex``, in the order the recursion check reads them."""
+    gv = g.saturate(v)
+    return [gv, g.minus_vertex(v), gv.minus_vertex(v), g]
+
+
+def brute_regularity_recursion(reg, g: Graph, v: int) -> bool:
+    """reg(G) <= max(reg(G_v), reg(G - v), reg(G_v - v) + 1) on the
+    built graphs."""
+    sat, minus, sat_minus, whole = map(reg, built_recursion_graphs(g, v))
+    return whole <= max(sat, minus, sat_minus + 1)
+
+
+def brute_iv_lemma(g: Graph, v: int) -> bool:
+    """max(iv(G_v), iv(G - v), iv(G_v - v)) < iv(G) on the built graphs,
+    with iv counted by ``brute_iv``."""
+    sat, minus, sat_minus, whole = map(brute_iv, built_recursion_graphs(g, v))
+    return max(sat, minus, sat_minus) < whole
 
 
 # -- eta: the MIS search without a bound ---------------------------------------

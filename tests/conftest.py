@@ -8,7 +8,7 @@ _BUDGETS = {
     "NODE_BUDGET": (invariants, (invariants._eta_cached,
                                  compatibility.NAMED_MAPS["induced-path"])),
     "SCAN_BUDGET": (regularity, (regularity._component_regularity,
-                                 regularity._component_value)),
+                                 regularity._reg_cached)),
 }
 
 

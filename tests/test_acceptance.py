@@ -18,7 +18,6 @@ from beibounds.compatibility import (
     eta_value,
     memoized,
     nonfree_vertex_failures,
-    regularity_value,
 )
 from beibounds.generators import (
     all_labeled,
@@ -32,7 +31,7 @@ from beibounds.generators import (
 )
 from beibounds.graphio import encode_graph6
 from beibounds.invariants import conflict_graph, eta, extend_clique_disjoint, is_clique_disjoint, longest_induced_path, maximal_cliques
-from beibounds.regularity import regularity_bei
+from beibounds.regularity import regularity_bei, regularity_value
 
 from brute import with_injected_isolates
 

@@ -608,7 +608,7 @@ def test_verify_chain_scans_each_class_once(capsys):
     connected classes on 1..5 vertices once each; a scan per labeled
     component made 772."""
     regularity._component_regularity.cache_clear()
-    regularity._component_value.cache_clear()
+    regularity._reg_cached.cache_clear()
     code, _, _ = run(capsys, "verify", "chain", "--exhaustive", "5", "--with-reg",
                      "--format", "json")
     assert code == 0
@@ -706,6 +706,21 @@ def test_verify_compatible_eta_jobs_2_gives_the_same_report(capsys):
         reports.append(report)
     assert reports[0] == reports[1]
     assert reports[0]["results"]["graphs_checked"] == 75
+
+
+@pytest.mark.parametrize("kind", ["recursion", "iv-lemma"])
+def test_verify_recursion_and_iv_lemma_jobs_2_print_the_serial_report(capsys, kind):
+    """The keyed reads of ``verify recursion`` and ``verify iv-lemma``
+    give the same report, byte for byte apart from ``elapsed_s``, in
+    one process and over a pool of forked workers."""
+    argv = ["verify", kind, "--exhaustive", "5", "--format", "json"]
+    runs = []
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, *argv, "--jobs", jobs)
+        runs.append((code, re.sub(r'"elapsed_s": [0-9.]+', '"elapsed_s": 0', out), err))
+    assert runs[0] == runs[1]
+    code, out, _ = runs[0]
+    assert code == 0 and json.loads(out)["results"]["graphs_checked"] == 1099
 
 
 def test_verify_jobs_2_prints_the_serial_report_with_violations_and_skips(capsys, patch_map):

@@ -16,7 +16,6 @@ from beibounds.compatibility import (
     is_path_graph,
     memoized,
     nonfree_vertex_failures,
-    regularity_value,
 )
 from beibounds.errors import ResourceLimitError
 from beibounds.generators import (
@@ -24,8 +23,17 @@ from beibounds.generators import (
 )
 from beibounds.graphs import Graph, bits, derived_keys, key_layout, key_rows, rows_key
 from beibounds.invariants import eta, longest_induced_path, maximal_cliques
+from beibounds.regularity import regularity_bei, regularity_value
 
-from brute import brute_compatibility, brute_free_vertex, ref_eta, with_injected_isolates
+from brute import (
+    brute_compatibility,
+    brute_free_vertex,
+    brute_iv_lemma,
+    brute_regularity_recursion,
+    built_recursion_graphs,
+    ref_eta,
+    with_injected_isolates,
+)
 
 
 def test_eta_is_compatible_on_c4():
@@ -93,6 +101,44 @@ def test_recursion_inequality_examples():
     assert check_regularity_recursion(path(3), 1, reg)
     assert check_regularity_recursion(net(), 0, reg)
     assert check_regularity_recursion(complete(2), 0, reg)
+
+
+def _edge_count_mod_4(g):
+    return g.edge_count() % 4
+
+
+def test_keyed_recursion_and_iv_lemma_match_the_built_graph_references_n5():
+    """On every labeled graph with n <= 5, the recursion check reads reg
+    by derived keys, and a plain map on the graphs unpacked from them,
+    with the verdicts of the references on the graphs that ``saturate``
+    and ``minus_vertex`` build; the plain map sees those graphs, in
+    order.  ``edges mod 4`` breaks the inequality on some graphs.  The
+    iv-lemma check gives the reference's verdict at each non-free vertex
+    and rejects each free one."""
+    reg = lambda g: regularity_bei(g).value
+    verdicts = set()
+    for n in range(6):
+        for g in all_labeled(n):
+            for v in range(n):
+                assert check_regularity_recursion(g, v) == brute_regularity_recursion(reg, g, v)
+                seen = []
+                got = check_regularity_recursion(
+                    g, v, lambda h: seen.append(h) or _edge_count_mod_4(h))
+                assert got == brute_regularity_recursion(_edge_count_mod_4, g, v), (g, v)
+                assert seen == built_recursion_graphs(g, v), (g, v)
+                verdicts.add(got)
+                if brute_free_vertex(g, v):
+                    with pytest.raises(ValueError, match=f"vertex {v} is free"):
+                        check_iv_lemma(g, v)
+                else:
+                    assert check_iv_lemma(g, v) == brute_iv_lemma(g, v), (g, v)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("v", [-1, 6])
+def test_recursion_rejects_a_vertex_out_of_range(v):
+    with pytest.raises(ValueError, match=f"vertex {v} out of range for n=6"):
+        check_regularity_recursion(net(), v)
 
 
 def test_is_path_graph():
@@ -251,7 +297,7 @@ def test_invariant_caches_are_bounded():
     # --exhaustive 7 reaches about 2M labeled graphs; 1 << 16 entries
     # still hold every labeled graph with n <= 6
     for cached in (invariants._eta_cached, regularity._component_regularity,
-                   regularity._component_value,
+                   regularity._reg_cached,
                    NAMED_MAPS["clique-count"], NAMED_MAPS["induced-path"]):
         maxsize = cached.cache_info().maxsize
         assert maxsize is not None and maxsize >= 1 << 16

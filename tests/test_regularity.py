@@ -429,12 +429,22 @@ def test_regularity_value_matches_regularity_bei_exhaustive_n5():
             assert regularity_value(g) == regularity_bei(g).value, g
 
 
+def test_regularity_value_caches_no_skip(set_budget):
+    """C9 beside K3 passes a budget that K3 fits: the skip raises on
+    each call, so no value was cached for the union or for C9."""
+    set_budget("SCAN_BUDGET", 10_000)
+    g = union([cycle(9), complete(3)])
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError, match="lattice scan exceeded 10000 work units"):
+            regularity_value(g)
+
+
 def test_isomorphic_components_share_one_scan():
     """Relabellings of the net on their own and beside a triangle reach
     one scan, of the canonical labelling; a component above
     ``CANONICAL_MAX_N`` is scanned in its own labelling."""
     regularity._component_regularity.cache_clear()
-    regularity._component_value.cache_clear()
+    regularity._reg_cached.cache_clear()
     g = net()
     for seed in range(5):
         g = _relabel(g, random.Random(seed).sample(range(6), 6))
