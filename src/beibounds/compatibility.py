@@ -31,11 +31,12 @@ each key into a ``Graph`` for it.
 
 The bound chain reads L, eta, c and reg from the same caches by G's
 key, so a corpus pays each search once per labeled graph, and a cached
-L, c or reg is served whatever the budget, as eta is.  The recursion and
-iv-lemma checks read reg and the non-free vertex count of G_v, G - v
-and G_v - v by keys derived from G's, with no graph built.  Where no graph repeats that
-costs memory, bounded by each cache's 65,536 entries: ``verify chain
---exhaustive 6`` peaks at 29.1 MB of RSS, 22.3 MB with L and c uncached.
+L, c or reg is served whatever the budget, as eta is.  Where no graph
+repeats that costs memory, bounded by each cache's 65,536 entries:
+``verify chain --exhaustive 6`` peaks at 29.1 MB of RSS, 22.3 MB with L
+and c uncached.  The recursion and iv-lemma checks read reg and the
+non-free vertex count of G_v, G - v and G_v - v by keys derived from
+G's, with no graph built.
 """
 
 from __future__ import annotations
@@ -272,7 +273,8 @@ def nonfree_vertex_failures(phi: InvariantMap, g: Graph) -> list[dict]:
 
 def _vertex_keys(g: Graph, v: int) -> tuple[int, int, int, int]:
     """The keys of G, G - v, G_v and G_v - v for a vertex v of G, derived
-    from G's (see :func:`graphs.derived_keys`)."""
+    from G's (see :func:`graphs.derived_keys`); v is free exactly when
+    G_v has G's key."""
     g._check_vertex(v)
     key, layout = rows_key(g.adj), key_layout(g.n)
     minus, sat = derived_keys(key, v, layout)
@@ -283,9 +285,9 @@ def check_iv_lemma(g: Graph, v: int) -> bool:
     """Strict drop of the non-free vertex count at a non-free vertex:
     max(iv(G_v), iv(G-v), iv(G_v - v)) < iv(G), each read from
     ``iv_value`` by key."""
-    if g.is_free_vertex(v):
-        raise ValueError(f"vertex {v} is free; the lemma applies to non-free vertices")
     key, minus, sat, sat_minus = _vertex_keys(g, v)
+    if sat == key:
+        raise ValueError(f"vertex {v} is free; the lemma applies to non-free vertices")
     iv = iv_value.of_key
     return max(iv(sat), iv(minus), iv(sat_minus)) < iv(key)
 

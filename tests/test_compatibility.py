@@ -14,6 +14,7 @@ from beibounds.compatibility import (
     eta_value,
     induced_path_value,
     is_path_graph,
+    iv_value,
     memoized,
     nonfree_vertex_failures,
 )
@@ -297,7 +298,7 @@ def test_invariant_caches_are_bounded():
     # --exhaustive 7 reaches about 2M labeled graphs; 1 << 16 entries
     # still hold every labeled graph with n <= 6
     for cached in (invariants._eta_cached, regularity._component_regularity,
-                   regularity._reg_cached,
+                   regularity._reg_cached, iv_value,
                    NAMED_MAPS["clique-count"], NAMED_MAPS["induced-path"]):
         maxsize = cached.cache_info().maxsize
         assert maxsize is not None and maxsize >= 1 << 16
