@@ -134,8 +134,8 @@ def memoized(phi: InvariantMap) -> KeyedMap:
     plain map: it is keyed by :func:`graphs.rows_key`, one int that
     identifies a labeled graph exactly, so it holds no ``Graph`` or row
     tuple, and a miss unpacks the rows into a ``Graph`` for phi.  Each
-    call makes a new cache.  ``eta_value`` needs none: it reads eta's
-    own cache.
+    call makes a new cache.  ``eta_value`` and ``reg_value`` need none:
+    each reads its invariant's own cache.
     """
     return KeyedMap(lru_cache(maxsize=_MAP_CACHE_SIZE)(_graph_lookup(phi)))
 

@@ -40,14 +40,12 @@ adds and witnesses join), which keeps the per-scan variable count at
 
 The sweeps (``bound_chain``, ``verify chain --with-reg`` and ``verify
 recursion``) need the value alone and read it from ``_reg_cached``, one
-bounded cache keyed by the one int of a labelled graph
-(``graphs.rows_key``), so ``verify recursion`` reads G - v, G_v and
-G_v - v by keys derived from G's, with no graph built.  A disconnected
-miss sums the entries of its components' keys; a connected one scans
-the graph in its canonical labelling (``graphs.canonical_rows``) when
-it has at most ``CANONICAL_MAX_N`` vertices, so each isomorphism class
-is scanned once.  ``regularity_bei`` and the witnesses that ``reg`` and
-``invariants --with-reg`` report stay on the caller's labelling: the
+bounded cache keyed by the int of a labelled graph (``graphs.rows_key``).
+A disconnected miss sums its components' entries, and a connected one
+scans the graph in its canonical labelling (``graphs.canonical_rows``)
+when it has at most ``CANONICAL_MAX_N`` vertices, so each isomorphism
+class is scanned once.  ``regularity_bei`` and the witnesses that ``reg``
+and ``invariants --with-reg`` report stay on the caller's labelling: the
 initial ideal depends on the vertex order, so a relabelling keeps the
 value but changes the witness.
 
@@ -64,16 +62,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import FieldDisagreementError, ResourceLimitError
-from .graphs import (
-    Graph,
-    bits,
-    canonical_rows,
-    components,
-    key_rows,
-    minimalize,
-    relabel,
-    rows_key,
-)
+from .graphs import Graph, bits, canonical_rows, components, key_rows, minimalize, relabel, rows_key
 from .rank_modp import rank_gf2, rank_gf3, rank_modp
 
 # Work units per call: steps of one admissible-path walk, or lattice
@@ -447,14 +436,12 @@ def regularity_bei(g: Graph) -> RegularityResult:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _reg_cached(key: int) -> int:
-    """The one cache of reg values, keyed by the one int of a labelled
-    graph (:func:`graphs.rows_key`).  A disconnected miss sums the
-    entries of its components, each relabelled as in
-    ``Graph.component_subgraphs``; a connected one reads the scan of its
-    canonical labelling (``graphs.canonical_rows``) up to
-    ``CANONICAL_MAX_N`` vertices, so that isomorphic components share
-    one scan.  A miss past ``SCAN_BUDGET`` raises, and ``lru_cache``
-    stores no exception, so a skip is not cached."""
+    """The one cache of reg values, keyed by :func:`graphs.rows_key`.  A
+    disconnected miss sums the entries of its components, relabelled as
+    in ``Graph.component_subgraphs``; a connected one reads the scan of
+    its canonical labelling up to ``CANONICAL_MAX_N`` vertices.  A miss
+    past ``SCAN_BUDGET`` raises, and ``lru_cache`` stores no exception,
+    so a skip is not cached."""
     adj = key_rows(key)
     n = len(adj)
     comps = components(adj, (1 << n) - 1)
