@@ -370,9 +370,12 @@ def _verify_one(
                 if not check_iv_lemma(g, v):
                     out.append({"graph6": g6, "vertex": v})
         elif kind == "recursion":
-            reg_g = reg_value(g)
-            for v in range(g.n):
-                if not check_regularity_recursion(g, v, reg_value, reg_g):
+            # reg(G) first, so a graph past the budget is skipped even
+            # with no non-free vertex; at a free v, G_v = G and the
+            # inequality holds
+            reg_value(g)
+            for v in bits(g.nonfree_mask()):
+                if not check_regularity_recursion(g, v):
                     out.append({"graph6": g6, "vertex": v})
         else:
             raise ValueError(f"unknown verify kind {kind!r}")

@@ -48,6 +48,7 @@ from typing import Callable, Optional
 
 from .errors import ResourceLimitError
 from .graphs import (
+    CACHE_SIZE,
     Graph,
     derived_keys,
     key_layout,
@@ -61,9 +62,6 @@ from .regularity import _reg_cached
 from .regularity import regularity_bei  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 InvariantMap = Callable[[Graph], int]
-
-# Entries of each map cache made by :func:`memoized`.
-_MAP_CACHE_SIZE = 1 << 16
 
 
 class KeyedMap:
@@ -99,7 +97,7 @@ class KeyedMap:
 # eta's size: the popcount of its witness bits in its one cache (see
 # :func:`invariants.eta`)
 eta_value = KeyedMap(_eta_cached, int.bit_count)
-# reg's value in its one cache (see :func:`regularity.regularity_value`)
+# reg's value in its one cache (see :func:`regularity._reg_cached`)
 reg_value = KeyedMap(_reg_cached)
 
 
@@ -137,7 +135,7 @@ def memoized(phi: InvariantMap) -> KeyedMap:
     call makes a new cache.  ``eta_value`` and ``reg_value`` need none:
     each reads its invariant's own cache.
     """
-    return KeyedMap(lru_cache(maxsize=_MAP_CACHE_SIZE)(_graph_lookup(phi)))
+    return KeyedMap(lru_cache(maxsize=CACHE_SIZE)(_graph_lookup(phi)))
 
 
 # One process-wide cache per map: eta's lives in ``invariants``.
@@ -292,17 +290,13 @@ def check_iv_lemma(g: Graph, v: int) -> bool:
     return max(iv(sat), iv(minus), iv(sat_minus)) < iv(key)
 
 
-def check_regularity_recursion(
-    g: Graph, v: int, reg_fn: InvariantMap = reg_value, reg_g: Optional[int] = None
-) -> bool:
+def check_regularity_recursion(g: Graph, v: int, reg_fn: InvariantMap = reg_value) -> bool:
     """reg(G) <= max(reg(G_v), reg(G-v), reg(G_v - v) + 1), each read by
-    key (a plain ``reg_fn`` is called on each graph unpacked from it).
-    ``reg_g``, when given, is reg(G), so a check of every vertex
-    computes it once."""
+    key (a plain ``reg_fn`` is called on each graph unpacked from it)."""
     key, minus, sat, sat_minus = _vertex_keys(g, v)
     reg = _keyed(reg_fn).of_key
     bound = max(reg(sat), reg(minus), reg(sat_minus) + 1)
-    return (reg(key) if reg_g is None else reg_g) <= bound
+    return reg(key) <= bound
 
 
 def is_path_graph(g: Graph) -> bool:

@@ -87,6 +87,10 @@ def _row_bytes(n: int) -> int:
 # 8-byte fields, listed by n and keyed by the bytes they fill, which fix n.
 _ROW_STRUCTS = [Struct(f"<{n}{'BHIQ'[_row_bytes(n).bit_length() - 1]}") for n in range(64)]
 _ROW_STRUCT_OF_SIZE = {rows.size: rows for rows in _ROW_STRUCTS}
+# Entries of each cache keyed by ``rows_key``: every labeled graph with
+# n <= 6 fits, so a sweep of them computes each value once, and longer
+# sweeps run in bounded memory.
+CACHE_SIZE = 1 << 16
 
 
 def rows_key(adj: Sequence[int]) -> int:
@@ -215,9 +219,8 @@ class Graph:
     Immutable: assigning or deleting ``n`` or ``adj`` raises
     AttributeError, and every transformation returns a new graph.
     ``adj[v]`` is the neighborhood of v as a bitmask.  Graphs hash and
-    compare on ``adj``, whose length is ``n``, so they key the
-    regularity caches; the eta and map caches take :func:`rows_key`.
-    No per-instance dict.
+    compare on ``adj``, whose length is ``n``; the invariant caches
+    take :func:`rows_key`.  No per-instance dict.
     """
 
     __slots__ = ("n", "adj")

@@ -59,7 +59,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import ResourceLimitError
-from .graphs import Graph, bits, components, edge, key_rows, minimalize, rows_key
+from .graphs import CACHE_SIZE, Graph, bits, components, edge, key_rows, minimalize, rows_key
 
 # Search nodes each eta or L call may visit before it raises.
 NODE_BUDGET = 5_000_000
@@ -67,9 +67,6 @@ NODE_BUDGET = 5_000_000
 # packing.  The packing costs up to about 150 nodes' worth of time and
 # saves little on random graphs, so building it sooner slows them.
 _PACK_AFTER = 3000
-# Entries of the eta cache: every labeled graph with n <= 6 fits, so a
-# sweep of them computes each eta once, and longer sweeps stay bounded.
-_ETA_CACHE_SIZE = 1 << 16
 
 
 # -- maximal cliques ----------------------------------------------------
@@ -310,7 +307,7 @@ def is_clique_disjoint(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
     return not any(g.is_clique(a | b) for a, b in combinations(masks, 2))
 
 
-@lru_cache(maxsize=_ETA_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _eta_cached(key: int) -> int:
     """The one cache of eta values and witnesses, keyed by the one int
     of a labeled graph (:func:`graphs.rows_key`).  A key is no

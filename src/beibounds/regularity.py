@@ -39,15 +39,15 @@ adds and witnesses join), which keeps the per-scan variable count at
 2 * (component size).
 
 The sweeps (``bound_chain``, ``verify chain --with-reg`` and ``verify
-recursion``) need the value alone and read it from ``_reg_cached``, one
-bounded cache keyed by the int of a labelled graph (``graphs.rows_key``).
-A disconnected miss sums its components' entries, and a connected one
-scans the graph in its canonical labelling (``graphs.canonical_rows``)
-when it has at most ``CANONICAL_MAX_N`` vertices, so each isomorphism
-class is scanned once.  ``regularity_bei`` and the witnesses that ``reg``
-and ``invariants --with-reg`` report stay on the caller's labelling: the
-initial ideal depends on the vertex order, so a relabelling keeps the
-value but changes the witness.
+recursion``) need the value alone and read it from ``_reg_cached``, the
+one cache of reg values, keyed by the int of a labelled graph
+(``graphs.rows_key``).  A disconnected miss sums its components'
+entries, and a connected one on at most ``CANONICAL_MAX_N`` vertices
+reads the entry of its canonical labelling (``graphs.canonical_rows``),
+so each isomorphism class is scanned once.  ``regularity_bei`` and the
+witnesses that ``reg`` and ``invariants --with-reg`` report stay on the
+caller's labelling, uncached: the initial ideal depends on the vertex
+order, so a relabelling keeps the value but changes the witness.
 
 The vertex count does not predict the cost, so each call of the
 admissible-path walk and of the scan counts its work (a stack pop; a
@@ -62,17 +62,14 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import FieldDisagreementError, ResourceLimitError
-from .graphs import Graph, bits, canonical_rows, components, key_rows, minimalize, relabel, rows_key
+from .graphs import CACHE_SIZE, Graph, bits, canonical_rows, key_rows, relabel, rows_key
 from .rank_modp import rank_gf2, rank_gf3, rank_modp
 
 # Work units per call: steps of one admissible-path walk, or lattice
 # elements plus faces built in one scan.
 SCAN_BUDGET = 600_000
 FIELDS = (2, 3)  # regularity_bei computes over both and requires agreement
-# Entries of each cache: a bound, so that long sweeps run in bounded
-# memory.
-_CACHE_SIZE = 1 << 16
-# ``regularity_value`` scans a component on at most this many vertices
+# ``_reg_cached`` scans a component on at most this many vertices
 # in its canonical labelling, and a larger one in its own.  No labelling
 # of a graph this small comes near ``SCAN_BUDGET`` (the most seen is
 # 3,490 units over every labeled graph with n = 6, and 22,705 over 12
@@ -101,15 +98,6 @@ class SquarefreeIdeal:
 
     num_vars: int
     gens: tuple[int, ...]
-
-    @classmethod
-    def from_supports(cls, num_vars: int, supports: Iterable[Iterable[int]]) -> "SquarefreeIdeal":
-        masks = []
-        for sup in supports:
-            masks.append(_variable_mask(sup, num_vars))
-            if not masks[-1]:
-                raise ValueError("empty generator (unit ideal) not supported")
-        return cls(num_vars, minimalize(masks))
 
     def supports(self) -> list[tuple[int, ...]]:
         return [tuple(bits(m)) for m in self.gens]
@@ -408,7 +396,6 @@ def require_field_agreement(values_by_prime: dict[int, int]) -> None:
         raise FieldDisagreementError(values_by_prime)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _component_regularity(g: Graph) -> tuple[int, int]:
     """(value, witness_mask) over ``FIELDS`` for a connected graph."""
     best = _scan_ideal(initial_ideal(g), FIELDS)
@@ -434,27 +421,22 @@ def regularity_bei(g: Graph) -> RegularityResult:
     return RegularityResult(total, frozenset(witness), total - 1, FIELDS, True)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _reg_cached(key: int) -> int:
     """The one cache of reg values, keyed by :func:`graphs.rows_key`.  A
-    disconnected miss sums the entries of its components, relabelled as
-    in ``Graph.component_subgraphs``; a connected one reads the scan of
-    its canonical labelling up to ``CANONICAL_MAX_N`` vertices.  A miss
-    past ``SCAN_BUDGET`` raises, and ``lru_cache`` stores no exception,
-    so a skip is not cached."""
+    disconnected miss sums the entries of ``Graph.component_subgraphs``;
+    a connected one on at most ``CANONICAL_MAX_N`` vertices whose
+    canonical labelling has another key reads that key's entry, so each
+    isomorphism class is scanned once, and any other scans its own
+    labelling.  A miss past ``SCAN_BUDGET`` raises, and ``lru_cache``
+    stores no exception, so a skip is not cached."""
     adj = key_rows(key)
-    n = len(adj)
-    comps = components(adj, (1 << n) - 1)
-    if len(comps) != 1:  # the empty graph has none, and reg 0
-        return sum([_reg_cached(rows_key(relabel([adj[v] for v in bits(c)], c)))
-                    for c in comps])
-    if n <= CANONICAL_MAX_N:
-        adj = canonical_rows(adj)
-    return _component_regularity(Graph(n, adj))[0]
-
-
-def regularity_value(g: Graph) -> int:
-    """``regularity_bei(g).value`` with no witness, read from the bounded
-    cache keyed by g's labelled graph, whose misses scan each
-    isomorphism class of components once (see ``_reg_cached``)."""
-    return _reg_cached(rows_key(g.adj))
+    g = Graph(len(adj), adj)
+    subs = g.component_subgraphs()
+    if len(subs) != 1:  # the empty graph has none, and reg 0
+        return sum([_reg_cached(rows_key(sub.adj)) for sub, _ in subs])
+    if g.n <= CANONICAL_MAX_N:
+        canonical = rows_key(canonical_rows(adj))
+        if canonical != key:
+            return _reg_cached(canonical)
+    return _component_regularity(g)[0]

@@ -28,7 +28,8 @@ bit at a time, sharing none of the encoder's column and byte work.  ``vertex_key
 every vertex of a mask, for the tests of ``graphs.derived_keys``.
 ``cut_signature`` (on the package's
 ``components``) and ``with_injected_isolates`` are test-only graph
-helpers, not references.
+helpers, and ``from_supports`` a test-only ideal builder, not
+references.
 """
 
 from collections import deque
@@ -38,9 +39,9 @@ from typing import Sequence
 import numpy as np
 
 from beibounds.errors import ResourceLimitError
-from beibounds.graphs import Graph, bits, components, derived_keys, key_layout
+from beibounds.graphs import Graph, bits, components, derived_keys, key_layout, minimalize
 from beibounds.invariants import maximal_cliques
-from beibounds.regularity import homology_dims
+from beibounds.regularity import SquarefreeIdeal, _variable_mask, homology_dims
 
 
 def numpy_rank_modp(matrix, p: int) -> int:
@@ -64,6 +65,17 @@ def numpy_rank_modp(matrix, p: int) -> int:
         if r == m:
             break
     return r
+
+
+def from_supports(num_vars: int, supports) -> SquarefreeIdeal:
+    """The ideal of the minimal elements of ``supports``, each a nonempty
+    set of variable indices, checked by the rule ``homology_dims`` uses."""
+    masks = []
+    for sup in supports:
+        masks.append(_variable_mask(sup, num_vars))
+        if not masks[-1]:
+            raise ValueError("empty generator (unit ideal) not supported")
+    return SquarefreeIdeal(num_vars, minimalize(masks))
 
 
 def brute_regularity_squarefree(ideal, p: int) -> int:

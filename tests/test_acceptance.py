@@ -31,7 +31,7 @@ from beibounds.generators import (
 )
 from beibounds.graphio import encode_graph6
 from beibounds.invariants import conflict_graph, eta, extend_clique_disjoint, is_clique_disjoint, longest_induced_path, maximal_cliques
-from beibounds.regularity import regularity_bei, regularity_value
+from beibounds.regularity import regularity_bei
 
 from brute import with_injected_isolates
 
@@ -166,14 +166,13 @@ def test_criterion_5_constructive_extension_randomized():
 
 def test_criterion_6_recursion_inequality_n5():
     started = time.perf_counter()
-    reg_fn = memoized(regularity_value)
     bad = []
     pairs = 0
     for n in range(1, 6):
         for g in all_labeled(n):
             for v in range(g.n):
                 pairs += 1
-                if not check_regularity_recursion(g, v, reg_fn):
+                if not check_regularity_recursion(g, v):
                     bad.append((encode_graph6(g), v))
     _report("6 (regularity recursion, all n<=5, all v)", not bad,
             f"{pairs} (G, v) pairs; failures={bad[:3]}", started)

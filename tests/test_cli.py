@@ -17,7 +17,9 @@ from beibounds.cli import build_spec, main, parse_args, parse_graph_text
 from beibounds.errors import ResourceLimitError
 from beibounds.generators import cycle, net, path, sierpinski, union
 from beibounds.graphio import encode_graph6
-from beibounds.graphs import Graph, rows_key
+from beibounds.graphs import Graph, canonical_rows, rows_key
+
+from brute import brute_free_vertex
 
 
 def run(capsys, *argv):
@@ -482,9 +484,12 @@ def test_verify_compatible_reports_an_eta_skip(capsys, tmp_path, set_budget):
 
 def test_verify_recursion_keeps_a_violation_found_before_a_skip(capsys, monkeypatch, tmp_path):
     c9 = encode_graph6(cycle(9))
+    reads = []
+    real = cli.reg_value
+    monkeypatch.setattr(cli, "reg_value", lambda g: reads.append((g, real(g))))
 
-    def check(g, v, reg_fn, reg_g):
-        assert reg_g == 7  # reg(C9), computed once per graph
+    def check(g, v):
+        assert reads == [(cycle(9), 7)]  # reg(C9), read once per graph, before any vertex
         if v:
             raise ResourceLimitError("synthetic budget")
         return False
@@ -498,6 +503,35 @@ def test_verify_recursion_keeps_a_violation_found_before_a_skip(capsys, monkeypa
     assert report["violations"] == [{"graph6": c9, "vertex": 0}]
     assert report["results"]["reg_skipped_graphs"] == [c9]
     assert err.splitlines()[1:] == [f"{c9}: synthetic budget"]
+
+
+def test_verify_recursion_checks_each_non_free_vertex_once(capsys, monkeypatch):
+    """At a free v, G_v = G and the inequality cannot fail, so the sweep
+    checks the non-free vertices alone, each once, in ascending order."""
+    calls = []
+    real = cli.check_regularity_recursion
+    monkeypatch.setattr(cli, "check_regularity_recursion",
+                        lambda g, v: calls.append((g, v)) or real(g, v))
+    code, _, _ = run(capsys, "verify", "recursion", "--exhaustive", "4", "--format", "json")
+    assert code == 0
+    assert calls == [(g, v) for n in range(1, 5) for g in generators.all_labeled(n)
+                     for v in range(n) if not brute_free_vertex(g, v)]
+
+
+def test_verify_recursion_skips_a_graph_with_no_non_free_vertex(capsys, tmp_path, set_budget):
+    """reg(G) is read before the vertex loop, so K9, whose vertices are
+    all free and whose scan passes the budget, is still skipped."""
+    set_budget("SCAN_BUDGET", SMALL_SCAN_BUDGET)
+    k9 = encode_graph6(generators.complete(9))
+    f = tmp_path / "k9.g6"
+    f.write_text(k9 + "\n")
+    code, out, err = run(capsys, "verify", "recursion", str(f), "--format", "json")
+    assert code == 2
+    report = json.loads(out)
+    assert report["violations"] == []
+    assert report["results"]["reg_skipped_graphs"] == [k9]
+    assert err.splitlines() == ["error: a resource cap skipped reg on 1 graph(s):",
+                                f"{k9}: {C9_SKIP}"]
 
 
 @pytest.mark.parametrize("argv", [["reg"], ["invariants", "--with-reg"]])
@@ -603,16 +637,15 @@ def test_verify_compatible_builds_no_clique_list_up_to_5_vertices(capsys, clique
     assert clique_mask_calls == []
 
 
-def test_verify_chain_scans_each_class_once(capsys):
+def test_verify_chain_scans_each_class_once(capsys, component_scans):
     """A cold ``verify chain --exhaustive 5 --with-reg`` scans the 31
     connected classes on 1..5 vertices once each; a scan per labeled
     component made 772."""
-    regularity._component_regularity.cache_clear()
-    regularity._reg_cached.cache_clear()
     code, _, _ = run(capsys, "verify", "chain", "--exhaustive", "5", "--with-reg",
                      "--format", "json")
     assert code == 0
-    assert regularity._component_regularity.cache_info().misses == 31
+    assert len(component_scans) == 31
+    assert len({canonical_rows(g.adj) for g in component_scans}) == 31
 
 
 @pytest.mark.parametrize("argv", [

@@ -22,9 +22,9 @@ from beibounds.errors import ResourceLimitError
 from beibounds.generators import (
     all_labeled, complete, cycle, fig2_closed, gnp, net, path, sierpinski, union,
 )
-from beibounds.graphs import Graph, bits, derived_keys, key_layout, key_rows, rows_key
+from beibounds.graphs import CACHE_SIZE, Graph, bits, derived_keys, key_layout, key_rows, rows_key
 from beibounds.invariants import eta, longest_induced_path, maximal_cliques
-from beibounds.regularity import regularity_bei, regularity_value
+from beibounds.regularity import regularity_bei
 
 from brute import (
     brute_compatibility,
@@ -98,10 +98,9 @@ def test_iv_lemma_rejects_free_vertex():
 
 
 def test_recursion_inequality_examples():
-    reg = memoized(regularity_value)
-    assert check_regularity_recursion(path(3), 1, reg)
-    assert check_regularity_recursion(net(), 0, reg)
-    assert check_regularity_recursion(complete(2), 0, reg)
+    assert check_regularity_recursion(path(3), 1)
+    assert check_regularity_recursion(net(), 0)
+    assert check_regularity_recursion(complete(2), 0)
 
 
 def _edge_count_mod_4(g):
@@ -297,11 +296,10 @@ def test_named_maps_read_derived_graphs_by_key(map_name):
 def test_invariant_caches_are_bounded():
     # --exhaustive 7 reaches about 2M labeled graphs; 1 << 16 entries
     # still hold every labeled graph with n <= 6
-    for cached in (invariants._eta_cached, regularity._component_regularity,
-                   regularity._reg_cached, iv_value,
+    assert CACHE_SIZE >= 1 << 16
+    for cached in (invariants._eta_cached, regularity._reg_cached, iv_value,
                    NAMED_MAPS["clique-count"], NAMED_MAPS["induced-path"]):
-        maxsize = cached.cache_info().maxsize
-        assert maxsize is not None and maxsize >= 1 << 16
+        assert cached.cache_info().maxsize == CACHE_SIZE
 
 
 def test_memoized_keys_each_labeled_graph_by_one_int():

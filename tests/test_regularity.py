@@ -7,22 +7,22 @@ from hypothesis import given, settings, strategies as st
 from beibounds.errors import FieldDisagreementError, ResourceLimitError
 from beibounds.generators import all_labeled, complete, cycle, fig2_closed, gnp, net, path, sierpinski, union
 from beibounds.graphio import encode_graph6
-from beibounds.graphs import Graph, bits
+from beibounds.compatibility import reg_value
+from beibounds.graphs import Graph, bits, canonical_rows, minimalize
 from beibounds.invariants import longest_induced_path
 from beibounds import regularity
 from beibounds.regularity import (
     SquarefreeIdeal,
     homology_dims,
     initial_ideal,
-    minimalize,
     regularity_bei,
     regularity_squarefree,
-    regularity_value,
     require_field_agreement,
 )
 
 from brute import (
     brute_regularity_squarefree,
+    from_supports,
     label_valid_path_monomials,
     ref_reg_witness,
     with_injected_isolates,
@@ -112,24 +112,24 @@ def test_every_path_monomial_is_divisible_by_a_minimal_generator():
 # -- homology of induced subcomplexes ----------------------------------------
 
 def test_two_points_have_reduced_h0():
-    ideal = SquarefreeIdeal.from_supports(4, [(0, 1)])
+    ideal = from_supports(4, [(0, 1)])
     dims = homology_dims(ideal, [0, 1], 2)
     assert dims[0] == 1 and dims[-1] == 0
 
 
 def test_empty_subset_reports_degree_minus_one():
-    ideal = SquarefreeIdeal.from_supports(4, [(0, 1)])
+    ideal = from_supports(4, [(0, 1)])
     assert homology_dims(ideal, [], 2) == {-1: 1}
 
 
 def test_cone_subsets_are_acyclic():
-    ideal = SquarefreeIdeal.from_supports(4, [(0, 1)])
+    ideal = from_supports(4, [(0, 1)])
     dims = homology_dims(ideal, [0, 1, 2], 3)  # 2 lies in no generator: cone apex
     assert all(d == 0 for d in dims.values())
 
 
 def test_hollow_triangle_is_a_circle():
-    ideal = SquarefreeIdeal.from_supports(3, [(0, 1, 2)])
+    ideal = from_supports(3, [(0, 1, 2)])
     dims = homology_dims(ideal, [0, 1, 2], 2)
     assert dims[1] == 1 and dims[0] == 0
 
@@ -145,7 +145,7 @@ _RP2_NONFACES = [t for t in combinations(range(6), 3) if t not in _RP2_FACES]
 
 
 def test_projective_plane_homology_depends_on_characteristic():
-    ideal = SquarefreeIdeal.from_supports(6, _RP2_NONFACES)
+    ideal = from_supports(6, _RP2_NONFACES)
     gf2 = homology_dims(ideal, range(6), 2)
     gf3 = homology_dims(ideal, range(6), 3)
     assert gf2[1] == 1 and gf2[2] == 1
@@ -176,14 +176,14 @@ _MOORE3_NONFACES = _nonfaces(13, _moore3_triangles())
 
 
 def test_mod3_moore_space_homology_only_in_characteristic_3():
-    ideal = SquarefreeIdeal.from_supports(13, _MOORE3_NONFACES)
+    ideal = from_supports(13, _MOORE3_NONFACES)
     assert homology_dims(ideal, range(13), 3) == {-1: 0, 0: 0, 1: 1, 2: 1}
     for p in (2, 5, 7):
         assert homology_dims(ideal, range(13), p) == {-1: 0, 0: 0, 1: 0, 2: 0}
 
 
 def test_homology_rejects_non_prime():
-    ideal = SquarefreeIdeal.from_supports(4, [(0, 1)])
+    ideal = from_supports(4, [(0, 1)])
     with pytest.raises(ValueError, match="4 is not prime"):
         homology_dims(ideal, [0, 1], 4)
     with pytest.raises(ValueError, match="4 is not prime"):
@@ -192,23 +192,23 @@ def test_homology_rejects_non_prime():
 
 def test_variable_indices_checked_by_one_rule():
     with pytest.raises(ValueError, match="variable index 3 out of range"):
-        SquarefreeIdeal.from_supports(3, [(0, 3)])
+        from_supports(3, [(0, 3)])
     with pytest.raises(ValueError, match="variable index 3 out of range"):
-        homology_dims(SquarefreeIdeal.from_supports(3, [(0, 1)]), [3], 2)
+        homology_dims(from_supports(3, [(0, 1)]), [3], 2)
     with pytest.raises(ValueError, match="unit ideal"):
-        SquarefreeIdeal.from_supports(3, [()])
+        from_supports(3, [()])
 
 
 # -- regularity of squarefree ideals ------------------------------------------
 
 def test_single_quadric_has_regularity_one():
-    ideal = SquarefreeIdeal.from_supports(4, [(0, 2)])
+    ideal = from_supports(4, [(0, 2)])
     assert regularity_squarefree(ideal, 2).value == 1
 
 
 def test_two_disjoint_quadrics_regularity_two():
     # complete intersection of two quadrics in disjoint variables
-    ideal = SquarefreeIdeal.from_supports(6, [(0, 3), (1, 4)])
+    ideal = from_supports(6, [(0, 3), (1, 4)])
     res = regularity_squarefree(ideal, 2)
     assert res.value == 2
     assert res.witness_degree == 1
@@ -222,13 +222,13 @@ def test_zero_ideal_regularity_zero():
 
 
 def test_regularity_differs_across_fields_on_rp2():
-    ideal = SquarefreeIdeal.from_supports(6, _RP2_NONFACES)
+    ideal = from_supports(6, _RP2_NONFACES)
     assert regularity_squarefree(ideal, 2).value == 3
     assert regularity_squarefree(ideal, 3).value == 2
 
 
 def test_regularity_differs_between_gf3_and_gf5_on_mod3_moore_space():
-    ideal = SquarefreeIdeal.from_supports(13, _MOORE3_NONFACES)
+    ideal = from_supports(13, _MOORE3_NONFACES)
     res3 = regularity_squarefree(ideal, 3)
     assert (res3.value, res3.witness_vars, res3.witness_degree) == (3, frozenset(range(13)), 2)
     assert regularity_squarefree(ideal, 5).value == 2
@@ -244,7 +244,7 @@ def test_require_field_agreement_raises_with_both_values():
 def test_var_cap_enforced():
     """20 disjoint pairs span 2^20 - 1 lattice elements, past the budget,
     and the scan stops before its lattice set holds them."""
-    ideal = SquarefreeIdeal.from_supports(40, [(2 * i, 2 * i + 1) for i in range(20)])
+    ideal = from_supports(40, [(2 * i, 2 * i + 1) for i in range(20)])
     with pytest.raises(ResourceLimitError, match="lattice scan exceeded"):
         regularity_squarefree(ideal, 2)
 
@@ -354,7 +354,7 @@ def squarefree_ideals(draw):
     nv = draw(st.integers(1, 8))
     variable = st.integers(0, nv - 1)
     supports = draw(st.lists(st.sets(variable, min_size=1, max_size=4), max_size=12))
-    return SquarefreeIdeal.from_supports(nv, supports)
+    return from_supports(nv, supports)
 
 
 def _assert_matches_brute(ideal, p):
@@ -374,7 +374,7 @@ def test_scan_matches_every_subset_reference(ideal, p):
 def test_scan_matches_every_subset_reference_on_torsion(name, p):
     # the field changes the value on both, so a prune that lost torsion shows
     num_vars, nonfaces = {"rp2": (6, _RP2_NONFACES), "moore3": (13, _MOORE3_NONFACES)}[name]
-    _assert_matches_brute(SquarefreeIdeal.from_supports(num_vars, nonfaces), p)
+    _assert_matches_brute(from_supports(num_vars, nonfaces), p)
 
 
 def _connected_witness_corpus():
@@ -390,7 +390,7 @@ def test_witness_is_first_domination_free_union_attaining_the_value():
     generators with no dominated vertex."""
     for g in _connected_witness_corpus():
         res = regularity_bei(g)
-        ideal = SquarefreeIdeal.from_supports(
+        ideal = from_supports(
             2 * g.n, [list(bits(m)) for m in label_valid_path_monomials(g)])
         assert res.witness_vars == ref_reg_witness(ideal, res.value), encode_graph6(g)
 
@@ -407,18 +407,15 @@ def _relabel(g, perm):
     return Graph.from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
-def test_component_subgraphs_are_induced_delete_graphs():
-    """The component split hands the per-component cache the graphs
-    induced_delete builds, so the cache keys do not depend on the split."""
+def test_component_subgraphs_are_induced_delete_graphs(component_scans):
+    """The component split hands the scan, once per component in order,
+    the graphs induced_delete builds."""
     g = _relabel(union([net(), cycle(4), complete(1), path(3), complete(3)]),
                  random.Random(4).sample(range(17), 17))
-    regularity._component_regularity.cache_clear()
     regularity_bei(g)
-    for comp in g.component_masks():
-        outside = [v for v in range(g.n) if not comp >> v & 1]
-        hits = regularity._component_regularity.cache_info().hits
-        regularity._component_regularity(g.induced_delete(outside))
-        assert regularity._component_regularity.cache_info().hits == hits + 1
+    assert component_scans == [
+        g.induced_delete([v for v in range(g.n) if not comp >> v & 1])
+        for comp in g.component_masks()]
 
 
 def test_regularity_value_matches_regularity_bei_exhaustive_n5():
@@ -426,7 +423,7 @@ def test_regularity_value_matches_regularity_bei_exhaustive_n5():
     every labeled graph that criterion 8 walks."""
     for n in range(6):
         for g in all_labeled(n):
-            assert regularity_value(g) == regularity_bei(g).value, g
+            assert reg_value(g) == regularity_bei(g).value, g
 
 
 def test_regularity_value_caches_no_skip(set_budget):
@@ -436,27 +433,24 @@ def test_regularity_value_caches_no_skip(set_budget):
     g = union([cycle(9), complete(3)])
     for _ in range(2):
         with pytest.raises(ResourceLimitError, match="lattice scan exceeded 10000 work units"):
-            regularity_value(g)
+            reg_value(g)
 
 
-def test_isomorphic_components_share_one_scan():
+def test_isomorphic_components_share_one_scan(component_scans):
     """Relabellings of the net on their own and beside a triangle reach
     one scan, of the canonical labelling; a component above
     ``CANONICAL_MAX_N`` is scanned in its own labelling."""
-    regularity._component_regularity.cache_clear()
-    regularity._reg_cached.cache_clear()
     g = net()
     for seed in range(5):
         g = _relabel(g, random.Random(seed).sample(range(6), 6))
-        assert regularity_value(g) == 4
-        assert regularity_value(union([complete(3), g])) == 5
-    assert regularity._component_regularity.cache_info().misses == 2  # net and K3
+        assert reg_value(g) == 4
+        assert reg_value(union([complete(3), g])) == 5
+    assert [h.adj for h in component_scans] == [  # net and K3
+        canonical_rows(net().adj), canonical_rows(complete(3).adj)]
     n = regularity.CANONICAL_MAX_N + 1
     big = _relabel(cycle(n), random.Random(0).sample(range(n), n))
-    assert regularity_value(big) == n - 2
-    hits = regularity._component_regularity.cache_info().hits
-    regularity._component_regularity(big)
-    assert regularity._component_regularity.cache_info().hits == hits + 1
+    assert reg_value(big) == n - 2
+    assert component_scans[2:] == [big]
 
 
 def test_many_small_components():
