@@ -4,10 +4,10 @@ from itertools import combinations, islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from beibounds.compatibility import reg_value
 from beibounds.errors import FieldDisagreementError, ResourceLimitError
 from beibounds.generators import all_labeled, complete, cycle, fig2_closed, gnp, net, path, sierpinski, union
 from beibounds.graphio import encode_graph6
-from beibounds.compatibility import reg_value
 from beibounds.graphs import Graph, bits, canonical_rows, minimalize
 from beibounds.invariants import longest_induced_path
 from beibounds import regularity
