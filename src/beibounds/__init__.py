@@ -19,10 +19,10 @@ from .compatibility import (
     CompatibilityReport,
     bound_chain,
     check_compatibility,
-    check_iv_lemma,
-    check_regularity_recursion,
     eta_value,
+    iv_lemma_failures,
     nonfree_vertex_failures,
+    recursion_failures,
 )
 from .regularity import (
     RegularityResult,
@@ -48,8 +48,6 @@ __all__ = [
     "SquarefreeIdeal",
     "bound_chain",
     "check_compatibility",
-    "check_iv_lemma",
-    "check_regularity_recursion",
     "decode_graph6",
     "edge",
     "encode_graph6",
@@ -62,10 +60,12 @@ __all__ = [
     "in_common_clique",
     "initial_ideal",
     "is_clique_disjoint",
+    "iv_lemma_failures",
     "longest_induced_path",
     "maximal_cliques",
     "nonfree_vertex_failures",
     "parse_edge_list",
+    "recursion_failures",
     "regularity_bei",
     "regularity_squarefree",
 ]

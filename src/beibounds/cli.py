@@ -24,14 +24,13 @@ from .compatibility import (
     NAMED_MAPS,
     bound_chain,
     check_compatibility,
-    check_iv_lemma,
-    check_regularity_recursion,
+    iv_lemma_failures,
     nonfree_vertex_failures,  # noqa: F401  (perfbench/tracer.py wraps it here)
-    reg_value,
+    recursion_failures,
 )
 from .errors import FieldDisagreementError, ParseError, ResourceLimitError, WitnessError
 from .graphio import decode_graph6, encode_graph6, format_edge_list, parse_edge_list
-from .graphs import Graph, bits
+from .graphs import Graph
 from .invariants import (
     eta,
     is_clique_disjoint,
@@ -53,6 +52,8 @@ _MAX_CHUNK = 1024
 # The chain value each budgeted ``verify compatible --map`` computes,
 # under which a graph past its budget is listed as skipped.
 _MAP_VALUES = {"eta": "eta", "induced-path": "L"}
+# verify kind -> the failing non-free vertices of a graph, ascending
+_VERTEX_CHECKS = {"iv-lemma": iv_lemma_failures, "recursion": recursion_failures}
 
 
 # -- input handling ---------------------------------------------------------
@@ -359,24 +360,15 @@ def _verify_one(
             phi = NAMED_MAPS[map_name]
             # the per-vertex strong form holds for eta at every non-free vertex
             strong = map_name == "eta"
-            rep = check_compatibility(phi, g, name=map_name, strong=strong)
+            rep = check_compatibility(phi, g, strong=strong)
             if not rep.passed:
                 out.append({"graph6": g6, "counterexample": rep.counterexample})
             if strong:
                 for bad in rep.strong_failures:
                     out.append({"graph6": g6, "strong_form": bad})
-        elif kind == "iv-lemma":
-            for v in bits(g.nonfree_mask()):
-                if not check_iv_lemma(g, v):
-                    out.append({"graph6": g6, "vertex": v})
-        elif kind == "recursion":
-            # reg(G) first, so a graph past the budget is skipped even
-            # with no non-free vertex; at a free v, G_v = G and the
-            # inequality holds
-            reg_value(g)
-            for v in bits(g.nonfree_mask()):
-                if not check_regularity_recursion(g, v):
-                    out.append({"graph6": g6, "vertex": v})
+        elif kind in _VERTEX_CHECKS:
+            for v in _VERTEX_CHECKS[kind](g):
+                out.append({"graph6": g6, "vertex": v})
         else:
             raise ValueError(f"unknown verify kind {kind!r}")
     except ResourceLimitError as exc:

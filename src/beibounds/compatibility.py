@@ -34,9 +34,11 @@ key, so a corpus pays each search once per labeled graph, and a cached
 L, c or reg is served whatever the budget, as eta is.  Where no graph
 repeats that costs memory, bounded by each cache's 65,536 entries:
 ``verify chain --exhaustive 6`` peaks at 29.1 MB of RSS, 22.3 MB with L
-and c uncached.  The recursion and iv-lemma checks read reg and the
-non-free vertex count of G_v, G - v and G_v - v by keys derived from
-G's, with no graph built.
+and c uncached.  :func:`recursion_failures` and
+:func:`iv_lemma_failures` check the regularity recursion and the
+iv-lemma per graph: each packs G once and reads reg, or the non-free
+vertex count, of G_v, G - v and G_v - v at each non-free v by keys
+derived from G's, with no graph built.
 """
 
 from __future__ import annotations
@@ -44,12 +46,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import index
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import ResourceLimitError
 from .graphs import (
     CACHE_SIZE,
     Graph,
+    bits,
     derived_keys,
     key_layout,
     key_rows,
@@ -118,12 +121,6 @@ def _graph_lookup(phi: InvariantMap) -> Callable[[int], int]:
     return of_key
 
 
-def _keyed(phi: InvariantMap) -> KeyedMap:
-    """phi itself if it is a :class:`KeyedMap`, else phi read by key with
-    no cache (see :func:`_graph_lookup`)."""
-    return phi if isinstance(phi, KeyedMap) else KeyedMap(_graph_lookup(phi))
-
-
 def memoized(phi: InvariantMap) -> KeyedMap:
     """Cache phi by labeled graph in a bounded LRU cache; sweeps revisit
     derived graphs a lot.
@@ -144,13 +141,12 @@ NAMED_MAPS: dict[str, KeyedMap] = {
     "clique-count": memoized(clique_count_value),
     "induced-path": memoized(induced_path_value),
 }
-# The non-free vertex count, which ``check_iv_lemma`` reads.
+# The non-free vertex count, which ``iv_lemma_failures`` reads.
 iv_value = memoized(Graph.internal_vertex_count)
 
 
 @dataclass
 class CompatibilityReport:
-    map_name: str
     pass_a: bool
     pass_b: bool
     pass_c: bool
@@ -164,9 +160,7 @@ class CompatibilityReport:
         return self.pass_a and self.pass_b and self.pass_c
 
 
-def check_compatibility(
-    phi: InvariantMap, g: Graph, name: str = "phi", strong: bool = False
-) -> CompatibilityReport:
+def check_compatibility(phi: InvariantMap, g: Graph, strong: bool = False) -> CompatibilityReport:
     """Evaluate conditions (a), (b), (c) for one map on one graph.
 
     G is packed once and every value is read by a key derived from G's
@@ -186,9 +180,10 @@ def check_compatibility(
     (see :func:`nonfree_vertex_failures`) whatever the conditions give;
     otherwise it stays None.
     """
-    phi = _keyed(phi)
+    if not isinstance(phi, KeyedMap):
+        phi = KeyedMap(_graph_lookup(phi))
     lookup, value = phi.lookup, phi.value
-    report = CompatibilityReport(name, True, True, True)
+    report = CompatibilityReport(True, True, True)
     adj, n = g.adj, g.n
     nonfree = g.nonfree_mask()
     key = rows_key(adj)
@@ -269,34 +264,35 @@ def nonfree_vertex_failures(phi: InvariantMap, g: Graph) -> list[dict]:
     return check_compatibility(phi, g, strong=True).strong_failures
 
 
-def _vertex_keys(g: Graph, v: int) -> tuple[int, int, int, int]:
-    """The keys of G, G - v, G_v and G_v - v for a vertex v of G, derived
-    from G's (see :func:`graphs.derived_keys`); v is free exactly when
-    G_v has G's key."""
-    g._check_vertex(v)
+def iv_lemma_failures(g: Graph) -> Iterator[int]:
+    """The non-free vertices v of G, ascending, at which the non-free
+    vertex count iv fails to drop strictly:
+    max(iv(G_v), iv(G - v), iv(G_v - v)) >= iv(G).  G is packed once,
+    and each iv is read from ``iv_value`` by a key derived from G's."""
     key, layout = rows_key(g.adj), key_layout(g.n)
-    minus, sat = derived_keys(key, v, layout)
-    return key, minus, sat, derived_keys(sat, v, layout)[0]
-
-
-def check_iv_lemma(g: Graph, v: int) -> bool:
-    """Strict drop of the non-free vertex count at a non-free vertex:
-    max(iv(G_v), iv(G-v), iv(G_v - v)) < iv(G), each read from
-    ``iv_value`` by key."""
-    key, minus, sat, sat_minus = _vertex_keys(g, v)
-    if sat == key:
-        raise ValueError(f"vertex {v} is free; the lemma applies to non-free vertices")
     iv = iv_value.of_key
-    return max(iv(sat), iv(minus), iv(sat_minus)) < iv(key)
+    nonfree = g.nonfree_mask()
+    iv_g = nonfree.bit_count()
+    for v in bits(nonfree):
+        minus, sat = derived_keys(key, v, layout)
+        if max(iv(sat), iv(minus), iv(derived_keys(sat, v, layout)[0])) >= iv_g:
+            yield v
 
 
-def check_regularity_recursion(g: Graph, v: int, reg_fn: InvariantMap = reg_value) -> bool:
-    """reg(G) <= max(reg(G_v), reg(G-v), reg(G_v - v) + 1), each read by
-    key (a plain ``reg_fn`` is called on each graph unpacked from it)."""
-    key, minus, sat, sat_minus = _vertex_keys(g, v)
-    reg = _keyed(reg_fn).of_key
-    bound = max(reg(sat), reg(minus), reg(sat_minus) + 1)
-    return reg(key) <= bound
+def recursion_failures(g: Graph) -> Iterator[int]:
+    """The non-free vertices v of G, ascending, at which
+    reg(G) <= max(reg(G_v), reg(G - v), reg(G_v - v) + 1) fails; at a
+    free v, G_v = G and it holds.  G is packed once, and each reg is
+    read from ``reg_value`` by a key derived from G's.  reg(G) is read
+    first, so a graph past the scan budget raises even when every vertex
+    is free, and the vertices yielded before a raise stand."""
+    key, layout = rows_key(g.adj), key_layout(g.n)
+    reg = reg_value.of_key
+    reg_g = reg(key)
+    for v in bits(g.nonfree_mask()):
+        minus, sat = derived_keys(key, v, layout)
+        if reg_g > max(reg(sat), reg(minus), reg(derived_keys(sat, v, layout)[0]) + 1):
+            yield v
 
 
 def is_path_graph(g: Graph) -> bool:
@@ -326,15 +322,13 @@ class BoundChainReport:
         return not self.violations
 
 
-def bound_chain(
-    g: Graph, with_reg: bool = True, reg_fn: InvariantMap = reg_value
-) -> BoundChainReport:
+def bound_chain(g: Graph, with_reg: bool = True) -> BoundChainReport:
     """Exact values of L, eta, c (and reg when asked for) plus every
     inequality of the chain between the values computed.  A value whose
     search or scan hits a resource cap is skipped, with the checks and
     flags that need it, rather than failing the run.  L, eta and c are
     read by g's key from the ``NAMED_MAPS`` caches that ``verify
-    compatible`` reads too, and reg from ``reg_fn`` by the same key, so
+    compatible`` reads too, and reg from ``reg_value`` by the same key, so
     a cached value is served whatever the budget, and one past it is not
     cached."""
     key = rows_key(g.adj)
@@ -351,7 +345,7 @@ def bound_chain(
     reg: Optional[int] = None
     if with_reg:
         try:
-            reg = _keyed(reg_fn).of_key(key)
+            reg = reg_value.of_key(key)
         except ResourceLimitError as exc:
             skipped["reg"] = str(exc)
     # (name, lhs, rhs): lhs <= rhs must hold, and lhs = rhs is a flag

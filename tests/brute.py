@@ -445,7 +445,8 @@ def brute_compatibility(phi, g: Graph) -> dict:
 
 def built_recursion_graphs(g: Graph, v: int) -> list[Graph]:
     """G_v, G - v, G_v - v and G, built by ``Graph.saturate`` and
-    ``Graph.minus_vertex``, in the order the recursion check reads them."""
+    ``Graph.minus_vertex``; ``recursion_failures`` reads the first three
+    in this order at v."""
     gv = g.saturate(v)
     return [gv, g.minus_vertex(v), gv.minus_vertex(v), g]
 

@@ -54,15 +54,21 @@ def component_scans(monkeypatch):
 @pytest.fixture
 def patch_map(monkeypatch):
     """``patch_map(name, phi)`` puts a map that caches nothing in place of
-    ``NAMED_MAPS[name]`` for the test: on a labeled graph g it gives
+    ``NAMED_MAPS[name]``, or of ``compatibility.reg_value`` when ``name``
+    is ``"reg"``, for the test: on a labeled graph g it gives
     ``phi(g, real)``, where ``real`` is the map it replaces, so no value
     it makes outlives the test.  ``bound_chain`` reads L, eta and c
-    there, and ``verify --jobs`` workers fork, so they see it too."""
+    there, it and ``recursion_failures`` read reg there, and ``verify
+    --jobs`` workers fork, so they see it too."""
     def patch(name: str, phi) -> None:
-        real = compatibility.NAMED_MAPS[name]
+        real = compatibility.reg_value if name == "reg" else compatibility.NAMED_MAPS[name]
 
         def of_key(key: int) -> int:
             rows = key_rows(key)
             return phi(Graph(len(rows), rows), real)
-        monkeypatch.setitem(compatibility.NAMED_MAPS, name, compatibility.KeyedMap(of_key))
+        keyed = compatibility.KeyedMap(of_key)
+        if name == "reg":
+            monkeypatch.setattr(compatibility, "reg_value", keyed)
+        else:
+            monkeypatch.setitem(compatibility.NAMED_MAPS, name, keyed)
     return patch

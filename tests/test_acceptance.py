@@ -13,11 +13,11 @@ from itertools import combinations_with_replacement
 from beibounds.compatibility import (
     bound_chain,
     check_compatibility,
-    check_iv_lemma,
-    check_regularity_recursion,
     eta_value,
+    iv_lemma_failures,
     memoized,
     nonfree_vertex_failures,
+    recursion_failures,
 )
 from beibounds.generators import (
     all_labeled,
@@ -102,7 +102,7 @@ def test_criterion_3_eta_compatibility_n6():
     count = 0
     for n in range(1, 7):
         for g in all_labeled(n):
-            if not check_compatibility(phi, g, "eta").passed:
+            if not check_compatibility(phi, g).passed:
                 bad.append(("conditions", encode_graph6(g)))
             if nonfree_vertex_failures(phi, g):
                 bad.append(("strong", encode_graph6(g)))
@@ -120,11 +120,8 @@ def test_criterion_4_iv_lemma_n6():
     for n in range(1, 7):
         for g in all_labeled(n):
             graphs += 1
-            for v in range(g.n):
-                if not g.is_free_vertex(v):
-                    pairs += 1
-                    if not check_iv_lemma(g, v):
-                        bad.append((encode_graph6(g), v))
+            pairs += g.internal_vertex_count()
+            bad += [(encode_graph6(g), v) for v in iv_lemma_failures(g)]
     _report("4 (iv drop lemma, all n<=6)", not bad,
             f"{graphs} graphs, {pairs} (G, non-free v) pairs; failures={bad[:3]}",
             started)
@@ -170,10 +167,8 @@ def test_criterion_6_recursion_inequality_n5():
     pairs = 0
     for n in range(1, 6):
         for g in all_labeled(n):
-            for v in range(g.n):
-                pairs += 1
-                if not check_regularity_recursion(g, v):
-                    bad.append((encode_graph6(g), v))
+            pairs += g.n
+            bad += [(encode_graph6(g), v) for v in recursion_failures(g)]
     _report("6 (regularity recursion, all n<=5, all v)", not bad,
             f"{pairs} (G, v) pairs; failures={bad[:3]}", started)
 

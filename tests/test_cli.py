@@ -19,8 +19,6 @@ from beibounds.generators import cycle, net, path, sierpinski, union
 from beibounds.graphio import encode_graph6
 from beibounds.graphs import Graph, canonical_rows, rows_key
 
-from brute import brute_free_vertex
-
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -482,40 +480,42 @@ def test_verify_compatible_reports_an_eta_skip(capsys, tmp_path, set_budget):
     assert err.splitlines()[1:] == [f"{dense}: independent-set search exceeded 100 nodes"]
 
 
-def test_verify_recursion_keeps_a_violation_found_before_a_skip(capsys, monkeypatch, tmp_path):
+def test_verify_recursion_keeps_a_violation_found_before_a_skip(capsys, patch_map, tmp_path):
     c9 = encode_graph6(cycle(9))
     reads = []
-    real = cli.reg_value
-    monkeypatch.setattr(cli, "reg_value", lambda g: reads.append((g, real(g))))
 
-    def check(g, v):
-        assert reads == [(cycle(9), 7)]  # reg(C9), read once per graph, before any vertex
-        if v:
+    def reg(g, real):
+        if len(reads) == 4:  # the first read at vertex 1
             raise ResourceLimitError("synthetic budget")
-        return False
+        # reg(C9), then 0 for G_v, G - v and G_v - v at vertex 0, where
+        # 7 <= max(0, 0, 0 + 1) fails
+        reads.append((g, real(g) if not reads else 0))
+        return reads[-1][1]
 
-    monkeypatch.setattr(cli, "check_regularity_recursion", check)
+    patch_map("reg", reg)
     f = tmp_path / "c9.g6"
     f.write_text(c9 + "\n")
     code, out, err = run(capsys, "verify", "recursion", str(f), "--format", "json")
     assert code == 1
+    # reg(C9), read once per graph, before any vertex
+    assert reads[0] == (cycle(9), 7)
+    assert [g for g, _ in reads].count(cycle(9)) == 1
     report = json.loads(out)
     assert report["violations"] == [{"graph6": c9, "vertex": 0}]
     assert report["results"]["reg_skipped_graphs"] == [c9]
     assert err.splitlines()[1:] == [f"{c9}: synthetic budget"]
 
 
-def test_verify_recursion_checks_each_non_free_vertex_once(capsys, monkeypatch):
-    """At a free v, G_v = G and the inequality cannot fail, so the sweep
-    checks the non-free vertices alone, each once, in ascending order."""
+@pytest.mark.parametrize("kind", ["recursion", "iv-lemma"])
+def test_verify_vertex_checks_pack_each_graph_once(capsys, monkeypatch, kind):
+    """The vertex checks derive the keys of G - v, G_v and G_v - v from
+    G's, so a sweep packs each of its 75 graphs once."""
     calls = []
-    real = cli.check_regularity_recursion
-    monkeypatch.setattr(cli, "check_regularity_recursion",
-                        lambda g, v: calls.append((g, v)) or real(g, v))
-    code, _, _ = run(capsys, "verify", "recursion", "--exhaustive", "4", "--format", "json")
+    real = compatibility.rows_key
+    monkeypatch.setattr(compatibility, "rows_key", lambda adj: calls.append(adj) or real(adj))
+    code, _, _ = run(capsys, "verify", kind, "--exhaustive", "4", "--format", "json")
     assert code == 0
-    assert calls == [(g, v) for n in range(1, 5) for g in generators.all_labeled(n)
-                     for v in range(n) if not brute_free_vertex(g, v)]
+    assert calls == [g.adj for n in range(1, 5) for g in generators.all_labeled(n)]
 
 
 def test_verify_recursion_skips_a_graph_with_no_non_free_vertex(capsys, tmp_path, set_budget):

@@ -8,15 +8,15 @@ from beibounds.compatibility import (
     KeyedMap,
     bound_chain,
     check_compatibility,
-    check_iv_lemma,
-    check_regularity_recursion,
     clique_count_value,
     eta_value,
     induced_path_value,
     is_path_graph,
+    iv_lemma_failures,
     iv_value,
     memoized,
     nonfree_vertex_failures,
+    recursion_failures,
 )
 from beibounds.errors import ResourceLimitError
 from beibounds.generators import (
@@ -38,7 +38,7 @@ from brute import (
 
 
 def test_eta_is_compatible_on_c4():
-    rep = check_compatibility(eta_value, cycle(4), "eta")
+    rep = check_compatibility(eta_value, cycle(4))
     assert rep.passed
     assert rep.witness_vertex == 0
     assert rep.values["phi"] == 4
@@ -48,20 +48,20 @@ def test_eta_is_compatible_on_c4():
 
 def test_eta_is_compatible_on_complete_union():
     g = union([complete(3), complete(2)])
-    rep = check_compatibility(eta_value, g, "eta")
+    rep = check_compatibility(eta_value, g)
     assert rep.passed
     assert rep.values["union_components"] == 2
     assert rep.values["phi"] == 2
 
 
 def test_constant_zero_fails_condition_c():
-    rep = check_compatibility(lambda g: 0, net(), "zero")
+    rep = check_compatibility(lambda g: 0, net())
     assert not rep.pass_c
     assert rep.counterexample["condition"] == "c"
 
 
 def test_constant_zero_fails_condition_b():
-    rep = check_compatibility(lambda g: 0, union([complete(2), complete(2)]), "zero")
+    rep = check_compatibility(lambda g: 0, union([complete(2), complete(2)]))
     assert not rep.pass_b
 
 
@@ -69,7 +69,7 @@ def test_condition_a_failure_detected():
     # a map that shrinks in the presence of isolated vertices
     phi = lambda g: max(0, eta_value(g) - len(g.isolated_vertices()))
     g = union([complete(2), complete(1)])
-    rep = check_compatibility(phi, g, "deflated")
+    rep = check_compatibility(phi, g)
     assert not rep.pass_a
     assert rep.counterexample["condition"] == "a"
 
@@ -84,61 +84,51 @@ def test_iv_lemma_net_triangle_vertex():
     assert g.internal_vertex_count() == 3
     assert g.saturate(0).internal_vertex_count() == 2
     assert g.minus_vertex(0).internal_vertex_count() == 2
-    assert check_iv_lemma(g, 0)
+    assert list(iv_lemma_failures(g)) == []
 
 
 def test_iv_lemma_p4_and_c4():
-    assert check_iv_lemma(path(4), 1)
-    assert all(check_iv_lemma(cycle(4), v) for v in range(4))
-
-
-def test_iv_lemma_rejects_free_vertex():
-    with pytest.raises(ValueError):
-        check_iv_lemma(net(), 3)
+    assert list(iv_lemma_failures(path(4))) == []
+    assert list(iv_lemma_failures(cycle(4))) == []
 
 
 def test_recursion_inequality_examples():
-    assert check_regularity_recursion(path(3), 1)
-    assert check_regularity_recursion(net(), 0)
-    assert check_regularity_recursion(complete(2), 0)
+    for g in [path(3), net(), complete(2)]:
+        assert list(recursion_failures(g)) == [], g
 
 
 def _edge_count_mod_4(g):
     return g.edge_count() % 4
 
 
-def test_keyed_recursion_and_iv_lemma_match_the_built_graph_references_n5():
-    """On every labeled graph with n <= 5, the recursion check reads reg
-    by derived keys, and a plain map on the graphs unpacked from them,
-    with the verdicts of the references on the graphs that ``saturate``
-    and ``minus_vertex`` build; the plain map sees those graphs, in
-    order.  ``edges mod 4`` breaks the inequality on some graphs.  The
-    iv-lemma check gives the reference's verdict at each non-free vertex
-    and rejects each free one."""
+def _nonfree(g):
+    return [v for v in range(g.n) if not brute_free_vertex(g, v)]
+
+
+def test_vertex_checks_yield_the_vertices_the_built_graph_references_fail_n5(patch_map):
+    """On every labeled graph with n <= 5, ``recursion_failures`` and
+    ``iv_lemma_failures`` yield, in ascending order, exactly the
+    non-free vertices at which their references fail on the graphs that
+    ``saturate`` and ``minus_vertex`` build.  With ``edges mod 4`` as
+    the reg map, which breaks the inequality at some vertices, the map
+    sees G once and then G_v, G - v and G_v - v at each non-free v."""
     reg = lambda g: regularity_bei(g).value
+    graphs = [g for n in range(6) for g in all_labeled(n)]
+    for g in graphs:
+        assert list(recursion_failures(g)) == [
+            v for v in _nonfree(g) if not brute_regularity_recursion(reg, g, v)], g
+        assert list(iv_lemma_failures(g)) == [
+            v for v in _nonfree(g) if not brute_iv_lemma(g, v)], g
+    seen = []
+    patch_map("reg", lambda h, real: seen.append(h) or _edge_count_mod_4(h))
     verdicts = set()
-    for n in range(6):
-        for g in all_labeled(n):
-            for v in range(n):
-                assert check_regularity_recursion(g, v) == brute_regularity_recursion(reg, g, v)
-                seen = []
-                got = check_regularity_recursion(
-                    g, v, lambda h: seen.append(h) or _edge_count_mod_4(h))
-                assert got == brute_regularity_recursion(_edge_count_mod_4, g, v), (g, v)
-                assert seen == built_recursion_graphs(g, v), (g, v)
-                verdicts.add(got)
-                if brute_free_vertex(g, v):
-                    with pytest.raises(ValueError, match=f"vertex {v} is free"):
-                        check_iv_lemma(g, v)
-                else:
-                    assert check_iv_lemma(g, v) == brute_iv_lemma(g, v), (g, v)
+    for g in graphs:
+        seen.clear()
+        held = {v: brute_regularity_recursion(_edge_count_mod_4, g, v) for v in _nonfree(g)}
+        assert list(recursion_failures(g)) == [v for v, ok in held.items() if not ok], g
+        assert seen == [g] + [h for v in held for h in built_recursion_graphs(g, v)[:3]], g
+        verdicts.update(held.values())
     assert verdicts == {True, False}
-
-
-@pytest.mark.parametrize("v", [-1, 6])
-def test_recursion_rejects_a_vertex_out_of_range(v):
-    with pytest.raises(ValueError, match=f"vertex {v} out of range for n=6"):
-        check_regularity_recursion(net(), v)
 
 
 def test_is_path_graph():
@@ -170,11 +160,12 @@ def test_bound_chain_sierpinski_level1():
     assert rep.flags["L=eta"] and rep.flags["reg=eta"] and not rep.flags["eta=c"]
 
 
-def test_bound_chain_degrades_without_oracle():
-    def broken(g):
+def test_bound_chain_degrades_without_oracle(patch_map):
+    def broken(g, real):
         raise ResourceLimitError("synthetic cap")
 
-    rep = bound_chain(path(4), with_reg=True, reg_fn=broken)
+    patch_map("reg", broken)
+    rep = bound_chain(path(4), with_reg=True)
     assert rep.reg is None
     assert rep.passed
     assert "reg=eta" not in rep.flags
@@ -191,7 +182,8 @@ def test_bound_chain_skips_a_value_past_its_budget(patch_map, name, map_name):
         raise ResourceLimitError("synthetic budget")
 
     patch_map(map_name, capped)
-    rep = bound_chain(net(), with_reg=True, reg_fn=lambda g: 5)
+    patch_map("reg", lambda g, real: 5)
+    rep = bound_chain(net(), with_reg=True)
     assert rep.skipped == {name: "synthetic budget"}
     assert (rep.length_sum, rep.eta) == ((None, 4) if name == "L" else (3, None))
     assert (rep.clique_count, rep.reg) == (4, 5)
@@ -211,8 +203,9 @@ def test_bound_chain_reads_the_values_of_the_searches():
                 longest_induced_path(g)[0], eta(g)[0], len(maximal_cliques(g)))
 
 
-def test_bound_chain_flags_violations():
-    rep = bound_chain(path(4), with_reg=True, reg_fn=lambda g: 99)
+def test_bound_chain_flags_violations(patch_map):
+    patch_map("reg", lambda g, real: 99)
+    rep = bound_chain(path(4), with_reg=True)
     assert not rep.passed
     assert any(v["inequality"] == "reg<=eta" for v in rep.violations)
 
@@ -220,7 +213,7 @@ def test_bound_chain_flags_violations():
 def test_compatibility_exhaustive_n4_for_eta():
     phi = memoized(eta_value)
     for g in all_labeled(4):
-        assert check_compatibility(phi, g, "eta").passed
+        assert check_compatibility(phi, g).passed
         assert nonfree_vertex_failures(phi, g) == []
 
 
@@ -355,7 +348,7 @@ def _assert_named_map_matches_the_reference(map_name, plain, g):
     ref = brute_compatibility(plain, g)
     want = (ref["passed"], ref["witness_vertex"], ref["values"], ref["counterexample"])
     for strong, want_strong in [(False, None), (True, ref["strong"])]:
-        rep = check_compatibility(NAMED_MAPS[map_name], g, map_name, strong)
+        rep = check_compatibility(NAMED_MAPS[map_name], g, strong=strong)
         assert (rep.passed, rep.witness_vertex, rep.values, rep.counterexample) == want, (
             g, map_name, strong)
         assert rep.strong_failures == want_strong, (g, map_name, strong)
