@@ -177,23 +177,20 @@ class _MisSolver:
     beat include strictly to be chosen, so every exact result makes the
     choice the unbounded search makes, and the witnesses are its.  Each
     component gets the need left over after the other components'
-    bounds.  Exact results are memoized by mask, and so are the bounds
-    of failed calls.  A call with ``need <= 0`` computes no bound.
+    bounds.  ``memo`` maps a mask to its exact ``(size, witness)``, or
+    to its last failed call's ``(bound, None)``, which answers any need
+    above the bound.  A call with ``need <= 0`` computes no bound.
     """
 
     def __init__(self, adj: Sequence[int]):
         self.adj = adj
         self.nodes = 0
-        self.memo: dict[int, tuple[int, int]] = {}
-        self.failed: dict[int, int] = {}  # mask -> an upper bound below a past need
+        self.memo: dict[int, tuple[int, int | None]] = {}
 
     def solve(self, mask: int, need: int) -> tuple[int, int | None]:
         cached = self.memo.get(mask)
-        if cached is not None:
+        if cached is not None and (cached[1] is not None or cached[0] < need):
             return cached
-        known = self.failed.get(mask)
-        if known is not None and known < need:
-            return known, None
         self.nodes += 1
         budget = NODE_BUDGET
         if self.nodes > budget:
@@ -263,7 +260,7 @@ class _MisSolver:
         return taken_size, taken_mask
 
     def _fail(self, mask: int, bound: int) -> tuple[int, None]:
-        self.failed[mask] = bound
+        self.memo[mask] = (bound, None)
         return bound, None
 
     def _clique_cover(self, mask: int) -> int:

@@ -43,8 +43,9 @@ recursion``) need the value alone and read it from ``_reg_cached``, the
 one cache of reg values, keyed by the int of a labelled graph
 (``graphs.rows_key``).  A disconnected miss sums its components'
 entries, and a connected one on at most ``CANONICAL_MAX_N`` vertices
-reads the entry of its canonical labelling (``graphs.canonical_rows``),
-so each isomorphism class is scanned once.  ``regularity_bei`` and the
+relabels once to read the class entry of its canonical labelling
+(``graphs.canonical_rows``), keyed by that labelling's negated key, so
+each isomorphism class is scanned once.  ``regularity_bei`` and the
 witnesses that ``reg`` and ``invariants --with-reg`` report stay on the
 caller's labelling, uncached: the initial ideal depends on the vertex
 order, so a relabelling keeps the value but changes the witness.
@@ -423,20 +424,20 @@ def regularity_bei(g: Graph) -> RegularityResult:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _reg_cached(key: int) -> int:
-    """The one cache of reg values, keyed by :func:`graphs.rows_key`.  A
-    disconnected miss sums the entries of ``Graph.component_subgraphs``;
-    a connected one on at most ``CANONICAL_MAX_N`` vertices whose
-    canonical labelling has another key reads that key's entry, so each
-    isomorphism class is scanned once, and any other scans its own
-    labelling.  A miss past ``SCAN_BUDGET`` raises, and ``lru_cache``
-    stores no exception, so a skip is not cached."""
-    adj = key_rows(key)
+    """The one cache of reg values, keyed by :func:`graphs.rows_key`, or
+    by -k for the class entry of the canonical labelling whose key is k,
+    which scans that graph at once.  A disconnected miss sums the
+    entries of ``Graph.component_subgraphs``; a connected one on at most
+    ``CANONICAL_MAX_N`` vertices reads the class entry of its canonical
+    labelling, so each isomorphism class is scanned once, and any other
+    scans its own labelling.  A miss past ``SCAN_BUDGET`` raises, and
+    ``lru_cache`` stores no exception, so a skip is not cached."""
+    adj = key_rows(abs(key))
     g = Graph(len(adj), adj)
-    subs = g.component_subgraphs()
-    if len(subs) != 1:  # the empty graph has none, and reg 0
-        return sum([_reg_cached(rows_key(sub.adj)) for sub, _ in subs])
-    if g.n <= CANONICAL_MAX_N:
-        canonical = rows_key(canonical_rows(adj))
-        if canonical != key:
-            return _reg_cached(canonical)
+    if key > 0:
+        subs = g.component_subgraphs()
+        if len(subs) != 1:  # the empty graph has none, and reg 0
+            return sum([_reg_cached(rows_key(sub.adj)) for sub, _ in subs])
+        if g.n <= CANONICAL_MAX_N:
+            return _reg_cached(-rows_key(canonical_rows(adj)))
     return _component_regularity(g)[0]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import beibounds
-from beibounds import cli, compatibility, generators, invariants, regularity
+from beibounds import cli, compatibility, generators, invariants
 from beibounds.cli import build_spec, main, parse_args, parse_graph_text
 from beibounds.errors import ResourceLimitError
 from beibounds.generators import cycle, net, path, sierpinski, union

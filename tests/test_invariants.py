@@ -239,9 +239,9 @@ def test_mis_matches_unbounded_reference(adj):
 @settings(max_examples=300, deadline=None)
 def test_mis_threshold_contract(adj, need):
     """solve(mask, need) is exact when the optimum reaches need, else an
-    upper bound below need with no witness; every memoized result is
-    exact and every recorded bound is an upper bound, whatever need
-    was asked."""
+    upper bound below need with no witness; every memo entry with a
+    witness is exact and every one without is an upper bound, whatever
+    need was asked."""
     n = len(adj)
     solver = invariants._MisSolver(adj)
     size, members = solver.solve((1 << n) - 1, need)
@@ -249,10 +249,11 @@ def test_mis_threshold_contract(adj, need):
     best = ref.solve((1 << n) - 1)
     if (size, members) != best:
         assert members is None and best[0] <= size < need
-    for mask, result in solver.memo.items():
-        assert result == ref.solve(mask)
-    for mask, bound in solver.failed.items():
-        assert ref.solve(mask)[0] <= bound
+    for mask, (bound, witness) in solver.memo.items():
+        if witness is not None:
+            assert (bound, witness) == ref.solve(mask)
+        else:
+            assert ref.solve(mask)[0] <= bound
 
 
 def test_eta_matches_unbounded_reference_exhaustive_n5():

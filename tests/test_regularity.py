@@ -453,6 +453,22 @@ def test_isomorphic_components_share_one_scan(component_scans):
     assert component_scans[2:] == [big]
 
 
+def test_a_class_miss_relabels_once(monkeypatch, component_scans):
+    """A cold read of a relabelled net runs ``canonical_rows`` once and
+    scans its class once; a read of another relabelling runs it once
+    and scans nothing."""
+    calls = []
+    real = regularity.canonical_rows
+    monkeypatch.setattr(regularity, "canonical_rows", lambda adj: calls.append(adj) or real(adj))
+    first = _relabel(net(), [1, 3, 5, 0, 2, 4])
+    second = _relabel(net(), [0, 2, 4, 1, 3, 5])
+    assert len({first.adj, second.adj, real(net().adj)}) == 3
+    assert reg_value(first) == 4
+    assert (len(calls), len(component_scans)) == (1, 1)
+    assert reg_value(second) == 4
+    assert (len(calls), len(component_scans)) == (2, 1)
+
+
 def test_many_small_components():
     """Cutting each component out of the whole graph cost O(n) per
     component: 2,500 disjoint K2 took about 30 s."""
