@@ -41,10 +41,12 @@ available set and its counting bound once for all its children, and
 settles the children that cannot grow without entering them.  Two
 admissible bounds, a few big-int operations per node, tighten the
 count: an induced path holds at most two vertices of each triangle of
-a greedy packing (kept in bit planes, built once a search outgrows its
-cost) and at most one degree-1 vertex at the open end of a one-sided
-path.  They never prune the first longest path, so the witnesses are
-the count bound's, each written smaller end first.
+a least-overlap greedy packing of the unrooted vertices (kept in bit
+planes, built at the node where the search outgrows its cost and again
+after each later root that breaks a packed triangle) and at most one
+degree-1 vertex at the open end of a one-sided path.  They never prune
+the first longest path, so the witnesses are the count bound's, each
+written smaller end first.
 
 Both searches count their nodes against one module constant,
 ``NODE_BUDGET``, read at call time, and raise ResourceLimitError past
@@ -63,9 +65,12 @@ from .graphs import CACHE_SIZE, Graph, bits, components, edge, key_rows, minimal
 
 # Search nodes each eta or L call may visit before it raises.
 NODE_BUDGET = 5_000_000
-# Expanded search nodes after which a component builds its triangle
-# packing.  The packing costs up to about 150 nodes' worth of time and
-# saves little on random graphs, so building it sooner slows them.
+# Expanded search nodes after which a component's induced-path search
+# packs triangles: the node past them builds the packing, mid-search,
+# and each later root that breaks a packed triangle builds it again.  A
+# build costs a few hundred nodes' worth of time (about 250 on
+# sierpinski(3)) and saves little on random graphs, so building it
+# sooner slows them.
 _PACK_AFTER = 3000
 
 
@@ -428,9 +433,8 @@ def longest_induced_path(g: Graph) -> tuple[int, list[list[int]]]:
     total = 0
     witnesses = []
     nodes = 0
-    adjp = [0] * g.n  # triangle-plane rows, filled per component on demand
     for comp in g.component_masks():
-        length, path, nodes = _component_lip(g, comp, adjp, nodes)
+        length, path, nodes = _component_lip(g, comp, nodes)
         total += length
         witnesses.append(path)
     return total, witnesses
@@ -449,9 +453,7 @@ def is_induced_path(g: Graph, path: Sequence[int]) -> bool:
     return True
 
 
-def _component_lip(
-    g: Graph, comp: int, adjp: list[int], nodes: int
-) -> tuple[int, list[int], int]:
+def _component_lip(g: Graph, comp: int, nodes: int) -> tuple[int, list[int], int]:
     """Longest induced path of the component ``comp``, one witness, and
     the running count ``nodes`` of expanded search nodes (at most
     ``NODE_BUDGET``, else ResourceLimitError).
@@ -482,29 +484,38 @@ def _component_lip(
     degree among the unrooted vertices, so none of them has degree 1.
     Every bound is admissible, so it never prunes the first longest
     path in the search order: the witness is the one the count bound
-    alone finds, whenever the packing was built, written smaller end
+    alone finds, whenever the packing arrives, written smaller end
     first.
 
     Member j of packed triangle i is bit ``i + j*t`` of ``availp``,
-    which mirrors ``avail`` on the members, and ``adjp[v]`` is the plane
-    image of ``adj[v]``, so ``restp & restp >> t & restp >> 2t`` marks
-    the triangles wholly in ``rest``.  The packing covers the unrooted
-    vertices, the root among them, and is built at the first root after
-    the search has expanded ``_PACK_AFTER`` nodes; each root then clears
-    its own plane bit ``own[m]`` from ``availp``.  Until then ``t``,
-    ``leaves``, ``most``, ``availp`` and the component's ``adjp`` rows
-    are 0.
+    which mirrors ``avail`` on the ``packed`` vertices, and ``adjp[v]``
+    is the plane image of ``adj[v]``, so ``restp & restp >> t & restp
+    >> 2t`` marks the triangles wholly in ``rest``.  The node that takes
+    ``nodes`` past ``gate`` packs the unrooted vertices: the first time
+    once the component's search has expanded ``_PACK_AFTER`` nodes,
+    inside whatever root's search that is, and again at the first node
+    after a root that is a packed vertex breaks its triangle (that root
+    sets ``gate`` back and ``full``, the root's plane mask, to 0).  A
+    frame open when the packing arrives holds ``restp == 0``; each
+    child it expands next planes its own ``rest`` once and passes the
+    true mask on.  Until the packing arrives ``t``, ``leaves``,
+    ``most``, ``packed`` and every ``availp`` are 0.
     """
     adj = g.adj
     budget = NODE_BUDGET
+    gate = nodes + _PACK_AFTER  # past it, grow packs or raises
+    if gate > budget:
+        gate = budget
     best_len = 0
     best_path = [(comp & -comp).bit_length() - 1]
     path = [0] * comp.bit_count()
-    t = t2 = leaves = availp = most = 0
-    own: list[int] = []
+    unrooted = comp
+    t = t2 = leaves = most = packed = full = 0
+    own: Sequence[int] = ()
+    adjp: Sequence[int] = ()
 
     def grow(last: int, avail: int, availp: int, cand: int, starts: int, k: int) -> None:
-        nonlocal best_len, best_path, nodes
+        nonlocal best_len, best_path, nodes, gate, t, t2, leaves, most, packed, full, own, adjp
         if k > best_len:
             best_len = k
             if cand:
@@ -519,9 +530,27 @@ def _component_lip(
         if bound <= best_len:
             return
         nodes += 1
-        if nodes > budget:
-            raise ResourceLimitError(f"induced-path search exceeded {budget} nodes")
-        restp = availp & ~adjp[last] if availp else 0
+        if nodes > gate:
+            if nodes > budget:
+                raise ResourceLimitError(f"induced-path search exceeded {budget} nodes")
+            gate = budget
+            triangles, packed, own, adjp = _triangle_planes(adj, unrooted)
+            t = len(triangles)
+            t2 = 2 * t
+            full = (1 << 3 * t) - 1
+            leaves = 0
+            for v in bits(unrooted):
+                if not adj[v] & adj[v] - 1:
+                    leaves |= 1 << v
+            most = t + max(leaves.bit_count() - 1, 0)
+        if availp:
+            restp = availp & ~adjp[last]
+        elif packed and rest & packed:  # the parent was open when the packing arrived
+            restp = 0
+            for v in bits(rest & packed):
+                restp |= own[v]
+        else:
+            restp = 0
         if bound - best_len <= most:
             bound -= (restp & restp >> t & restp >> t2).bit_count()
             if not starts:
@@ -550,8 +579,6 @@ def _component_lip(
                     grow(b, rest, restp, out, 0, k + 1)
             path[:k] = path[k - 1::-1]
 
-    first = nodes
-    unrooted = comp
     while unrooted.bit_count() > best_len + 1:
         # the root: a vertex of least degree among the unrooted ones,
         # the least on ties
@@ -565,15 +592,10 @@ def _component_lip(
             degree = (adj[u] & unrooted).bit_count()
             if degree < fewest:
                 m, fewest = u, degree
-        low = 1 << m
-        unrooted ^= low
-        if not own and nodes - first >= _PACK_AFTER:
-            t, leaves, own = _triangle_planes(adj, unrooted | low, adjp)
-            t2 = 2 * t
-            availp = (1 << 3 * t) - 1
-            most = t + max(leaves.bit_count() - 1, 0)
-        if own:
-            availp &= ~own[m]
+        unrooted ^= 1 << m
+        if packed >> m & 1:  # m breaks a packed triangle: pack at the next node
+            gate = nodes
+            full = 0
         cand = unrooted & adj[m]
         if not cand:
             continue
@@ -582,7 +604,7 @@ def _component_lip(
             best_path = [m, (cand & -cand).bit_length() - 1]
         path[0] = m
         rest = unrooted & ~adj[m]
-        restp = availp & ~adjp[m] if availp else 0
+        restp = full & ~adjp[m] if full else 0
         size = 1 + rest.bit_count()
         while cand and size + (1 if cand & cand - 1 else 0) > best_len:
             low = cand & -cand
@@ -599,41 +621,53 @@ def _component_lip(
 
 
 def _triangle_planes(
-    adj: Sequence[int], comp: int, adjp: list[int]
-) -> tuple[int, int, list[int]]:
-    """Pack disjoint triangles of the vertex set ``comp`` (the search
-    passes the vertices it has not yet rooted) greedily, lowest vertex
-    first, and write into ``adjp`` each vertex's neighbourhood row in
-    the planes (member j of triangle i is bit ``i + j*t``).
+    adj: Sequence[int], verts: int
+) -> tuple[list[tuple[int, int, int]], int, list[int], list[int]]:
+    """Pack disjoint triangles of the vertex set ``verts`` greedily and
+    lay them out in bit planes (member j of triangle i is bit
+    ``i + j*t``).
 
-    Returns the triangle count t, the mask of the vertices of ``comp``
-    with degree 1 in the graph, and each vertex's own plane bit (0 off
-    the packing).
+    Each step takes the live triangle (one with no packed vertex) whose
+    vertices lie in the fewest live triangles, the least vertex tuple on
+    ties, so it spoils as few others as it can.  Returns the packed
+    triangles, the mask of their vertices, each vertex's own plane bit
+    (0 off the packing) and each vertex's neighbourhood row in the
+    planes.
     """
+    live = []
+    count = [0] * len(adj)  # live triangles through each vertex
+    for a in bits(verts):
+        for b in bits(adj[a] & verts >> a + 1 << a + 1):
+            for c in bits(adj[a] & adj[b] & verts >> b + 1 << b + 1):
+                live.append((a, b, c, 1 << a | 1 << b | 1 << c))
+                count[a] += 1
+                count[b] += 1
+                count[c] += 1
     triangles = []
-    free = comp
-    for a in bits(comp):
-        if not free >> a & 1:
-            continue
-        for b in bits(adj[a] & free):
-            common = adj[a] & adj[b] & free
-            if common:
-                c = (common & -common).bit_length() - 1
-                triangles.append((a, b, c))
-                free &= ~(1 << a | 1 << b | 1 << c)
-                break
+    packed = 0
+    while live:
+        scores = [count[a] + count[b] + count[c] for a, b, c, _ in live]
+        a, b, c, hit = live[scores.index(min(scores))]
+        triangles.append((a, b, c))
+        packed |= hit
+        left = []
+        for x in live:
+            if x[3] & hit:
+                count[x[0]] -= 1
+                count[x[1]] -= 1
+                count[x[2]] -= 1
+            else:
+                left.append(x)
+        live = left
     t = len(triangles)
-    own = [0] * len(adjp)
+    own = [0] * len(adj)
+    adjp = [0] * len(adj)
     for i, tri in enumerate(triangles):
         for j, u in enumerate(tri):
             own[u] = bit = 1 << (i + j * t)
             for v in bits(adj[u]):
                 adjp[v] |= bit
-    leaves = 0
-    for v in bits(comp):
-        if not adj[v] & adj[v] - 1:
-            leaves |= 1 << v
-    return t, leaves, own
+    return triangles, packed, own, adjp
 
 
 # -- constructive extension (saturated graph -> original graph) -----------

@@ -305,7 +305,7 @@ def test_verify_chain_without_reg_skips_nothing(capsys, tmp_path, set_budget):
     ["verify", "chain", "--sierpinski", "3"],
 ])
 def test_L_node_budget_exits_2(capsys, set_budget, tmp_path, argv):
-    """L of sierpinski(3) expands about 118k search nodes; with a budget
+    """L of sierpinski(3) expands about 49k search nodes; with a budget
     of 1,000 every command that computes L stops with exit 2."""
     set_budget("NODE_BUDGET", 1_000)
     f = tmp_path / "s3.g6"

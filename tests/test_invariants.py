@@ -527,9 +527,9 @@ def test_longest_induced_path_matches_subset_brute_force(g):
 
 
 @pytest.mark.parametrize("g, pack_after, value, count", [
-    (sierpinski(3), invariants._PACK_AFTER, 24, 118_102),
-    (sierpinski(3), 0, 24, 89_614),
-    (gnp(40, 1, 10, 0), invariants._PACK_AFTER, 19, 20_371),
+    (sierpinski(3), invariants._PACK_AFTER, 24, 49_128),
+    (sierpinski(3), 0, 24, 47_342),
+    (gnp(40, 1, 10, 0), invariants._PACK_AFTER, 19, 20_008),
 ], ids=["sierpinski3", "sierpinski3-pack0", "gnp40"])
 def test_longest_induced_path_node_budget(monkeypatch, set_budget, g, pack_after, value, count):
     """The search expands exactly ``count`` nodes: that many pass the
@@ -569,8 +569,8 @@ def _check_lip_witnesses(g, total, witnesses):
     # adjacent, so the node may count only one of them
     (cycle(4), 2),
     # the longest path 7-0-5-2-3-9 has root 7, rooted after 1 and 8, two
-    # members of the packed triangle 1-2-8; their plane bits must be
-    # off, or the triangle counts as wholly in rest wherever 2 is
+    # vertices of the triangle 1-2-8; a packing that kept it would count
+    # it as wholly in rest wherever 2 is
     (Graph.from_edge_list(10, [(0, 4), (0, 5), (0, 7), (1, 2), (1, 8), (2, 3), (2, 5),
                                (2, 6), (2, 8), (3, 6), (3, 9), (4, 5), (4, 7), (6, 9)]), 5),
 ])
@@ -622,6 +622,74 @@ def test_longest_induced_path_bounds_keep_witnesses_exhaustive_n6(monkeypatch):
     for n in range(1, 7):
         for g in all_labeled(n):
             assert longest_induced_path(g) == ref_longest_induced_path(g)
+
+
+_PACK_POINTS = (1, 7, 50, 400)
+
+
+def _assert_packing_time_keeps_results(g):
+    want = ref_longest_induced_path(g)
+    with pytest.MonkeyPatch.context() as mp:
+        for pack_after in _PACK_POINTS:
+            mp.setattr(invariants, "_PACK_AFTER", pack_after)
+            assert longest_induced_path(g) == want, pack_after
+
+
+@pytest.mark.parametrize("g", [
+    sierpinski(2),
+    sierpinski(3),
+    # the root 7 packs 0-2-3, 1-6-9 and 4-5-8; the next root, 5, breaks
+    # 4-5-8, and the packing built after it lays out two triangles, so a
+    # plane mask of the old layout passed on from the root would take
+    # the value from 5 to 4
+    decode_graph6("ItCI?@lO_"),
+], ids=["sierpinski2", "sierpinski3", "rebuilt"])
+def test_longest_induced_path_packing_time_keeps_results(g):
+    """The packing arrives inside a root's search, with frames open
+    above it, and is built again after later roots that break a packed
+    triangle; wherever that happens, value and witnesses stay those of
+    the count-bound-only search."""
+    _assert_packing_time_keeps_results(g)
+
+
+@given(triangle_pendant_graphs())
+@settings(max_examples=50, deadline=None)
+def test_longest_induced_path_packing_time_keeps_results_triangle_pendant(g):
+    _assert_packing_time_keeps_results(g)
+
+
+def test_triangle_planes_packs_sierpinski_3_perfectly():
+    """The 45 vertices of sierpinski(3) split into 15 triangles; the
+    lowest-first greedy that packed before stopped at 13."""
+    g = sierpinski(3)
+    triangles, packed, _, _ = invariants._triangle_planes(g.adj, (1 << g.n) - 1)
+    assert len(triangles) == 15
+    assert packed == (1 << g.n) - 1
+
+
+@given(triangle_pendant_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_triangle_planes_lays_out_disjoint_triangles(g, rng):
+    """Each packed triple is a triangle of G inside the given vertices,
+    the triples are disjoint, ``packed`` is their union, and ``own`` and
+    ``adjp`` give member j of triangle i the plane bit ``i + j*t``."""
+    verts = rng.getrandbits(g.n) if rng.random() < 0.5 else (1 << g.n) - 1
+    triangles, packed, own, adjp = invariants._triangle_planes(g.adj, verts)
+    t = len(triangles)
+    union_of = 0
+    for tri in triangles:
+        assert all(verts >> v & 1 for v in tri)
+        assert all(g.has_edge(u, v) for u, v in combinations(tri, 2))
+        for v in tri:
+            assert not union_of >> v & 1
+            union_of |= 1 << v
+    assert packed == union_of
+    want = [0] * g.n
+    for i, tri in enumerate(triangles):
+        for j, u in enumerate(tri):
+            want[u] = 1 << (i + j * t)
+    assert own == want
+    assert adjp == [sum(want[u] for u in range(g.n) if g.has_edge(u, v)) for v in range(g.n)]
 
 
 @given(triangle_pendant_graphs(), st.randoms(use_true_random=False))
