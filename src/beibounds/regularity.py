@@ -24,10 +24,15 @@ one is a strong collapse (Barmak-Minian) that keeps the homology in
 every field and leads to a smaller subset the scan reaches anyway.  The
 witness is therefore the first domination-free lattice element, by
 descending size and then ascending variable tuple, that attains the
-value.  Homology is computed exactly over GF(2) and GF(3) via
-boundary-matrix ranks on Python-int rows (bitmasks for GF(2),
-bit-sliced (pos, neg) pairs for GF(3); see ``rank_modp``); the two
-fields must agree or an error is raised.  The scan computes only the
+value.  Some pairs (u, v) fail the second test in every union that
+holds both, whatever else it holds: u dominates v there.  The lattice
+is grown only from unions with no such forbidden pair; every sub-union
+of such a union is one too, so the growth still reaches each of them,
+and the domination-free elements, and so every value and witness, are
+those of the whole lattice.  Homology is computed exactly over GF(2)
+and GF(3) via boundary-matrix ranks on Python-int rows (bitmasks for
+GF(2), bit-sliced (pos, neg) pairs for GF(3); see ``rank_modp``); the
+two fields must agree or an error is raised.  The scan computes only the
 ranks it needs: per field it walks the degrees of a subset from the top
 down, stops at the first nonzero one, and never goes below the field's
 best value so far, since lower degrees cannot raise it.
@@ -51,9 +56,9 @@ caller's labelling, uncached: the initial ideal depends on the vertex
 order, so a relabelling keeps the value but changes the witness.
 
 The vertex count does not predict the cost, so each call of the
-admissible-path walk and of the scan counts its work (a stack pop; a
-lattice element or a face built) and raises ResourceLimitError, naming
-the stage, past ``SCAN_BUDGET`` units.
+admissible-path walk and of the scan counts its work (a stack pop; an
+element of the pruned lattice or a face built) and raises
+ResourceLimitError, naming the stage, past ``SCAN_BUDGET`` units.
 """
 
 from __future__ import annotations
@@ -66,14 +71,14 @@ from .errors import FieldDisagreementError, ResourceLimitError
 from .graphs import CACHE_SIZE, Graph, bits, canonical_rows, key_rows, relabel, rows_key
 from .rank_modp import rank_gf2, rank_gf3, rank_modp
 
-# Work units per call: steps of one admissible-path walk, or lattice
-# elements plus faces built in one scan.
+# Work units per call: steps of one admissible-path walk, or elements of
+# the pruned lattice plus faces built in one scan.
 SCAN_BUDGET = 600_000
 FIELDS = (2, 3)  # regularity_bei computes over both and requires agreement
 # ``_reg_cached`` scans a component on at most this many vertices
 # in its canonical labelling, and a larger one in its own.  No labelling
 # of a graph this small comes near ``SCAN_BUDGET`` (the most seen is
-# 3,490 units over every labeled graph with n = 6, and 22,705 over 12
+# 2,894 units over every labeled graph with n = 6, and 22,687 over 12
 # labellings of each connected 7-vertex class), so the canonical scan
 # passes the budget exactly where the labelled one would.
 CANONICAL_MAX_N = 7
@@ -253,12 +258,23 @@ def homology_dims(ideal: SquarefreeIdeal, w: Iterable[int], p: int) -> dict[int,
 # -- regularity of squarefree ideals ---------------------------------------
 
 
-def _lcm_lattice(gens: tuple[int, ...]) -> set[int]:
-    """Nonempty unions of generators, unordered.  Past ``SCAN_BUDGET``
-    of them it raises ResourceLimitError before the set takes them in."""
+def _lcm_lattice(gens: tuple[int, ...], forb: list[int]) -> set[int]:
+    """Nonempty unions of generators that hold no forbidden pair (u, v),
+    that is v in ``forb[u]``, unordered.
+
+    Every sub-union of such a clean union is clean, so growing the set
+    one generator at a time (the largest first) and adding ``x | g``
+    only when it is clean still reaches every clean union.  Past
+    ``SCAN_BUDGET`` of them it raises ResourceLimitError before the set
+    takes them in."""
     lattice = {0}
-    for g in gens:
-        new = {x | g for x in lattice}
+    for g in sorted(gens, key=int.bit_count, reverse=True):
+        fg = 0
+        for u in bits(g):
+            fg |= forb[u]
+        if fg & g:
+            continue
+        new = {x | g for x in lattice if not x & fg}
         if len(lattice) + len(new) - 1 > SCAN_BUDGET:
             new -= lattice  # only when the sizes alone do not settle it
             if len(lattice) + len(new) - 1 > SCAN_BUDGET:
@@ -268,12 +284,20 @@ def _lcm_lattice(gens: tuple[int, ...]) -> set[int]:
     return lattice
 
 
-def _domination_table(gens: tuple[int, ...], nv: int) -> list[list[tuple[int, int]]]:
-    """Per variable u, a pair (g, d) for each generator g holding u.
+def _domination_table(
+    gens: tuple[int, ...], nv: int
+) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """Per variable u, a pair (g, d) for each generator g holding u, and
+    the forbidden masks ``forb``.
 
     ``d`` holds the variables v outside g for which some generator h
     holds v with h - v inside g - u.  Such an h lies in every subset
-    that holds g and v, so ``d`` does not depend on the subset.
+    that holds g and v, so ``d`` does not depend on the subset.  The
+    AND of u's ``d`` over every generator through u, its ``sure`` mask,
+    holds the v that u dominates in every union holding both, since the
+    generators of the union through u are among them.  ``forb[u]`` holds
+    the v with v in u's ``sure`` mask or u in v's, so a union holding u
+    and v has a dominated vertex, as does every union above it.
     """
     table: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
     for g in gens:
@@ -285,7 +309,15 @@ def _domination_table(gens: tuple[int, ...], nv: int) -> list[list[tuple[int, in
                 if extra & (extra - 1) == 0:  # h - face is one variable
                     d |= extra
             table[u].append((g, d & ~g))
-    return table
+    forb = [0] * nv
+    for u, row in enumerate(table):
+        sure = row[0][1] if row else 0
+        for _, d in row:
+            sure &= d
+        forb[u] |= sure
+        for v in bits(sure):
+            forb[v] |= 1 << u
+    return table, forb
 
 
 def _has_dominated_vertex(wmask: int, table: list[list[tuple[int, int]]]) -> bool:
@@ -312,6 +344,18 @@ def _has_dominated_vertex(wmask: int, table: list[list[tuple[int, int]]]) -> boo
     return False
 
 
+def _survivors(ideal: SquarefreeIdeal) -> tuple[list[int], int]:
+    """The domination-free lattice elements in scan order, by descending
+    size and then ascending variable tuple, and the lattice size."""
+    table, forb = _domination_table(ideal.gens, ideal.num_vars)
+    lattice = _lcm_lattice(ideal.gens, forb)
+    survivors = sorted(
+        (w for w in lattice if not _has_dominated_vertex(w, table)),
+        key=lambda w: (-w.bit_count(), list(bits(w))),
+    )
+    return survivors, len(lattice)
+
+
 def _scan_ideal(ideal: SquarefreeIdeal, fields: tuple[int, ...]) -> dict[int, tuple[int, int]]:
     """Max (t+1) over induced subcomplexes, per field.
 
@@ -323,21 +367,18 @@ def _scan_ideal(ideal: SquarefreeIdeal, fields: tuple[int, ...]) -> dict[int, tu
     dropped before ordering: deleting v is a strong collapse onto the
     complex of W - v (Barmak-Minian), which has the same homology in
     every field, and W - v (or the smaller element it reduces to) is
-    ranked instead with the same value.  The rest go by descending size,
-    then ascending variable tuple, and an element of size s cannot beat
-    a value of s - 1, which bounds the scan.  The witness is the first
-    domination-free element that attains the value.  Past ``SCAN_BUDGET``
-    lattice elements plus faces built it raises ResourceLimitError.
+    ranked instead with the same value.  The lattice holds only the
+    unions with no forbidden pair (``_domination_table``), which drops
+    only elements with a dominated vertex.  The rest go by descending
+    size, then ascending variable tuple, and an element of size s cannot
+    beat a value of s - 1, which bounds the scan.  The witness is the
+    first domination-free element that attains the value.  Past
+    ``SCAN_BUDGET`` elements of the pruned lattice plus faces built it
+    raises ResourceLimitError.
     """
     best = dict.fromkeys(fields, (0, 0))
     gens = ideal.gens
-    lattice = _lcm_lattice(gens)
-    used = len(lattice)
-    table = _domination_table(gens, ideal.num_vars)
-    survivors = sorted(
-        (w for w in lattice if not _has_dominated_vertex(w, table)),
-        key=lambda w: (-w.bit_count(), list(bits(w))),
-    )
+    survivors, used = _survivors(ideal)
     floor = 0  # the least value over the fields
     for wmask in survivors:
         if wmask.bit_count() - 1 <= floor:

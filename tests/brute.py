@@ -647,3 +647,35 @@ def with_injected_isolates(g: Graph, positions: list[int]) -> Graph:
         mapping = [m + 1 if m >= pos else m for m in mapping]
     edges = [(mapping[u], mapping[v]) for u, v in g.edges()]
     return Graph.from_edge_list(g.n + len(positions), edges)
+
+
+def ref_unions(ideal) -> set[int]:
+    """Every nonempty union of generators, with no pruning."""
+    unions = {0}
+    for g in ideal.gens:
+        unions |= {x | g for x in unions}
+    unions.discard(0)
+    return unions
+
+
+def ref_faces(ideal) -> set[int]:
+    """Every face of the whole complex: the subsets holding no generator."""
+    return {f for f in range(1 << ideal.num_vars) if not any(g & f == g for g in ideal.gens)}
+
+
+def ref_has_dominated_vertex(w: int, faces: set[int]) -> bool:
+    """Whether some v in W is dominated by some u in W, in the complex
+    ``faces`` restricted to W: every face through v stays a face when u
+    is added."""
+    inside = [f for f in faces if f & ~w == 0]
+    return any(all(f | 1 << u in faces for f in inside if f >> v & 1)
+               for u in bits(w) for v in bits(w) if u != v)
+
+
+def ref_scan_survivors(ideal) -> list[int]:
+    """The subsets the scan may rank, by descending size and then
+    ascending variable tuple: the unions of generators whose complex has
+    no dominated vertex."""
+    faces = ref_faces(ideal)
+    return sorted((w for w in ref_unions(ideal) if not ref_has_dominated_vertex(w, faces)),
+                  key=lambda w: (-w.bit_count(), list(bits(w))))

@@ -234,8 +234,9 @@ def test_verify_chain_inputs_after_options(capsys, tmp_path):
     _chain_with_reg(capsys, tmp_path, "--with-reg", "FILE")
 
 
-# A reg budget of 10,000 work units, which C9's scan (11,580 lattice
-# elements) passes and net's (635 units) fits, and the message of C9's skip.
+# A reg budget of 10,000 work units, which C9's scan (3,871 lattice
+# elements and 65,979 faces) passes and net's (461 units) fits, and the
+# message of C9's skip.
 SMALL_SCAN_BUDGET = 10_000
 C9_SKIP = "lattice scan exceeded 10000 work units"
 
@@ -520,8 +521,11 @@ def test_verify_vertex_checks_pack_each_graph_once(capsys, monkeypatch, kind):
 
 def test_verify_recursion_skips_a_graph_with_no_non_free_vertex(capsys, tmp_path, set_budget):
     """reg(G) is read before the vertex loop, so K9, whose vertices are
-    all free and whose scan passes the budget, is still skipped."""
-    set_budget("SCAN_BUDGET", SMALL_SCAN_BUDGET)
+    all free and whose scan passes the budget, is still skipped.  K9's
+    walk takes 36 steps and its scan 39 units (36 lattice elements and 3
+    faces), so a budget of 38 skips it in the scan."""
+    budget = 38
+    set_budget("SCAN_BUDGET", budget)
     k9 = encode_graph6(generators.complete(9))
     f = tmp_path / "k9.g6"
     f.write_text(k9 + "\n")
@@ -531,7 +535,9 @@ def test_verify_recursion_skips_a_graph_with_no_non_free_vertex(capsys, tmp_path
     assert report["violations"] == []
     assert report["results"]["reg_skipped_graphs"] == [k9]
     assert err.splitlines() == ["error: a resource cap skipped reg on 1 graph(s):",
-                                f"{k9}: {C9_SKIP}"]
+                                f"{k9}: lattice scan exceeded {budget} work units"]
+    set_budget("SCAN_BUDGET", budget + 1)
+    assert run(capsys, "verify", "recursion", str(f), "--format", "json")[0] == 0
 
 
 @pytest.mark.parametrize("argv", [["reg"], ["invariants", "--with-reg"]])

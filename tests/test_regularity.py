@@ -2,7 +2,7 @@ import random
 from itertools import combinations, islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from beibounds.compatibility import reg_value
 from beibounds.errors import FieldDisagreementError, ResourceLimitError
@@ -24,7 +24,11 @@ from brute import (
     brute_regularity_squarefree,
     from_supports,
     label_valid_path_monomials,
+    ref_faces,
+    ref_has_dominated_vertex,
     ref_reg_witness,
+    ref_scan_survivors,
+    ref_unions,
     with_injected_isolates,
 )
 
@@ -324,20 +328,22 @@ def test_component_cap_enforced(set_budget):
 
 
 @pytest.mark.parametrize("g, steps, elements, faces", [
-    (net(), 36, 261, 374),
-    (complete(8), 28, 7_279, 3),
-    (cycle(9), 148, 11_580, 65_979),
+    (net(), 36, 87, 374),
+    (complete(8), 28, 28, 3),
+    (cycle(9), 148, 3_871, 65_979),
 ])
 def test_budget_counts_walk_steps_lattice_elements_and_faces(
     set_budget, g, steps, elements, faces
 ):
     """Each budget is pinned exactly: the walk passes at its step count
-    and raises one below it, the lattice likewise at its element count,
-    and the whole scan at elements plus faces."""
+    and raises one below it, the lattice (the unions of generators with
+    no forbidden pair) likewise at its element count, and the whole scan
+    at elements plus faces."""
     gens = initial_ideal(g).gens
+    forb = regularity._domination_table(gens, 2 * g.n)[1]
     for budget, stage, run in [
         (steps, "admissible-path walk", lambda: initial_ideal(g)),
-        (elements, "lattice scan", lambda: regularity._lcm_lattice(gens)),
+        (elements, "lattice scan", lambda: regularity._lcm_lattice(gens, forb)),
         (elements + faces, "lattice scan", lambda: regularity_bei(g)),
     ]:
         set_budget("SCAN_BUDGET", budget - 1)
@@ -375,6 +381,23 @@ def test_scan_matches_every_subset_reference_on_torsion(name, p):
     # the field changes the value on both, so a prune that lost torsion shows
     num_vars, nonfaces = {"rp2": (6, _RP2_NONFACES), "moore3": (13, _MOORE3_NONFACES)}[name]
     _assert_matches_brute(from_supports(num_vars, nonfaces), p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(squarefree_ideals())
+@example(from_supports(6, _RP2_NONFACES))
+@example(from_supports(13, _MOORE3_NONFACES))
+@example(initial_ideal(net()))  # 261 unions, 87 of them with no forbidden pair
+def test_pruned_lattice_keeps_every_survivor(ideal):
+    """The scan's survivors are the unpruned reference's, in the same
+    order, and every union of generators that holds a forbidden pair
+    has a dominated vertex, so pruning it loses no survivor."""
+    assert regularity._survivors(ideal)[0] == ref_scan_survivors(ideal)
+    forb = regularity._domination_table(ideal.gens, ideal.num_vars)[1]
+    faces = ref_faces(ideal)
+    for w in ref_unions(ideal):
+        if any(w & forb[u] for u in bits(w)):
+            assert ref_has_dominated_vertex(w, faces)
 
 
 def _connected_witness_corpus():
