@@ -29,7 +29,12 @@ holds both, whatever else it holds: u dominates v there.  The lattice
 is grown only from unions with no such forbidden pair; every sub-union
 of such a union is one too, so the growth still reaches each of them,
 and the domination-free elements, and so every value and witness, are
-those of the whole lattice.  Homology is computed exactly over GF(2)
+those of the whole lattice.  Every face misses a variable of each
+generator, so an element W holding k pairwise disjoint generators gives
+at most |W| - k.  The scan packs the generators inside W greedily and
+builds no face of W when that cap does not beat every field's best
+value: W could then raise none of them, so no value or witness moves.
+Homology is computed exactly over GF(2)
 and GF(3) via boundary-matrix ranks on Python-int rows (bitmasks for
 GF(2), bit-sliced (pos, neg) pairs for GF(3); see ``rank_modp``); the
 two fields must agree or an error is raised.  The scan computes only the
@@ -78,7 +83,7 @@ FIELDS = (2, 3)  # regularity_bei computes over both and requires agreement
 # ``_reg_cached`` scans a component on at most this many vertices
 # in its canonical labelling, and a larger one in its own.  No labelling
 # of a graph this small comes near ``SCAN_BUDGET`` (the most seen is
-# 2,894 units over every labeled graph with n = 6, and 22,687 over 12
+# 2,852 units over every labeled graph with n = 6, and 16,985 over 12
 # labellings of each connected 7-vertex class), so the canonical scan
 # passes the budget exactly where the labelled one would.
 CANONICAL_MAX_N = 7
@@ -291,9 +296,10 @@ def _domination_table(
     the forbidden masks ``forb``.
 
     ``d`` holds the variables v outside g for which some generator h
-    holds v with h - v inside g - u.  Such an h lies in every subset
-    that holds g and v, so ``d`` does not depend on the subset.  The
-    AND of u's ``d`` over every generator through u, its ``sure`` mask,
+    holds v with h - v inside g - u: the one variable outside g of each
+    generator h that has just one and misses u.  Such an h lies in every
+    subset that holds g and v, so ``d`` does not depend on the subset.
+    The AND of u's ``d`` over every generator through u, its ``sure`` mask,
     holds the v that u dominates in every union holding both, since the
     generators of the union through u are among them.  ``forb[u]`` holds
     the v with v in u's ``sure`` mask or u in v's, so a union holding u
@@ -301,14 +307,17 @@ def _domination_table(
     """
     table: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
     for g in gens:
+        near = []  # (h, v) for each h with h - g = {v}
+        for h in gens:
+            extra = h & ~g
+            if extra and extra & (extra - 1) == 0:
+                near.append((h, extra))
         for u in bits(g):
-            face = g ^ 1 << u
             d = 0
-            for h in gens:
-                extra = h & ~face
-                if extra & (extra - 1) == 0:  # h - face is one variable
+            for h, extra in near:
+                if not h >> u & 1:
                     d |= extra
-            table[u].append((g, d & ~g))
+            table[u].append((g, d))
     forb = [0] * nv
     for u, row in enumerate(table):
         sure = row[0][1] if row else 0
@@ -356,6 +365,19 @@ def _survivors(ideal: SquarefreeIdeal) -> tuple[list[int], int]:
     return survivors, len(lattice)
 
 
+def _face_size_cap(gens: tuple[int, ...], wmask: int) -> int:
+    """|W| - k, for the k generators inside W packed greedily, in order,
+    into a pairwise disjoint set.  Every face misses a variable of each,
+    so no face of the complex restricted to W has more variables."""
+    cap = wmask.bit_count()
+    packed = 0
+    for g in gens:
+        if not (g & ~wmask or g & packed):
+            packed |= g
+            cap -= 1
+    return cap
+
+
 def _scan_ideal(ideal: SquarefreeIdeal, fields: tuple[int, ...]) -> dict[int, tuple[int, int]]:
     """Max (t+1) over induced subcomplexes, per field.
 
@@ -371,8 +393,15 @@ def _scan_ideal(ideal: SquarefreeIdeal, fields: tuple[int, ...]) -> dict[int, tu
     unions with no forbidden pair (``_domination_table``), which drops
     only elements with a dominated vertex.  The rest go by descending
     size, then ascending variable tuple, and an element of size s cannot
-    beat a value of s - 1, which bounds the scan.  The witness is the
-    first domination-free element that attains the value.  Past
+    beat a value of s - 1, which bounds the scan.  Nor can an element W
+    beat |W| - k, for k generators inside it packed pairwise disjoint
+    (``_face_size_cap``), since each face misses a variable of every one
+    of them: W is skipped, before its faces are built, when that cap is
+    at most the least value over the fields.  A skipped W could not
+    strictly raise any field's value, so the values and witnesses are
+    those of the scan without the cap, whose size bound is its k = 1
+    case.  The witness is the first domination-free element that
+    attains the value.  Past
     ``SCAN_BUDGET`` elements of the pruned lattice plus faces built it
     raises ResourceLimitError.
     """
@@ -383,6 +412,8 @@ def _scan_ideal(ideal: SquarefreeIdeal, fields: tuple[int, ...]) -> dict[int, tu
     for wmask in survivors:
         if wmask.bit_count() - 1 <= floor:
             break
+        if _face_size_cap(gens, wmask) <= floor:
+            continue
         by_size = _faces_by_size(gens, wmask, SCAN_BUDGET - used)
         used += sum(map(len, by_size))
         # H~_{s-1} = |F_s| - r_s - r_{s+1} can raise a field's value

@@ -8,6 +8,9 @@ The regularity reference takes ``homology_dims`` of every variable
 subset, so it shares none of the scan's pruning (lattice, domination,
 size bound); the witness reference tests the lattice and domination
 rules on each subset in witness order, domination by listing faces.
+``ref_scan`` is the scan over those subsets with the size break alone,
+and ``ref_domination_table`` tests every generator against each
+(generator, variable) pair.
 The initial-ideal reference walks every label-valid simple path,
 chords and all, so it shares none of the admissible-path walk's
 pruning; minimalized, its monomials give the minimal generators.
@@ -679,3 +682,39 @@ def ref_scan_survivors(ideal) -> list[int]:
     faces = ref_faces(ideal)
     return sorted((w for w in ref_unions(ideal) if not ref_has_dominated_vertex(w, faces)),
                   key=lambda w: (-w.bit_count(), list(bits(w))))
+
+
+def ref_scan(ideal, fields) -> dict[int, tuple[int, int]]:
+    """The scan with the size break alone: {field: (value, witness mask)}.
+
+    Each of ``ref_scan_survivors``, in order, takes the top degree of
+    its full reduced homology per field and is the witness when it first
+    beats that field's value; the walk stops at the first W with
+    |W| - 1 no more than every field's value."""
+    best = dict.fromkeys(fields, (0, 0))
+    for w in ref_scan_survivors(ideal):
+        if w.bit_count() - 1 <= min(value for value, _ in best.values()):
+            break
+        for p in fields:
+            dims = homology_dims(ideal, bits(w), p)
+            value = max((t + 1 for t, dim in dims.items() if dim), default=0)
+            if value > best[p][0]:
+                best[p] = (value, w)
+    return best
+
+
+def ref_domination_table(gens, nv: int) -> list[list[tuple[int, int]]]:
+    """Per variable u, (g, d) for each generator g through u, in order,
+    where d holds the v outside g with some generator h, h - v inside
+    g - u: one pass over every generator per (g, u)."""
+    table = [[] for _ in range(nv)]
+    for g in gens:
+        for u in bits(g):
+            face = g ^ 1 << u
+            d = 0
+            for h in gens:
+                extra = h & ~face
+                if extra & (extra - 1) == 0:  # h - face is one variable
+                    d |= extra
+            table[u].append((g, d & ~g))
+    return table

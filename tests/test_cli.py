@@ -234,11 +234,11 @@ def test_verify_chain_inputs_after_options(capsys, tmp_path):
     _chain_with_reg(capsys, tmp_path, "--with-reg", "FILE")
 
 
-# A reg budget of 10,000 work units, which C9's scan (3,871 lattice
-# elements and 65,979 faces) passes and net's (461 units) fits, and the
+# A reg budget of 5,000 work units, which C9's scan (3,871 lattice
+# elements and 2,187 faces) passes and net's (408 units) fits, and the
 # message of C9's skip.
-SMALL_SCAN_BUDGET = 10_000
-C9_SKIP = "lattice scan exceeded 10000 work units"
+SMALL_SCAN_BUDGET = 5_000
+C9_SKIP = "lattice scan exceeded 5000 work units"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -24,9 +24,11 @@ from brute import (
     brute_regularity_squarefree,
     from_supports,
     label_valid_path_monomials,
+    ref_domination_table,
     ref_faces,
     ref_has_dominated_vertex,
     ref_reg_witness,
+    ref_scan,
     ref_scan_survivors,
     ref_unions,
     with_injected_isolates,
@@ -266,8 +268,8 @@ def test_var_cap_enforced():
         (union([complete(3), complete(2)]), 2),
         (union([complete(2), complete(2), complete(3)]), 3),
         (Graph.from_edge_list(3, []), 0),
-        # the most scan work (15,378 lattice elements and 60,349 faces)
-        # of 2,100 random connected gnp(8, k/10) graphs
+        # among the largest scans (7,122 lattice elements and 56,750
+        # faces) of 2,100 random connected gnp(8, k/10) graphs
         (gnp(8, 4, 10, 101), 5),
     ],
 )
@@ -320,17 +322,17 @@ def test_component_cap_allows_large_unions():
 
 
 def test_component_cap_enforced(set_budget):
-    """P9's walk (92 steps) fits a budget of 10,000, and its scan (255
-    lattice elements and 58,077 faces) does not."""
-    set_budget("SCAN_BUDGET", 10_000)
-    with pytest.raises(ResourceLimitError, match="lattice scan exceeded 10000 work units"):
+    """P9's walk (92 steps) fits a budget of 5,000, and its scan (255
+    lattice elements and 6,561 faces) does not."""
+    set_budget("SCAN_BUDGET", 5_000)
+    with pytest.raises(ResourceLimitError, match="lattice scan exceeded 5000 work units"):
         regularity_bei(path(9))
 
 
 @pytest.mark.parametrize("g, steps, elements, faces", [
-    (net(), 36, 87, 374),
+    (net(), 36, 87, 321),
     (complete(8), 28, 28, 3),
-    (cycle(9), 148, 3_871, 65_979),
+    (cycle(9), 148, 3_871, 2_187),
 ])
 def test_budget_counts_walk_steps_lattice_elements_and_faces(
     set_budget, g, steps, elements, faces
@@ -400,6 +402,64 @@ def test_pruned_lattice_keeps_every_survivor(ideal):
             assert ref_has_dominated_vertex(w, faces)
 
 
+_TORSION_AND_NET = (
+    from_supports(6, _RP2_NONFACES),
+    from_supports(13, _MOORE3_NONFACES),
+    initial_ideal(net()),
+)
+
+
+def _with_examples(ideals):
+    def wrap(test):
+        for ideal in ideals:
+            test = example(ideal)(test)
+        return test
+    return wrap
+
+
+@settings(max_examples=150, deadline=None)
+@given(squarefree_ideals())
+@_with_examples(_TORSION_AND_NET)
+def test_capped_scan_matches_the_size_break_reference(ideal):
+    """Skipping each W that k disjoint generators inside it cap at
+    |W| - k loses no value or witness, in any field or set of fields.
+    A field's reference result does not depend on the fields beside it:
+    the size break stops only where no field can rise."""
+    ref = ref_scan(ideal, (2, 3, 5))
+    for fields in ((2, 3), (2,), (3,), (5,)):
+        assert regularity._scan_ideal(ideal, fields) == {p: ref[p] for p in fields}
+
+
+@settings(max_examples=150, deadline=None)
+@given(squarefree_ideals())
+@_with_examples(_TORSION_AND_NET)
+def test_disjoint_generators_cap_the_top_face(ideal):
+    """Every face misses a variable of each generator, so the top face
+    of each survivor W has at most |W| - k variables, for the k
+    generators inside W packed pairwise disjoint in ``gens`` order."""
+    faces = ref_faces(ideal)
+    for w in regularity._survivors(ideal)[0]:
+        top = max(f.bit_count() for f in faces if f & ~w == 0)
+        assert top <= regularity._face_size_cap(ideal.gens, w) < w.bit_count()
+
+
+@st.composite
+def generator_tuples(draw):
+    """(nv, gens) for any tuple of nonempty masks, duplicates and
+    non-minimal ones included."""
+    nv = draw(st.integers(1, 8))
+    return nv, tuple(draw(st.lists(st.integers(1, (1 << nv) - 1), max_size=12)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_tuples())
+@example((3, (0b011, 0b011, 0b111, 0b110, 0b100)))
+@_with_examples([(ideal.num_vars, ideal.gens) for ideal in _TORSION_AND_NET])
+def test_domination_table_matches_the_double_loop(nv_gens):
+    nv, gens = nv_gens
+    assert regularity._domination_table(gens, nv)[0] == ref_domination_table(gens, nv)
+
+
 def _connected_witness_corpus():
     for n in range(1, 5):
         yield from (g for g in all_labeled(n) if g.is_connected())
@@ -426,6 +486,25 @@ def test_cycle_regularity_is_n_minus_two(n):
     assert regularity_bei(cycle(n)).value == n - 2
 
 
+@pytest.mark.parametrize("g, want", [
+    (cycle(11), 9), (cycle(12), 10), (path(11), 10), (path(12), 11),
+], ids=["C11", "C12", "P11", "P12"])
+def test_closed_forms_past_ten_vertices(g, want):
+    """reg(C_n) = n - 2 (Zafar-Zahid 2013) and reg(P_n) = n - 1 under the
+    default budget.  The witness degree is the top one of its complex,
+    so its homology there is the top faces less the top boundary rank,
+    checked over GF(2) and GF(3); ``homology_dims`` would rank every
+    degree, 5.8 s on P12's witness."""
+    res = regularity_bei(g)
+    assert res.value == want
+    wmask = sum(1 << v for v in res.witness_vars)
+    by_size = regularity._faces_by_size(initial_ideal(g).gens, wmask)
+    top = len(by_size) - 1
+    assert top == res.witness_degree + 1
+    ranks = regularity._boundary_ranks(by_size, top, (2, 3))
+    assert all(len(by_size[top]) > ranks[p] for p in (2, 3))
+
+
 def _relabel(g, perm):
     return Graph.from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
@@ -450,12 +529,12 @@ def test_regularity_value_matches_regularity_bei_exhaustive_n5():
 
 
 def test_regularity_value_caches_no_skip(set_budget):
-    """C9 beside K3 passes a budget that K3 fits: the skip raises on
-    each call, so no value was cached for the union or for C9."""
-    set_budget("SCAN_BUDGET", 10_000)
+    """C9 (6,058 units) beside K3 passes a budget that K3 fits: the skip
+    raises on each call, so no value was cached for the union or for C9."""
+    set_budget("SCAN_BUDGET", 5_000)
     g = union([cycle(9), complete(3)])
     for _ in range(2):
-        with pytest.raises(ResourceLimitError, match="lattice scan exceeded 10000 work units"):
+        with pytest.raises(ResourceLimitError, match="lattice scan exceeded 5000 work units"):
             reg_value(g)
 
 
