@@ -141,6 +141,8 @@ _SPECS = {
 _Part = tuple[int, Callable[[], Iterable[Graph]]]
 
 
+# ``cmd_verify`` and ``cmd_search`` read a corpus once; the input profile
+# of ``perfbench/run.py`` takes its ``len()`` and reads it again.
 class Corpus:
     """The graphs of a sweep, made afresh on each iteration.
 
@@ -166,9 +168,9 @@ def corpus_from_args(args) -> tuple[str, Corpus]:
     ``gnp`` draw costs about a third of a ``verify chain`` step on a
     small graph, so the draws stay out of the sweep.
     ``--exhaustive`` and ``--sierpinski`` are only counted here and made
-    afresh on each iteration.  Every flag is checked against its
-    generator's cap here, so a bad one fails before the first graph is
-    checked.
+    as the sweep reaches them, afresh on each iteration.  Every flag is
+    checked against its generator's cap here, so a bad one fails before
+    the first graph is checked.
     """
     parts: list[_Part] = []
     desc = []

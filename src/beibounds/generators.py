@@ -12,7 +12,7 @@ import random
 from itertools import combinations
 from typing import Iterator
 
-from .graphs import Graph, bits
+from .graphs import Graph, triangles
 
 SIERPINSKI_MAX_LEVEL = 6
 ALL_LABELED_MAX_N = 7
@@ -81,26 +81,12 @@ def sierpinski(level: int) -> Graph:
 
 
 def _subdivide_triangles(g: Graph) -> Graph:
-    old_edges = g.edges()
-    midpoint = {e: g.n + k for k, e in enumerate(old_edges)}
-    edges = []
-    for (u, v), m in midpoint.items():
-        edges.append((u, m))
-        edges.append((m, v))
-    for a, b, c in _triangles(g):
-        mab, mac, mbc = midpoint[(a, b)], midpoint[(a, c)], midpoint[(b, c)]
-        edges.extend([(mab, mac), (mab, mbc), (mac, mbc)])
-    return Graph.from_edge_list(g.n + len(old_edges), edges)
-
-
-def _triangles(g: Graph) -> list[tuple[int, int, int]]:
-    out = []
-    for a in range(g.n):
-        for b in bits(g.adj[a] >> (a + 1) << (a + 1)):
-            common = g.adj[a] & g.adj[b]
-            for c in bits(common >> (b + 1) << (b + 1)):
-                out.append((a, b, c))
-    return out
+    midpoint = {e: g.n + k for k, e in enumerate(g.edges())}
+    edges = [half for (u, v), m in midpoint.items() for half in ((u, m), (m, v))]
+    for a, b, c in triangles(g.adj, g.full_mask()):
+        mab, mac, mbc = midpoint[a, b], midpoint[a, c], midpoint[b, c]
+        edges += [(mab, mac), (mab, mbc), (mac, mbc)]
+    return Graph.from_edge_list(g.n + len(midpoint), edges)
 
 
 def gnp(n: int, p_num: int, p_den: int, seed: int) -> Graph:

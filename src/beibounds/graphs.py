@@ -59,6 +59,14 @@ def minimalize(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(kept))
 
 
+def triangles(adj: Sequence[int], verts: int) -> list[tuple[int, int, int]]:
+    """The triangles ``(a, b, c)``, ``a < b < c``, of the subgraph induced
+    on the vertex set ``verts``, in lexicographic order."""
+    return [(a, b, c) for a in bits(verts)
+            for b in bits(adj[a] & verts >> a + 1 << a + 1)
+            for c in bits(adj[a] & adj[b] & verts >> b + 1 << b + 1)]
+
+
 def minus_vertex_rows(adj: tuple[int, ...], v: int) -> tuple[int, ...]:
     """Rows of G - v for a vertex v of G: every row but v's drops bit v
     and shifts the bits above it down by one.  ``v`` is not checked."""
@@ -279,9 +287,6 @@ class Graph:
         self._check_vertex(v)
         return self.adj[v]
 
-    def degree(self, v: int) -> int:
-        return self.neighbors(v).bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         out = []
@@ -317,13 +322,9 @@ class Graph:
         """Induced subgraph on the complement of ``drop``, relabeled.
 
         Survivors keep their relative order: new label i is the i-th
-        smallest surviving old label (see :meth:`deletion_map`).
+        smallest surviving old label.
         """
         return self._restrict(self.full_mask() & ~self._vertex_mask(drop))
-
-    def deletion_map(self, drop: Iterable[int]) -> list[int]:
-        """new label -> old label map of :meth:`induced_delete`."""
-        return list(bits(self.full_mask() & ~self._vertex_mask(drop)))
 
     def _restrict(self, keep: int) -> "Graph":
         adj = self.adj
@@ -345,10 +346,6 @@ class Graph:
             left ^= low
             rows[low.bit_length() - 1] |= nbr ^ low
         return Graph(self.n, tuple(rows))
-
-    def strip_isolated(self) -> "Graph":
-        isolated = self.isolated_vertices()
-        return self.induced_delete(isolated) if isolated else self
 
     # -- vertex predicates and counts ----------------------------------
 
@@ -375,9 +372,6 @@ class Graph:
     def internal_vertex_count(self) -> int:
         """Number of non-free vertices."""
         return self.nonfree_mask().bit_count()
-
-    def isolated_vertices(self) -> list[int]:
-        return [v for v in range(self.n) if not self.adj[v]]
 
     # -- components -----------------------------------------------------
 

@@ -61,7 +61,9 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import ResourceLimitError
-from .graphs import CACHE_SIZE, Graph, bits, components, edge, key_rows, minimalize, rows_key
+from .graphs import (
+    CACHE_SIZE, Graph, bits, components, edge, key_rows, minimalize, rows_key, triangles,
+)
 
 # Search nodes each eta or L call may visit before it raises.
 NODE_BUDGET = 5_000_000
@@ -291,9 +293,8 @@ class _MisSolver:
 
 @dataclass(frozen=True)
 class CliqueDisjointSet:
-    """An edge set of ``graph`` in which no two edges share a clique."""
+    """An edge set of a graph in which no two edges share a clique."""
 
-    graph: Graph
     edges: frozenset[tuple[int, int]]
 
     def __len__(self) -> int:
@@ -414,8 +415,7 @@ def eta(g: Graph) -> tuple[int, CliqueDisjointSet]:
     the witness edges as one int of bits, and the size is their count.
     """
     witness = _eta_cached(rows_key(g.adj))
-    return witness.bit_count(), CliqueDisjointSet(
-        g, frozenset(divmod(i, g.n) for i in bits(witness)))
+    return witness.bit_count(), CliqueDisjointSet(frozenset(divmod(i, g.n) for i in bits(witness)))
 
 
 # -- longest induced paths -------------------------------------------------
@@ -534,8 +534,8 @@ def _component_lip(g: Graph, comp: int, nodes: int) -> tuple[int, list[int], int
             if nodes > budget:
                 raise ResourceLimitError(f"induced-path search exceeded {budget} nodes")
             gate = budget
-            triangles, packed, own, adjp = _triangle_planes(adj, unrooted)
-            t = len(triangles)
+            packing, packed, own, adjp = _triangle_planes(adj, unrooted)
+            t = len(packing)
             t2 = 2 * t
             full = (1 << 3 * t) - 1
             leaves = 0
@@ -627,28 +627,27 @@ def _triangle_planes(
     lay them out in bit planes (member j of triangle i is bit
     ``i + j*t``).
 
-    Each step takes the live triangle (one with no packed vertex) whose
-    vertices lie in the fewest live triangles, the least vertex tuple on
-    ties, so it spoils as few others as it can.  Returns the packed
+    The triangles come from :func:`graphs.triangles`, in lexicographic
+    order.  Each step takes the live triangle (one with no packed
+    vertex) whose vertices lie in the fewest live triangles, the first
+    on ties, so it spoils as few others as it can.  Returns the packed
     triangles, the mask of their vertices, each vertex's own plane bit
     (0 off the packing) and each vertex's neighbourhood row in the
     planes.
     """
     live = []
     count = [0] * len(adj)  # live triangles through each vertex
-    for a in bits(verts):
-        for b in bits(adj[a] & verts >> a + 1 << a + 1):
-            for c in bits(adj[a] & adj[b] & verts >> b + 1 << b + 1):
-                live.append((a, b, c, 1 << a | 1 << b | 1 << c))
-                count[a] += 1
-                count[b] += 1
-                count[c] += 1
-    triangles = []
+    for a, b, c in triangles(adj, verts):
+        live.append((a, b, c, 1 << a | 1 << b | 1 << c))
+        count[a] += 1
+        count[b] += 1
+        count[c] += 1
+    packing = []
     packed = 0
     while live:
         scores = [count[a] + count[b] + count[c] for a, b, c, _ in live]
         a, b, c, hit = live[scores.index(min(scores))]
-        triangles.append((a, b, c))
+        packing.append((a, b, c))
         packed |= hit
         left = []
         for x in live:
@@ -659,15 +658,15 @@ def _triangle_planes(
             else:
                 left.append(x)
         live = left
-    t = len(triangles)
+    t = len(packing)
     own = [0] * len(adj)
     adjp = [0] * len(adj)
-    for i, tri in enumerate(triangles):
+    for i, tri in enumerate(packing):
         for j, u in enumerate(tri):
             own[u] = bit = 1 << (i + j * t)
             for v in bits(adj[u]):
                 adjp[v] |= bit
-    return triangles, packed, own, adjp
+    return packing, packed, own, adjp
 
 
 # -- constructive extension (saturated graph -> original graph) -----------
@@ -746,4 +745,4 @@ def extend_clique_disjoint(
         valid = False
     if not valid:
         raise AssertionError("extension construction produced an invalid set")
-    return CliqueDisjointSet(g, out)
+    return CliqueDisjointSet(out)

@@ -13,6 +13,7 @@ point and no fixed-width integers anywhere.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Iterable, Sequence
 
 
@@ -53,12 +54,19 @@ def rank_gf3(rows: Iterable[tuple[int, int]]) -> int:
     return len(pivots)
 
 
+def _is_prime(p: int) -> bool:
+    return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
 def rank_modp(matrix: Iterable[Sequence[int]], p: int) -> int:
-    """Rank over GF(p) of a matrix given as a sequence of integer rows.
+    """Rank over GF(p) of a matrix given as a sequence of integer rows;
+    raises ValueError unless ``p`` is prime.
 
     Any row type that iterates to integers works (lists, tuples, rows of
     a 2-d array).
     """
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
     rows = [[int(x) % p for x in row] for row in matrix]
     pivots: dict[int, list[int]] = {}  # leading column -> row with lead 1
     for row in rows:

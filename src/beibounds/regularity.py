@@ -74,7 +74,7 @@ from typing import Iterable
 
 from .errors import FieldDisagreementError, ResourceLimitError
 from .graphs import CACHE_SIZE, Graph, bits, canonical_rows, key_rows, relabel, rows_key
-from .rank_modp import rank_gf2, rank_gf3, rank_modp
+from .rank_modp import _is_prime, rank_gf2, rank_gf3, rank_modp
 
 # Work units per call: steps of one admissible-path walk, or elements of
 # the pruned lattice plus faces built in one scan.
@@ -87,17 +87,6 @@ FIELDS = (2, 3)  # regularity_bei computes over both and requires agreement
 # labellings of each connected 7-vertex class), so the canonical scan
 # passes the budget exactly where the labelled one would.
 CANONICAL_MAX_N = 7
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # -- squarefree monomial ideals -------------------------------------------

@@ -20,8 +20,10 @@ the one-sided depth-first search from every vertex (values only), and
 in the least-degree root order, with the count bound alone, whose
 witnesses the bounded search must reproduce exactly.  The graph transform references relabel through a dict and
 test vertex pairs one at a time, so they share none of the bit shifting
-in ``Graph``, and the component reference is a breadth-first search over
-a neighbour dict; the compatibility reference scans every vertex for (c),
+in ``Graph`` (``ref_strip_isolated`` is ``ref_induced_delete`` on the
+vertices with no neighbour), ``ref_sierpinski_levels`` subdivides a
+triangle on sets of vertex pairs, and the component reference is a
+breadth-first search over a neighbour dict; the compatibility reference scans every vertex for (c),
 and the recursion and iv-lemma references read G_v, G - v and G_v - v
 built by ``Graph.saturate`` and ``Graph.minus_vertex``, not by key.
 ``RefMisSolver`` is the memoized MIS search with no bound, whose values
@@ -360,6 +362,12 @@ def ref_induced_delete(g: Graph, drop) -> Graph:
     return Graph(len(keep), tuple(adj))
 
 
+def ref_strip_isolated(g: Graph) -> Graph:
+    """G minus its isolated vertices, relabeled by ``ref_induced_delete``."""
+    return ref_induced_delete(g, [v for v in range(g.n)
+                                  if not any(g.has_edge(v, u) for u in range(g.n))])
+
+
 def ref_saturate(g: Graph, v: int) -> Graph:
     """G_v: add every missing edge between two neighbours of v."""
     nbrs = [u for u in range(g.n) if g.has_edge(u, v)]
@@ -650,6 +658,23 @@ def with_injected_isolates(g: Graph, positions: list[int]) -> Graph:
         mapping = [m + 1 if m >= pos else m for m in mapping]
     edges = [(mapping[u], mapping[v]) for u, v in g.edges()]
     return Graph.from_edge_list(g.n + len(positions), edges)
+
+
+def ref_sierpinski_levels(top: int) -> list[Graph]:
+    """Levels 1..top of the triforce family, as ``top`` subdivisions of
+    a triangle on sets of vertex pairs.  Each round numbers one midpoint
+    per edge, in sorted edge order after the old vertices, halves every
+    edge, and joins the three midpoints of each triangle, found by
+    testing every edge against every later vertex."""
+    n, edges, levels = 3, {(0, 1), (0, 2), (1, 2)}, []
+    for _ in range(top):
+        mid = {e: n + k for k, e in enumerate(sorted(edges))}
+        halves = {p for (u, v), m in mid.items() for p in ((u, m), (v, m))}
+        faces = {(mid[a, b], mid[a, c], mid[b, c]) for a, b in edges for c in range(b + 1, n)
+                 if (a, c) in edges and (b, c) in edges}
+        n, edges = n + len(mid), halves | {p for x, y, z in faces for p in ((x, y), (x, z), (y, z))}
+        levels.append(Graph.from_edge_list(n, edges))
+    return levels
 
 
 def ref_unions(ideal) -> set[int]:

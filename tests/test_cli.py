@@ -142,7 +142,7 @@ def test_invariants_rechecks_eta_witness(capsys, tmp_path, monkeypatch):
     import beibounds.cli as cli
     from beibounds.invariants import CliqueDisjointSet
     # (0, 1) and (1, 2) lie in the triangle 0-1-2 of the net
-    fake = lambda g: (2, CliqueDisjointSet(g, frozenset({(0, 1), (1, 2)})))
+    fake = lambda g: (2, CliqueDisjointSet(frozenset({(0, 1), (1, 2)})))
     monkeypatch.setattr(cli, "eta", fake)
     code, out, err = _invariants_of_net(capsys, tmp_path)
     assert code == 2 and out == ""

@@ -16,14 +16,14 @@ from beibounds.generators import (
 from beibounds.graphs import Graph, bits
 from beibounds.invariants import maximal_cliques
 
-from brute import with_injected_isolates
+from brute import ref_sierpinski_levels, with_injected_isolates
 
 
 def test_path_cycle_complete_shapes():
     assert path(5).edge_count() == 4
     assert cycle(5).edge_count() == 5
     assert complete(5).edge_count() == 10
-    assert all(cycle(6).degree(v) == 2 for v in range(6))
+    assert all(row.bit_count() == 2 for row in cycle(6).adj)
 
 
 def test_union_offsets_labels():
@@ -49,6 +49,13 @@ def test_sierpinski_counts():
         assert (g.n, g.edge_count()) == (v, e)
         assert len(maximal_cliques(g)) == t == 4 ** k
         v, e, t = v + e, 2 * e + 3 * t, 4 * t
+
+
+def test_sierpinski_labels_match_the_reference_subdivision():
+    """Level k is a triangle subdivided k times, numbered as the
+    docstring says; the pinned values of the family rest on these
+    labels."""
+    assert [sierpinski(k) for k in range(1, 6)] == ref_sierpinski_levels(5)
 
 
 def test_sierpinski_level_cap():
@@ -88,6 +95,5 @@ def test_all_labeled_index_is_the_pair_mask():
 
 
 def test_with_injected_isolates():
-    g = with_injected_isolates(path(3), [0, 2, 3])
-    assert g.n == 6
-    assert g.strip_isolated() == path(3)
+    # path 0-1-2 with isolated vertices before its 0 and 2 and at the end
+    assert with_injected_isolates(path(3), [0, 2, 3]) == Graph.from_edge_list(6, [(1, 2), (2, 4)])

@@ -1,7 +1,7 @@
 import copy
 import pickle
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +18,7 @@ from beibounds.graphs import (
     minus_vertex_rows,
     rows_key,
     stripped_key,
+    triangles,
 )
 from beibounds.invariants import eta
 from beibounds.generators import all_labeled, complete, gnp, net, path, union
@@ -29,6 +30,7 @@ from brute import (
     ref_components,
     ref_induced_delete,
     ref_saturate,
+    ref_strip_isolated,
     vertex_keys,
     with_injected_isolates,
 )
@@ -100,10 +102,6 @@ def test_induced_delete_complete():
     assert complete(4).minus_vertex(2) == complete(3)
 
 
-def test_deletion_map_is_ascending_survivors():
-    assert net().deletion_map([1, 3]) == [0, 2, 4, 5]
-
-
 def test_equal_graphs_from_every_builder_compare_and_hash_equal():
     """A triangle with a pendant, read from graph6, from an edge list
     and by saturating the middle of a path."""
@@ -168,7 +166,7 @@ def test_stripped_key_is_the_key_of_the_stripped_graph_n6():
     for n in range(7):
         for g in all_labeled(n):
             if 0 in g.adj:
-                assert stripped_key(rows_key(g.adj), g.adj) == rows_key(g.strip_isolated().adj), g
+                assert stripped_key(rows_key(g.adj), g.adj) == rows_key(ref_strip_isolated(g).adj), g
 
 
 @pytest.mark.parametrize("n", [8, 9, 16, 17, 33, 65])
@@ -177,7 +175,7 @@ def test_stripped_key_repacks_across_slot_widths(n):
     16, 32 and 64 vertices) once or more."""
     for isolates in ([0], [n - 2, 2], [1] * (n // 2)):
         g = with_injected_isolates(gnp(n - len(isolates), 1, 2, n), isolates)
-        assert stripped_key(rows_key(g.adj), g.adj) == rows_key(g.strip_isolated().adj), g
+        assert stripped_key(rows_key(g.adj), g.adj) == rows_key(ref_strip_isolated(g).adj), g
 
 
 def test_key_rows_inverts_rows_key():
@@ -266,12 +264,6 @@ def test_nonfree_mask_matches_brute_force_exhaustive_n5():
             assert (g.completes_decomposition() is not None) == (mask == 0)
 
 
-def test_strip_isolated():
-    assert union([complete(2), complete(1)]).strip_isolated() == complete(2)
-    assert Graph.from_edge_list(5, []).strip_isolated().n == 0
-    assert net().strip_isolated() == net()
-
-
 def test_completes_decomposition():
     assert union([complete(3), complete(2)]).completes_decomposition() == [3, 2]
     assert path(3).completes_decomposition() is None
@@ -336,12 +328,6 @@ def test_saturate_idempotent_and_contains_g(g):
         assert all(gv.adj[u] & g.adj[u] == g.adj[u] for u in range(g.n))
 
 
-@given(small_graphs())
-@settings(max_examples=200, deadline=None)
-def test_strip_isolated_leaves_none(g):
-    assert g.strip_isolated().isolated_vertices() == []
-
-
 @given(
     st.integers(0, 14).flatmap(lambda n: st.tuples(
         st.just(n), st.integers(0, 2 ** (n * (n - 1) // 2) - 1), st.integers(0, 2 ** n - 1)
@@ -356,12 +342,12 @@ def test_transforms_match_dict_relabelling_reference(args):
     for v in range(n):
         assert g.minus_vertex(v) == ref_induced_delete(g, [v])
         assert g.saturate(v) == ref_saturate(g, v)
-    # the same graph with the drop set cut off, so strip_isolated has work
+    # the same graph with the drop set cut off, so its isolated vertices are dropped
     h = Graph(n, tuple(0 if drop_mask >> v & 1 else row & ~drop_mask
                        for v, row in enumerate(g.adj)))
     for graph in (g, h):
         isolated = [v for v in range(n) if not graph.adj[v]]
-        assert graph.strip_isolated() == ref_induced_delete(graph, isolated)
+        assert graph.induced_delete(isolated) == ref_induced_delete(graph, isolated)
 
 
 _EDGE_MASKS = st.one_of(
@@ -382,6 +368,18 @@ def test_components_match_bfs_reference(n, edge_mask, keep):
     assert [tuple(back) for _, back in subs] == ref_components(g, range(n))
     for sub, back in subs:
         assert sub == ref_induced_delete(g, set(range(n)) - set(back))
+
+
+@given(st.integers(0, 14), _EDGE_MASKS, st.integers(0, 2 ** 14 - 1))
+@settings(max_examples=300, deadline=None)
+def test_triangles_match_the_triple_filter(n, edge_mask, verts):
+    """The triangles inside ``verts`` as sorted triples, in
+    lexicographic order, as filtering every triple of them gives."""
+    g = _mask_graph(n, edge_mask)
+    verts &= g.full_mask()
+    want = [t for t in combinations(bits(verts), 3)
+            if all(g.has_edge(u, v) for u, v in combinations(t, 2))]
+    assert triangles(g.adj, verts) == want
 
 
 def test_induced_delete_matches_reference_on_many_word_rows():

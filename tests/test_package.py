@@ -30,14 +30,16 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_every_module_level_import_is_used():
-    """No linter runs on the package or its tests, so this stands in for
-    pyflakes' F401: each name a module imports at its top level is read
-    in that module or listed in its ``__all__``, or its line says
-    ``# noqa: F401`` and then why the import stays.  Only loads count as
-    reads, so a field or local of the same name hides no unused import."""
+    """No linter runs on the package, its tests or the demos, so this
+    stands in for pyflakes' F401: each name a module imports at its top
+    level is read in that module or listed in its ``__all__``, or its
+    line says ``# noqa: F401`` and then why the import stays.  Only loads
+    count as reads, so a field or local of the same name hides no unused
+    import."""
+    tests = pathlib.Path(__file__).parent
     unused = []
     for path in sorted([*pathlib.Path(beibounds.__file__).parent.glob("*.py"),
-                        *pathlib.Path(__file__).parent.glob("*.py")]):
+                        *tests.glob("*.py"), *(tests.parent / "demos").glob("*.py")]):
         text = path.read_text(encoding="utf-8")
         tree = ast.parse(text)
         read = {node.id for node in ast.walk(tree)

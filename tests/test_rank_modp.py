@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from beibounds.rank_modp import rank_gf2, rank_gf3, rank_modp
@@ -60,6 +61,14 @@ def test_rank_modp_accepts_plain_rows():
     assert rank_modp([[0, 0], [0, 0]], 7) == 0
     assert rank_modp(((1, 2), (2, 4)), 5) == 1
     assert rank_modp([(1, 2), (2, 4)], 3) == 1
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 6])
+def test_rank_modp_rejects_a_modulus_that_is_not_prime(p):
+    """A composite, unit, zero or negative modulus raises instead of
+    returning a rank over no field (or failing in ``pow``)."""
+    with pytest.raises(ValueError, match=f"{p} is not prime"):
+        rank_modp([[1, 2], [2, 4]], p)
 
 
 @given(st.integers(0, 2 ** 30 - 1), st.integers(1, 6), st.integers(1, 6))
