@@ -68,13 +68,13 @@ def _read_source(path: str) -> str:
 
 def parse_graph_text(text: str) -> list[Graph]:
     """Auto-detect edge-list (one graph) vs graph6 (one per line)."""
-    lines = [ln for ln in text.splitlines() if ln.split("#", 1)[0].strip()]
-    if not lines:
+    # a ``#`` starts a comment in either format; graph6 bytes are 63-126
+    bodies = [b for b in (ln.split("#", 1)[0].strip() for ln in text.splitlines()) if b]
+    if not bodies:
         raise ParseError("no graph data found", line=1)
-    first = lines[0].split("#", 1)[0].strip()
-    if first.isdigit():
+    if bodies[0].isdigit():
         return [parse_edge_list(text)]
-    return [decode_graph6(ln.strip()) for ln in lines]
+    return [decode_graph6(b) for b in bodies]
 
 
 def load_inputs(paths: list[str]) -> list[Graph]:
@@ -315,14 +315,10 @@ def invariant_record(g: Graph, with_reg: bool) -> dict:
         "c": len(cliques),
     }
     if with_reg:
-        reg = regularity_bei(g)
-        _check_reg_witness(g, reg)
-        rec["reg"] = reg.value
-        rec["reg_witness"] = {
-            "vars": sorted(variable_name(v, g.n) for v in reg.witness_vars),
-            "degree": reg.witness_degree,
-            "fields": list(reg.fields_used),
-        }
+        reg = reg_record(g)
+        rec["reg"] = reg["reg"]
+        rec["reg_witness"] = {"vars": reg["witness_vars"], "degree": reg["witness_degree"],
+                              "fields": reg["fields"]}
     return rec
 
 
@@ -388,18 +384,6 @@ def _print_skips(skipped: list[tuple[str, str]], what: str = "") -> None:
             print(f"{g6}: {message}", file=sys.stderr)
 
 
-def _records(
-    record: Callable[[Graph], dict], graphs: Iterable[Graph], skipped: list[tuple[str, str]]
-) -> Iterator[dict]:
-    """``record`` of each graph in turn; a graph that a resource cap
-    stops yields nothing and goes on ``skipped`` as (graph6, message)."""
-    for g in graphs:
-        try:
-            yield record(g)
-        except ResourceLimitError as exc:
-            skipped.append((encode_graph6(g), str(exc)))
-
-
 def _emit_with_skips(command, inputs, results, skipped, started, fmt) -> int:
     """Emit the report with one ``skipped`` row per graph a resource cap
     stopped, after the others, then list those graphs on stderr; the
@@ -415,9 +399,15 @@ def _emit_with_skips(command, inputs, results, skipped, started, fmt) -> int:
 
 
 def _cmd_records(args, command: str, record: Callable[[Graph], dict]) -> int:
+    """``record`` of each input graph, which checks every witness it
+    reports; a graph that a resource cap stops gets a skipped row."""
     started = time.perf_counter()
-    skipped: list[tuple[str, str]] = []
-    results = list(_records(record, load_inputs(args.inputs), skipped))
+    results, skipped = [], []
+    for g in load_inputs(args.inputs):
+        try:
+            results.append(record(g))
+        except ResourceLimitError as exc:
+            skipped.append((encode_graph6(g), str(exc)))
     inputs = [r["graph6"] for r in results] + [g6 for g6, _ in skipped]
     return _emit_with_skips([command], inputs, results, skipped, started, args.format)
 
@@ -490,26 +480,36 @@ def cmd_gen(args) -> int:
     return 0
 
 
-GAPS = {
-    "c-eta": ("c", "eta"),
-    "eta-L": ("eta", "L"),
-    "c-reg": ("c", "reg"),
-}
-
-
 def cmd_search(args) -> int:
+    """Rank the corpus by the gap ``hi - lo`` of the values that ``verify
+    chain`` reads by key; only the ``--top`` rows are reported, each with
+    its eta, L and reg witnesses re-checked by :func:`invariant_record`."""
     started = time.perf_counter()
     desc, graphs = corpus_from_args(args)
-    hi, lo = GAPS[args.gap]
+    hi, lo = args.gap.split("-")
+    with_reg = "reg" in (hi, lo)
     skipped: list[tuple[str, str]] = []
-    rows = ((rec[hi] - rec[lo], rec["graph6"],
-             {k: rec[k] for k in ("n", "L", "eta", "c", "reg") if k in rec})
-            for rec in _records(partial(invariant_record, with_reg="reg" in (hi, lo)),
-                                graphs, skipped))
+
+    def rows() -> Iterator[tuple[int, str, dict, Graph]]:
+        for g in graphs:
+            rep = bound_chain(g, with_reg=with_reg)
+            if rep.skipped:
+                skipped.append((encode_graph6(g), next(iter(rep.skipped.values()))))
+                continue
+            # reg is None only when not asked for
+            vals = {k: v for k, v in dict(n=rep.n, L=rep.length_sum, eta=rep.eta,
+                                          c=rep.clique_count, reg=rep.reg).items() if v is not None}
+            yield vals[hi] - vals[lo], encode_graph6(g), vals, g
+
     # only the --top rows are kept, in the order a full sort would give;
     # nsmallest reads no row for n = 0, so it takes one to check every graph
-    top = heapq.nsmallest(max(args.top, 1), rows, key=lambda r: (-r[0], r[1]))[: args.top]
-    results = [{"gap": gap, "graph6": g6, "values": vals} for gap, g6, vals in top]
+    top = heapq.nsmallest(max(args.top, 1), rows(), key=lambda r: (-r[0], r[1]))[: args.top]
+    results = []
+    for gap, g6, vals, g in top:
+        witnessed = {k: v for k, v in invariant_record(g, with_reg).items() if k in vals}
+        if witnessed != vals:
+            raise WitnessError(f"{g6}: witnessed values {witnessed} differ from the ranked {vals}")
+        results.append({"gap": gap, "graph6": g6, "values": vals})
     return _emit_with_skips(["search", args.gap], desc, results, skipped, started, args.format)
 
 
@@ -572,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("search", help="rank corpus graphs by a bound gap")
-    p.add_argument("--gap", required=True, choices=sorted(GAPS))
+    p.add_argument("--gap", required=True, choices=["c-eta", "c-reg", "eta-L"])
     _add_corpus_flags(p)
     p.add_argument("--top", type=_at_least(0), default=5)
     p.add_argument("--format", choices=["text", "json"], default="text")

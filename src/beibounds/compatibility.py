@@ -332,15 +332,17 @@ def bound_chain(g: Graph, with_reg: bool = True) -> BoundChainReport:
     a cached value is served whatever the budget, and one past it is not
     cached."""
     key = rows_key(g.adj)
+    # eta, then L, then reg: ``search`` reports the first skip, and
+    # ``cli.invariant_record`` meets the caps in this order
     skipped: dict[str, str] = {}
-    try:
-        length_sum: Optional[int] = NAMED_MAPS["induced-path"].of_key(key)
-    except ResourceLimitError as exc:
-        length_sum, skipped["L"] = None, str(exc)
     try:
         eta_g: Optional[int] = NAMED_MAPS["eta"].of_key(key)
     except ResourceLimitError as exc:
         eta_g, skipped["eta"] = None, str(exc)
+    try:
+        length_sum: Optional[int] = NAMED_MAPS["induced-path"].of_key(key)
+    except ResourceLimitError as exc:
+        length_sum, skipped["L"] = None, str(exc)
     c_g = NAMED_MAPS["clique-count"].of_key(key)
     reg: Optional[int] = None
     if with_reg:

@@ -34,7 +34,9 @@ every vertex of a mask, for the tests of ``graphs.derived_keys``.
 ``cut_signature`` (on the package's
 ``components``) and ``with_injected_isolates`` are test-only graph
 helpers, and ``from_supports`` a test-only ideal builder, not
-references.
+references.  ``ref_search_rows`` ranks ``cli.invariant_record`` of
+every graph of a corpus, each witness re-checked, and reads no keyed
+map.
 """
 
 from collections import deque
@@ -43,6 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
+from beibounds.cli import invariant_record
 from beibounds.errors import ResourceLimitError
 from beibounds.graphs import Graph, bits, components, derived_keys, key_layout, minimalize
 from beibounds.invariants import maximal_cliques
@@ -743,3 +746,20 @@ def ref_domination_table(gens, nv: int) -> list[list[tuple[int, int]]]:
                     d |= extra
             table[u].append((g, d & ~g))
     return table
+
+
+def ref_search_rows(graphs, gap: str) -> list[dict]:
+    """Every result row of ``search --gap`` with no ``--top`` cut, from
+    ``invariant_record`` of each graph: ranked rows by gap, largest
+    first, then graph6, then one row per graph a resource cap skipped."""
+    hi, lo = gap.split("-")
+    rows, skipped = [], []
+    for g in graphs:
+        try:
+            rec = invariant_record(g, with_reg="reg" in (hi, lo))
+        except ResourceLimitError as exc:
+            skipped.append({"graph6": ref_encode_graph6(g), "skipped": str(exc)})
+            continue
+        values = {k: rec[k] for k in ("n", "L", "eta", "c", "reg") if k in rec}
+        rows.append({"gap": rec[hi] - rec[lo], "graph6": rec["graph6"], "values": values})
+    return sorted(rows, key=lambda r: (-r["gap"], r["graph6"])) + skipped

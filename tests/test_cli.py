@@ -19,6 +19,8 @@ from beibounds.generators import cycle, net, path, sierpinski, union
 from beibounds.graphio import encode_graph6
 from beibounds.graphs import Graph, canonical_rows, rows_key
 
+from brute import ref_search_rows
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -351,24 +353,22 @@ def test_verify_chain_keeps_results_past_a_search_budget(
     ]
 
 
-@pytest.mark.parametrize("gap, target", [
-    ("eta-L", "longest_induced_path"),
+# each id names the search behind the map
+@pytest.mark.parametrize("gap, map_name", [
+    ("eta-L", "induced-path"),
     ("eta-L", "eta"),
-    ("c-reg", "regularity_bei"),
-])
-def test_search_keeps_results_past_a_search_budget(capsys, monkeypatch, tmp_path, gap, target):
+    ("c-reg", "reg"),
+], ids=["eta-L-longest_induced_path", "eta-L-eta", "c-reg-regularity_bei"])
+def test_search_keeps_results_past_a_search_budget(capsys, patch_map, tmp_path, gap, map_name):
     """A graph whose L, eta or reg hits a resource cap is listed with its
     message after the ranked rows, the other graphs are still ranked,
     and the command exits 2 after the report."""
-    from beibounds import cli
-    real = getattr(cli, target)
-
-    def capped(g):
+    def capped(g, real):
         if g == net():
             raise ResourceLimitError("search exceeded 7 nodes")
         return real(g)
 
-    monkeypatch.setattr(cli, target, capped)
+    patch_map(map_name, capped)
     net6, p4, c5 = (encode_graph6(g) for g in (net(), path(4), cycle(5)))
     f = tmp_path / "graphs.g6"
     f.write_text("\n".join((p4, net6, c5)) + "\n")
@@ -394,6 +394,43 @@ def test_search_ranks_the_levels_below_an_L_budget_hit(capsys, set_budget):
     assert results[2] == {"graph6": s3,
                           "skipped": "induced-path search exceeded 1000 nodes"}
     assert err.splitlines()[1:] == [f"{s3}: induced-path search exceeded 1000 nodes"]
+
+
+@pytest.mark.parametrize("gap, map_name", [("c-reg", "reg"), ("c-eta", "eta")])
+def test_search_fails_a_ranked_value_its_witness_does_not_give(capsys, patch_map, gap, map_name):
+    """Rows are ranked on the keyed maps that ``verify chain`` reads, and
+    each reported row is computed again with its witnesses checked, so a
+    map one too high stops the command before the report."""
+    patch_map(map_name, lambda g, real: real(g) + 1)
+    code, out, err = run(capsys, "search", "--gap", gap, "--exhaustive", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "differ from the ranked" in err
+
+
+def test_search_rechecks_only_the_reported_rows(capsys, monkeypatch):
+    """Graphs that are not reported get no witness check, as in ``verify chain``."""
+    records = []
+    real = cli.invariant_record
+    monkeypatch.setattr(cli, "invariant_record",
+                        lambda g, with_reg: records.append(g) or real(g, with_reg))
+    code, out, _ = run(capsys, "search", "--gap", "c-eta", "--exhaustive", "4", "--top", "3",
+                       "--format", "json")
+    assert code == 0
+    assert [encode_graph6(g) for g in records] == [r["graph6"] for r in json.loads(out)["results"]]
+
+
+@pytest.mark.parametrize("gap, corpus", [
+    ("c-eta", ["--exhaustive", "5"]),
+    ("eta-L", ["--exhaustive", "5"]),
+    ("c-reg", ["--random", "60", "--max-n", "7", "--seed", "2"]),
+], ids=["c-eta", "eta-L", "c-reg"])
+def test_search_rows_match_ranking_every_invariant_record(capsys, gap, corpus):
+    """With ``--top`` past the corpus size, ``search`` reports every row
+    that ranking ``invariant_record`` of each graph gives."""
+    code, out, _ = run(capsys, "search", "--gap", gap, *corpus, "--top", "2000",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"] == ref_search_rows(_corpus(*corpus), gap)
 
 
 def test_text_report_ok_agrees_with_the_exit_code(capsys, tmp_path, set_budget):

@@ -186,6 +186,13 @@ def test_parse_edge_list_comments_and_blanks():
     assert parse_edge_list(text) == path(3)
 
 
+def test_graph6_lines_drop_trailing_comments():
+    """``#`` is not a graph6 byte (those are 63-126), so a comment after a
+    graph6 line is dropped before the line is decoded."""
+    text = "# two graphs\nBw # triangle\n" + encode_graph6(net()) + "  #net\n"
+    assert parse_graph_text(text) == [complete(3), net()]
+
+
 def test_parse_edge_list_out_of_range_is_error_with_line():
     with pytest.raises(ParseError) as err:
         parse_edge_list("3\n0 3\n")

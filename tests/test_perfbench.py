@@ -1,7 +1,8 @@
 """The benchmark harness still runs against the library: its self-test
-passes, every tracer site names a function that exists, and the CLI
-names that the sweep clock wraps are called as it expects, so a library
-change that would break benchmark runs fails here first."""
+passes, every tracer site names a function that exists, the CLI names
+that the sweep clock wraps are called as it expects, and the input
+profile reads a sweep's corpus, so a library change that would break
+benchmark runs fails here first."""
 
 import ast
 import importlib.util
@@ -18,14 +19,16 @@ import beibounds
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", os.path.join(PERFBENCH, "tracer.py"))
-    module = importlib.util.module_from_spec(spec)
+def _load(name: str):
+    """``perfbench/<name>.py`` as the module ``perfbench_<name>``, loaded
+    from the file as it is (dataclasses look their module up by name)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("tracer")
 
 
 def test_selftest_passes():
@@ -83,3 +86,21 @@ def test_sweep_clock_names_run_once_per_graph(capsys, monkeypatch, argv, graphs,
     assert json.loads(capsys.readouterr().out)["results"]["graphs_checked"] == graphs
     assert calls == {"decode_graph6": graphs, "bound_chain": graphs if chain else 0,
                      "make_report": 1}
+
+
+@pytest.mark.parametrize("argv, items", [
+    (("verify", "chain", "--random", "30", "--max-n", "4", "--seed", "0", "--with-reg"),
+     [("graphs checked", 30), ("per-component reg inputs", 42)]),
+    (("verify", "compatible", "--exhaustive", "4"), [("graphs checked", 75)]),
+], ids=["chain", "compatible"])
+def test_input_profile_counts_a_sweep_corpus(monkeypatch, argv, items):
+    """Every ``--trace 1`` pass of a sweep runs ``run.input_profile``,
+    which takes the ``len()`` of ``cli.corpus_from_args``'s corpus and
+    reads it more than once; a corpus that could be read only once
+    would fail here rather than in every traced sweep."""
+    from beibounds import cli  # noqa: F401  (input_profile reads beibounds.cli)
+
+    monkeypatch.syspath_prepend(PERFBENCH)  # run.py imports analysis by name
+    run, workloads = _load("run"), _load("workloads")
+    w = workloads.Workload("sweep", "a small sweep", 1, argv=argv)
+    assert [(p["what"], p["items"]) for p in run.input_profile(beibounds, w, 0, {})] == items
