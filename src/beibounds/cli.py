@@ -40,9 +40,9 @@ from .invariants import (
 )
 from .regularity import (
     RegularityResult,
-    homology_dims,
     initial_ideal,
     regularity_bei,
+    top_homology_degree,
     variable_name,
 )
 
@@ -268,8 +268,9 @@ def _check_witnesses(g: Graph, eta_val: int, edges, length: int, paths) -> None:
 
 
 def _check_reg_witness(g: Graph, reg: RegularityResult) -> None:
-    """Re-check the reg witness with ``homology_dims``, which computes
-    every degree and shares none of the scan's pruning.
+    """Re-check the reg witness with ``top_homology_degree``, which
+    walks each share's degrees down from its top face size and shares
+    none of the scan's pruning.
 
     The witness splits into one share of variables per component, and
     reg adds over components.  So in every field used, each share must
@@ -285,8 +286,7 @@ def _check_reg_witness(g: Graph, reg: RegularityResult) -> None:
         share += [sub.n + i for i, v in enumerate(back) if g.n + v in reg.witness_vars]
         ideal = initial_ideal(sub)
         for p in totals:
-            dims = homology_dims(ideal, share, p)
-            top = max((t for t, dim in dims.items() if dim), default=None)
+            top = top_homology_degree(ideal, share, p)
             if top is None:
                 bad = True
             else:

@@ -41,7 +41,8 @@ two fields must agree or an error is raised.  The scan computes only the
 ranks it needs: per field it walks the degrees of a subset from the top
 down, stops at the first nonzero one, and never goes below the field's
 best value so far, since lower degrees cannot raise it.
-``homology_dims`` still computes every degree of any subset.
+``top_homology_degree`` walks the same way to the top nonzero degree of
+any subset, with no floor, and ``homology_dims`` computes every degree.
 
 Disconnected graphs are handled per ``Graph.component_subgraphs`` (the
 quotient is a tensor product over disjoint variable sets, so regularity
@@ -70,7 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import FieldDisagreementError, ResourceLimitError
 from .graphs import CACHE_SIZE, Graph, bits, canonical_rows, key_rows, relabel, rows_key
@@ -249,6 +250,25 @@ def homology_dims(ideal: SquarefreeIdeal, w: Iterable[int], p: int) -> dict[int,
     return _reduced_homology(_faces_by_size(ideal.gens, wmask), p)
 
 
+def top_homology_degree(ideal: SquarefreeIdeal, w: Iterable[int], p: int) -> int | None:
+    """The top degree with nonzero reduced homology of the complex of
+    ``ideal`` restricted to ``w`` over GF(p), or None when every degree
+    is zero: the largest key with a nonzero value in ``homology_dims``.
+
+    It walks down from the top face size, one new boundary rank per
+    step, and stops at the first nonzero degree, so the degrees below
+    it are never ranked; every degree above it is shown to be zero.
+    """
+    by_size = _faces_by_size(ideal.gens, _variable_mask(w, ideal.num_vars))
+    r_above = 0
+    for s in range(len(by_size) - 1, 0, -1):
+        r_here = _boundary_ranks(by_size, s, (p,))[p]
+        if len(by_size[s]) > r_here + r_above:
+            return s - 1
+        r_above = r_here
+    return -1 if r_above == 0 else None
+
+
 # -- regularity of squarefree ideals ---------------------------------------
 
 
@@ -342,16 +362,25 @@ def _has_dominated_vertex(wmask: int, table: list[list[tuple[int, int]]]) -> boo
     return False
 
 
-def _survivors(ideal: SquarefreeIdeal) -> tuple[list[int], int]:
-    """The domination-free lattice elements in scan order, by descending
-    size and then ascending variable tuple, and the lattice size."""
+def _survivors(ideal: SquarefreeIdeal) -> tuple[list[tuple[int, Iterator[int]]], int]:
+    """The domination-free lattice elements in scan order, one level of
+    equal size at a time, largest first, and the lattice size.
+
+    Each level is a pair (size, elements).  Its elements are
+    domination-filtered and put in ascending variable-tuple order only
+    when the iterator is first advanced, so a scan that stops above a
+    level never tests or sorts it."""
     table, forb = _domination_table(ideal.gens, ideal.num_vars)
     lattice = _lcm_lattice(ideal.gens, forb)
-    survivors = sorted(
-        (w for w in lattice if not _has_dominated_vertex(w, table)),
-        key=lambda w: (-w.bit_count(), list(bits(w))),
-    )
-    return survivors, len(lattice)
+    buckets: dict[int, list[int]] = {}
+    for w in lattice:
+        buckets.setdefault(w.bit_count(), []).append(w)
+
+    def level(bucket: list[int]) -> Iterator[int]:
+        yield from sorted((w for w in bucket if not _has_dominated_vertex(w, table)),
+                          key=lambda w: list(bits(w)))
+
+    return [(s, level(buckets[s])) for s in sorted(buckets, reverse=True)], len(lattice)
 
 
 def _face_size_cap(gens: tuple[int, ...], wmask: int) -> int:
@@ -382,11 +411,14 @@ def _scan_ideal(ideal: SquarefreeIdeal, fields: tuple[int, ...]) -> dict[int, tu
     unions with no forbidden pair (``_domination_table``), which drops
     only elements with a dominated vertex.  The rest go by descending
     size, then ascending variable tuple, and an element of size s cannot
-    beat a value of s - 1, which bounds the scan.  Nor can an element W
-    beat |W| - k, for k generators inside it packed pairwise disjoint
-    (``_face_size_cap``), since each face misses a variable of every one
-    of them: W is skipped, before its faces are built, when that cap is
-    at most the least value over the fields.  A skipped W could not
+    beat a value of s - 1, which bounds the scan.  The scan reads the
+    lattice one size level at a time (``_survivors``) and stops at the
+    first level that bound rules out, before filtering it, so no level
+    at or below the bound is domination-tested or sorted.  Nor can an
+    element W beat |W| - k, for k generators inside it packed pairwise
+    disjoint (``_face_size_cap``), since each face misses a variable of
+    every one of them: W is skipped, before its faces are built, when
+    that cap is at most the least value over the fields.  A skipped W could not
     strictly raise any field's value, so the values and witnesses are
     those of the scan without the cap, whose size bound is its k = 1
     case.  The witness is the first domination-free element that
@@ -396,30 +428,33 @@ def _scan_ideal(ideal: SquarefreeIdeal, fields: tuple[int, ...]) -> dict[int, tu
     """
     best = dict.fromkeys(fields, (0, 0))
     gens = ideal.gens
-    survivors, used = _survivors(ideal)
+    levels, used = _survivors(ideal)
     floor = 0  # the least value over the fields
-    for wmask in survivors:
-        if wmask.bit_count() - 1 <= floor:
-            break
-        if _face_size_cap(gens, wmask) <= floor:
-            continue
-        by_size = _faces_by_size(gens, wmask, SCAN_BUDGET - used)
-        used += sum(map(len, by_size))
-        # H~_{s-1} = |F_s| - r_s - r_{s+1} can raise a field's value
-        # only for s above its best, so walk down from the top face
-        # size, one new rank per step, to the first nonzero degree.
-        live = fields
-        r_above = dict.fromkeys(fields, 0)
-        for s in range(len(by_size) - 1, 0, -1):
-            live = tuple(p for p in live if s > best[p][0])
-            if not live:
+    for size, level in levels:
+        if size - 1 <= floor:
+            break  # ends the scan before this level is filtered
+        for wmask in level:
+            if wmask.bit_count() - 1 <= floor:
                 break
-            r_here = _boundary_ranks(by_size, s, live)
-            for p in live:
-                if len(by_size[s]) > r_here[p] + r_above[p]:
-                    best[p] = (s, wmask)
-            r_above = r_here
-        floor = min(b[0] for b in best.values())
+            if _face_size_cap(gens, wmask) <= floor:
+                continue
+            by_size = _faces_by_size(gens, wmask, SCAN_BUDGET - used)
+            used += sum(map(len, by_size))
+            # H~_{s-1} = |F_s| - r_s - r_{s+1} can raise a field's value
+            # only for s above its best, so walk down from the top face
+            # size, one new rank per step, to the first nonzero degree.
+            live = fields
+            r_above = dict.fromkeys(fields, 0)
+            for s in range(len(by_size) - 1, 0, -1):
+                live = tuple(p for p in live if s > best[p][0])
+                if not live:
+                    break
+                r_here = _boundary_ranks(by_size, s, live)
+                for p in live:
+                    if len(by_size[s]) > r_here[p] + r_above[p]:
+                        best[p] = (s, wmask)
+                r_above = r_here
+            floor = min(b[0] for b in best.values())
     return best
 
 

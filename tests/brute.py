@@ -14,6 +14,8 @@ and ``ref_domination_table`` tests every generator against each
 The initial-ideal reference walks every label-valid simple path,
 chords and all, so it shares none of the admissible-path walk's
 pruning; minimalized, its monomials give the minimal generators.
+``buchberger_lead_terms`` computes a Groebner basis of the binomial
+edge ideal itself, so it shares no code with either path walk.
 The induced-path references are permutation and subset enumeration,
 the one-sided depth-first search from every vertex (values only), and
 ``ref_longest_induced_path``: the walk from each path's first vertex
@@ -144,6 +146,76 @@ def label_valid_path_monomials(g: Graph) -> set[int]:
 
             walk(i, 1 << i, 0)
     return out
+
+
+BUCHBERGER_PRIME = 32003
+
+
+def _top_reduce(f: dict, basis: list[dict]) -> dict:
+    """f with its lead term cancelled by monic basis elements until no
+    basis lead divides it; {} when f reduces to zero."""
+    while f:
+        lead = max(f)
+        for h in basis:
+            hlead = max(h)
+            if all(a >= b for a, b in zip(lead, hlead)):
+                shift = tuple(a - b for a, b in zip(lead, hlead))
+                c = f[lead]
+                f = dict(f)
+                for mono, coeff in h.items():
+                    t = tuple(a + b for a, b in zip(mono, shift))
+                    v = (f.get(t, 0) - c * coeff) % BUCHBERGER_PRIME
+                    if v:
+                        f[t] = v
+                    else:
+                        del f[t]
+                break
+        else:
+            return f
+    return f
+
+
+def buchberger_lead_terms(g: Graph) -> set[tuple[int, ...]]:
+    """Minimal lead terms of a Groebner basis of the binomial edge ideal
+    of g, as exponent vectors over x_0..x_{n-1}, y_0..y_{n-1}.
+
+    Buchberger's algorithm over GF(32003), in lex order with x_0 > ... >
+    x_{n-1} > y_0 > ... > y_{n-1} (so exponent tuples compare in that
+    order), on the binomials x_i y_j - x_j y_i of the edges, skipping
+    each pair whose lead terms are coprime (Buchberger's first
+    criterion).  Polynomials are dicts {exponent tuple: coefficient},
+    kept monic; it shares no code with the admissible-path walk."""
+    n = g.n
+    basis = []
+    for i, j in g.edges():
+        lead = tuple(int(k in (i, n + j)) for k in range(2 * n))
+        tail = tuple(int(k in (j, n + i)) for k in range(2 * n))
+        basis.append({lead: 1, tail: BUCHBERGER_PRIME - 1})
+    pairs = list(combinations(range(len(basis)), 2))
+    while pairs:
+        a, b = pairs.pop()
+        fa, fb = basis[a], basis[b]
+        la, lb = max(fa), max(fb)
+        if not any(x and y for x, y in zip(la, lb)):
+            continue
+        lcm = tuple(map(max, la, lb))
+        spoly: dict = {}
+        for f, lf, sign in ((fa, la, 1), (fb, lb, -1)):
+            for mono, coeff in f.items():
+                t = tuple(m + c - l for m, c, l in zip(mono, lcm, lf))
+                v = (spoly.get(t, 0) + sign * coeff) % BUCHBERGER_PRIME
+                if v:
+                    spoly[t] = v
+                else:
+                    spoly.pop(t, None)
+        rem = _top_reduce(spoly, basis)
+        if rem:
+            inv = pow(rem[max(rem)], -1, BUCHBERGER_PRIME)
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append({m: c * inv % BUCHBERGER_PRIME for m, c in rem.items()})
+    leads = {max(f) for f in basis}
+    return {m for m in leads
+            if not any(o != m and all(a >= b for a, b in zip(m, o)) for o in leads)}
 
 
 def is_complete_subset(g: Graph, vs) -> bool:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import beibounds
-from beibounds import cli, compatibility, generators, invariants
+from beibounds import cli, compatibility, generators, invariants, regularity
 from beibounds.cli import build_spec, main, parse_args, parse_graph_text
 from beibounds.errors import ResourceLimitError
 from beibounds.generators import cycle, net, path, sierpinski, union
@@ -196,6 +196,24 @@ def test_reg_witness_recheck_is_per_component():
     from beibounds.cli import _check_reg_witness
     g = union([path(2)] * 2500)
     _check_reg_witness(g, beibounds.regularity_bei(g))
+
+
+def test_reg_witness_recheck_ranks_only_down_to_the_top_degree(monkeypatch):
+    """P12's witness has homology in its top degree, so the re-check
+    ranks one boundary map per field; ranking every degree took 22."""
+    g = path(12)
+    reg = beibounds.regularity_bei(g)
+    calls = 0
+    real = regularity._boundary_ranks
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(regularity, "_boundary_ranks", counted)
+    cli._check_reg_witness(g, reg)
+    assert calls == 2
 
 
 def test_reg_subcommand(capsys, tmp_path):

@@ -63,6 +63,16 @@ def test_every_module_level_import_is_used():
     assert unused == []
 
 
+def test_every_file_parses_under_the_declared_python_floor():
+    """``requires-python = ">=3.10"`` in pyproject.toml holds for the
+    syntax of the package, its tests and the demos: each parses with
+    the 3.10 grammar."""
+    tests = pathlib.Path(__file__).parent
+    for path in sorted([*pathlib.Path(beibounds.__file__).parent.glob("*.py"),
+                        *tests.glob("*.py"), *(tests.parent / "demos").glob("*.py")]):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def test_exports_resolve_and_every_import_is_exported():
     """Each name in ``__all__`` exists, and each name ``__init__.py``
     takes with ``from .module import name`` is listed there, so an

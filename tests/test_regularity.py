@@ -22,6 +22,7 @@ from beibounds.regularity import (
 
 from brute import (
     brute_regularity_squarefree,
+    buchberger_lead_terms,
     from_supports,
     label_valid_path_monomials,
     ref_domination_table,
@@ -89,6 +90,28 @@ def test_admissible_walk_matches_reference_on_every_small_labeled_graph():
 def test_admissible_walk_matches_reference_on_random_graphs(n, p_num, seed):
     g = gnp(n, p_num, 4, seed)
     assert initial_ideal(g).gens == minimalize(label_valid_path_monomials(g))
+
+
+def _lead_masks(leads):
+    """Variable bitmasks of squarefree exponent vectors, sorted."""
+    assert all(e <= 1 for m in leads for e in m)
+    return tuple(sorted(sum(1 << k for k, e in enumerate(m) if e) for m in leads))
+
+
+def test_initial_ideal_is_the_buchberger_lead_ideal():
+    """The oracle's trust point: its generators are the admissible-path
+    monomials (Herzog-Hibi-Hreinsdottir-Kahle-Rauh 2010, Thm 3.2), and
+    regularity transfers across that squarefree Groebner degeneration
+    (Conca-Varbaro 2020).  A Groebner basis computed from the binomials
+    has squarefree minimal lead terms equal to ``initial_ideal(g).gens``,
+    on every labelled graph with n <= 5 and 100 sampled with n = 6: the
+    initial ideal depends on the vertex order, so labellings matter."""
+    rng = random.Random(32003)
+    pairs = list(combinations(range(6), 2))
+    sampled = [Graph.from_edge_list(6, [e for k, e in enumerate(pairs) if mask >> k & 1])
+               for mask in (rng.getrandbits(len(pairs)) for _ in range(100))]
+    for g in [g for n in range(1, 6) for g in all_labeled(n)] + sampled:
+        assert _lead_masks(buchberger_lead_terms(g)) == initial_ideal(g).gens
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -365,6 +388,17 @@ def squarefree_ideals(draw):
     return from_supports(nv, supports)
 
 
+def _all_survivors(ideal):
+    """Every level of ``_survivors`` in full, largest first, each
+    checked to hold elements of its size only."""
+    out = []
+    for size, level in regularity._survivors(ideal)[0]:
+        level = list(level)
+        assert all(w.bit_count() == size for w in level)
+        out += level
+    return out
+
+
 def _assert_matches_brute(ideal, p):
     res = regularity_squarefree(ideal, p)
     assert res.value == brute_regularity_squarefree(ideal, p)
@@ -394,7 +428,7 @@ def test_pruned_lattice_keeps_every_survivor(ideal):
     """The scan's survivors are the unpruned reference's, in the same
     order, and every union of generators that holds a forbidden pair
     has a dominated vertex, so pruning it loses no survivor."""
-    assert regularity._survivors(ideal)[0] == ref_scan_survivors(ideal)
+    assert _all_survivors(ideal) == ref_scan_survivors(ideal)
     forb = regularity._domination_table(ideal.gens, ideal.num_vars)[1]
     faces = ref_faces(ideal)
     for w in ref_unions(ideal):
@@ -438,9 +472,49 @@ def test_disjoint_generators_cap_the_top_face(ideal):
     of each survivor W has at most |W| - k variables, for the k
     generators inside W packed pairwise disjoint in ``gens`` order."""
     faces = ref_faces(ideal)
-    for w in regularity._survivors(ideal)[0]:
+    for w in _all_survivors(ideal):
         top = max(f.bit_count() for f in faces if f & ~w == 0)
         assert top <= regularity._face_size_cap(ideal.gens, w) < w.bit_count()
+
+
+@pytest.mark.parametrize("g, tests", [(net(), 32), (path(7), 22)], ids=["net", "P7"])
+def test_scan_tests_domination_only_on_the_levels_it_reaches(monkeypatch, g, tests):
+    """The scan filters a level of the lattice only when it reaches it,
+    so the levels at or below its size break are never tested: net's
+    lattice has 87 elements and P7's 63."""
+    calls = 0
+    real = regularity._has_dominated_vertex
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(regularity, "_has_dominated_vertex", counted)
+    regularity_bei(g)
+    assert calls == tests
+
+
+@st.composite
+def ideals_and_subsets(draw):
+    """An ideal from ``squarefree_ideals`` and a subset of its variables,
+    the empty one included."""
+    ideal = draw(squarefree_ideals())
+    return ideal, draw(st.sets(st.integers(0, ideal.num_vars - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ideals_and_subsets(), st.sampled_from((2, 3, 5)))
+@example((from_supports(3, [(0, 1)]), set()), 2)
+@example((from_supports(6, _RP2_NONFACES), set(range(6))), 2)
+@example((from_supports(6, _RP2_NONFACES), set(range(6))), 3)
+def test_top_homology_degree_is_the_top_nonzero_degree(ideal_and_subset, p):
+    """The walk down from the top face size stops where the largest
+    nonzero degree of ``homology_dims`` is, or finds none when it has none."""
+    ideal, w = ideal_and_subset
+    dims = homology_dims(ideal, w, p)
+    want = max((t for t, dim in dims.items() if dim), default=None)
+    assert regularity.top_homology_degree(ideal, w, p) == want
 
 
 @st.composite
@@ -616,6 +690,20 @@ def test_closed_graphs_regularity_equals_L():
     for g in graphs:
         h = _relabel(g, rng.sample(range(g.n), g.n))
         assert regularity_bei(h).value == longest_induced_path(h)[0]
+
+
+def test_closed_labellings_regularity_equals_L():
+    """Ene-Zarojanu 2015: reg = L for closed graphs.  A labelling is
+    closed exactly when the initial ideal is generated in degree 2
+    (Herzog-Hibi-Hreinsdottir-Kahle-Rauh 2010, Thm 1.1).  Checked on
+    every closed labelling with n <= 6, disconnected ones included; the
+    closed form stays out of the package, so the chain L <= reg it
+    checks is not circular."""
+    closed = [g for n in range(1, 7) for g in all_labeled(n)
+              if all(m.bit_count() == 2 for m in initial_ideal(g).gens)]
+    assert len(closed) == 689
+    for g in closed:
+        assert regularity_bei(g).value == longest_induced_path(g)[0]
 
 
 @pytest.mark.parametrize("n", range(2, 9))
