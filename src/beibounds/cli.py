@@ -41,8 +41,8 @@ from .invariants import (
 from .regularity import (
     RegularityResult,
     initial_ideal,
+    reduced_homology,
     regularity_bei,
-    top_homology_degree,
     variable_name,
 )
 
@@ -268,9 +268,10 @@ def _check_witnesses(g: Graph, eta_val: int, edges, length: int, paths) -> None:
 
 
 def _check_reg_witness(g: Graph, reg: RegularityResult) -> None:
-    """Re-check the reg witness with ``top_homology_degree``, which
-    walks each share's degrees down from its top face size and shares
-    none of the scan's pruning.
+    """Re-check the reg witness with :func:`regularity.reduced_homology`,
+    which reads each share's degrees down from its top face size, for
+    every field used from one build of its faces, to each field's top
+    nonzero degree, and shares none of the scan's pruning or floors.
 
     The witness splits into one share of variables per component, and
     reg adds over components.  So in every field used, each share must
@@ -284,13 +285,14 @@ def _check_reg_witness(g: Graph, reg: RegularityResult) -> None:
     for sub, back in g.component_subgraphs():
         share = [i for i, v in enumerate(back) if v in reg.witness_vars]
         share += [sub.n + i for i, v in enumerate(back) if g.n + v in reg.witness_vars]
-        ideal = initial_ideal(sub)
-        for p in totals:
-            top = top_homology_degree(ideal, share, p)
-            if top is None:
-                bad = True
-            else:
-                totals[p] += top + 1
+        tops: dict[int, int] = {}
+        for t, dims in reduced_homology(initial_ideal(sub), share, tuple(totals)):
+            tops.update((p, t) for p, dim in dims.items() if dim and p not in tops)
+            if len(tops) == len(totals):
+                break
+        bad |= len(tops) < len(totals)
+        for p, t in tops.items():
+            totals[p] += t + 1
     if bad or any(total != reg.value for total in totals.values()):
         names = sorted(variable_name(v, g.n) for v in reg.witness_vars)
         raise WitnessError(

@@ -41,8 +41,10 @@ two fields must agree or an error is raised.  The scan computes only the
 ranks it needs: per field it walks the degrees of a subset from the top
 down, stops at the first nonzero one, and never goes below the field's
 best value so far, since lower degrees cannot raise it.
-``top_homology_degree`` walks the same way to the top nonzero degree of
-any subset, with no floor, and ``homology_dims`` computes every degree.
+:func:`reduced_homology` reads any subset's degrees from the top down
+over several fields at once, building its faces once and with no
+floor: ``homology_dims`` takes every degree, and the CLI's witness
+re-check stops at each field's top nonzero degree.
 
 Disconnected graphs are handled per ``Graph.component_subgraphs`` (the
 quotient is a tensor product over disjoint variable sets, so regularity
@@ -99,6 +101,11 @@ class SquarefreeIdeal:
 
     num_vars: int
     gens: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        for g in self.gens:
+            if not 0 < g < 1 << self.num_vars:
+                raise ValueError(f"generator {g} out of range for {self.num_vars} variables")
 
     def supports(self) -> list[tuple[int, ...]]:
         return [tuple(bits(m)) for m in self.gens]
@@ -231,42 +238,29 @@ def _boundary_ranks(by_size: list[list[int]], s: int, fields: tuple[int, ...]) -
     return ranks
 
 
-def _reduced_homology(by_size: list[list[int]], p: int) -> dict[int, int]:
-    """Reduced homology dimensions {degree t: dim} over GF(p), t from -1."""
-    ranks = [0] + [_boundary_ranks(by_size, s, (p,))[p] for s in range(1, len(by_size))] + [0]
-    return {s - 1: len(faces) - ranks[s] - ranks[s + 1] for s, faces in enumerate(by_size)}
+def reduced_homology(ideal: SquarefreeIdeal, w: Iterable[int],
+                     fields: tuple[int, ...]) -> Iterator[tuple[int, dict[int, int]]]:
+    """Reduced homology of the complex of ``ideal`` restricted to ``w``,
+    from the top degree down to -1: (t, {p: dim over GF(p)}) per degree.
+    The faces are built once, on the first step, and each step ranks one
+    new boundary map per field, so a caller that stops early ranks no
+    degree below."""
+    by_size = _faces_by_size(ideal.gens, _variable_mask(w, ideal.num_vars))
+    r_above = dict.fromkeys(fields, 0)
+    for s in range(len(by_size) - 1, -1, -1):
+        r_here = _boundary_ranks(by_size, s, fields) if s else dict.fromkeys(fields, 0)
+        yield s - 1, {p: len(by_size[s]) - r_here[p] - r_above[p] for p in fields}
+        r_above = r_here
 
 
 def homology_dims(ideal: SquarefreeIdeal, w: Iterable[int], p: int) -> dict[int, int]:
-    """Reduced homology dimensions of the Stanley-Reisner complex of
-    ``ideal`` restricted to the variable subset ``w``, over GF(p).
-
-    Keys run from -1 (the empty complex {()} reports dimension 1 there)
-    to the dimension of the restricted complex.
-    """
+    """Reduced homology dimensions {degree t: dim} of the Stanley-Reisner
+    complex of ``ideal`` restricted to the variable subset ``w``, over
+    GF(p), from :func:`reduced_homology`: keys ascend from -1 (where the
+    empty complex {()} has dimension 1) to the complex's dimension."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    wmask = _variable_mask(w, ideal.num_vars)
-    return _reduced_homology(_faces_by_size(ideal.gens, wmask), p)
-
-
-def top_homology_degree(ideal: SquarefreeIdeal, w: Iterable[int], p: int) -> int | None:
-    """The top degree with nonzero reduced homology of the complex of
-    ``ideal`` restricted to ``w`` over GF(p), or None when every degree
-    is zero: the largest key with a nonzero value in ``homology_dims``.
-
-    It walks down from the top face size, one new boundary rank per
-    step, and stops at the first nonzero degree, so the degrees below
-    it are never ranked; every degree above it is shown to be zero.
-    """
-    by_size = _faces_by_size(ideal.gens, _variable_mask(w, ideal.num_vars))
-    r_above = 0
-    for s in range(len(by_size) - 1, 0, -1):
-        r_here = _boundary_ranks(by_size, s, (p,))[p]
-        if len(by_size[s]) > r_here + r_above:
-            return s - 1
-        r_above = r_here
-    return -1 if r_above == 0 else None
+    return {t: dims[p] for t, dims in reversed(list(reduced_homology(ideal, w, (p,))))}
 
 
 # -- regularity of squarefree ideals ---------------------------------------

@@ -4,6 +4,10 @@ Everything here recomputes invariants from first principles (subset and
 permutation enumeration over explicit edge sets), sharing no code with
 the solvers under test beyond the Graph container itself.  The rank
 reference eliminates on numpy arrays, which the package does not use.
+The homology reference ``ref_homology_dims`` lists the faces inside a
+subset by enumeration and ranks dense signed boundary matrices with the
+numpy rank, so it shares no code with ``reduced_homology`` or
+``homology_dims``.
 The regularity reference takes ``homology_dims`` of every variable
 subset, so it shares none of the scan's pruning (lattice, domination,
 size bound); the witness reference tests the lattice and domination
@@ -764,6 +768,29 @@ def ref_unions(ideal) -> set[int]:
 def ref_faces(ideal) -> set[int]:
     """Every face of the whole complex: the subsets holding no generator."""
     return {f for f in range(1 << ideal.num_vars) if not any(g & f == g for g in ideal.gens)}
+
+
+def ref_homology_dims(ideal, w, p: int) -> dict[int, int]:
+    """Reduced homology dimensions {degree t: dim} over GF(p) of the
+    complex restricted to ``w``, keys ascending from -1: the faces are
+    the subsets of ``w`` that hold no generator, and each boundary map
+    is a dense signed matrix ranked by ``numpy_rank_modp``."""
+    w = sorted(set(w))
+    faces = [[f for f in combinations(w, k)
+              if not any(g & sum(1 << v for v in f) == g for g in ideal.gens)]
+             for k in range(len(w) + 1)]
+    while not faces[-1]:
+        faces.pop()
+    ranks = [0]
+    for k in range(1, len(faces)):
+        col = {f: c for c, f in enumerate(faces[k - 1])}
+        matrix = [[0] * len(col) for _ in faces[k]]
+        for row, f in zip(matrix, faces[k]):
+            for i in range(k):
+                row[col[f[:i] + f[i + 1:]]] = (-1) ** i
+        ranks.append(numpy_rank_modp(matrix, p))
+    ranks.append(0)
+    return {k - 1: len(faces[k]) - ranks[k] - ranks[k + 1] for k in range(len(faces))}
 
 
 def ref_has_dominated_vertex(w: int, faces: set[int]) -> bool:

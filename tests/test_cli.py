@@ -178,7 +178,7 @@ def _corrupt_reg(result, how):
 @pytest.mark.parametrize("argv", [["reg"], ["invariants", "--with-reg"]])
 def test_reg_witness_is_rechecked(capsys, tmp_path, monkeypatch, argv, how):
     """Each component's share of the witness must carry its part of reg
-    in homology_dims, in every field used."""
+    in its top nonzero degree of reduced homology, in every field used."""
     import beibounds.cli as cli
     real = cli.regularity_bei
     monkeypatch.setattr(cli, "regularity_bei", lambda g: _corrupt_reg(real(g), how))
@@ -200,20 +200,22 @@ def test_reg_witness_recheck_is_per_component():
 
 def test_reg_witness_recheck_ranks_only_down_to_the_top_degree(monkeypatch):
     """P12's witness has homology in its top degree, so the re-check
-    ranks one boundary map per field; ranking every degree took 22."""
+    builds its faces once and ranks one boundary map for both fields;
+    ranking every degree took 22 ranks, and one walk per field built the
+    faces twice and ranked twice."""
     g = path(12)
     reg = beibounds.regularity_bei(g)
-    calls = 0
-    real = regularity._boundary_ranks
+    calls = {"_boundary_ranks": 0, "_faces_by_size": 0}
+    for name in calls:
+        real = getattr(regularity, name)
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
 
-    monkeypatch.setattr(regularity, "_boundary_ranks", counted)
+        monkeypatch.setattr(regularity, name, counted)
     cli._check_reg_witness(g, reg)
-    assert calls == 2
+    assert calls == {"_boundary_ranks": 1, "_faces_by_size": 1}
 
 
 def test_reg_subcommand(capsys, tmp_path):

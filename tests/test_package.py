@@ -1,8 +1,11 @@
 """Package-wide rules that no single module's tests can see."""
 
 import ast
+import importlib
+import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -86,6 +89,38 @@ def test_exports_resolve_and_every_import_is_exported():
         for alias in node.names
     }
     assert imported - set(beibounds.__all__) == set()
+
+
+def test_docstring_cross_references_resolve():
+    """Every :func:, :class: and :meth: target in a docstring or comment
+    under ``src/`` (bar ``__main__.py``, which runs the CLI on import)
+    names a real object, so a rename cannot leave the old name in the
+    prose: a target ``mod.name`` is ``beibounds.mod.name``, and a bare
+    name is defined in its own module or on one of that module's
+    classes."""
+    role = re.compile(r":(?:func|class|meth):`([^`]+)`")
+    targets, broken = 0, []
+    for path in sorted(pathlib.Path(beibounds.__file__).parent.glob("*.py")):
+        if path.name == "__main__.py":
+            continue
+        name = "beibounds" if path.stem == "__init__" else f"beibounds.{path.stem}"
+        module = importlib.import_module(name)
+        classes = [c for _, c in inspect.getmembers(module, inspect.isclass)
+                   if c.__module__ == name]
+        for target in role.findall(path.read_text(encoding="utf-8")):
+            targets += 1
+            mod, _, attr = target.rpartition(".")
+            if mod:
+                try:
+                    ok = hasattr(importlib.import_module(f"beibounds.{mod}"), attr)
+                except ImportError:
+                    ok = False
+            else:
+                ok = (getattr(getattr(module, attr, None), "__module__", None) == name
+                      or any(hasattr(c, attr) for c in classes))
+            if not ok:
+                broken.append(f"{path.name}: {target}")
+    assert targets and broken == []
 
 
 def test_cli_looks_up_the_benchmark_hooks_at_call_time(monkeypatch, capsys):

@@ -28,6 +28,7 @@ from brute import (
     ref_domination_table,
     ref_faces,
     ref_has_dominated_vertex,
+    ref_homology_dims,
     ref_reg_witness,
     ref_scan,
     ref_scan_survivors,
@@ -226,6 +227,15 @@ def test_variable_indices_checked_by_one_rule():
         homology_dims(from_supports(3, [(0, 1)]), [3], 2)
     with pytest.raises(ValueError, match="unit ideal"):
         from_supports(3, [()])
+
+
+@pytest.mark.parametrize("gen", [0b100, 0, -1])
+def test_ideal_rejects_generators_outside_its_variables(gen):
+    """A generator must be a nonempty subset of the variables; before the
+    check 0b100 over 2 variables was ignored by ``homology_dims`` and
+    made ``regularity_squarefree`` raise IndexError."""
+    with pytest.raises(ValueError, match=f"generator {gen} out of range for 2 variables"):
+        SquarefreeIdeal(2, (gen,))
 
 
 # -- regularity of squarefree ideals ------------------------------------------
@@ -508,13 +518,16 @@ def ideals_and_subsets(draw):
 @example((from_supports(3, [(0, 1)]), set()), 2)
 @example((from_supports(6, _RP2_NONFACES), set(range(6))), 2)
 @example((from_supports(6, _RP2_NONFACES), set(range(6))), 3)
-def test_top_homology_degree_is_the_top_nonzero_degree(ideal_and_subset, p):
-    """The walk down from the top face size stops where the largest
-    nonzero degree of ``homology_dims`` is, or finds none when it has none."""
+def test_homology_matches_the_dense_reference(ideal_and_subset, p):
+    """``homology_dims`` equals the dense reference, keys ascending from
+    -1, and ``reduced_homology`` over GF(2) and GF(3) yields every degree
+    of the reference from the top down."""
     ideal, w = ideal_and_subset
-    dims = homology_dims(ideal, w, p)
-    want = max((t for t, dim in dims.items() if dim), default=None)
-    assert regularity.top_homology_degree(ideal, w, p) == want
+    want = ref_homology_dims(ideal, w, p)
+    assert list(homology_dims(ideal, w, p).items()) == list(want.items())
+    both = {q: ref_homology_dims(ideal, w, q) for q in (2, 3)}
+    got = list(regularity.reduced_homology(ideal, w, (2, 3)))
+    assert got == [(t, {q: both[q][t] for q in (2, 3)}) for t in reversed(want)]
 
 
 @st.composite
