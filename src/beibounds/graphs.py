@@ -24,12 +24,14 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def components(adj: Sequence[int], mask: int) -> list[int]:
-    """Connected components of the subgraph induced on ``mask``, by smallest vertex."""
+    """Connected components of the subgraph induced on ``mask``, by
+    smallest vertex.  A component stops growing once it holds every
+    vertex of ``mask`` not in an earlier one."""
     comps = []
     left = mask
     while left:
         comp = frontier = left & -left
-        while frontier:
+        while frontier and comp != left:
             grown = comp
             while frontier:
                 low = frontier & -frontier

@@ -35,15 +35,17 @@ search that walks each induced path once, from its first vertex in a
 smallest-last order and over the vertices not yet rooted: each root is
 a vertex of least degree among those, so later roots search smaller
 graphs.  One side of the path grows first, and at each of its nodes the
-other side may start; one node routine serves both sides, and a node
-with no start left is one-sided.  Each search node computes its
-available set and its counting bound once for all its children, and
-settles the children that cannot grow without entering them.  Two
-admissible bounds, a few big-int operations per node, tighten the
-count: an induced path holds at most two vertices of each triangle of
-a least-overlap greedy packing of the unrooted vertices (kept in bit
-planes, built at the node where the search outgrows its cost and again
-after each later root that breaks a packed triangle) and at most one
+other side may start.  One node routine serves the nodes with a start
+left, and a leaner one the one-sided nodes, where none is left; most
+nodes are one-sided.  Each search node computes its available set and
+its counting bound once for all its children, and settles the children
+that cannot grow without entering them: a one-sided child is entered
+only when its count bound beats the best length.  Two admissible bounds,
+a few big-int operations per node, tighten the count: an induced path
+holds at most two vertices of each triangle of a least-overlap greedy
+packing of the unrooted vertices (kept in bit planes, built at the node
+where the search outgrows its cost and again after each later root that
+breaks a packed triangle, from one list of triangles) and at most one
 degree-1 vertex at the open end of a one-sided path.  They never prune
 the first longest path, so the witnesses are the count bound's, each
 written smaller end first.
@@ -171,9 +173,11 @@ class _MisSolver:
     """Exact MIS by branch and bound with memoization.
 
     Reductions: vertices of degree <= 1 always join some optimum, so
-    they are committed greedily.  Components are solved independently.
-    Branching picks the max-degree vertex (smallest index on ties), the
-    include branch winning ties, so witnesses are deterministic.
+    they are committed greedily, in passes over the vertices until a
+    pass commits none.  Components are solved independently.  Branching
+    picks the max-degree vertex (smallest index on ties), read off that
+    last pass, which saw every degree; the include branch wins ties, so
+    witnesses are deterministic.
 
     ``solve(mask, need)`` is exact whenever the optimum on ``mask``
     reaches ``need``; otherwise it may return an upper bound below
@@ -209,18 +213,23 @@ class _MisSolver:
         changed = True
         while changed:
             changed = False
+            v = best = -1  # the max-degree vertex, the smallest on ties
             left = m
             while left:
                 low = left & -left
                 left ^= low
                 if not m & low:
                     continue
-                nb = adj[low.bit_length() - 1] & m
-                if nb.bit_count() <= 1:
+                u = low.bit_length() - 1
+                nb = adj[u] & m
+                degree = nb.bit_count()
+                if degree <= 1:
                     taken_size += 1
                     taken_mask |= low
                     m &= ~(nb | low)
                     changed = True
+                elif degree > best:
+                    best, v = degree, u
         if m:
             need -= taken_size  # what m itself must reach
             comps = components(adj, m)
@@ -241,16 +250,7 @@ class _MisSolver:
                     taken_mask |= w
                 taken_size += bound
             else:
-                # the max-degree vertex, the smallest on ties
-                v = best = -1
-                left = m
-                while left:
-                    low = left & -left
-                    left ^= low
-                    u = low.bit_length() - 1
-                    degree = (adj[u] & m).bit_count()
-                    if degree > best:
-                        best, v = degree, u
+                # the last pass removed nothing, so it saw every degree of m
                 s_in, w_in = self.solve(m & ~(adj[v] | 1 << v), need - 1)
                 s_out, w_out = self.solve(m & ~(1 << v), max(need, s_in + 2))
                 # a memoized result is exact whatever the need, so
@@ -469,41 +469,52 @@ def _component_lip(g: Graph, comp: int, nodes: int) -> tuple[int, list[int], int
     one-sided: side B, grown on the reversed path ``aj .. a1 m b1``, or
     side A once no start is left.
 
-    A node ``grow`` holds an induced path ``path[:k]`` ending at
-    ``last`` and the unrooted vertices ``avail`` off the path with no
-    path neighbour but ``last`` (side A's also off ``N(m)``).  Each open
-    side adds at most one vertex outside ``rest = avail & ~adj[last]``,
-    so ``k`` plus the size of ``rest`` bounds the length, one more while
-    both sides are open (only one: a candidate and a start can be
-    adjacent).  Two corrections tighten it where it is within ``most``
-    of the best length.  Each packed triangle wholly in ``rest`` takes
-    one off, since an induced path holds two of its vertices at most.
-    At one-sided nodes only, the degree-1 ``leaves`` in ``rest`` beyond
-    one come off, since only the open end can be one; side A needs
-    none, because a root with two unrooted neighbours has the least
-    degree among the unrooted vertices, so none of them has degree 1.
-    Every bound is admissible, so it never prunes the first longest
-    path in the search order: the witness is the one the count bound
-    alone finds, whenever the packing arrives, written smaller end
-    first.
+    A node holds an induced path ``path[:k]`` ending at ``last`` and the
+    unrooted vertices ``avail`` off the path with no path neighbour but
+    ``last`` (side A's also off ``N(m)``).  Each open side adds at most
+    one vertex outside ``rest = avail & ~adj[last]``, so ``k`` plus the
+    size of ``rest`` bounds the length, one more while both sides are
+    open (only one: a candidate and a start can be adjacent).  Two
+    corrections tighten it where it is within ``most`` of the best
+    length.  Each packed triangle wholly in ``rest`` takes one off,
+    since an induced path holds two of its vertices at most.  At
+    one-sided nodes only, the degree-1 ``leaves`` in ``rest`` beyond one
+    come off, since only the open end can be one; side A needs none,
+    because a root with two unrooted neighbours has the least degree
+    among the unrooted vertices, so none of them has degree 1.  Every
+    bound is admissible, so it never prunes the first longest path in
+    the search order: the witness is the one the count bound alone
+    finds, whenever the packing arrives, written smaller end first.
+
+    ``grow`` expands the nodes with starts left: it sends the side-A
+    children that keep a start back into ``grow``, and the one-sided
+    children and then the side-B starts into ``grow1``, which expands
+    the one-sided nodes and takes its ``rest`` from the parent.  A
+    parent enters a one-sided child only when the child's count bound
+    ``k + |rest|`` beats the best length, so each ``grow1`` call expands
+    a node, save one whose ``k`` sets a new best with ``rest`` empty: it
+    records the path and returns.
 
     Member j of packed triangle i is bit ``i + j*t`` of ``availp``,
     which mirrors ``avail`` on the ``packed`` vertices, and ``adjp[v]``
-    is the plane image of ``adj[v]``, so ``restp & restp >> t & restp
-    >> 2t`` marks the triangles wholly in ``rest``.  The node that takes
-    ``nodes`` past ``gate`` packs the unrooted vertices: the first time
-    once the component's search has expanded ``_PACK_AFTER`` nodes,
-    inside whatever root's search that is, and again at the first node
-    after a root that is a packed vertex breaks its triangle (that root
-    sets ``gate`` back and ``full``, the root's plane mask, to 0).  A
-    frame open when the packing arrives holds ``restp == 0``; each
-    child it expands next planes its own ``rest`` once and passes the
-    true mask on.  Until the packing arrives ``t``, ``leaves``,
-    ``most``, ``packed`` and every ``availp`` are 0.
+    is the plane image of ``adj[v]``, so ``restp & restp >> t & restp >>
+    2t`` marks the triangles wholly in ``rest``.  The node that takes
+    ``nodes`` past ``gate`` packs the unrooted vertices (``pack``, which
+    lists their triangles at its first build and keeps the list's
+    triangles still unrooted at each later one, in the same
+    lexicographic order): the first time once the component's search has
+    expanded ``_PACK_AFTER`` nodes, inside whatever root's search that
+    is, and again at the first node after a root that is a packed vertex
+    breaks its triangle (that root sets ``gate`` back and ``full``, the
+    root's plane mask, to 0).  A frame open when the packing arrives
+    holds ``restp == 0``; each child it expands next planes its own
+    ``rest`` once and passes the true mask on.  Until the packing
+    arrives ``t``, ``leaves``, ``most``, ``packed`` and every ``availp``
+    are 0.
     """
     adj = g.adj
     budget = NODE_BUDGET
-    gate = nodes + _PACK_AFTER  # past it, grow packs or raises
+    gate = nodes + _PACK_AFTER  # past it, a node packs or raises
     if gate > budget:
         gate = budget
     best_len = 0
@@ -511,11 +522,31 @@ def _component_lip(g: Graph, comp: int, nodes: int) -> tuple[int, list[int], int
     path = [0] * comp.bit_count()
     unrooted = comp
     t = t2 = leaves = most = packed = full = 0
+    tris: list[tuple[int, int, int]] | None = None  # unrooted's triangles at the last build
     own: Sequence[int] = ()
     adjp: Sequence[int] = ()
 
+    def pack() -> None:
+        nonlocal gate, t, t2, leaves, most, packed, full, own, adjp, tris
+        if nodes > budget:
+            raise ResourceLimitError(f"induced-path search exceeded {budget} nodes")
+        gate = budget
+        if tris is None:
+            tris = triangles(adj, unrooted)
+        else:
+            tris = [x for x in tris if unrooted >> x[0] & unrooted >> x[1] & unrooted >> x[2] & 1]
+        packing, packed, own, adjp = _triangle_planes(adj, tris)
+        t = len(packing)
+        t2 = 2 * t
+        full = (1 << 3 * t) - 1
+        leaves = 0
+        for v in bits(unrooted):
+            if not adj[v] & adj[v] - 1:
+                leaves |= 1 << v
+        most = t + max(leaves.bit_count() - 1, 0)
+
     def grow(last: int, avail: int, availp: int, cand: int, starts: int, k: int) -> None:
-        nonlocal best_len, best_path, nodes, gate, t, t2, leaves, most, packed, full, own, adjp
+        nonlocal best_len, best_path, nodes
         if k > best_len:
             best_len = k
             if cand:
@@ -523,26 +554,13 @@ def _component_lip(g: Graph, comp: int, nodes: int) -> tuple[int, list[int], int
             else:
                 best_path = path[k - 1::-1] + [(starts & -starts).bit_length() - 1]
         rest = avail & ~adj[last]
-        bound = k + rest.bit_count()
-        if starts:
-            both = 1 if cand else 0  # both sides still open
-            bound += both
+        both = 1 if cand else 0  # both sides still open
+        bound = k + rest.bit_count() + both
         if bound <= best_len:
             return
         nodes += 1
         if nodes > gate:
-            if nodes > budget:
-                raise ResourceLimitError(f"induced-path search exceeded {budget} nodes")
-            gate = budget
-            packing, packed, own, adjp = _triangle_planes(adj, unrooted)
-            t = len(packing)
-            t2 = 2 * t
-            full = (1 << 3 * t) - 1
-            leaves = 0
-            for v in bits(unrooted):
-                if not adj[v] & adj[v] - 1:
-                    leaves |= 1 << v
-            most = t + max(leaves.bit_count() - 1, 0)
+            pack()
         if availp:
             restp = availp & ~adjp[last]
         elif packed and rest & packed:  # the parent was open when the packing arrived
@@ -553,20 +571,19 @@ def _component_lip(g: Graph, comp: int, nodes: int) -> tuple[int, list[int], int
             restp = 0
         if bound - best_len <= most:
             bound -= (restp & restp >> t & restp >> t2).bit_count()
-            if not starts:
-                ends = (rest & leaves).bit_count()
-                if ends > 1:
-                    bound -= ends - 1
         while cand and bound > best_len:
             low = cand & -cand
             cand ^= low
             u = low.bit_length() - 1
             out = rest & adj[u]
-            more = starts & ~adj[u] if starts else 0
-            if out or more:
+            more = starts & ~adj[u]
+            if more:
                 path[k] = u
                 grow(u, rest, restp, out, more, k + 1)
-        if starts and bound - both > best_len:  # side A is closed now
+            elif out and k + 1 + (nrest := rest ^ out).bit_count() > best_len:
+                path[k] = u
+                grow1(u, nrest, restp, out, k + 1)
+        if bound - both > best_len:  # side A is closed now
             bound -= both
             path[:k] = path[k - 1::-1]
             while starts and bound > best_len:
@@ -574,10 +591,43 @@ def _component_lip(g: Graph, comp: int, nodes: int) -> tuple[int, list[int], int
                 starts ^= low
                 b = low.bit_length() - 1
                 out = rest & adj[b]
-                if out:
+                if out and k + 1 + (nrest := rest ^ out).bit_count() > best_len:
                     path[k] = b
-                    grow(b, rest, restp, out, 0, k + 1)
+                    grow1(b, nrest, restp, out, k + 1)
             path[:k] = path[k - 1::-1]
+
+    def grow1(last: int, rest: int, availp: int, cand: int, k: int) -> None:
+        nonlocal best_len, best_path, nodes
+        if k > best_len:
+            best_len = k
+            best_path = path[:k] + [(cand & -cand).bit_length() - 1]
+            if not rest:
+                return
+        nodes += 1
+        if nodes > gate:
+            pack()
+        if availp:
+            restp = availp & ~adjp[last]
+        elif packed and rest & packed:  # the parent was open when the packing arrived
+            restp = 0
+            for v in bits(rest & packed):
+                restp |= own[v]
+        else:
+            restp = 0
+        bound = k + rest.bit_count()
+        if bound - best_len <= most:
+            bound -= (restp & restp >> t & restp >> t2).bit_count()
+            ends = (rest & leaves).bit_count()
+            if ends > 1:
+                bound -= ends - 1
+        while cand and bound > best_len:
+            low = cand & -cand
+            cand ^= low
+            u = low.bit_length() - 1
+            out = rest & adj[u]
+            if out and k + 1 + (nrest := rest ^ out).bit_count() > best_len:
+                path[k] = u
+                grow1(u, nrest, restp, out, k + 1)
 
     while unrooted.bit_count() > best_len + 1:
         # the root: a vertex of least degree among the unrooted ones,
@@ -612,32 +662,37 @@ def _component_lip(g: Graph, comp: int, nodes: int) -> tuple[int, list[int], int
             a = low.bit_length() - 1
             out = rest & adj[a]
             more = cand & ~adj[a]
-            if out or more:
+            if more:
                 path[1] = a
                 grow(a, rest, restp, out, more, 2)
+            elif out and 2 + (nrest := rest ^ out).bit_count() > best_len:
+                path[1] = a
+                grow1(a, nrest, restp, out, 2)
+    # the recursive closures hold each other in a cycle; breaking it frees
+    # the frame's cells at return instead of at the next gc pass
+    del grow, grow1
     if best_path[0] > best_path[-1]:
         best_path.reverse()
     return best_len, best_path, nodes
 
 
 def _triangle_planes(
-    adj: Sequence[int], verts: int
+    adj: Sequence[int], tris: Sequence[tuple[int, int, int]]
 ) -> tuple[list[tuple[int, int, int]], int, list[int], list[int]]:
-    """Pack disjoint triangles of the vertex set ``verts`` greedily and
-    lay them out in bit planes (member j of triangle i is bit
-    ``i + j*t``).
+    """Pack disjoint triangles from ``tris`` greedily and lay them out
+    in bit planes (member j of triangle i is bit ``i + j*t``).
 
-    The triangles come from :func:`graphs.triangles`, in lexicographic
-    order.  Each step takes the live triangle (one with no packed
-    vertex) whose vertices lie in the fewest live triangles, the first
-    on ties, so it spoils as few others as it can.  Returns the packed
-    triangles, the mask of their vertices, each vertex's own plane bit
-    (0 off the packing) and each vertex's neighbourhood row in the
-    planes.
+    ``tris`` lists the triangles of a vertex set in the lexicographic
+    order of :func:`graphs.triangles`.  Each step takes the live
+    triangle (one with no packed vertex) whose vertices lie in the
+    fewest live triangles, the first on ties, so it spoils as few
+    others as it can.  Returns the packed triangles, the mask of their
+    vertices, each vertex's own plane bit (0 off the packing) and each
+    vertex's neighbourhood row in the planes.
     """
     live = []
     count = [0] * len(adj)  # live triangles through each vertex
-    for a, b, c in triangles(adj, verts):
+    for a, b, c in tris:
         live.append((a, b, c, 1 << a | 1 << b | 1 << c))
         count[a] += 1
         count[b] += 1

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from beibounds import invariants
 from beibounds.errors import ResourceLimitError
 from beibounds.graphio import decode_graph6
-from beibounds.graphs import Graph, rows_key
+from beibounds.graphs import Graph, rows_key, triangles
 from beibounds.generators import all_labeled, complete, cycle, fig2_closed, gnp, net, path, sierpinski, union
 from beibounds.invariants import (
     conflict_graph,
@@ -407,9 +407,19 @@ def test_eta_matches_unbounded_reference_on_panel(g):
 @pytest.mark.parametrize("n, budget", [(18, 350), (19, 700), (20, 400)])
 def test_eta_dense_panel_node_counts(set_budget, n, budget):
     """The unbounded search visits 1,291, 6,614 and 1,948 MIS nodes on
-    these graphs; the clique-cover bound 263, 589 and 314."""
+    these graphs; the clique-cover bound exactly 263, 589 and 314: that
+    many pass the budget, one fewer does not.  ``budget`` is a round
+    figure above the count."""
+    g = gnp(n, 3, 4, 0)
+    value = {18: 10, 19: 10, 20: 13}[n]
+    nodes = {18: 263, 19: 589, 20: 314}[n]
     set_budget("NODE_BUDGET", budget)
-    assert eta(gnp(n, 3, 4, 0))[0] == {18: 10, 19: 10, 20: 13}[n]
+    assert eta(g)[0] == value
+    set_budget("NODE_BUDGET", nodes - 1)
+    with pytest.raises(ResourceLimitError, match=f"exceeded {nodes - 1} nodes"):
+        eta(g)
+    set_budget("NODE_BUDGET", nodes)
+    assert eta(g)[0] == value
 
 
 def test_eta_mid_density_within_budget(set_budget):
@@ -531,10 +541,12 @@ def test_longest_induced_path_matches_subset_brute_force(g):
     (sierpinski(3), invariants._PACK_AFTER, 24, 49_128),
     (sierpinski(3), 0, 24, 47_342),
     (gnp(40, 1, 10, 0), invariants._PACK_AFTER, 19, 20_008),
-], ids=["sierpinski3", "sierpinski3-pack0", "gnp40"])
+    (gnp(40, 1, 10, 1), invariants._PACK_AFTER, 18, 12_205),
+    (gnp(40, 1, 10, 2), invariants._PACK_AFTER, 19, 9_876),
+], ids=["sierpinski3", "sierpinski3-pack0", "gnp40", "gnp40-1", "gnp40-2"])
 def test_longest_induced_path_node_budget(monkeypatch, set_budget, g, pack_after, value, count):
     """The search expands exactly ``count`` nodes: that many pass the
-    budget, one fewer does not."""
+    budget, one fewer does not.  Most of them are one-sided nodes."""
     monkeypatch.setattr(invariants, "_PACK_AFTER", pack_after)
     set_budget("NODE_BUDGET", count)
     assert longest_induced_path(g)[0] == value
@@ -663,8 +675,8 @@ def test_triangle_planes_packs_sierpinski_3_perfectly():
     """The 45 vertices of sierpinski(3) split into 15 triangles; the
     lowest-first greedy that packed before stopped at 13."""
     g = sierpinski(3)
-    triangles, packed, _, _ = invariants._triangle_planes(g.adj, (1 << g.n) - 1)
-    assert len(triangles) == 15
+    packing, packed, _, _ = invariants._triangle_planes(g.adj, triangles(g.adj, (1 << g.n) - 1))
+    assert len(packing) == 15
     assert packed == (1 << g.n) - 1
 
 
@@ -675,10 +687,10 @@ def test_triangle_planes_lays_out_disjoint_triangles(g, rng):
     the triples are disjoint, ``packed`` is their union, and ``own`` and
     ``adjp`` give member j of triangle i the plane bit ``i + j*t``."""
     verts = rng.getrandbits(g.n) if rng.random() < 0.5 else (1 << g.n) - 1
-    triangles, packed, own, adjp = invariants._triangle_planes(g.adj, verts)
-    t = len(triangles)
+    packing, packed, own, adjp = invariants._triangle_planes(g.adj, triangles(g.adj, verts))
+    t = len(packing)
     union_of = 0
-    for tri in triangles:
+    for tri in packing:
         assert all(verts >> v & 1 for v in tri)
         assert all(g.has_edge(u, v) for u, v in combinations(tri, 2))
         for v in tri:
@@ -686,7 +698,7 @@ def test_triangle_planes_lays_out_disjoint_triangles(g, rng):
             union_of |= 1 << v
     assert packed == union_of
     want = [0] * g.n
-    for i, tri in enumerate(triangles):
+    for i, tri in enumerate(packing):
         for j, u in enumerate(tri):
             want[u] = 1 << (i + j * t)
     assert own == want
@@ -712,9 +724,16 @@ def test_longest_induced_path_relabelled_triangle_pendant_graphs(g, rng):
 
 
 def test_longest_induced_path_matches_one_sided_search_exhaustive_n6():
+    """Also pins the expanded nodes summed over the corpus, 44,007."""
+    nodes = 0
     for n in range(1, 7):
         for g in all_labeled(n):
-            assert longest_induced_path(g)[0] == ref_longest_induced_path_one_sided(g)
+            total = 0
+            for comp in g.component_masks():
+                length, _, nodes = invariants._component_lip(g, comp, nodes)
+                total += length
+            assert total == longest_induced_path(g)[0] == ref_longest_induced_path_one_sided(g)
+    assert nodes == 44_007
 
 
 @pytest.mark.parametrize(
