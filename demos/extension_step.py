@@ -3,8 +3,11 @@
 Saturating a non-free vertex v (completing its neighborhood) always
 strictly lowers eta.  The constructive proof of that fact is an
 algorithm: given any clique-disjoint set H of G_v it produces a
-clique-disjoint set of G with one more edge.  This demo runs the three
-cases on small graphs and shows the produced sets.
+clique-disjoint set of G with one more edge.  N[v] is a clique of G_v,
+so at most one member of H lies inside it: drop that member and add
+{v,a} and {v,b} for the least non-adjacent pair a, b in N(v), or add
+{v,a} alone if none lies inside.  This demo runs the step on small
+graphs and shows the produced sets.
 """
 
 from beibounds import eta, extend_clique_disjoint, is_clique_disjoint
@@ -21,11 +24,14 @@ def demo(name, g, v, h):
 
 
 if __name__ == "__main__":
-    # fill-in case: the chord {1,3} of the saturated C4 is not an edge of C4
-    demo("C4, chord swap", cycle(4), 0, [(1, 3)])
+    # the chord {1,3} of the saturated C4 lies inside N[0]: it is swapped out
+    demo("C4, member inside N[v]", cycle(4), 0, [(1, 3)])
 
-    # covered case: a member of H touches v itself
-    demo("P3, covered vertex", path(3), 1, [(0, 1)])
+    # the edge {0,1} lies inside N[1] too, though it is an edge of P3
+    demo("P3, member inside N[v]", path(3), 1, [(0, 1)])
+
+    # {2,3} has the end 3 outside N[1]: it is kept, and {1,0} alone is added
+    demo("P4, no member inside N[v]", path(4), 1, [(2, 3)])
 
     # start from an optimal set of the saturated graph and grow it
     g = net()

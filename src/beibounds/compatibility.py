@@ -167,8 +167,9 @@ def check_compatibility(phi: InvariantMap, g: Graph, strong: bool = False) -> Co
     (see :func:`graphs.derived_keys`); a map that is not a
     :class:`KeyedMap` is called, uncached, on a ``Graph`` unpacked from
     each key.  One mask of the non-free vertices serves (b) and (c).  A
-    graph with none has no induced P3, so it is exactly a disjoint union
-    of complete graphs, and only then is its decomposition read for (b).
+    graph with none has no induced P3, so every component is complete
+    (two vertices at distance 2 would end one); (b) then applies exactly
+    when it has a vertex and no isolated one, with t its component count.
     phi(G) and phi of G minus its isolated vertices are read first, then
     the rows (v, phi(G - v), phi(G_v)) of the non-free vertices in
     ascending order, up to the first witness of (c) unless ``strong`` is
@@ -224,9 +225,8 @@ def check_compatibility(phi: InvariantMap, g: Graph, strong: bool = False) -> Co
         }
         return report
 
-    sizes = None if nonfree else g.completes_decomposition()
-    if sizes and min(sizes) >= 2:
-        t = len(sizes)
+    if not nonfree and n and 0 not in adj:
+        t = len(g.component_masks())
         report.values["union_components"] = t
         if phi_g < t:
             report.pass_b = False

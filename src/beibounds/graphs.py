@@ -394,15 +394,6 @@ class Graph:
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.component_masks()) == 1
 
-    def completes_decomposition(self) -> list[int] | None:
-        """Component sizes if every component is complete, else None."""
-        sizes = []
-        for mask in self.component_masks():
-            if not self.is_clique(mask):
-                return None
-            sizes.append(mask.bit_count())
-        return sizes
-
     def _vertex_mask(self, vs: Iterable[int]) -> int:
         mask = 0
         for v in vs:

@@ -746,54 +746,26 @@ def extend_clique_disjoint(
     """Turn a clique-disjoint set of G_v into a strictly larger one of G.
 
     ``h`` must be clique-disjoint in G_v = g.saturate(v) and v must be
-    non-free in g.  The output is clique-disjoint in g and has exactly
-    one more edge, built by case analysis on how ``h`` meets v:
-
-    * some member covers v: drop it, add {v,a} and {v,b} for the least
-      non-adjacent pair a, b in N(v);
-    * v uncovered and some member is a fill-in edge (absent from g):
-      replace that member by the two edges joining v to its endpoints;
-    * v uncovered and all members are edges of g: add {v,a} or {v,b}
-      if one of them conflicts with nothing, else swap the unique
-      conflicting member for both.
+    non-free in g; the output is clique-disjoint in g and has exactly
+    one more edge.  N_G[v] is a clique of G_v, so at most one member of
+    ``h`` has both ends in it.  Every other member is an edge of g (a
+    fill-in edge joins two neighbours of v) whose end outside N_G[v] is
+    not adjacent to v, so it shares no clique of g with any edge at v.
+    With a, b the least non-adjacent pair in N(v), {v,a} and {v,b}
+    share no clique either: the output is ``h`` minus the member inside
+    N_G[v] plus both, or ``h`` plus {v,a} alone if no member lies inside.
     """
-    if g.is_free_vertex(v):
-        raise ValueError(f"vertex {v} is free; extension requires a non-free vertex")
-    gv = g.saturate(v)
+    a, b = least_nonadjacent_pair(g, v)
     members = sorted(edge(*e) for e in (h.edges if isinstance(h, CliqueDisjointSet) else h))
     if len(set(members)) != len(members):
         raise ValueError("input edge set contains duplicates")
-    if not is_clique_disjoint(gv, members):
+    if not is_clique_disjoint(g.saturate(v), members):
         raise ValueError("input is not clique-disjoint in the saturated graph")
 
-    covering = [e for e in members if v in e]
-    if covering:
-        # v lies in exactly one member, and every other member is a g-edge
-        e1 = covering[0]
-        a, b = least_nonadjacent_pair(g, v)
-        rest = [e for e in members if e != e1]
-        result = rest + [edge(v, a), edge(v, b)]
-    else:
-        fill_ins = [e for e in members if not g.has_edge(*e)]
-        if fill_ins:
-            u, w = fill_ins[0]
-            rest = [e for e in members if e != fill_ins[0]]
-            result = rest + [edge(v, u), edge(v, w)]
-        else:
-            a, b = least_nonadjacent_pair(g, v)
-            conf_a = [e for e in members if in_common_clique(g, e, (v, a))]
-            conf_b = [e for e in members if in_common_clique(g, e, (v, b))]
-            if not conf_a:
-                result = members + [edge(v, a)]
-            elif not conf_b:
-                result = members + [edge(v, b)]
-            else:
-                # the conflicting member is unique and shared by both
-                drop = conf_a[0]
-                rest = [e for e in members if e != drop]
-                result = rest + [edge(v, a), edge(v, b)]
-
-    out = frozenset(result)
+    closed = g.neighbors(v) | 1 << v
+    kept = [e for e in members if (1 << e[0] | 1 << e[1]) & ~closed]
+    added = [edge(v, a), edge(v, b)] if len(kept) < len(members) else [edge(v, a)]
+    out = frozenset(kept + added)
     try:
         valid = len(out) == len(members) + 1 and is_clique_disjoint(g, out)
     except ValueError:

@@ -60,7 +60,7 @@ def _is_prime(p: int) -> bool:
 
 def rank_modp(matrix: Iterable[Sequence[int]], p: int) -> int:
     """Rank over GF(p) of a matrix given as a sequence of integer rows;
-    raises ValueError unless ``p`` is prime.
+    raises ValueError unless ``p`` is prime and the rows have one length.
 
     Any row type that iterates to integers works (lists, tuples, rows of
     a 2-d array).
@@ -68,6 +68,8 @@ def rank_modp(matrix: Iterable[Sequence[int]], p: int) -> int:
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     rows = [[int(x) % p for x in row] for row in matrix]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("matrix rows differ in length")
     pivots: dict[int, list[int]] = {}  # leading column -> row with lead 1
     for row in rows:
         c = 0

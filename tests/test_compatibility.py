@@ -66,6 +66,15 @@ def test_constant_zero_fails_condition_b():
     assert not rep.pass_b
 
 
+@pytest.mark.parametrize("g, t", [
+    (union([complete(3), complete(2)]), 2),
+    (path(3), None),  # not a union of complete graphs
+    (union([complete(2), complete(1)]), None),  # an isolated vertex is a K1
+], ids=["K3+K2", "P3", "K2+K1"])
+def test_condition_b_reads_unions_of_complete_graphs_on_two_or_more_vertices(g, t):
+    assert check_compatibility(eta_value, g).values.get("union_components") == t
+
+
 def test_condition_a_failure_detected():
     # a map that shrinks in the presence of isolated vertices
     phi = lambda g: max(0, eta_value(g) - g.adj.count(0))

@@ -261,13 +261,7 @@ def test_nonfree_mask_matches_brute_force_exhaustive_n5():
         for g in all_labeled(n):
             mask = g.nonfree_mask()
             assert mask == sum(1 << v for v in range(n) if not brute_free_vertex(g, v))
-            assert (g.completes_decomposition() is not None) == (mask == 0)
-
-
-def test_completes_decomposition():
-    assert union([complete(3), complete(2)]).completes_decomposition() == [3, 2]
-    assert path(3).completes_decomposition() is None
-    assert union([complete(2), complete(1)]).completes_decomposition() == [2, 1]
+            assert all(g.is_clique(c) for c in g.component_masks()) == (mask == 0)
 
 
 def test_cut_signature():
@@ -402,8 +396,8 @@ def test_minus_vertex_matches_reference_on_many_word_rows():
 
 @given(small_graphs())
 @settings(max_examples=200, deadline=None)
-def test_completes_decomposition_iff_iv_zero(g):
-    assert (g.completes_decomposition() is not None) == (g.internal_vertex_count() == 0)
+def test_components_all_cliques_iff_iv_zero(g):
+    assert all(g.is_clique(c) for c in g.component_masks()) == (g.internal_vertex_count() == 0)
 
 
 def test_iv_drop_lemma_exhaustive_n4():

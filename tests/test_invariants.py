@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from beibounds import invariants
 from beibounds.errors import ResourceLimitError
 from beibounds.graphio import decode_graph6
-from beibounds.graphs import Graph, rows_key, triangles
+from beibounds.graphs import Graph, bits, rows_key, triangles
 from beibounds.generators import all_labeled, complete, cycle, fig2_closed, gnp, net, path, sierpinski, union
 from beibounds.invariants import (
     conflict_graph,
@@ -795,6 +795,27 @@ def test_extension_grows_eta_exhaustively_n5():
                 continue
             assert eta(g.saturate(v))[0] < e
             assert eta(g.minus_vertex(v))[0] <= e
+
+
+def test_extension_one_case_exhaustively_n5():
+    """With H an optimum of G_v, for every non-free v of every labelled
+    graph on at most 5 vertices: at most one member of H lies inside
+    N[v], the output is clique-disjoint in G with |H| + 1 edges, and it
+    keeps every member with an end outside N[v]."""
+    instances = 0
+    for n in range(3, 6):
+        for g in all_labeled(n):
+            for v in bits(g.nonfree_mask()):
+                closed = g.neighbors(v) | 1 << v
+                h = eta(g.saturate(v))[1].edges
+                outside = {e for e in h if (1 << e[0] | 1 << e[1]) & ~closed}
+                assert len(h) - len(outside) <= 1, (g, v)
+                out = extend_clique_disjoint(g, v, h)
+                assert len(out) == len(h) + 1, (g, v)
+                assert is_clique_disjoint(g, out.edges), (g, v)
+                assert outside <= out.edges, (g, v)
+                instances += 1
+    assert instances == 2474
 
 
 def test_extension_randomized_instances():

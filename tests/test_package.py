@@ -5,6 +5,7 @@ import importlib
 import inspect
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -121,6 +122,29 @@ def test_docstring_cross_references_resolve():
             if not ok:
                 broken.append(f"{path.name}: {target}")
     assert targets and broken == []
+
+
+def test_readme_dotted_names_resolve():
+    """Every backticked dotted name in README.md that starts with
+    ``beibounds``, ``Graph`` or a module of the package names a real
+    attribute, so a deleted or renamed object cannot stay documented
+    there (the docstring test above covers ``src/``): ``mod.name`` is
+    ``beibounds.mod.name`` and ``Graph.name`` is on ``graphs.Graph``."""
+    modules = {m.name for m in pkgutil.iter_modules(beibounds.__path__)} - {"__main__"}
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    names = sorted({
+        name for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", readme.read_text(encoding="utf-8"))
+        if name.split(".")[0] in modules | {"beibounds", "Graph"}
+    })
+    broken = []
+    for name in names:
+        head, *rest = name.removeprefix("beibounds.").split(".")
+        obj = importlib.import_module(f"beibounds.{head}") if head in modules else getattr(beibounds, head, None)
+        for part in rest:
+            obj = getattr(obj, part, None)
+        if obj is None:
+            broken.append(name)
+    assert names and broken == []
 
 
 def test_cli_looks_up_the_benchmark_hooks_at_call_time(monkeypatch, capsys):

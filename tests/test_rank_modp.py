@@ -71,6 +71,14 @@ def test_rank_modp_rejects_a_modulus_that_is_not_prime(p):
         rank_modp([[1, 2], [2, 4]], p)
 
 
+@pytest.mark.parametrize("rows", [[[1, 1], [1]], [[1], [1, 1]], [[0, 0, 1], [1, 0], [0, 1, 0]]])
+def test_rank_modp_rejects_rows_of_different_lengths(rows):
+    """A short row is not padded or truncated: ``[[1, 1], [1]]`` raises
+    rather than rank 1 (its zero-padded form has rank 2)."""
+    with pytest.raises(ValueError, match="rows differ in length"):
+        rank_modp(rows, 5)
+
+
 @given(st.integers(0, 2 ** 30 - 1), st.integers(1, 6), st.integers(1, 6))
 @settings(max_examples=200, deadline=None)
 def test_gf2_paths_agree(bits_seed, rows, cols):
