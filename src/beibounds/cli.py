@@ -122,15 +122,25 @@ def _fraction(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"{text!r} is not NUM/DEN") from None
 
 
+def _at_least(low: int):
+    """An argparse type for whole numbers no smaller than ``low``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return count
+
+
 # spec name -> (generator, a parser per argument)
 _SPECS = {
-    "path": (generators.path, (int,)),
-    "cycle": (generators.cycle, (int,)),
-    "complete": (generators.complete, (int,)),
+    "path": (generators.path, (_at_least(0),)),
+    "cycle": (generators.cycle, (_at_least(0),)),
+    "complete": (generators.complete, (_at_least(0),)),
     "sierpinski": (generators.sierpinski, (int,)),
     "net": (generators.net, ()),
     "fig2-closed": (generators.fig2_closed, ()),
-    "gnp": (lambda n, frac, seed: generators.gnp(n, *frac, seed), (int, _fraction, int)),
+    "gnp": (lambda n, frac, seed: generators.gnp(n, *frac, seed), (_at_least(0), _fraction, int)),
 }
 
 
@@ -516,16 +526,6 @@ def cmd_search(args) -> int:
 
 
 # -- argument parsing ---------------------------------------------------------
-
-
-def _at_least(low: int):
-    """An argparse type for whole numbers no smaller than ``low``."""
-    def count(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{value} is below {low}")
-        return value
-    return count
 
 
 def _add_corpus_flags(p: argparse.ArgumentParser) -> None:

@@ -16,7 +16,8 @@ long form alike.  Decoding walks the body's set bits in stream order,
 which is linear too.
 
 The edge-list format is: first non-comment line "n", then one "u v"
-pair per line, 0-based, '#' starts a comment.
+pair per line, 0-based, '#' starts a comment.  Numbers are plain ASCII
+decimal digits: no sign, no underscore, no other script's digits.
 """
 
 from __future__ import annotations
@@ -121,6 +122,14 @@ def decode_graph6(text: str) -> Graph:
     return Graph(n, tuple(adj))
 
 
+def _decimal(text: str) -> int:
+    """``text`` read as ASCII decimal digits, else ValueError (``int``
+    alone also takes a sign, ``1_1`` and non-ASCII digits)."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_edge_list(text: str) -> Graph:
     n = None
     edges = []
@@ -133,11 +142,9 @@ def parse_edge_list(text: str) -> Graph:
             if len(fields) != 1:
                 raise ParseError("first line must be the vertex count", line=lineno)
             try:
-                n = int(fields[0])
+                n = _decimal(fields[0])
             except ValueError:
                 raise ParseError(f"bad vertex count {fields[0]!r}", line=lineno) from None
-            if n < 0:
-                raise ParseError("vertex count must be non-negative", line=lineno)
             if n > _LONG_MAX:
                 # no report could name the graph: graph6 stops there
                 raise ParseError(f"vertex count above {_LONG_MAX}", line=lineno)
@@ -145,12 +152,12 @@ def parse_edge_list(text: str) -> Graph:
         if len(fields) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", line=lineno)
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = _decimal(fields[0]), _decimal(fields[1])
         except ValueError:
-            raise ParseError(f"non-integer endpoint in {line!r}", line=lineno) from None
+            raise ParseError(f"bad endpoint in {line!r}", line=lineno) from None
         if u == v:
             raise ParseError(f"self-loop at vertex {u}", line=lineno)
-        if not (0 <= u < n and 0 <= v < n):
+        if u >= n or v >= n:
             raise ParseError(f"endpoint out of range in {line!r}", line=lineno)
         edges.append((u, v))
     if n is None:

@@ -351,10 +351,6 @@ class Graph:
 
     # -- vertex predicates and counts ----------------------------------
 
-    def is_free_vertex(self, v: int) -> bool:
-        """True iff N(v) induces a complete graph (vacuously for deg <= 1)."""
-        return self.is_clique(self.neighbors(v))
-
     def nonfree_mask(self) -> int:
         """The non-free vertices as a bitmask, in one pass over the rows:
         v is non-free iff some neighbour u misses another neighbour of v,

@@ -40,15 +40,14 @@ left, and a leaner one the one-sided nodes, where none is left; most
 nodes are one-sided.  Each search node computes its available set and
 its counting bound once for all its children, and settles the children
 that cannot grow without entering them: a one-sided child is entered
-only when its count bound beats the best length.  Two admissible bounds,
-a few big-int operations per node, tighten the count: an induced path
-holds at most two vertices of each triangle of a least-overlap greedy
-packing of the unrooted vertices (kept in bit planes, built at the node
-where the search outgrows its cost and again after each later root that
-breaks a packed triangle, from one list of triangles) and at most one
-degree-1 vertex at the open end of a one-sided path.  They never prune
-the first longest path, so the witnesses are the count bound's, each
-written smaller end first.
+only when its count bound beats the best length.  One admissible
+correction, a few big-int operations per node, tightens the count: an
+induced path holds at most two vertices of each triangle of a
+least-overlap greedy packing of the unrooted vertices (kept in bit
+planes, built at the node where the search outgrows its cost and again
+after each later root that breaks a packed triangle, from one list of
+triangles).  It never prunes the first longest path, so the witnesses
+are the count bound's, each written smaller end first.
 
 Both searches count their nodes against one module constant,
 ``NODE_BUDGET``, read at call time, and raise ResourceLimitError past
@@ -474,17 +473,12 @@ def _component_lip(g: Graph, comp: int, nodes: int) -> tuple[int, list[int], int
     ``last`` (side A's also off ``N(m)``).  Each open side adds at most
     one vertex outside ``rest = avail & ~adj[last]``, so ``k`` plus the
     size of ``rest`` bounds the length, one more while both sides are
-    open (only one: a candidate and a start can be adjacent).  Two
-    corrections tighten it where it is within ``most`` of the best
-    length.  Each packed triangle wholly in ``rest`` takes one off,
-    since an induced path holds two of its vertices at most.  At
-    one-sided nodes only, the degree-1 ``leaves`` in ``rest`` beyond one
-    come off, since only the open end can be one; side A needs none,
-    because a root with two unrooted neighbours has the least degree
-    among the unrooted vertices, so none of them has degree 1.  Every
-    bound is admissible, so it never prunes the first longest path in
-    the search order: the witness is the one the count bound alone
-    finds, whenever the packing arrives, written smaller end first.
+    open (only one: a candidate and a start can be adjacent).  Each
+    packed triangle wholly in ``rest`` takes one off, since an induced
+    path holds two of its vertices at most.  The bound is admissible, so
+    it never prunes the first longest path in the search order: the
+    witness is the one the count bound alone finds, whenever the packing
+    arrives, written smaller end first.
 
     ``grow`` expands the nodes with starts left: it sends the side-A
     children that keep a start back into ``grow``, and the one-sided
@@ -509,8 +503,7 @@ def _component_lip(g: Graph, comp: int, nodes: int) -> tuple[int, list[int], int
     root's plane mask, to 0).  A frame open when the packing arrives
     holds ``restp == 0``; each child it expands next planes its own
     ``rest`` once and passes the true mask on.  Until the packing
-    arrives ``t``, ``leaves``, ``most``, ``packed`` and every ``availp``
-    are 0.
+    arrives ``t``, ``packed`` and every ``availp`` are 0.
     """
     adj = g.adj
     budget = NODE_BUDGET
@@ -521,13 +514,13 @@ def _component_lip(g: Graph, comp: int, nodes: int) -> tuple[int, list[int], int
     best_path = [(comp & -comp).bit_length() - 1]
     path = [0] * comp.bit_count()
     unrooted = comp
-    t = t2 = leaves = most = packed = full = 0
+    t = t2 = packed = full = 0
     tris: list[tuple[int, int, int]] | None = None  # unrooted's triangles at the last build
     own: Sequence[int] = ()
     adjp: Sequence[int] = ()
 
     def pack() -> None:
-        nonlocal gate, t, t2, leaves, most, packed, full, own, adjp, tris
+        nonlocal gate, t, t2, packed, full, own, adjp, tris
         if nodes > budget:
             raise ResourceLimitError(f"induced-path search exceeded {budget} nodes")
         gate = budget
@@ -539,11 +532,6 @@ def _component_lip(g: Graph, comp: int, nodes: int) -> tuple[int, list[int], int
         t = len(packing)
         t2 = 2 * t
         full = (1 << 3 * t) - 1
-        leaves = 0
-        for v in bits(unrooted):
-            if not adj[v] & adj[v] - 1:
-                leaves |= 1 << v
-        most = t + max(leaves.bit_count() - 1, 0)
 
     def grow(last: int, avail: int, availp: int, cand: int, starts: int, k: int) -> None:
         nonlocal best_len, best_path, nodes
@@ -569,8 +557,7 @@ def _component_lip(g: Graph, comp: int, nodes: int) -> tuple[int, list[int], int
                 restp |= own[v]
         else:
             restp = 0
-        if bound - best_len <= most:
-            bound -= (restp & restp >> t & restp >> t2).bit_count()
+        bound -= (restp & restp >> t & restp >> t2).bit_count()
         while cand and bound > best_len:
             low = cand & -cand
             cand ^= low
@@ -614,12 +601,7 @@ def _component_lip(g: Graph, comp: int, nodes: int) -> tuple[int, list[int], int
                 restp |= own[v]
         else:
             restp = 0
-        bound = k + rest.bit_count()
-        if bound - best_len <= most:
-            bound -= (restp & restp >> t & restp >> t2).bit_count()
-            ends = (rest & leaves).bit_count()
-            if ends > 1:
-                bound -= ends - 1
+        bound = k + rest.bit_count() - (restp & restp >> t & restp >> t2).bit_count()
         while cand and bound > best_len:
             low = cand & -cand
             cand ^= low

@@ -135,7 +135,7 @@ def test_criterion_5_constructive_extension_randomized():
     while done < 10_000:
         n = rng.randint(3, 12)
         g = gnp(n, rng.randint(1, 3), 4, rng.randrange(2 ** 32))
-        nonfree = [v for v in range(n) if not g.is_free_vertex(v)]
+        nonfree = [v for v in range(n) if g.nonfree_mask() >> v & 1]
         if not nonfree:
             continue
         v = rng.choice(nonfree)

@@ -95,6 +95,10 @@ def test_gen_missing_arguments_exits_2(capsys):
     ("gnp 6 1/2/3 3", "generator 'gnp': bad argument '1/2/3'"),
     ("gnp 6 1 3", "generator 'gnp': bad argument '1'"),
     ("path x", "generator 'path': bad argument 'x'"),
+    ("path -1", "generator 'path': bad argument '-1'"),
+    ("cycle -1", "generator 'cycle': bad argument '-1'"),
+    ("complete -1", "generator 'complete': bad argument '-1'"),
+    ("gnp -2 1/2 0", "generator 'gnp': bad argument '-2'"),
 ])
 def test_gen_bad_arguments_exit_2_naming_the_generator(capsys, spec, message):
     code, out, err = run(capsys, "gen", *spec.split())

@@ -193,10 +193,24 @@ def test_graph6_lines_drop_trailing_comments():
     assert parse_graph_text(text) == [complete(3), net()]
 
 
-def test_parse_edge_list_out_of_range_is_error_with_line():
+@pytest.mark.parametrize("text, line", [
+    ("3\n0 3\n", 2),
+    ("12\n0 1_1\n", 2),
+    ("3\n0 \uff12\n", 2),   # a fullwidth digit two
+    ("3\n+0 1\n", 2),
+    ("3\n-1 1\n", 2),
+    ("1_2\n", 1),
+    ("+3\n", 1),
+    ("-1\n", 1),
+    ("\u0663\n0 1\n", 1),  # an Arabic-Indic digit three
+], ids=["out-of-range", "underscore", "fullwidth", "plus", "minus", "count-underscore",
+        "count-plus", "count-minus", "count-arabic-indic"])
+def test_parse_edge_list_error_names_its_line(text, line):
+    """An endpoint out of range, and any number not written in ASCII
+    decimal digits alone, raises ParseError at its line."""
     with pytest.raises(ParseError) as err:
-        parse_edge_list("3\n0 3\n")
-    assert err.value.line == 2
+        parse_edge_list(text)
+    assert err.value.line == line
 
 
 def test_parse_edge_list_self_loop_is_error():

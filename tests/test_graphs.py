@@ -242,10 +242,10 @@ def test_saturate_c4_gives_diamond():
 
 
 def test_free_vertices_of_net():
-    g = net()
-    assert g.is_free_vertex(3)      # pendant: one neighbor
-    assert not g.is_free_vertex(0)  # triangle vertex with a pendant
-    assert all(complete(5).is_free_vertex(v) for v in range(5))
+    nonfree = net().nonfree_mask()
+    assert not nonfree >> 3 & 1  # pendant: one neighbor
+    assert nonfree >> 0 & 1      # triangle vertex with a pendant
+    assert complete(5).nonfree_mask() == 0
 
 
 def test_internal_vertex_count_against_brute_force():
@@ -403,8 +403,9 @@ def test_components_all_cliques_iff_iv_zero(g):
 def test_iv_drop_lemma_exhaustive_n4():
     for g in all_labeled(4):
         iv = g.internal_vertex_count()
+        nonfree = g.nonfree_mask()
         for v in range(g.n):
-            if g.is_free_vertex(v):
+            if not nonfree >> v & 1:
                 continue
             gv = g.saturate(v)
             assert max(
