@@ -110,7 +110,10 @@ def build_spec(tokens: list[str]) -> Graph:
             values.append(parse(text))
         except (ValueError, argparse.ArgumentTypeError):
             raise ValueError(f"generator {name!r}: bad argument {text!r}") from None
-    return make(*values)
+    try:
+        return make(*values)
+    except ValueError as exc:
+        raise ValueError(f"generator {name!r}: {exc}") from None
 
 
 def _fraction(text: str) -> tuple[int, int]:
@@ -588,13 +591,19 @@ def parse_args(argv=None) -> argparse.Namespace:
     argparse fills a ``nargs="*"`` positional in the same run of
     positionals as the one before it, so in ``verify chain --with-reg
     FILE`` the inputs bind (empty) next to ``kind`` and FILE comes back
-    unparsed.  Such leftovers are the command's remaining inputs.
+    unparsed.  Such leftovers are the command's remaining inputs.  A
+    ``gen`` spec argument that starts with one dash, such as the
+    fraction ``-1/2``, is taken for an option and comes back unparsed
+    too; it rejoins the spec, whose parser names the generator.
     """
     ap = build_parser()
     args, extra = ap.parse_known_args(argv)
     if hasattr(args, "inputs"):
         args.inputs += [a for a in extra if a == "-" or not a.startswith("-")]
         extra = [a for a in extra if a != "-" and a.startswith("-")]
+    if hasattr(args, "spec"):
+        args.spec += [a for a in extra if not a.startswith("--")]
+        extra = [a for a in extra if a.startswith("--")]
     if extra:
         ap.error("unrecognized arguments: " + " ".join(extra))
     return args

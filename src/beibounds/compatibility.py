@@ -19,7 +19,9 @@ form, asked for with the eta map, reads them all, and one pass then
 serves both.  Free vertices are left out because neither check can use
 them: for a free v the neighbourhood is already a clique, so G_v = G
 and phi(G_v) < phi(G) fails for every map, and the strong form asks
-only about non-free vertices.
+only about non-free vertices.  The conditions are settled in one place
+after the rows are read, and a report holds at most one failed
+condition, in its counterexample; its pass flags are read off that.
 
 Every map is read by one int per labeled graph (a :class:`KeyedMap`):
 G is packed once, and one flat loop over the non-free vertices derives
@@ -147,17 +149,21 @@ iv_value = memoized(Graph.internal_vertex_count)
 
 @dataclass
 class CompatibilityReport:
-    pass_a: bool
-    pass_b: bool
-    pass_c: bool
+    """At most one condition fails: ``counterexample["condition"]``
+    names it, and the pass flags are read off it."""
+
+    values: dict
     witness_vertex: Optional[int] = None
     counterexample: Optional[dict] = None
-    values: dict = field(default_factory=dict)
     strong_failures: Optional[list] = None
 
-    @property
-    def passed(self) -> bool:
-        return self.pass_a and self.pass_b and self.pass_c
+    def _holds(self, condition: str) -> bool:
+        return self.counterexample is None or self.counterexample["condition"] != condition
+
+    passed = property(lambda self: self.counterexample is None)
+    pass_a = property(lambda self: self._holds("a"))
+    pass_b = property(lambda self: self._holds("b"))
+    pass_c = property(lambda self: self._holds("c"))
 
 
 def check_compatibility(phi: InvariantMap, g: Graph, strong: bool = False) -> CompatibilityReport:
@@ -173,18 +179,19 @@ def check_compatibility(phi: InvariantMap, g: Graph, strong: bool = False) -> Co
     phi(G) and phi of G minus its isolated vertices are read first, then
     the rows (v, phi(G - v), phi(G_v)) of the non-free vertices in
     ascending order, up to the first witness of (c) unless ``strong`` is
-    set, and none when (a) fails and ``strong`` is not.  A failing
-    condition attaches a structured counterexample with the offending
-    values; that of (c) reuses the rows read and reads phi(G - v) only
-    for the free vertices.  With ``strong`` every row is read, and
-    ``strong_failures`` holds the strong per-vertex form's violations
-    (see :func:`nonfree_vertex_failures`) whatever the conditions give;
-    otherwise it stays None.
+    set, and none when (a) fails and ``strong`` is not.  One branch
+    chain then settles the report: (a) fails, else (b) applies, else (c)
+    has a witness, else (c) fails where G has a non-free vertex.  A
+    failing condition attaches a structured counterexample with the
+    offending values; that of (c) reuses the rows read and reads
+    phi(G - v) only for the free vertices.  With ``strong`` every row is
+    read, and ``strong_failures`` holds the strong per-vertex form's
+    violations (see :func:`nonfree_vertex_failures`) whatever the
+    conditions give; otherwise it stays None.
     """
     if not isinstance(phi, KeyedMap):
         phi = KeyedMap(_graph_lookup(phi))
     lookup, value = phi.lookup, phi.value
-    report = CompatibilityReport(True, True, True)
     adj, n = g.adj, g.n
     nonfree = g.nonfree_mask()
     key = rows_key(adj)
@@ -209,46 +216,28 @@ def check_compatibility(phi: InvariantMap, g: Graph, strong: bool = False) -> Co
                 witness = v, minus, sat
                 if not strong:
                     break
-    report.values["phi"] = phi_g
+    report = CompatibilityReport({"phi": phi_g, "phi_hat": phi_hat})
     if strong:
         report.strong_failures = [
             {"v": v, "phi": phi_g, "phi_minus": minus, "phi_saturated": sat}
             for v, minus, sat in failed
         ]
-    report.values["phi_hat"] = phi_hat
     if phi_hat > phi_g:
-        report.pass_a = False
-        report.counterexample = {
-            "condition": "a",
-            "phi": phi_g,
-            "phi_without_isolated": phi_hat,
-        }
-        return report
-
-    if not nonfree and n and 0 not in adj:
-        t = len(g.component_masks())
-        report.values["union_components"] = t
+        report.counterexample = {"condition": "a", "phi": phi_g, "phi_without_isolated": phi_hat}
+    elif not nonfree and n and 0 not in adj:
+        t = report.values["union_components"] = len(g.component_masks())
         if phi_g < t:
-            report.pass_b = False
             report.counterexample = {"condition": "b", "phi": phi_g, "components": t}
-            return report
-
-    if witness is not None:
-        v, minus, sat = witness
-        report.witness_vertex = v
-        report.values["phi_minus_witness"] = minus
-        report.values["phi_saturated_witness"] = sat
+    elif witness is not None:
+        (report.witness_vertex, report.values["phi_minus_witness"],
+         report.values["phi_saturated_witness"]) = witness
     elif nonfree:
         # (a) held, so every non-free row was read, and failed; only a
         # free v's phi(G - v) is new: it has G_v = G
-        report.pass_c = False
         seen = {v: (minus, sat) for v, minus, sat in failed}
         per_vertex = []
         for v in range(n):
-            if v in seen:
-                minus, sat = seen[v]
-            else:
-                minus, sat = value(lookup(derived_keys(key, v, layout)[0])), phi_g
+            minus, sat = seen.get(v) or (value(lookup(derived_keys(key, v, layout)[0])), phi_g)
             per_vertex.append({"v": v, "phi_minus": minus, "phi_saturated": sat})
         report.counterexample = {"condition": "c", "phi": phi_g, "per_vertex": per_vertex}
     return report

@@ -124,15 +124,10 @@ def _clique_masks(adj: Sequence[int]) -> list[int]:
 
 
 def in_common_clique(g: Graph, e: tuple[int, int], f: tuple[int, int]) -> bool:
-    """True iff some clique of g contains both edges.
-
-    Equivalent to the endpoint union inducing a complete subgraph
-    (any complete subgraph extends to a maximal clique).
-    """
-    e = _require_edge(g, e)
-    f = _require_edge(g, f)
-    mask = 1 << e[0] | 1 << e[1] | 1 << f[0] | 1 << f[1]
-    return g.is_clique(mask)
+    """True iff some clique of g contains both edges: the pair is not
+    clique-disjoint (:func:`is_clique_disjoint`), and an edge shares a
+    clique with itself.  A non-edge raises ``ValueError``."""
+    return not is_clique_disjoint(g, (e, f))
 
 
 def _require_edge(g: Graph, e: tuple[int, int]) -> tuple[int, int]:

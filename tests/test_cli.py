@@ -99,6 +99,12 @@ def test_gen_missing_arguments_exits_2(capsys):
     ("cycle -1", "generator 'cycle': bad argument '-1'"),
     ("complete -1", "generator 'complete': bad argument '-1'"),
     ("gnp -2 1/2 0", "generator 'gnp': bad argument '-2'"),
+    ("sierpinski 0", "generator 'sierpinski': sierpinski level must be in 1..6"),
+    ("sierpinski 7", "generator 'sierpinski': sierpinski level must be in 1..6"),
+    ("gnp 5 3/2 0", "generator 'gnp': edge probability must satisfy 0 <= p_num <= p_den"),
+    ("gnp 5 1/0 0", "generator 'gnp': edge probability must satisfy 0 <= p_num <= p_den"),
+    ("gnp 5 -1/2 0", "generator 'gnp': edge probability must satisfy 0 <= p_num <= p_den"),
+    ("cycle 2", "generator 'cycle': cycle needs at least 3 vertices"),
 ])
 def test_gen_bad_arguments_exit_2_naming_the_generator(capsys, spec, message):
     code, out, err = run(capsys, "gen", *spec.split())
@@ -405,6 +411,39 @@ def test_search_keeps_results_past_a_search_budget(capsys, patch_map, tmp_path, 
         "error: a resource cap skipped 1 graph(s):",
         f"{net6}: search exceeded 7 nodes",
     ]
+
+
+def test_bound_chain_reads_eta_then_L_then_c_then_reg_so_search_reports_eta_first(
+    capsys, patch_map, tmp_path
+):
+    """``bound_chain`` reads eta, then L, then c, then reg, and ``search``
+    reports the first skip in that order: a graph past both the eta and
+    the L budget is listed with eta's message."""
+    reads = []
+
+    def recorder(map_name):
+        return lambda g, real: reads.append(map_name) or real(g)
+
+    order = ["eta", "induced-path", "clique-count", "reg"]
+    for map_name in order:
+        patch_map(map_name, recorder(map_name))
+    compatibility.bound_chain(net(), with_reg=True)
+    assert reads == order
+
+    def capped(map_name):
+        def read(g, real):
+            raise ResourceLimitError(f"{map_name} search exceeded 7 nodes")
+        return read
+
+    patch_map("induced-path", capped("induced-path"))
+    patch_map("eta", capped("eta"))
+    net6 = encode_graph6(net())
+    f = tmp_path / "net.g6"
+    f.write_text(net6 + "\n")
+    code, out, err = run(capsys, "search", "--gap", "eta-L", str(f), "--format", "json")
+    assert code == 2
+    assert json.loads(out)["results"] == [{"graph6": net6, "skipped": "eta search exceeded 7 nodes"}]
+    assert err.splitlines()[1:] == [f"{net6}: eta search exceeded 7 nodes"]
 
 
 def test_search_ranks_the_levels_below_an_L_budget_hit(capsys, set_budget):

@@ -231,11 +231,23 @@ def _edge_count_mod_3(g):
     return g.edge_count() % 3
 
 
+def _eta_minus_isolated(g):
+    # shrinks in the presence of isolated vertices, so (a) fails
+    return max(0, eta_value(g) - g.adj.count(0))
+
+
+def _ref_pass_flags(ref):
+    """(pass_a, pass_b, pass_c) as the reference's counterexample names
+    its failed condition."""
+    failed = ref["counterexample"] and ref["counterexample"]["condition"]
+    return tuple(failed != condition for condition in "abc")
+
+
 @pytest.mark.parametrize(
     "phi, compatible",
     [(eta_value, True), (clique_count_value, True), (induced_path_value, False),
-     (_edge_count_mod_3, False)],
-    ids=["eta", "clique-count", "induced-path", "edges-mod-3"],
+     (_edge_count_mod_3, False), (_eta_minus_isolated, False)],
+    ids=["eta", "clique-count", "induced-path", "edges-mod-3", "eta-minus-isolated"],
 )
 def test_compatibility_matches_every_vertex_reference_n5(phi, compatible):
     phi = memoized(phi)
@@ -243,11 +255,12 @@ def test_compatibility_matches_every_vertex_reference_n5(phi, compatible):
     for n in range(6):
         for g in all_labeled(n):
             ref = brute_compatibility(phi, g)
-            want = (ref["passed"], ref["witness_vertex"], ref["values"],
+            want = (ref["passed"], _ref_pass_flags(ref), ref["witness_vertex"], ref["values"],
                     ref["counterexample"])
             for strong, want_strong in [(False, None), (True, ref["strong"])]:
                 rep = check_compatibility(phi, g, strong=strong)
-                got = (rep.passed, rep.witness_vertex, rep.values, rep.counterexample)
+                got = (rep.passed, (rep.pass_a, rep.pass_b, rep.pass_c), rep.witness_vertex,
+                       rep.values, rep.counterexample)
                 assert got == want, (g, strong)
                 assert rep.strong_failures == want_strong, (g, strong)
             assert nonfree_vertex_failures(phi, g) == ref["strong"], g
@@ -356,11 +369,12 @@ def _assert_named_map_matches_the_reference(map_name, plain, g):
     """``check_compatibility`` on the named map gives the report fields
     and strong-form failures of ``brute_compatibility`` on ``plain``."""
     ref = brute_compatibility(plain, g)
-    want = (ref["passed"], ref["witness_vertex"], ref["values"], ref["counterexample"])
+    want = (ref["passed"], _ref_pass_flags(ref), ref["witness_vertex"], ref["values"],
+            ref["counterexample"])
     for strong, want_strong in [(False, None), (True, ref["strong"])]:
         rep = check_compatibility(NAMED_MAPS[map_name], g, strong=strong)
-        assert (rep.passed, rep.witness_vertex, rep.values, rep.counterexample) == want, (
-            g, map_name, strong)
+        assert (rep.passed, (rep.pass_a, rep.pass_b, rep.pass_c), rep.witness_vertex,
+                rep.values, rep.counterexample) == want, (g, map_name, strong)
         assert rep.strong_failures == want_strong, (g, map_name, strong)
 
 
