@@ -89,8 +89,8 @@ def load_inputs(paths: list[str]) -> list[Graph]:
 
 def build_spec(tokens: list[str]) -> Graph:
     """Build a graph from a spec like ['path', '5'] or ['net']."""
-    if not tokens:
-        raise ValueError("empty generator spec")
+    # tokens is never empty: gen's spec is nargs="+", and union passes on
+    # only non-empty sub-specs, whose split(":") has at least one token
     name, args = tokens[0], tokens[1:]
     if name == "union":
         specs = [sub.strip() for sub in ",".join(args).split(",")]
@@ -379,11 +379,9 @@ def _verify_one(
             if strong:
                 for bad in rep.strong_failures:
                     out.append({"graph6": g6, "strong_form": bad})
-        elif kind in _VERTEX_CHECKS:
+        else:  # argparse limits kind to chain, compatible and _VERTEX_CHECKS
             for v in _VERTEX_CHECKS[kind](g):
                 out.append({"graph6": g6, "vertex": v})
-        else:
-            raise ValueError(f"unknown verify kind {kind!r}")
     except ResourceLimitError as exc:
         # bound_chain skips its own values, and iv-lemma has no budget
         skipped[_MAP_VALUES[map_name] if kind == "compatible" else "reg"] = str(exc)

@@ -456,7 +456,9 @@ def _component_lip(g: Graph, comp: int, nodes: int) -> tuple[int, list[int], int
     root) in a smallest-last order, over the vertices not yet rooted:
     each root is a vertex of least degree in the subgraph they induce,
     the least on ties, so later roots search less (Matula-Beck 1983).
-    Side A grows first, from a neighbour ``a1`` of ``m``.  At a side-A
+    Side A grows first, from a neighbour ``a1`` of ``m``; a root with no
+    unrooted neighbour comes only after the first root has set a best
+    length of 1, and expands no node.  At a side-A
     node with path ``m a1 .. aj``, side B may start at any of its
     ``starts``: the unrooted neighbours ``b1 > a1`` of ``m`` with no
     neighbour among ``a1 .. aj``.  A node with ``starts == 0`` is
@@ -624,8 +626,8 @@ def _component_lip(g: Graph, comp: int, nodes: int) -> tuple[int, list[int], int
             gate = nodes
             full = 0
         cand = unrooted & adj[m]
-        if not cand:
-            continue
+        # cand may be 0 only once best_len >= 1 (the first root has an
+        # unrooted neighbour), and then the loop below does not start
         if not best_len:
             best_len = 1
             best_path = [m, (cand & -cand).bit_length() - 1]

@@ -54,8 +54,31 @@ def rank_gf3(rows: Iterable[tuple[int, int]]) -> int:
     return len(pivots)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin on the primes up to 41 is exact below this bound, psi_13
+# (Sorenson-Webster 2017); at and above it primality is by trial division
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
+    if p < 2 or any(p % q == 0 for q in _MR_BASES):
+        return p in _MR_BASES
+    if p >= _MR_EXACT_BELOW:
+        return all(p % d for d in range(43, isqrt(p) + 1, 2))
+    d = p - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s  # p - 1 = d * 2**s with d odd
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
 
 
 def rank_modp(matrix: Iterable[Sequence[int]], p: int) -> int:

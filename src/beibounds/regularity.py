@@ -272,16 +272,16 @@ def _lcm_lattice(gens: tuple[int, ...], forb: list[int]) -> set[int]:
 
     Every sub-union of such a clean union is clean, so growing the set
     one generator at a time (the largest first) and adding ``x | g``
-    only when it is clean still reaches every clean union.  Past
-    ``SCAN_BUDGET`` of them it raises ResourceLimitError before the set
-    takes them in."""
+    only when it is clean still reaches every clean union.  No
+    generator holds a forbidden pair (see :func:`_domination_table`),
+    so only the unions are tested.  Past ``SCAN_BUDGET`` of them it
+    raises ResourceLimitError before the set takes them in."""
     lattice = {0}
     for g in sorted(gens, key=int.bit_count, reverse=True):
         fg = 0
         for u in bits(g):
             fg |= forb[u]
-        if fg & g:
-            continue
+        # fg & g == 0: forb[u] misses every generator through u
         new = {x | g for x in lattice if not x & fg}
         if len(lattice) + len(new) - 1 > SCAN_BUDGET:
             new -= lattice  # only when the sizes alone do not settle it
@@ -302,11 +302,14 @@ def _domination_table(
     holds v with h - v inside g - u: the one variable outside g of each
     generator h that has just one and misses u.  Such an h lies in every
     subset that holds g and v, so ``d`` does not depend on the subset.
+    Each ``d`` lies outside its generator g.
     The AND of u's ``d`` over every generator through u, its ``sure`` mask,
     holds the v that u dominates in every union holding both, since the
     generators of the union through u are among them.  ``forb[u]`` holds
     the v with v in u's ``sure`` mask or u in v's, so a union holding u
-    and v has a dominated vertex, as does every union above it.
+    and v has a dominated vertex, as does every union above it.  Since
+    ``sure`` masks miss the generators through their own variable, no
+    generator holds a forbidden pair.
     """
     table: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
     for g in gens:

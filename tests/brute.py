@@ -3,7 +3,8 @@
 Everything here recomputes invariants from first principles (subset and
 permutation enumeration over explicit edge sets), sharing no code with
 the solvers under test beyond the Graph container itself.  The rank
-reference eliminates on numpy arrays, which the package does not use.
+reference eliminates on numpy arrays, which the package does not use,
+and ``ref_is_prime`` is trial division by every integer up to the root.
 The homology reference ``ref_homology_dims`` lists the faces inside a
 subset by enumeration and ranks dense signed boundary matrices with the
 numpy rank, so it shares no code with ``reduced_homology`` or
@@ -47,6 +48,7 @@ map.
 
 from collections import deque
 from itertools import combinations, permutations
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +58,11 @@ from beibounds.errors import ResourceLimitError
 from beibounds.graphs import Graph, bits, components, derived_keys, key_layout, minimalize
 from beibounds.invariants import maximal_cliques
 from beibounds.regularity import SquarefreeIdeal, _variable_mask, homology_dims
+
+
+def ref_is_prime(p: int) -> bool:
+    """Whether ``p`` is prime, by trial division up to its square root."""
+    return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def numpy_rank_modp(matrix, p: int) -> int:

@@ -972,6 +972,38 @@ def test_exhaustive_above_the_cap_exits_2_before_any_graph(capsys, monkeypatch, 
     assert err == f"error: all_labeled capped at n={generators.ALL_LABELED_MAX_N}\n"
 
 
+def test_sierpinski_above_the_cap_exits_2_before_any_graph(capsys, monkeypatch):
+    """The cap of ``--sierpinski`` is checked before the sweep starts, so
+    no graph is made or checked and no report is printed."""
+    made = []
+    monkeypatch.setattr(generators, "sierpinski", made.append)
+    monkeypatch.setattr(cli, "decode_graph6", made.append)
+    code, out, err = run(capsys, "verify", "chain", "--sierpinski", "7")
+    assert (code, out, made) == (2, "", [])
+    assert err == f"error: sierpinski level must be in 1..{generators.SIERPINSKI_MAX_LEVEL}\n"
+
+
+def test_text_report_prints_violations_and_ends_ok_false(capsys, patch_map):
+    patch_map("eta", lambda g, real: 0)
+    code, out, _ = run(capsys, "verify", "compatible", "--exhaustive", "3")
+    lines = out.splitlines()
+    assert code == 1
+    assert any(ln.startswith("VIOLATION: {") for ln in lines)
+    assert lines[-1].startswith("ok=False ")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_iv_lemma_reports_the_failing_vertices(capsys, monkeypatch, jobs):
+    """With iv read as 1 everywhere, iv fails to drop at the middle
+    vertex of each labelled P3.  (Workers fork, so they see the patch.)"""
+    monkeypatch.setattr(compatibility, "iv_value", compatibility.KeyedMap(lambda key: 1))
+    code, out, _ = run(capsys, "verify", "iv-lemma", "--exhaustive", "3", "--jobs", jobs,
+                       "--format", "json")
+    violations = json.loads(out)["violations"]
+    assert code == 1 and len(violations) == 3
+    assert all(set(v) == {"graph6", "vertex"} for v in violations)
+
+
 def test_bad_input_exits_2(capsys, tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("3\n0 9\n")

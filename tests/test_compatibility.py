@@ -2,7 +2,7 @@ from functools import cache
 
 import pytest
 
-from beibounds import invariants, regularity
+from beibounds import compatibility, invariants, regularity
 from beibounds.compatibility import (
     NAMED_MAPS,
     KeyedMap,
@@ -100,6 +100,11 @@ def test_iv_lemma_net_triangle_vertex():
 def test_iv_lemma_p4_and_c4():
     assert list(iv_lemma_failures(path(4))) == []
     assert list(iv_lemma_failures(cycle(4))) == []
+
+
+def test_iv_lemma_failures_yields_a_vertex_where_iv_does_not_drop(monkeypatch):
+    monkeypatch.setattr(compatibility, "iv_value", KeyedMap(lambda key: 1))
+    assert list(iv_lemma_failures(path(3))) == [1]
 
 
 def test_recursion_inequality_examples():

@@ -128,6 +128,11 @@ def test_decode_rejects_non_ascii_with_offset():
     assert err.value.offset == 2
 
 
+def test_encode_rejects_more_vertices_than_graph6_holds():
+    with pytest.raises(ValueError, match="at most 258047 vertices"):
+        encode_graph6(Graph(258048, (0,) * 258048))
+
+
 def test_parse_edge_list_rejects_counts_graph6_cannot_hold():
     with pytest.raises(ParseError) as err:
         parse_edge_list("# too big\n258048\n0 1\n")

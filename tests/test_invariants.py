@@ -778,6 +778,11 @@ def test_extension_rejects_free_vertex():
         extend_clique_disjoint(net(), 3, [])
 
 
+def test_extension_rejects_duplicate_input_edges():
+    with pytest.raises(ValueError, match="duplicates"):
+        extend_clique_disjoint(path(3), 1, [(0, 1), (1, 0)])
+
+
 def test_extension_rejects_invalid_input_set():
     g = cycle(4)
     gv = g.saturate(0)

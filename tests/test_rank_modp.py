@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beibounds.rank_modp import rank_gf2, rank_gf3, rank_modp
-from brute import numpy_rank_modp
+from beibounds.rank_modp import _is_prime, rank_gf2, rank_gf3, rank_modp
+from brute import numpy_rank_modp, ref_is_prime
 
 # det = 3: rank 2 over GF(3), full rank over every other prime
 TORSION3 = [[1, -1, 0], [0, 1, -1], [1, 1, 1]]
@@ -63,12 +63,30 @@ def test_rank_modp_accepts_plain_rows():
     assert rank_modp([(1, 2), (2, 4)], 3) == 1
 
 
-@pytest.mark.parametrize("p", [-3, 0, 1, 4, 6])
+# the least strong pseudoprimes to the primes up to 2, 7, 31 and 37
+# (psi_1, psi_4, psi_11, psi_12): base 41 alone exposes psi_12.  Past
+# psi_13, 43 * 47**14 (least factor 43) is left to trial division.
+PSEUDOPRIMES = [2047, 3215031751, 3825123056546413051, 318665857834031151167461]
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 6, *PSEUDOPRIMES, 43 * 47 ** 14])
 def test_rank_modp_rejects_a_modulus_that_is_not_prime(p):
     """A composite, unit, zero or negative modulus raises instead of
     returning a rank over no field (or failing in ``pow``)."""
     with pytest.raises(ValueError, match=f"{p} is not prime"):
         rank_modp([[1, 2], [2, 4]], p)
+
+
+def test_is_prime_matches_trial_division():
+    assert [p for p in range(20000) if _is_prime(p)] == [
+        p for p in range(20000) if ref_is_prime(p)]
+
+
+@pytest.mark.parametrize("p", [2 ** 61 - 1, 10 ** 24 + 7])
+def test_rank_modp_over_a_large_prime(p):
+    """Primality of a large modulus is decided by Miller-Rabin, not by
+    trial division up to its root (about 1.5e9 steps for 2^61 - 1)."""
+    assert rank_modp([[1, 2], [3, 4]], p) == 2
 
 
 @pytest.mark.parametrize("rows", [[[1, 1], [1]], [[1], [1, 1]], [[0, 0, 1], [1, 0], [0, 1, 0]]])

@@ -544,7 +544,10 @@ def generator_tuples(draw):
 @_with_examples([(ideal.num_vars, ideal.gens) for ideal in _TORSION_AND_NET])
 def test_domination_table_matches_the_double_loop(nv_gens):
     nv, gens = nv_gens
-    assert regularity._domination_table(gens, nv)[0] == ref_domination_table(gens, nv)
+    table, forb = regularity._domination_table(gens, nv)
+    assert table == ref_domination_table(gens, nv)
+    # no generator holds a forbidden pair, so _lcm_lattice tests only unions
+    assert all(forb[u] & g == 0 for g in gens for u in bits(g))
 
 
 def _connected_witness_corpus():
